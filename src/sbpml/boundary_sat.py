@@ -157,48 +157,42 @@ def sat_y_field(
     weight: float,
     ops: OperatorPair,
     out: Optional[np.ndarray] = None,
-    shape=None,
 ) -> np.ndarray:
     """The y-wall penalty field -weight * Py^{-1}(residual on each y wall).
 
     This combination appears both in the electric-field equation (weight
     alpha_y) and, scaled by theta * alpha_y, in the stabilized auxiliary
-    equation, so it is factored out here.
+    equation, so it is factored out here.  It is added into ``out``, or
+    into a new (nx, ny) zero field.
     """
     if out is None:
-        out = np.zeros((len(r_bottom), ops.y.n) if shape is None else shape)
+        out = np.zeros((len(r_bottom), ops.y.n))
     out[:, 0] -= weight * r_bottom / ops.y.p_diag[0]
     out[:, -1] -= weight * r_top / ops.y.p_diag[-1]
     return out
 
 
-def sat_contributions(
-    state: FieldState, bc: BoundaryConfig, p: PenaltyParams, t: float, grid: Grid2D, ops: OperatorPair
-):
+def sat_contributions(residuals, p: PenaltyParams, ops: OperatorPair):
     """Penalty fields for the Ez, Hy and Hx equations.
 
-    For SplitField states the residuals are formed with the total electric
-    field ez + aux.  Returns three (nx, ny) arrays, zero away from the
-    walls.
+    ``residuals`` are the four wall residuals of ``wall_residuals`` (for
+    SplitField states, formed with the total electric field ez + aux).
+    Returns three (nx, ny) arrays, zero away from the walls.
     """
-    ez = state.ez_total
-    if ez.shape != (grid.nx, grid.ny):
-        raise ValueError(f"state shape {ez.shape} does not match grid {(grid.nx, grid.ny)}")
-    r_left, r_right, r_bottom, r_top = wall_residuals(ez, state.hy, state.hx, bc, grid, t)
-
+    r_left, r_right, r_bottom, r_top = residuals
     px0, px1 = ops.x.p_diag[0], ops.x.p_diag[-1]
     py0, py1 = ops.y.p_diag[0], ops.y.p_diag[-1]
 
-    sat_ez = np.zeros_like(ez)
+    sat_ez = np.zeros((ops.x.n, ops.y.n))
     sat_ez[0, :] -= p.alpha_x * r_left / px0
     sat_ez[-1, :] -= p.alpha_x * r_right / px1
     sat_y_field(r_bottom, r_top, p.alpha_y, ops, out=sat_ez)
 
-    sat_hy = np.zeros_like(ez)
+    sat_hy = np.zeros_like(sat_ez)
     sat_hy[0, :] -= p.theta_x * r_left / px0
     sat_hy[-1, :] += p.theta_x * r_right / px1
 
-    sat_hx = np.zeros_like(ez)
+    sat_hx = np.zeros_like(sat_ez)
     sat_hx[:, 0] += p.theta_y * r_bottom / py0
     sat_hx[:, -1] -= p.theta_y * r_top / py1
     return sat_ez, sat_hy, sat_hx

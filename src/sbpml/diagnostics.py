@@ -22,7 +22,7 @@ from typing import Optional
 
 import numpy as np
 
-from sbpml.boundary_sat import BoundaryConfig, PenaltyParams, boundary_dissipation
+from sbpml.boundary_sat import BoundaryConfig, PenaltyParams
 from sbpml.grid_state import FieldState, Grid2D, OperatorPair
 from sbpml.pml_models import STATE_MODEL, DampingProfile, ModelSpec, evaluate_rhs
 
@@ -129,10 +129,15 @@ def growth_bound_check(times, energies, sigma_inf: float, tol: float = None) -> 
     """Verify sqrt(E(t_{k+1})) <= exp(sigma_inf dt) sqrt(E(t_k)) per sample.
 
     ``max_ratio`` is the worst observed ratio of the left to the right side;
-    values <= 1 + tol pass.
+    values <= 1 + tol pass.  A non-finite energy fails the check with ratio
+    inf at the first such sample.
     """
     times = np.asarray(times, dtype=float)
-    e = np.sqrt(np.clip(np.asarray(energies, dtype=float), 0.0, None))
+    energies = np.asarray(energies, dtype=float)
+    bad = np.flatnonzero(~np.isfinite(energies))
+    if bad.size:
+        return GrowthCheck(ok=False, max_ratio=float("inf"), worst_index=int(bad[0]))
+    e = np.sqrt(np.clip(energies, 0.0, None))
     if tol is None:
         tol = 1e-10 * (1.0 + float(np.max(e, initial=0.0)))
     worst, worst_idx = 0.0, None
@@ -144,7 +149,7 @@ def growth_bound_check(times, energies, sigma_inf: float, tol: float = None) -> 
             ratio = e[k + 1] / bound
         if ratio > worst:
             worst, worst_idx = ratio, k + 1
-    return GrowthCheck(ok=worst <= 1.0 + tol, max_ratio=float(worst), worst_index=worst_idx)
+    return GrowthCheck(ok=bool(worst <= 1.0 + tol), max_ratio=float(worst), worst_index=worst_idx)
 
 
 def assemble_semidiscrete_matrix(

@@ -7,16 +7,9 @@ from typing import Optional
 
 import numpy as np
 
-from sbpml.sbp_core import SbpOperator1D, StackedField, build_sbp_operator
+from sbpml.sbp_core import SbpOperator1D, build_sbp_operator
 
 MODELS = ("Interior", "ModalUnsplit", "PhysicallyMotivated", "SplitField")
-
-
-def linear_index(i: int, j: int, ny: int) -> int:
-    """Flat position of 1-based node (i, j) in the y-fastest stacking."""
-    if i < 1 or j < 1 or j > ny:
-        raise ValueError(f"indices must satisfy i >= 1, 1 <= j <= ny; got ({i}, {j}), ny={ny}")
-    return (i - 1) * ny + (j - 1)
 
 
 @dataclass(frozen=True)
@@ -83,20 +76,6 @@ class OperatorPair:
 
     def norm(self, u: np.ndarray) -> float:
         return float(np.sqrt(self.inner(u, u)))
-
-
-def weighted_inner_product(
-    u: StackedField, v: StackedField, grid: Grid2D, px: np.ndarray, py: np.ndarray
-) -> float:
-    """v^T (Px kron Py) u for stacked fields, given the two norm diagonals."""
-    if (u.nx, u.ny) != (v.nx, v.ny):
-        raise ValueError(f"field shapes differ: {(u.nx, u.ny)} vs {(v.nx, v.ny)}")
-    if (u.nx, u.ny) != (grid.nx, grid.ny):
-        raise ValueError("field does not match grid dimensions")
-    if len(px) != grid.nx or len(py) != grid.ny:
-        raise ValueError("norm diagonals do not match grid dimensions")
-    w = np.asarray(px)[:, None] * np.asarray(py)[None, :]
-    return float(np.sum(w * u.as_grid() * v.as_grid()))
 
 
 @dataclass

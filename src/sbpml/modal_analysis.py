@@ -14,9 +14,14 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
+
+# |f| below which a local minimum of the modulus scan is always refined, and
+# below which a refined point counts as a root.
+CANDIDATE_THRESHOLD = 1e-6
+ROOT_TOLERANCE = 1e-9
 
 
 @dataclass(frozen=True)
@@ -157,18 +162,13 @@ def _newton_refine(f, z0: complex, steps: int = 50, h: float = 1e-7) -> complex:
     return z
 
 
-def scan_unstable_roots(
-    f,
-    region: ComplexParamRegion,
-    candidate_threshold: float = 1e-6,
-    root_tolerance: float = 1e-9,
-):
+def scan_unstable_roots(f, region: ComplexParamRegion):
     """Search for zeros of f in the right-half-plane rectangle.
 
     Strategy: evaluate |f| on an n_re-by-n_im grid; local minima (the 50
-    smallest, plus anything below ``candidate_threshold``) get an
+    smallest, plus anything below ``CANDIDATE_THRESHOLD``) get an
     argument-principle winding count on the surrounding cell and Newton
-    refinement; only refined points with |f| < ``root_tolerance`` inside
+    refinement; only refined points with |f| < ``ROOT_TOLERANCE`` inside
     the region are returned, sorted and deduplicated.  An empty list means
     no unstable mode was found.
     """
@@ -189,10 +189,10 @@ def scan_unstable_roots(
     # Refine the few deepest minima plus anything suspiciously small, both
     # in absolute terms and relative to the typical modulus.
     typical = float(np.median(mod))
-    cutoff = max(candidate_threshold, 0.25 * typical)
+    cutoff = max(CANDIDATE_THRESHOLD, 0.25 * typical)
     candidates = [(i, j) for v, i, j in minima[:3]]
     candidates += [(i, j) for v, i, j in minima[3:50] if v < cutoff]
-    candidates += [(i, j) for v, i, j in minima[50:] if v < candidate_threshold]
+    candidates += [(i, j) for v, i, j in minima[50:] if v < CANDIDATE_THRESHOLD]
 
     dre = re[1] - re[0]
     dim = im[1] - im[0]
@@ -211,7 +211,7 @@ def scan_unstable_roots(
             region.re_min - dre <= z.real <= region.re_max + dre
             and region.im_min - dim <= z.imag <= region.im_max + dim
         )
-        if in_region and z.real >= 0 and (abs(f(z)) < root_tolerance or wind > 0):
+        if in_region and z.real >= 0 and (abs(f(z)) < ROOT_TOLERANCE or wind > 0):
             roots.append(z)
 
     roots.sort(key=lambda z: (round(z.real, 6), round(z.imag, 6)))

@@ -125,16 +125,23 @@ def evaluate_rhs(
 ) -> FieldState:
     """Time derivative of the state under the chosen semi-discrete model.
 
-    The returned state's ``bt`` slot carries the integrand of the boundary
-    time-integral that completes the model's energy functional, so that
-    integral is advanced by the same time integrator as the fields (see
-    ``diagnostics``).
+    The four wall residuals (and so any wall data) are evaluated once and
+    shared by the SAT fields, the theta term and the split y-wall penalty.
+    The returned state's ``bt`` is 0; ``run_scenario`` sets it to the
+    integrand of the boundary time-integral that completes the model's
+    energy functional, so that integral is advanced by the same time
+    integrator as the fields (see ``diagnostics``).
     """
     if state.model != STATE_MODEL[spec.kind]:
         raise ValueError(f"state model {state.model!r} does not match spec kind {spec.kind!r}")
+    ez_tot = state.ez_total
+    if ez_tot.shape != (grid.nx, grid.ny):
+        raise ValueError(f"state shape {ez_tot.shape} does not match grid {(grid.nx, grid.ny)}")
 
     sigma = prof.sigma_values[:, None]
-    sat_ez, sat_hy, sat_hx = sat_contributions(state, bc, penalties, t, grid, ops)
+    residuals = wall_residuals(ez_tot, state.hy, state.hx, bc, grid, t)
+    _, _, r_bottom, r_top = residuals
+    sat_ez, sat_hy, sat_hx = sat_contributions(residuals, penalties, ops)
 
     if spec.kind == "Interior":
         d_ez = -ops.dx(state.hy) + ops.dy(state.hx) + sat_ez
@@ -150,7 +157,6 @@ def evaluate_rhs(
         # Auxiliary update with the weak y-wall treatment extended into it.
         bracket = ops.dy(hx)
         if spec.theta != 0.0:
-            _, _, r_bottom, r_top = wall_residuals(ez, hy, hx, bc, grid, t)
             sat_y_field(r_bottom, r_top, spec.theta * penalties.alpha_y, ops, out=bracket)
         d_aux = sigma * bracket
         out = FieldState(model=state.model, ez=d_ez, hy=d_hy, hx=d_hx, aux=d_aux)
@@ -164,8 +170,7 @@ def evaluate_rhs(
         out = FieldState(model=state.model, ez=d_ez, hy=d_hy, hx=d_hx, aux=relax.copy())
 
     else:  # SplitFieldNaive or SplitFieldStable
-        ez_x, hy, hx, ez_y = state.ez, state.hy, state.hx, state.aux
-        ez_tot = ez_x + ez_y
+        ez_x, hy, hx = state.ez, state.hy, state.hx
         d_hy = -ops.dx(ez_tot) - sigma * hy + sat_hy
         d_hx = ops.dy(ez_tot) + sat_hx
         if spec.kind == "SplitFieldNaive":
@@ -175,8 +180,7 @@ def evaluate_rhs(
         else:
             # Move the y-wall penalty to the undamped component; this is
             # what makes the scheme conjugate to the stabilized modal one.
-            _, _, r_bottom, r_top = wall_residuals(ez_tot, hy, hx, bc, grid, t)
-            saty = sat_y_field(r_bottom, r_top, penalties.alpha_y, ops, shape=ez_x.shape)
+            saty = sat_y_field(r_bottom, r_top, penalties.alpha_y, ops)
             satx = sat_ez - saty
             d_ez_x = -ops.dx(hy) - sigma * ez_x + satx
             d_ez_y = ops.dy(hx) + saty

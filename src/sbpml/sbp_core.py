@@ -85,6 +85,11 @@ _BOUNDARY_WIDTH = {2: 1, 4: 4, 6: 6}
 
 SUPPORTED_ORDERS = (2, 4, 6)
 
+# Residual bounds of ``VerificationReport.ok``: the SBP identity to
+# round-off, polynomial exactness to 1e-8 of the derivative's scale.
+SBP_TOL = 1e-14
+ACCURACY_TOL = 1e-8
+
 
 @dataclass(frozen=True)
 class SbpOperator1D:
@@ -111,34 +116,6 @@ class SbpOperator1D:
     def norm(self, u: np.ndarray) -> float:
         """P-weighted l2 norm sqrt(u^T P u) of a 1D sequence."""
         return float(np.sqrt(np.sum(self.p_diag * np.asarray(u) ** 2)))
-
-
-@dataclass(frozen=True)
-class StackedField:
-    """A scalar field on an nx-by-ny grid, stacked with y varying fastest.
-
-    The flat value at node (i, j) (0-based) sits at position i * ny + j, so
-    ``values.reshape(nx, ny)`` recovers the 2D view without copying.
-    """
-
-    values: np.ndarray
-    nx: int
-    ny: int
-
-    def __post_init__(self):
-        if self.values.size != self.nx * self.ny:
-            raise ValueError(
-                f"stacked length {self.values.size} != nx*ny = {self.nx * self.ny}"
-            )
-
-    def as_grid(self) -> np.ndarray:
-        """The (nx, ny) view of the field."""
-        return self.values.reshape(self.nx, self.ny)
-
-    @classmethod
-    def from_grid(cls, a: np.ndarray) -> "StackedField":
-        a = np.asarray(a, dtype=float)
-        return cls(values=np.ascontiguousarray(a).reshape(-1), nx=a.shape[0], ny=a.shape[1])
 
 
 def build_sbp_operator(interior_order: int, n: int, h: float) -> SbpOperator1D:
@@ -195,27 +172,6 @@ def build_sbp_operator(interior_order: int, n: int, h: float) -> SbpOperator1D:
     )
 
 
-def apply_derivative(op: SbpOperator1D, u: StackedField, axis: str) -> StackedField:
-    """Apply (Dx kron Iy) or (Ix kron Dy) to a stacked field.
-
-    The Kronecker matrix is never formed: on the (nx, ny) view the x-axis
-    action is ``D @ u`` and the y-axis action is ``u @ D^T``.
-    """
-    a = u.as_grid()
-    axis = axis.lower()
-    if axis == "x":
-        if op.n != u.nx:
-            raise ValueError(f"operator size {op.n} does not match nx = {u.nx}")
-        out = op.d @ a
-    elif axis == "y":
-        if op.n != u.ny:
-            raise ValueError(f"operator size {op.n} does not match ny = {u.ny}")
-        out = a @ op.d.T
-    else:
-        raise ValueError(f"axis must be 'x' or 'y', got {axis!r}")
-    return StackedField.from_grid(out)
-
-
 @dataclass
 class VerificationReport:
     """Residuals of the defining SBP properties for one operator."""
@@ -224,14 +180,12 @@ class VerificationReport:
     n: int
     sbp_residual: float
     accuracy_residuals: dict = field(default_factory=dict)
-    sbp_tol: float = 1e-14
-    accuracy_tol: float = 1e-8
 
     @property
     def ok(self) -> bool:
-        if self.sbp_residual > self.sbp_tol:
+        if self.sbp_residual > SBP_TOL:
             return False
-        return all(r <= self.accuracy_tol for r in self.accuracy_residuals.values())
+        return all(r <= ACCURACY_TOL for r in self.accuracy_residuals.values())
 
 
 def operator_verification_report(op: SbpOperator1D) -> VerificationReport:

@@ -23,7 +23,7 @@ import argparse
 import math
 import os
 import sys
-from dataclasses import dataclass, field as dc_field, asdict
+from dataclasses import dataclass, asdict
 from typing import Optional
 
 import numpy as np
@@ -98,6 +98,8 @@ class ScenarioConfig:
             v = getattr(self, name)
             if v <= 0:
                 raise ValueError(f"{name} must be positive, got {v}")
+        if self.stride < 1:
+            raise ValueError(f"stride must be at least 1, got {self.stride}")
         # Layer edges must sit on grid points.
         for name in ("x0", "delta"):
             v = getattr(self, name)
@@ -175,10 +177,6 @@ def build_scenario(cfg: ScenarioConfig) -> ScenarioSetup:
         d0 = cfg.d0 if cfg.d0 is not None else damping_coefficient(cfg.delta, cfg.tol)
         prof = make_damping_profile(grid, cfg.x0, cfg.delta, d0)
         state0 = cavity_initial_state(grid, model)
-        if cfg.penalties == "universal":
-            penalties = PenaltyParams.universal()
-        else:
-            penalties = PenaltyParams.estimate_matching(bc.r_x, bc.r_y)
     else:
         y0 = cfg.y0
         x_right = cfg.x0 + cfg.delta if cfg.scenario == "Waveguide" else cfg.x0
@@ -194,11 +192,11 @@ def build_scenario(cfg: ScenarioConfig) -> ScenarioSetup:
         else:
             prof = make_damping_profile(grid, x_right, cfg.delta, 0.0)
         state0 = FieldState.zeros(grid, model=model)
-        if cfg.penalties == "universal":
-            penalties = PenaltyParams.universal()
-        else:
-            penalties = PenaltyParams.estimate_matching(bc.r_x, bc.r_y)
 
+    if cfg.penalties == "universal":
+        penalties = PenaltyParams.universal()
+    else:
+        penalties = PenaltyParams.estimate_matching(bc.r_x, bc.r_y)
     dt = cfg.dt_factor * cfg.h
     n_steps = max(1, math.ceil(cfg.t_final / dt - 1e-12))
     time_grid = TimeGrid(dt=cfg.t_final / n_steps, n_steps=n_steps)
@@ -267,9 +265,10 @@ def _echo_config(path: str, cfg: ScenarioConfig, setup: ScenarioSetup, diverged:
 def run_scenario(cfg: ScenarioConfig) -> RunArtifacts:
     """Advance the configured scenario with RK4, sampling norms and energy.
 
-    A non-finite state stops the time loop; the history written so far is
-    kept and the divergence is recorded in the config echo (a divergence is
-    a result, not an error).
+    A non-finite sampled record (a norm or the energy) stops the time loop
+    and is not kept; the history written so far is kept and the divergence
+    is recorded in the config echo (a divergence is a result, not an
+    error).
     """
     setup = build_scenario(cfg)
     grid, ops, prof = setup.grid, setup.ops, setup.prof
@@ -285,14 +284,14 @@ def run_scenario(cfg: ScenarioConfig) -> RunArtifacts:
     label = cfg.run_label
     history = EnergyHistory()
 
-    def sample(u, t):
+    def record(u, t):
         rec = discrete_l2_norms(u, ops)
         rec["energy"] = energy(u, rhs(u, t))
-        history.append(t, rec)
+        return rec
 
     u = setup.state0
     tg = setup.time_grid
-    sample(u, 0.0)
+    history.append(0.0, record(u, 0.0))
     diverged = False
     last_step = 0
     # A diverging run overflows to inf/nan by design; that outcome is
@@ -303,15 +302,16 @@ def run_scenario(cfg: ScenarioConfig) -> RunArtifacts:
             u = rk4_step(rhs, u, t, tg.dt)
             last_step = k + 1
             if last_step % cfg.stride == 0 or last_step == tg.n_steps:
-                if not u.is_finite():
+                rec = record(u, last_step * tg.dt)
+                if not all(map(math.isfinite, rec.values())):
                     diverged = True
                     break
-                sample(u, last_step * tg.dt)
+                history.append(last_step * tg.dt, rec)
 
     history_csv = os.path.join(cfg.output_dir, f"{label}_history.csv")
     history.to_csv(history_csv)
     snapshot_path = os.path.join(cfg.output_dir, f"{label}_final.txt")
-    write_snapshot(snapshot_path, grid, u.ez_total if u.is_finite() else np.full((grid.nx, grid.ny), np.nan))
+    write_snapshot(snapshot_path, grid, np.full((grid.nx, grid.ny), np.nan) if diverged else u.ez_total)
     echo_path = os.path.join(cfg.output_dir, f"{label}_config.txt")
     _echo_config(echo_path, cfg, setup, diverged, last_step)
     return RunArtifacts(
@@ -325,62 +325,50 @@ def run_scenario(cfg: ScenarioConfig) -> RunArtifacts:
     )
 
 
-def waveguide_config(h: float, order: int, theta: float = 1.0, **kw) -> ScenarioConfig:
-    """Waveguide preset: x in [-2, 2.4], y in [-1, 1], layer width 0.4, t = 5.
+# The named presets, as the ScenarioConfig fields they set; the defaults
+# are the full-size cavity.  The waveguide's tol is (1e-4 h)^2, set by
+# ``preset_config`` from the resolved h.
+_DESK = dict(x0=25.0, y0=25.0, delta=5.0, t_final=2000.0)
+PRESETS = {
+    "cavity-theta0": dict(theta=0.0, label="cavity_theta0"),
+    "cavity-theta1": dict(theta=1.0, label="cavity_theta1"),
+    "cavity-desk-theta0": dict(_DESK, theta=0.0, label="cavity_desk_theta0"),
+    "cavity-desk-theta1": dict(_DESK, theta=1.0, label="cavity_desk_theta1"),
+    "cavity-interior": dict(_DESK, model_kind="Interior", d0=0.0, label="cavity_interior"),
+    # x in [-2, 2.4], y in [-1, 1], layer width 0.4, t = 5.
+    "waveguide": dict(scenario="Waveguide", x0=2.0, y0=1.0, delta=0.4, h=0.04, t_final=5.0),
+    # Layer-free on x in [-2, 8]: reflections from the far wall cannot
+    # reach x <= 2 again within t = 5 at unit wave speed.
+    "reference": dict(
+        scenario="Reference", x0=8.0, y0=1.0, delta=0.4, h=0.04, t_final=5.0, model_kind="Interior", theta=0.0
+    ),
+}
 
-    Keyword arguments replace preset values (``delta``, ``tol``, ...) or set
-    further config fields.
-    """
-    cfg = dict(
-        scenario="Waveguide",
-        x0=2.0,
-        y0=1.0,
-        delta=0.4,
-        h=h,
-        t_final=5.0,
-        order=order,
-        model_kind="ModalUnsplit",
-        theta=theta,
-        tol=(1e-4 * h) ** 2,
-    )
-    cfg.update(kw)
-    return ScenarioConfig(**cfg)
+
+def preset_config(name: str, **kw) -> ScenarioConfig:
+    """The named preset; keyword arguments replace preset values or set further fields."""
+    if name not in PRESETS:
+        raise ValueError(f"unknown preset {name!r}; choose from {sorted(PRESETS)}")
+    fields = {**PRESETS[name], **kw}
+    if name == "waveguide" and "tol" not in kw:
+        fields["tol"] = (1e-4 * fields["h"]) ** 2
+    return ScenarioConfig(**fields)
+
+
+def waveguide_config(h: float, order: int, theta: float = 1.0, **kw) -> ScenarioConfig:
+    """The waveguide preset at spacing h; keyword arguments replace preset values."""
+    return preset_config("waveguide", h=h, order=order, theta=theta, **kw)
 
 
 def reference_config(h: float, order: int, **kw) -> ScenarioConfig:
-    """Layer-free reference on x in [-2, 8]: reflections from the far wall
-    cannot reach x <= 2 again within t = 5 at unit wave speed.  Keyword
-    arguments replace preset values."""
-    cfg = dict(
-        scenario="Reference",
-        x0=8.0,
-        y0=1.0,
-        delta=0.4,
-        h=h,
-        t_final=5.0,
-        order=order,
-        model_kind="Interior",
-        theta=0.0,
-    )
-    cfg.update(kw)
-    return ScenarioConfig(**cfg)
+    """The layer-free reference preset at spacing h; keyword arguments replace preset values."""
+    return preset_config("reference", h=h, order=order, **kw)
 
 
 def cavity_config(h: float = 1.0, order: int = 4, theta: float = 1.0, desk: bool = False, **kw) -> ScenarioConfig:
-    cfg = dict(
-        scenario="Cavity",
-        x0=25.0 if desk else 50.0,
-        y0=25.0 if desk else 50.0,
-        delta=5.0 if desk else 10.0,
-        h=h,
-        t_final=2000.0 if desk else 5000.0,
-        order=order,
-        model_kind="ModalUnsplit",
-        theta=theta,
-        tol=1e-4,
-    )
-    cfg.update(kw)
-    return ScenarioConfig(**cfg)
+    """The full-size cavity (desk-size with ``desk``), with no label; keyword arguments replace preset values."""
+    kw.setdefault("label", "")
+    return preset_config("cavity-desk-theta1" if desk else "cavity-theta1", h=h, order=order, theta=theta, **kw)
 
 
 def waveguide_error_study(h_list, order_list, output_dir: str = "out", theta: float = 1.0):
@@ -474,7 +462,7 @@ def _cmd_run(args) -> int:
     if args.config:
         cfg = config_from_file(args.config)
     elif args.preset:
-        cfg = _preset(args.preset)
+        cfg = preset_config(args.preset)
     else:
         print("run: provide --config FILE or --preset NAME", file=sys.stderr)
         return 2
@@ -487,21 +475,6 @@ def _cmd_run(args) -> int:
     if art.diverged:
         print("note: the solution left the finite range before t_final (recorded in the echo)")
     return 0
-
-
-def _preset(name: str) -> ScenarioConfig:
-    presets = {
-        "cavity-theta0": lambda: cavity_config(theta=0.0, label="cavity_theta0"),
-        "cavity-theta1": lambda: cavity_config(theta=1.0, label="cavity_theta1"),
-        "cavity-desk-theta0": lambda: cavity_config(theta=0.0, desk=True, label="cavity_desk_theta0"),
-        "cavity-desk-theta1": lambda: cavity_config(theta=1.0, desk=True, label="cavity_desk_theta1"),
-        "cavity-interior": lambda: cavity_config(desk=True, model_kind="Interior", d0=0.0, label="cavity_interior"),
-        "waveguide": lambda: waveguide_config(0.04, 4),
-        "reference": lambda: reference_config(0.04, 4),
-    }
-    if name not in presets:
-        raise SystemExit(f"unknown preset {name!r}; choose from {sorted(presets)}")
-    return presets[name]()
 
 
 def _cmd_verify(args) -> int:

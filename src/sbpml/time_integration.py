@@ -22,18 +22,6 @@ class TimeGrid:
     def t_final(self) -> float:
         return self.dt * self.n_steps
 
-    def times(self):
-        return [k * self.dt for k in range(self.n_steps + 1)]
-
-
-class BlowUpError(RuntimeError):
-    """Raised when a non-finite state is detected during time stepping."""
-
-    def __init__(self, step: int, t: float):
-        self.step = step
-        self.t = t
-        super().__init__(f"non-finite state detected at step {step} (t = {t:g})")
-
 
 def rk4_step(rhs, u, t: float, dt: float):
     """One classical four-stage Runge-Kutta step.

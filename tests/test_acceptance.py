@@ -3,7 +3,8 @@
 Each test here exercises a complete pipeline (operator algebra, energy
 stability, the layer-instability dichotomy, spectra, dispersion scans,
 convergence, penalty eigenvalues) at the tolerances the package promises.
-Some tests run full-scale scenarios and take minutes.
+The three full-scale runs are marked ``slow``; ``-m "not slow"`` leaves
+them out of a quick local loop, and the full suite runs them.
 """
 
 import math
@@ -33,6 +34,7 @@ from sbpml.sbp_core import build_sbp_operator, operator_verification_report
 from sbpml.scenarios_cli import (
     build_scenario,
     cavity_config,
+    read_snapshot,
     run_scenario,
     waveguide_error_study,
 )
@@ -126,13 +128,24 @@ def _first_tenfold_growth(history):
 
 def test_unstabilized_layer_grows_desk_scale(tmp_path):
     """theta = 0: the desk cavity run exhibits at least tenfold norm growth
-    (and in fact diverges) well before the final time."""
+    (at t = 48) well before the final time, and then diverges.  The run
+    stops at the first sampled record that is not finite (step 550,
+    t = 220) and keeps only finite records."""
     cfg = cavity_config(order=4, theta=0.0, desk=True, output_dir=str(tmp_path))
     art = run_scenario(cfg)
     t_growth = _first_tenfold_growth(art.history)
     assert t_growth is not None and t_growth < 2000.0, t_growth
+    assert t_growth == pytest.approx(48.0)
+    assert art.diverged
+    assert "last_completed_step = 550\n" in open(art.config_echo_path).read()
+    assert art.history.times[-1] == pytest.approx(216.0)
+    for key in ("ez_norm", "hy_norm", "hx_norm", "aux_norm", "energy"):
+        assert np.all(np.isfinite(art.history.series(key))), key
+    snapshot, _, _ = read_snapshot(art.snapshot_path)
+    assert np.all(np.isnan(snapshot))
 
 
+@pytest.mark.slow
 def test_unstabilized_layer_grows_full_scale_order6(tmp_path):
     """theta = 0 at the full cavity size: the sixth-order scheme shows the
     same tenfold growth, confirming the desk-scale witness."""
@@ -142,6 +155,7 @@ def test_unstabilized_layer_grows_full_scale_order6(tmp_path):
     assert t_growth is not None and t_growth < 1500.0, t_growth
 
 
+@pytest.mark.slow
 def test_stabilized_layer_decays_full_scale(tmp_path):
     """theta = 1 at the full cavity size (order 4, t = 5000): after the
     initial transient the electric-field norm never exceeds its t = 100
@@ -267,6 +281,7 @@ WAVEGUIDE_TARGETS = {
 }
 
 
+@pytest.mark.slow
 def test_waveguide_error_table(tmp_path):
     rows = waveguide_error_study([0.04, 0.02], [4, 6], output_dir=str(tmp_path))
     by_key = {(order, h): (err, rate) for order, h, err, rate in rows}

@@ -30,6 +30,11 @@ def random_interior_state(grid, rng):
     return s
 
 
+def sat_of(s, bc, p, t, grid, ops):
+    """The SAT fields of a state, from its wall residuals at time t."""
+    return sat_contributions(wall_residuals(s.ez, s.hy, s.hx, bc, grid, t), p, ops)
+
+
 # ---------------------------------------------------------------------------
 # Penalty parameter algebra
 
@@ -167,7 +172,7 @@ def test_sat_contributions_match_dense_oracle(r_x, r_y, penalties):
     else:
         p = PenaltyParams.estimate_matching(r_x, r_y, theta_bar_x=0.5, theta_bar_y=1.0)
 
-    got = sat_contributions(s, bc, p, 0.0, g, ops)
+    got = sat_of(s, bc, p, 0.0, g, ops)
     want = dense_sat_oracle(s, bc, p, g, ops)
     for a, b in zip(got, want):
         assert np.max(np.abs(a - b)) <= 1e-13
@@ -179,9 +184,7 @@ def test_sat_supported_on_walls_only():
     rng = np.random.default_rng(5)
     s = random_interior_state(g, rng)
     bc = BoundaryConfig(r_x=0.3, r_y=-0.3)
-    sat_ez, sat_hy, sat_hx = sat_contributions(
-        s, bc, PenaltyParams.universal(), 0.0, g, ops
-    )
+    sat_ez, sat_hy, sat_hx = sat_of(s, bc, PenaltyParams.universal(), 0.0, g, ops)
     assert np.all(sat_ez[1:-1, 1:-1] == 0.0)
     assert np.all(sat_hy[1:-1, :] == 0.0)
     assert np.all(sat_hx[:, 1:-1] == 0.0)
@@ -197,21 +200,21 @@ def test_sat_linear_in_state_and_affine_in_data():
     bc0 = BoundaryConfig(r_x=0.2, r_y=0.4)
     bc_g = BoundaryConfig(r_x=0.2, r_y=0.4, g_left=lambda y, t: np.sin(y) + t)
 
-    su = sat_contributions(u, bc0, p, 0.0, g, ops)
-    sv = sat_contributions(v, bc0, p, 0.0, g, ops)
+    su = sat_of(u, bc0, p, 0.0, g, ops)
+    sv = sat_of(v, bc0, p, 0.0, g, ops)
     w = FieldState(
         model="Interior", ez=2 * u.ez - 3 * v.ez, hy=2 * u.hy - 3 * v.hy, hx=2 * u.hx - 3 * v.hx
     )
-    sw = sat_contributions(w, bc0, p, 0.0, g, ops)
+    sw = sat_of(w, bc0, p, 0.0, g, ops)
     for a, b, c in zip(sw, su, sv):
         assert np.allclose(a, 2 * b - 3 * c, atol=1e-12)
 
     # Data enters additively: SAT(u; g) - SAT(u; 0) = SAT(0; g).
     zero = FieldState.zeros(g, "Interior")
     for with_u, without, data_only in zip(
-        sat_contributions(u, bc_g, p, 1.5, g, ops),
-        sat_contributions(u, bc0, p, 1.5, g, ops),
-        sat_contributions(zero, bc_g, p, 1.5, g, ops),
+        sat_of(u, bc_g, p, 1.5, g, ops),
+        sat_of(u, bc0, p, 1.5, g, ops),
+        sat_of(zero, bc_g, p, 1.5, g, ops),
     ):
         assert np.allclose(with_u - without, data_only, atol=1e-12)
 

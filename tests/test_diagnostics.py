@@ -186,6 +186,19 @@ def test_growth_bound_check_synthetic():
     assert chk.max_ratio > 1.0
 
 
+def test_growth_bound_check_non_finite_energy():
+    """A NaN energy fails the check at its own sample with ratio inf; the
+    verdict is a plain bool."""
+    times = np.linspace(0.0, 2.0, 21)
+    e = np.exp(0.5 * times)
+    assert growth_bound_check(times, e, 0.5).ok is True
+    e[15] = np.nan
+    chk = growth_bound_check(times, e, 0.5)
+    assert chk.ok is False
+    assert chk.max_ratio == np.inf
+    assert chk.worst_index == 15
+
+
 def test_growth_bound_check_zero_start():
     # A signal appearing out of exact zero violates any bound.
     chk = growth_bound_check([0.0, 1.0], [0.0, 1.0], 1.0)

@@ -124,6 +124,27 @@ def test_rhs_model_mismatch_rejected():
     s = FieldState.zeros(g, "Interior")
     with pytest.raises(ValueError):
         evaluate_rhs(ModelSpec("ModalUnsplit"), s, prof, bc, p, ops, g, 0.0)
+    other = Grid2D(-3.0, 3.0, -1.0, 1.0, 7, 6)
+    with pytest.raises(ValueError, match="does not match grid"):
+        evaluate_rhs(ModelSpec("Interior"), FieldState.zeros(other), prof, bc, p, ops, g, 0.0)
+
+
+@pytest.mark.parametrize("kind", MODEL_KINDS)
+def test_wall_data_evaluated_once_per_rhs(kind):
+    """The wall residuals are formed once per RHS and reused by the theta
+    term (ModalUnsplit) and the split y-wall penalty (SplitFieldStable), so
+    the top-wall data is called exactly once."""
+    g, ops, prof, _, p = make_problem()
+    calls = []
+
+    def g_top(x, t):
+        calls.append(t)
+        return np.sin(x) * t
+
+    bc = BoundaryConfig(g_top=g_top)
+    s = random_state(g, STATE_MODEL[kind], np.random.default_rng(5))
+    evaluate_rhs(ModelSpec(kind, theta=1.0), s, prof, bc, p, ops, g, 0.5)
+    assert calls == [0.5]
 
 
 def test_model_spec_validation():

@@ -1,4 +1,4 @@
-"""Tests for the 1D SBP operators and the stacked 2D derivative application."""
+"""Tests for the 1D SBP operators and their verification report."""
 
 import numpy as np
 import pytest
@@ -7,8 +7,6 @@ from hypothesis import strategies as st
 
 from sbpml.sbp_core import (
     SUPPORTED_ORDERS,
-    StackedField,
-    apply_derivative,
     build_sbp_operator,
     operator_verification_report,
 )
@@ -118,49 +116,6 @@ def test_smallest_grids_keep_sbp_identity():
         assert rep.sbp_residual <= 1e-14
         for key, val in rep.accuracy_residuals.items():
             assert val <= 1e-12, f"order {order}, n {n_min}, {key}: {val}"
-
-
-def test_apply_derivative_matches_dense_kronecker():
-    """Stacked application equals the explicit (D kron I) / (I kron D) product.
-
-    Order 4 on a 10x8 grid with a random field; the dense Kronecker matrix
-    is the oracle."""
-    rng = np.random.default_rng(42)
-    nx, ny = 10, 8
-    opx = build_sbp_operator(4, nx, 0.3)
-    opy = build_sbp_operator(4, ny, 0.2)
-    u = rng.standard_normal((nx, ny))
-    stacked = StackedField.from_grid(u)
-
-    big_x = np.kron(opx.d, np.eye(ny))
-    big_y = np.kron(np.eye(nx), opy.d)
-    ref_x = (big_x @ stacked.values).reshape(nx, ny)
-    ref_y = (big_y @ stacked.values).reshape(nx, ny)
-
-    got_x = apply_derivative(opx, stacked, "x").as_grid()
-    got_y = apply_derivative(opy, stacked, "y").as_grid()
-    assert np.max(np.abs(got_x - ref_x)) <= 1e-13
-    assert np.max(np.abs(got_y - ref_y)) <= 1e-13
-
-
-def test_apply_derivative_shape_checks():
-    op = build_sbp_operator(2, 8, 0.1)
-    u = StackedField.from_grid(np.zeros((7, 8)))
-    with pytest.raises(ValueError):
-        apply_derivative(op, u, "x")
-    apply_derivative(op, u, "y")  # ny matches
-    with pytest.raises(ValueError):
-        apply_derivative(op, u, "z")
-
-
-def test_stacked_field_round_trip():
-    a = np.arange(12.0).reshape(3, 4)
-    s = StackedField.from_grid(a)
-    # y varies fastest: element (i, j) sits at i*ny + j.
-    assert s.values[1 * 4 + 2] == a[1, 2]
-    assert np.array_equal(s.as_grid(), a)
-    with pytest.raises(ValueError):
-        StackedField(values=np.zeros(5), nx=2, ny=3)
 
 
 def test_verification_report_flags_corruption():

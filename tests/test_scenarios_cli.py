@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from sbpml.scenarios_cli import (
+    PRESETS,
     ScenarioConfig,
     build_scenario,
     cavity_config,
@@ -14,6 +15,7 @@ from sbpml.scenarios_cli import (
     cli_entry,
     config_from_file,
     parse_config_text,
+    preset_config,
     read_snapshot,
     reference_config,
     run_scenario,
@@ -83,6 +85,8 @@ def test_config_validation():
         tiny_cavity(h=-1.0)
     with pytest.raises(ValueError):
         tiny_cavity(delta=2.5)  # layer edge off the grid
+    with pytest.raises(ValueError, match="stride"):
+        tiny_cavity(stride=0)
 
 
 def test_build_cavity_geometry():
@@ -147,6 +151,35 @@ def test_cavity_presets():
     assert (full.x0, full.delta, full.t_final) == (50.0, 10.0, 5000.0)
     desk = cavity_config(theta=0.0, desk=True)
     assert (desk.x0, desk.delta, desk.t_final) == (25.0, 5.0, 2000.0)
+
+
+def test_named_presets_resolve_and_build():
+    """Each CLI preset resolves to these literal values and builds."""
+    fields = ("scenario", "x0", "y0", "delta", "h", "t_final", "order", "model_kind", "theta", "tol", "d0", "label")
+    expect = {
+        "cavity-theta0": ("Cavity", 50.0, 50.0, 10.0, 1.0, 5000.0, 4, "ModalUnsplit", 0.0, 1e-4, None, "cavity_theta0"),
+        "cavity-theta1": ("Cavity", 50.0, 50.0, 10.0, 1.0, 5000.0, 4, "ModalUnsplit", 1.0, 1e-4, None, "cavity_theta1"),
+        "cavity-desk-theta0": (
+            "Cavity", 25.0, 25.0, 5.0, 1.0, 2000.0, 4, "ModalUnsplit", 0.0, 1e-4, None, "cavity_desk_theta0"
+        ),
+        "cavity-desk-theta1": (
+            "Cavity", 25.0, 25.0, 5.0, 1.0, 2000.0, 4, "ModalUnsplit", 1.0, 1e-4, None, "cavity_desk_theta1"
+        ),
+        "cavity-interior": ("Cavity", 25.0, 25.0, 5.0, 1.0, 2000.0, 4, "Interior", 1.0, 1e-4, 0.0, "cavity_interior"),
+        "waveguide": ("Waveguide", 2.0, 1.0, 0.4, 0.04, 5.0, 4, "ModalUnsplit", 1.0, (1e-4 * 0.04) ** 2, None, ""),
+        "reference": ("Reference", 8.0, 1.0, 0.4, 0.04, 5.0, 4, "Interior", 0.0, 1e-4, None, ""),
+    }
+    assert sorted(PRESETS) == sorted(expect)
+    for name, values in expect.items():
+        cfg = preset_config(name)
+        assert tuple(getattr(cfg, f) for f in fields) == values, name
+        assert (cfg.dt_factor, cfg.penalties, cfg.stride) == (0.4, "estimate_matching", 10)
+        build_scenario(cfg)
+    # The waveguide's tolerance follows an overridden h unless tol is given.
+    assert preset_config("waveguide", h=0.02).tol == (1e-4 * 0.02) ** 2
+    assert preset_config("waveguide", h=0.02, tol=1e-6).tol == 1e-6
+    with pytest.raises(ValueError, match="cavity-desk-theta1"):
+        preset_config("nope")
 
 
 # ---------------------------------------------------------------------------
@@ -278,6 +311,22 @@ def test_cli_run_requires_source(capsys):
 
 def test_cli_rejects_unknown_command():
     assert cli_entry(["explode"]) != 0
+
+
+def test_cli_rejects_stride_below_one(tmp_path, capsys):
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text("scenario = Cavity\nx0 = 4\ny0 = 4\ndelta = 2\nh = 1\nt_final = 4\nstride = 0\n")
+    rc = cli_entry(["run", "--config", str(cfg_path), "--out", str(tmp_path / "out")])
+    assert rc == 1
+    assert "stride must be at least 1" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_rejects_unknown_preset(capsys):
+    rc = cli_entry(["run", "--preset", "nope"])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert "unknown preset 'nope'" in err and "'waveguide'" in err
 
 
 def test_cli_error_reported_not_raised(tmp_path, capsys):
