@@ -151,55 +151,57 @@ def wall_residuals(ez, hy, hx, bc: BoundaryConfig, grid: Grid2D, t: float):
     return r_left, r_right, r_bottom, r_top
 
 
-def sat_y_field(
-    r_bottom: np.ndarray,
-    r_top: np.ndarray,
-    weight: float,
-    ops: OperatorPair,
-    out: Optional[np.ndarray] = None,
-) -> np.ndarray:
-    """The y-wall penalty field -weight * Py^{-1}(residual on each y wall).
+def sat_y_field(r_bottom: np.ndarray, r_top: np.ndarray, weight: float, ops: OperatorPair, out: np.ndarray):
+    """Add the y-wall penalty field -weight * Py^{-1}(residual on each y wall) into ``out``.
 
     This combination appears both in the electric-field equation (weight
     alpha_y) and, scaled by theta * alpha_y, in the stabilized auxiliary
-    equation, so it is factored out here.  It is added into ``out``, or
-    into a new (nx, ny) zero field.
+    equation, so it is factored out here.
     """
-    if out is None:
-        out = np.zeros((len(r_bottom), ops.y.n))
     out[:, 0] -= weight * r_bottom / ops.y.p_diag[0]
     out[:, -1] -= weight * r_top / ops.y.p_diag[-1]
-    return out
 
 
-def sat_contributions(residuals, p: PenaltyParams, ops: OperatorPair):
-    """Penalty fields for the Ez, Hy and Hx equations.
+def sat_contributions(
+    residuals,
+    p: PenaltyParams,
+    ops: OperatorPair,
+    ez: np.ndarray,
+    hy: np.ndarray,
+    hx: np.ndarray,
+    ez_y: Optional[np.ndarray] = None,
+):
+    """Add the penalty terms of the Ez, Hy and Hx equations into ``ez``, ``hy`` and ``hx``.
 
     ``residuals`` are the four wall residuals of ``wall_residuals`` (for
     SplitField states, formed with the total electric field ez + aux).
-    Returns three (nx, ny) arrays, zero away from the walls.
+    The terms live on the wall lines, so only those lines are touched.
+    The y-wall term of the Ez equation goes into ``ez_y`` when it is given
+    (the undamped component of the stable split-field model), else into
+    ``ez``.
     """
     r_left, r_right, r_bottom, r_top = residuals
     px0, px1 = ops.x.p_diag[0], ops.x.p_diag[-1]
     py0, py1 = ops.y.p_diag[0], ops.y.p_diag[-1]
 
-    sat_ez = np.zeros((ops.x.n, ops.y.n))
-    sat_ez[0, :] -= p.alpha_x * r_left / px0
-    sat_ez[-1, :] -= p.alpha_x * r_right / px1
-    sat_y_field(r_bottom, r_top, p.alpha_y, ops, out=sat_ez)
+    ez[0, :] -= p.alpha_x * r_left / px0
+    ez[-1, :] -= p.alpha_x * r_right / px1
+    sat_y_field(r_bottom, r_top, p.alpha_y, ops, ez if ez_y is None else ez_y)
 
-    sat_hy = np.zeros_like(sat_ez)
-    sat_hy[0, :] -= p.theta_x * r_left / px0
-    sat_hy[-1, :] += p.theta_x * r_right / px1
+    hy[0, :] -= p.theta_x * r_left / px0
+    hy[-1, :] += p.theta_x * r_right / px1
 
-    sat_hx = np.zeros_like(sat_ez)
-    sat_hx[:, 0] += p.theta_y * r_bottom / py0
-    sat_hx[:, -1] -= p.theta_y * r_top / py1
-    return sat_ez, sat_hy, sat_hx
+    hx[:, 0] += p.theta_y * r_bottom / py0
+    hx[:, -1] -= p.theta_y * r_top / py1
 
 
 def boundary_dissipation(
-    state: FieldState, bc: BoundaryConfig, p: PenaltyParams, grid: Grid2D, ops: OperatorPair
+    state: FieldState,
+    bc: BoundaryConfig,
+    p: PenaltyParams,
+    grid: Grid2D,
+    ops: OperatorPair,
+    verdict: Optional[str] = None,
 ) -> float:
     """The boundary term BT_s with d/dt(sum of squared field norms) = -BT_s.
 
@@ -207,9 +209,11 @@ def boundary_dissipation(
     penalty families; the quadratic forms below were derived by collecting
     the wall contributions of 2<u, RHS(u)>_P and are verified against that
     identity in the test suite.  Other penalty sets return 0.0 (no energy
-    functional is defined for them).
+    functional is defined for them).  ``verdict`` is
+    ``validate_penalties(bc, p)``; a time loop passes it once computed.
     """
-    verdict = validate_penalties(bc, p)
+    if verdict is None:
+        verdict = validate_penalties(bc, p)
     ez, hy, hx = state.ez_total, state.hy, state.hx
     py, px = ops.y.p_diag, ops.x.p_diag
     if verdict == "Universal":

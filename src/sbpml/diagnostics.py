@@ -174,15 +174,14 @@ def assemble_semidiscrete_matrix(
     if m > max_unknowns:
         raise ValueError(f"{m} unknowns exceed the dense-assembly guard of {max_unknowns}")
 
-    a = np.zeros((m, m))
+    # Column j of the matrix is the RHS of the j-th unit state; it is
+    # written as row j of the transpose, which is contiguous.
+    at = np.zeros((m, m))
     flat = np.zeros(m)
+    state = FieldState.wrap(model, flat.reshape(nfields, grid.nx, grid.ny))
     for col in range(m):
-        flat[:] = 0.0
         flat[col] = 1.0
-        blocks = flat.reshape(nfields, grid.nx, grid.ny)
-        aux = blocks[3] if nfields == 4 else None
-        state = FieldState(model=model, ez=blocks[0], hy=blocks[1], hx=blocks[2], aux=aux)
-        rhs = evaluate_rhs(spec, state, prof, bc, penalties, ops, grid, 0.0)
-        parts = [rhs.ez, rhs.hy, rhs.hx] + ([rhs.aux] if aux is not None else [])
-        a[:, col] = np.concatenate([p.reshape(-1) for p in parts])
-    return a
+        out = FieldState.wrap(model, at[col].reshape(nfields, grid.nx, grid.ny))
+        evaluate_rhs(spec, state, prof, bc, penalties, ops, grid, 0.0, out)
+        flat[col] = 0.0
+    return at.T

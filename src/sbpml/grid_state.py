@@ -11,6 +11,13 @@ from sbpml.sbp_core import SbpOperator1D, build_sbp_operator
 
 MODELS = ("Interior", "ModalUnsplit", "PhysicallyMotivated", "SplitField")
 
+# Fewest x-points at which ``OperatorPair.dx`` applies the band of Dx.
+# Below it one dense BLAS product costs less than the banded apply's eight
+# to ten numpy calls of about 2 us each: at 13x13 the dense product takes
+# 1.5-2.3 us against 6.5-18 us, and the two meet between 80 and 110
+# points for ny = 25 to 101 (orders 2-6, one core).
+BANDED_MIN_N = 100
+
 
 @dataclass(frozen=True)
 class Grid2D:
@@ -62,13 +69,42 @@ class OperatorPair:
     x: SbpOperator1D
     y: SbpOperator1D
 
-    def dx(self, u: np.ndarray) -> np.ndarray:
-        """Apply (Dx kron Iy) to an (nx, ny) field."""
-        return self.x.d @ u
+    def dx(self, u: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+        """Apply (Dx kron Iy) to an (nx, ny) field, into ``out`` if given.
 
-    def dy(self, u: np.ndarray) -> np.ndarray:
-        """Apply (Ix kron Dy) to an (nx, ny) field."""
-        return u @ self.y.d.T
+        From ``BANDED_MIN_N`` x-points up, Dx is applied as the band it
+        is: the closure rows are two small products with its corner
+        blocks, and the interior rows apply the antisymmetric stencil
+        sum_k c_k (u[i+k] - u[i-k]) to contiguous row slices, with the c_k
+        read from Dx's first interior row.  That is O(nx ny) work, where
+        the dense product is O(nx^2 ny).
+        """
+        d, n, bw = self.x.d, self.x.n, self.x.boundary_width
+        w = self.x.interior_order // 2
+        if n < BANDED_MIN_N:
+            return np.matmul(d, u, out=out)
+        if out is None:
+            out = np.empty_like(u)
+        np.matmul(d[:bw, : bw + w], u[: bw + w], out=out[:bw])
+        np.matmul(d[n - bw :, n - bw - w :], u[n - bw - w :], out=out[n - bw :])
+        if n > 2 * bw:
+            lo, hi = bw, n - bw
+            mid = out[lo:hi]
+            np.subtract(u[lo + 1 : hi + 1], u[lo - 1 : hi - 1], out=mid)
+            mid *= d[lo, lo + 1]
+            for k in range(2, w + 1):
+                term = u[lo + k : hi + k] - u[lo - k : hi - k]
+                term *= d[lo, lo + k]
+                mid += term
+        return out
+
+    def dy(self, u: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+        """Apply (Ix kron Dy) to an (nx, ny) field, into ``out`` if given.
+
+        A dense product: a y-row is short and its banded slices would be
+        strided, which measured slower at ny <= 101.
+        """
+        return np.matmul(u, self.y.d.T, out=out)
 
     def inner(self, u: np.ndarray, v: np.ndarray) -> float:
         """The (Px kron Py)-weighted inner product on (nx, ny) fields."""
@@ -78,35 +114,65 @@ class OperatorPair:
         return float(np.sqrt(self.inner(u, u)))
 
 
-@dataclass
-class FieldState:
-    """The unknowns of one semi-discrete model, on the (nx, ny) grid view.
+def _nfields(model: str) -> int:
+    if model not in MODELS:
+        raise ValueError(f"unknown model {model!r}; expected one of {MODELS}")
+    return 3 if model == "Interior" else 4
 
-    ``aux`` is the model-specific extra unknown: the auxiliary variable
-    driven by sigma * dHx/dy for ModalUnsplit, the recursive ODE variable
-    for PhysicallyMotivated, and the second split component of Ez for
-    SplitField (in which case ``ez`` holds the x-split component).  ``bt``
-    accumulates the time integral of the boundary dissipation entering the
-    discrete energies; it rides along through the time integrator.
+
+class FieldState:
+    """The unknowns of one semi-discrete model: one (nfields, nx, ny) array.
+
+    ``data`` holds the fields in the order ez, hy, hx, aux, and the
+    properties of those names are views of it.  ``aux`` is the
+    model-specific extra unknown: the auxiliary variable driven by
+    sigma * dHx/dy for ModalUnsplit, the recursive ODE variable for
+    PhysicallyMotivated, and the second split component of Ez for
+    SplitField (in which case ``ez`` holds the x-split component); an
+    Interior state has no ``aux``.  ``bt`` is the time integral of the
+    boundary dissipation that enters the discrete energies; the time loop
+    advances it beside the array.
+
+    The constructor copies the given fields into a new array; ``wrap``
+    makes a state of an existing array without copying it.
     """
 
-    model: str
-    ez: np.ndarray
-    hy: np.ndarray
-    hx: np.ndarray
-    aux: Optional[np.ndarray] = None
-    bt: float = 0.0
-
-    def __post_init__(self):
-        if self.model not in MODELS:
-            raise ValueError(f"unknown model {self.model!r}; expected one of {MODELS}")
-        if (self.aux is None) != (self.model == "Interior"):
-            raise ValueError(f"aux must be present iff model != Interior (model={self.model})")
-        shapes = {self.ez.shape, self.hy.shape, self.hx.shape}
-        if self.aux is not None:
-            shapes.add(self.aux.shape)
+    def __init__(self, model: str, ez, hy, hx, aux=None, bt: float = 0.0):
+        _nfields(model)  # rejects an unknown model
+        if (aux is None) != (model == "Interior"):
+            raise ValueError(f"aux must be present iff model != Interior (model={model})")
+        parts = [ez, hy, hx] + ([] if aux is None else [aux])
+        shapes = {np.shape(a) for a in parts}
         if len(shapes) != 1:
             raise ValueError(f"field components have mismatched shapes: {shapes}")
+        self.model = model
+        self.data = np.array(parts, dtype=float)
+        self.bt = bt
+
+    @classmethod
+    def wrap(cls, model: str, data: np.ndarray, bt: float = 0.0) -> "FieldState":
+        """The state whose fields are views of ``data``, an (nfields, nx, ny) array."""
+        if data.ndim != 3 or len(data) != _nfields(model):
+            raise ValueError(f"a {model} state needs an ({_nfields(model)}, nx, ny) array, got {data.shape}")
+        state = cls.__new__(cls)
+        state.model, state.data, state.bt = model, data, bt
+        return state
+
+    @property
+    def ez(self) -> np.ndarray:
+        return self.data[0]
+
+    @property
+    def hy(self) -> np.ndarray:
+        return self.data[1]
+
+    @property
+    def hx(self) -> np.ndarray:
+        return self.data[2]
+
+    @property
+    def aux(self) -> Optional[np.ndarray]:
+        return self.data[3] if len(self.data) == 4 else None
 
     @property
     def ez_total(self) -> np.ndarray:
@@ -115,34 +181,9 @@ class FieldState:
             return self.ez + self.aux
         return self.ez
 
-    def __add__(self, other: "FieldState") -> "FieldState":
-        aux = None if self.aux is None else self.aux + other.aux
-        return FieldState(
-            model=self.model,
-            ez=self.ez + other.ez,
-            hy=self.hy + other.hy,
-            hx=self.hx + other.hx,
-            aux=aux,
-            bt=self.bt + other.bt,
-        )
-
-    def __rmul__(self, c: float) -> "FieldState":
-        aux = None if self.aux is None else c * self.aux
-        return FieldState(
-            model=self.model, ez=c * self.ez, hy=c * self.hy, hx=c * self.hx, aux=aux, bt=c * self.bt
-        )
-
-    def copy(self) -> "FieldState":
-        aux = None if self.aux is None else self.aux.copy()
-        return FieldState(
-            model=self.model, ez=self.ez.copy(), hy=self.hy.copy(), hx=self.hx.copy(), aux=aux, bt=self.bt
-        )
-
     def is_finite(self) -> bool:
-        parts = [self.ez, self.hy, self.hx] + ([] if self.aux is None else [self.aux])
-        return all(np.all(np.isfinite(a)) for a in parts)
+        return bool(np.isfinite(self.data).all())
 
     @classmethod
     def zeros(cls, grid: Grid2D, model: str = "Interior") -> "FieldState":
-        aux = None if model == "Interior" else grid.zeros()
-        return cls(model=model, ez=grid.zeros(), hy=grid.zeros(), hx=grid.zeros(), aux=aux)
+        return cls.wrap(model, np.zeros((_nfields(model), grid.nx, grid.ny)))

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -122,69 +123,81 @@ def evaluate_rhs(
     ops: OperatorPair,
     grid: Grid2D,
     t: float,
+    out: Optional[FieldState] = None,
 ) -> FieldState:
     """Time derivative of the state under the chosen semi-discrete model.
 
-    The four wall residuals (and so any wall data) are evaluated once and
-    shared by the SAT fields, the theta term and the split y-wall penalty.
-    The returned state's ``bt`` is 0; ``run_scenario`` sets it to the
-    integrand of the boundary time-integral that completes the model's
-    energy functional, so that integral is advanced by the same time
-    integrator as the fields (see ``diagnostics``).
+    The derivative is written into ``out``, a state of the same model and
+    shape that shares no memory with ``state`` (a new state if None), and
+    returned.  Every entry of ``out.data`` is overwritten; ``out.bt`` is
+    not touched, since ``run_scenario`` advances the boundary integral of
+    the energies beside the fields (see ``diagnostics``).  The four wall
+    residuals (and so any wall data) are evaluated once and shared by the
+    SAT terms, the theta term and the split y-wall penalty; the SAT terms
+    are added on the wall lines only.
     """
     if state.model != STATE_MODEL[spec.kind]:
         raise ValueError(f"state model {state.model!r} does not match spec kind {spec.kind!r}")
+    if state.data.shape[1:] != (grid.nx, grid.ny):
+        raise ValueError(f"state shape {state.data.shape[1:]} does not match grid {(grid.nx, grid.ny)}")
+    if out is None:
+        out = FieldState.wrap(state.model, np.empty_like(state.data))
+    elif out.model != state.model or out.data.shape != state.data.shape:
+        raise ValueError(
+            f"output {out.model} {out.data.shape} does not match state {state.model} {state.data.shape}"
+        )
+
+    kind = spec.kind
+    ez, hy, hx, aux = state.ez, state.hy, state.hx, state.aux
+    d_ez, d_hy, d_hx, d_aux = out.ez, out.hy, out.hx, out.aux
     ez_tot = state.ez_total
-    if ez_tot.shape != (grid.nx, grid.ny):
-        raise ValueError(f"state shape {ez_tot.shape} does not match grid {(grid.nx, grid.ny)}")
-
     sigma = prof.sigma_values[:, None]
-    residuals = wall_residuals(ez_tot, state.hy, state.hx, bc, grid, t)
+    residuals = wall_residuals(ez_tot, hy, hx, bc, grid, t)
     _, _, r_bottom, r_top = residuals
-    sat_ez, sat_hy, sat_hx = sat_contributions(residuals, penalties, ops)
 
-    if spec.kind == "Interior":
-        d_ez = -ops.dx(state.hy) + ops.dy(state.hx) + sat_ez
-        d_hy = -ops.dx(state.ez) + sat_hy
-        d_hx = ops.dy(state.ez) + sat_hx
-        out = FieldState(model=state.model, ez=d_ez, hy=d_hy, hx=d_hx)
+    # Magnetic equations of every model, with the total Ez of a split
+    # state: d_hy = -(Dx Ez + sigma Hy) (no sigma in Interior), d_hx = Dy Ez.
+    ops.dx(ez_tot, out=d_hy)
+    if kind != "Interior":
+        d_hy += sigma * hy
+    np.negative(d_hy, out=d_hy)
+    ops.dy(ez_tot, out=d_hx)
 
-    elif spec.kind == "ModalUnsplit":
-        ez, hy, hx, aux = state.ez, state.hy, state.hx, state.aux
-        d_ez = -ops.dx(hy) + ops.dy(hx) + aux - sigma * ez + sat_ez
-        d_hy = -ops.dx(ez) - sigma * hy + sat_hy
-        d_hx = ops.dy(ez) + sat_hx
+    if kind in ("SplitFieldNaive", "SplitFieldStable"):
+        # d_ez_x = -(Dx Hy + sigma Ez_x), d_ez_y = Dy Hx.
+        ops.dx(hy, out=d_ez)
+        d_ez += sigma * ez
+        np.negative(d_ez, out=d_ez)
+        ops.dy(hx, out=d_aux)
+    else:
+        # d_ez = Dy Hx - Dx Hy (+ aux) (- sigma Ez); ModalUnsplit keeps
+        # Dy Hx in d_aux as the start of its auxiliary bracket.
+        dy_hx = ops.dy(hx, out=d_aux if kind == "ModalUnsplit" else d_ez)
+        np.subtract(dy_hx, ops.dx(hy), out=d_ez)
+        if kind == "ModalUnsplit":
+            d_ez += aux
+        if kind != "Interior":
+            d_ez -= sigma * ez
+
+    if kind == "PhysicallyMotivated":
+        # The relaxation sigma (Hx - P) drives P and forces Hx.
+        np.subtract(hx, aux, out=d_aux)
+        d_aux *= sigma
+        d_hx += d_aux
+
+    # In SplitFieldStable the y-wall penalty moves to the undamped
+    # component; this is what makes the scheme conjugate to the stabilized
+    # modal one.  SplitFieldNaive keeps both Ez penalties on the damped
+    # x-component.
+    sat_contributions(
+        residuals, penalties, ops, d_ez, d_hy, d_hx, ez_y=d_aux if kind == "SplitFieldStable" else None
+    )
+
+    if kind == "ModalUnsplit":
         # Auxiliary update with the weak y-wall treatment extended into it.
-        bracket = ops.dy(hx)
         if spec.theta != 0.0:
-            sat_y_field(r_bottom, r_top, spec.theta * penalties.alpha_y, ops, out=bracket)
-        d_aux = sigma * bracket
-        out = FieldState(model=state.model, ez=d_ez, hy=d_hy, hx=d_hx, aux=d_aux)
-
-    elif spec.kind == "PhysicallyMotivated":
-        ez, hy, hx, aux = state.ez, state.hy, state.hx, state.aux
-        relax = sigma * (hx - aux)
-        d_ez = -ops.dx(hy) + ops.dy(hx) - sigma * ez + sat_ez
-        d_hy = -ops.dx(ez) - sigma * hy + sat_hy
-        d_hx = ops.dy(ez) + relax + sat_hx
-        out = FieldState(model=state.model, ez=d_ez, hy=d_hy, hx=d_hx, aux=relax.copy())
-
-    else:  # SplitFieldNaive or SplitFieldStable
-        ez_x, hy, hx = state.ez, state.hy, state.hx
-        d_hy = -ops.dx(ez_tot) - sigma * hy + sat_hy
-        d_hx = ops.dy(ez_tot) + sat_hx
-        if spec.kind == "SplitFieldNaive":
-            # Both Ez-equation penalties act on the damped x-component.
-            d_ez_x = -ops.dx(hy) - sigma * ez_x + sat_ez
-            d_ez_y = ops.dy(hx)
-        else:
-            # Move the y-wall penalty to the undamped component; this is
-            # what makes the scheme conjugate to the stabilized modal one.
-            saty = sat_y_field(r_bottom, r_top, penalties.alpha_y, ops)
-            satx = sat_ez - saty
-            d_ez_x = -ops.dx(hy) - sigma * ez_x + satx
-            d_ez_y = ops.dy(hx) + saty
-        out = FieldState(model=state.model, ez=d_ez_x, hy=d_hy, hx=d_hx, aux=d_ez_y)
+            sat_y_field(r_bottom, r_top, spec.theta * penalties.alpha_y, ops, d_aux)
+        d_aux *= sigma
 
     return out
 
@@ -201,10 +214,5 @@ def reduce_splitfield_to_modal(state: FieldState, prof: DampingProfile) -> Field
         raise ValueError(f"expected a SplitField state, got {state.model!r}")
     sigma = prof.sigma_values[:, None]
     return FieldState(
-        model="ModalUnsplit",
-        ez=state.ez + state.aux,
-        hy=state.hy.copy(),
-        hx=state.hx.copy(),
-        aux=sigma * state.aux,
-        bt=state.bt,
+        model="ModalUnsplit", ez=state.ez + state.aux, hy=state.hy, hx=state.hx, aux=sigma * state.aux, bt=state.bt
     )

@@ -87,12 +87,13 @@ def dense_sat_oracle(state, bc, p, grid, ops):
     )
 
 
-def dense_rhs_oracle(spec, state, prof, bc, p, ops, grid):
+def dense_rhs_oracle(spec, state, prof, bc, p, ops, grid, g_top=None):
     """Dense evaluation of every semi-discrete model's right-hand side.
 
     Written independently of the production code: all spatial operators are
     explicit Kronecker matrices and the damping is an explicit diagonal
-    matrix diag(sigma) kron Iy.
+    matrix diag(sigma) kron Iy.  ``g_top`` holds the top-wall data values
+    (one per x point) or None for homogeneous walls.
     """
     nx, ny = grid.nx, grid.ny
     shape = (nx, ny)
@@ -100,32 +101,45 @@ def dense_rhs_oracle(spec, state, prof, bc, p, ops, grid):
     sig = np.kron(np.diag(prof.sigma_values), np.eye(ny))
     mats = dense_sat_matrices(bc, p, grid, ops)
 
+    # The top-wall residual is cym Ez + cyp Hx - g, and each penalty on it
+    # carries -weight * Py^{-1}, so the data enters as +weight * Py^{-1} g.
+    gw = np.zeros(shape)
+    if g_top is not None:
+        gw[:, -1] = g_top / ops.y.p_diag[-1]
+    gw = gw.reshape(-1)
+    data = {"ez": p.alpha_y * gw, "hy": 0.0, "hx": p.theta_y * gw}
+
+    def sat(name, ez, hy, hx):
+        return apply_triple(mats[name], ez, hy, hx) + data[name]
+
+    def sat_y(weight, ez, hy, hx):
+        return apply_triple(dense_sat_y_matrices(bc, weight, grid, ops), ez, hy, hx) + weight * gw
+
     hy = state.hy.reshape(-1)
     hx = state.hx.reshape(-1)
 
     if spec.kind == "Interior":
         ez = state.ez.reshape(-1)
-        d_ez = -dx @ hy + dy @ hx + apply_triple(mats["ez"], ez, hy, hx)
-        d_hy = -dx @ ez + apply_triple(mats["hy"], ez, hy, hx)
-        d_hx = dy @ ez + apply_triple(mats["hx"], ez, hy, hx)
+        d_ez = -dx @ hy + dy @ hx + sat("ez", ez, hy, hx)
+        d_hy = -dx @ ez + sat("hy", ez, hy, hx)
+        d_hx = dy @ ez + sat("hx", ez, hy, hx)
         return d_ez.reshape(shape), d_hy.reshape(shape), d_hx.reshape(shape), None
 
     if spec.kind == "ModalUnsplit":
         ez = state.ez.reshape(-1)
         aux = state.aux.reshape(-1)
-        d_ez = -dx @ hy + dy @ hx + aux - sig @ ez + apply_triple(mats["ez"], ez, hy, hx)
-        d_hy = -dx @ ez - sig @ hy + apply_triple(mats["hy"], ez, hy, hx)
-        d_hx = dy @ ez + apply_triple(mats["hx"], ez, hy, hx)
-        saty = dense_sat_y_matrices(bc, spec.theta * p.alpha_y, grid, ops)
-        d_aux = sig @ (dy @ hx + apply_triple(saty, ez, hy, hx))
+        d_ez = -dx @ hy + dy @ hx + aux - sig @ ez + sat("ez", ez, hy, hx)
+        d_hy = -dx @ ez - sig @ hy + sat("hy", ez, hy, hx)
+        d_hx = dy @ ez + sat("hx", ez, hy, hx)
+        d_aux = sig @ (dy @ hx + sat_y(spec.theta * p.alpha_y, ez, hy, hx))
         return d_ez.reshape(shape), d_hy.reshape(shape), d_hx.reshape(shape), d_aux.reshape(shape)
 
     if spec.kind == "PhysicallyMotivated":
         ez = state.ez.reshape(-1)
         aux = state.aux.reshape(-1)
-        d_ez = -dx @ hy + dy @ hx - sig @ ez + apply_triple(mats["ez"], ez, hy, hx)
-        d_hy = -dx @ ez - sig @ hy + apply_triple(mats["hy"], ez, hy, hx)
-        d_hx = dy @ ez + sig @ (hx - aux) + apply_triple(mats["hx"], ez, hy, hx)
+        d_ez = -dx @ hy + dy @ hx - sig @ ez + sat("ez", ez, hy, hx)
+        d_hy = -dx @ ez - sig @ hy + sat("hy", ez, hy, hx)
+        d_hx = dy @ ez + sig @ (hx - aux) + sat("hx", ez, hy, hx)
         d_aux = sig @ (hx - aux)
         return d_ez.reshape(shape), d_hy.reshape(shape), d_hx.reshape(shape), d_aux.reshape(shape)
 
@@ -134,14 +148,14 @@ def dense_rhs_oracle(spec, state, prof, bc, p, ops, grid):
     ez_x = state.ez.reshape(-1)
     ez_y = state.aux.reshape(-1)
     ez_tot = ez_x + ez_y
-    d_hy = -dx @ ez_tot - sig @ hy + apply_triple(mats["hy"], ez_tot, hy, hx)
-    d_hx = dy @ ez_tot + apply_triple(mats["hx"], ez_tot, hy, hx)
-    sat_ez = apply_triple(mats["ez"], ez_tot, hy, hx)
+    d_hy = -dx @ ez_tot - sig @ hy + sat("hy", ez_tot, hy, hx)
+    d_hx = dy @ ez_tot + sat("hx", ez_tot, hy, hx)
+    sat_ez = sat("ez", ez_tot, hy, hx)
     if spec.kind == "SplitFieldNaive":
         d_ez_x = -dx @ hy - sig @ ez_x + sat_ez
         d_ez_y = dy @ hx
     else:
-        saty = apply_triple(dense_sat_y_matrices(bc, p.alpha_y, grid, ops), ez_tot, hy, hx)
+        saty = sat_y(p.alpha_y, ez_tot, hy, hx)
         d_ez_x = -dx @ hy - sig @ ez_x + (sat_ez - saty)
         d_ez_y = dy @ hx + saty
     return d_ez_x.reshape(shape), d_hy.reshape(shape), d_hx.reshape(shape), d_ez_y.reshape(shape)

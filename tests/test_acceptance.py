@@ -68,11 +68,18 @@ def _interior_desk_rhs(dt_factor=0.4, t_final=2000.0):
                         dt_factor=dt_factor, t_final=t_final)
     setup = build_scenario(cfg)
 
-    def rhs(u, t):
-        return evaluate_rhs(setup.spec, u, setup.prof, setup.bc,
-                            setup.penalties, setup.ops, setup.grid, t)
+    def rhs(v, t, out):
+        evaluate_rhs(setup.spec, FieldState.wrap("Interior", v), setup.prof, setup.bc,
+                     setup.penalties, setup.ops, setup.grid, t, FieldState.wrap("Interior", out))
+        return 0.0
 
     return setup, rhs
+
+
+def _step(rhs, u, k, dt, k1, work):
+    """Step k of the in-place RK4 loop on the state u."""
+    rhs(u.data, k * dt, k1)
+    rk4_step(rhs, u.data, k * dt, dt, k1, 0.0, work)
 
 
 def test_undamped_energy_nonincreasing_every_step():
@@ -81,10 +88,11 @@ def test_undamped_energy_nonincreasing_every_step():
     setup, rhs = _interior_desk_rhs()
     u = setup.state0
     tg = setup.time_grid
+    k1, work = np.empty_like(u.data), [np.empty_like(u.data) for _ in range(4)]
     e_prev = interior_energy(u, setup.ops)
     e0 = e_prev
     for k in range(tg.n_steps):
-        u = rk4_step(rhs, u, k * tg.dt, tg.dt)
+        _step(rhs, u, k, tg.dt, k1, work)
         e = interior_energy(u, setup.ops)
         assert e <= e_prev * (1.0 + 1e-10), f"energy rose at step {k + 1}"
         e_prev = e
@@ -102,8 +110,9 @@ def test_undamped_energy_drift_is_fourth_order_in_dt():
         setup, rhs = _interior_desk_rhs(dt_factor=dtf, t_final=t_end)
         u = setup.state0
         tg = setup.time_grid
+        k1, work = np.empty_like(u.data), [np.empty_like(u.data) for _ in range(4)]
         for k in range(tg.n_steps):
-            u = rk4_step(rhs, u, k * tg.dt, tg.dt)
+            _step(rhs, u, k, tg.dt, k1, work)
         finals.append(interior_energy(u, setup.ops))
     d1 = abs(finals[0] - finals[1])
     d2 = abs(finals[1] - finals[2])

@@ -211,21 +211,23 @@ def test_growth_bound_holds_along_stabilized_run():
     g, ops, prof, bc, p = small_problem(d0=damping_coefficient(2.0, 1e-4))
     spec = ModelSpec("ModalUnsplit", theta=1.0)
 
-    def rhs(u, t):
-        out = evaluate_rhs(spec, u, prof, bc, p, ops, g, t)
-        out.bt = modal_bt_integrand(out.ez, ops)
-        return out
+    def rhs(v, t, out):
+        d = FieldState.wrap("ModalUnsplit", out)
+        evaluate_rhs(spec, FieldState.wrap("ModalUnsplit", v), prof, bc, p, ops, g, t, d)
+        return modal_bt_integrand(d.ez, ops)
 
     s = FieldState.zeros(g, "ModalUnsplit")
     xx, yy = g.x[:, None], g.y[None, :]
     s.ez[:] = np.exp(-(xx**2 + yy**2))
     dt = 0.4 * g.hx
+    r = FieldState.zeros(g, "ModalUnsplit")
+    work = [np.empty_like(s.data) for _ in range(4)]
     times, energies = [], []
     for k in range(80):
-        r = rhs(s, k * dt)
+        q = rhs(s.data, k * dt, r.data)
         times.append(k * dt)
         energies.append(modal_energy(s, r.ez, prof, g, ops, 1.0, s.bt))
-        s = rk4_step(rhs, s, k * dt, dt)
+        s.bt += rk4_step(rhs, s.data, k * dt, dt, r.data, q, work)
     chk = growth_bound_check(times, energies, prof.sigma_max, tol=1e-8)
     assert chk.ok, (chk.max_ratio, chk.worst_index)
 
@@ -235,20 +237,23 @@ def test_phys_energy_bound_universal_penalties():
     p = PenaltyParams.universal()
     spec = ModelSpec("PhysicallyMotivated")
 
-    def rhs(u, t):
-        out = evaluate_rhs(spec, u, prof, bc, p, ops, g, t)
-        out.bt = boundary_dissipation(u, bc, p, g, ops)
-        return out
+    def rhs(v, t, out):
+        u = FieldState.wrap("PhysicallyMotivated", v)
+        evaluate_rhs(spec, u, prof, bc, p, ops, g, t, FieldState.wrap("PhysicallyMotivated", out))
+        return boundary_dissipation(u, bc, p, g, ops)
 
     s = FieldState.zeros(g, "PhysicallyMotivated")
     xx, yy = g.x[:, None], g.y[None, :]
     s.ez[:] = np.exp(-(xx**2 + yy**2))
     dt = 0.2 * g.hx  # this model is stiffer; step conservatively
+    k1 = np.empty_like(s.data)
+    work = [np.empty_like(s.data) for _ in range(4)]
     times, energies = [], []
     for k in range(80):
         times.append(k * dt)
         energies.append(phys_energy(s, ops, s.bt))
-        s = rk4_step(rhs, s, k * dt, dt)
+        q = rhs(s.data, k * dt, k1)
+        s.bt += rk4_step(rhs, s.data, k * dt, dt, k1, q, work)
     chk = growth_bound_check(times, energies, prof.sigma_max, tol=1e-8)
     assert chk.ok, (chk.max_ratio, chk.worst_index)
 

@@ -1,11 +1,15 @@
 """Tests for the grid container, the operator pair, and field states."""
 
+from unittest.mock import patch
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sbpml.grid_state import FieldState, Grid2D
+from sbpml import grid_state
+from sbpml.grid_state import FieldState, Grid2D, OperatorPair
+from sbpml.sbp_core import build_sbp_operator
 
 
 def test_grid_geometry():
@@ -76,41 +80,62 @@ def test_ez_total_sums_split_components():
     assert np.all(m.ez_total == 1.5)
 
 
-@settings(max_examples=25, deadline=None)
-@given(
-    a=st.floats(-5, 5, allow_nan=False),
-    b=st.floats(-5, 5, allow_nan=False),
-    seed=st.integers(0, 2**31),
-)
-def test_field_state_vector_space_ops(a, b, seed):
-    """a*u + b*v acts componentwise, including the bt slot (needed for the
-    generic RK4 stepper)."""
+def test_field_state_fields_are_views_of_one_array():
+    """ez, hy, hx and aux are views of one (nfields, nx, ny) array, and
+    ``wrap`` shares the caller's array rather than copying it."""
+    data = np.arange(4 * 4 * 5, dtype=float).reshape(4, 4, 5)
+    s = FieldState.wrap("ModalUnsplit", data)
+    for i, name in enumerate(("ez", "hy", "hx", "aux")):
+        assert np.shares_memory(getattr(s, name), data)
+        assert np.array_equal(getattr(s, name), data[i])
+    s.hx[1, 2] = -1.0
+    assert data[2, 1, 2] == -1.0
     g = Grid2D(0.0, 1.0, 0.0, 1.0, 4, 5)
-    rng = np.random.default_rng(seed)
-
-    def rand_state():
-        s = FieldState.zeros(g, "ModalUnsplit")
-        s.ez[:] = rng.standard_normal(s.ez.shape)
-        s.hy[:] = rng.standard_normal(s.ez.shape)
-        s.hx[:] = rng.standard_normal(s.ez.shape)
-        s.aux[:] = rng.standard_normal(s.ez.shape)
-        s.bt = float(rng.standard_normal())
-        return s
-
-    u, v = rand_state(), rand_state()
-    w = a * u + b * v
-    for name in ("ez", "hy", "hx", "aux"):
-        expect = a * getattr(u, name) + b * getattr(v, name)
-        assert np.allclose(getattr(w, name), expect, atol=1e-12)
-    assert w.bt == pytest.approx(a * u.bt + b * v.bt, abs=1e-12)
+    interior = FieldState.zeros(g, "Interior")
+    assert interior.data.shape == (3, 4, 5) and interior.aux is None
+    with pytest.raises(ValueError):
+        FieldState.wrap("Interior", data)
+    with pytest.raises(ValueError):
+        FieldState.wrap("ModalUnsplit", data[0])
 
 
-def test_copy_is_deep_and_is_finite():
+def test_constructor_copies_and_is_finite():
     g = Grid2D(0.0, 1.0, 0.0, 1.0, 4, 4)
-    s = FieldState.zeros(g, "ModalUnsplit")
-    c = s.copy()
-    c.ez[0, 0] = 5.0
-    assert s.ez[0, 0] == 0.0
+    ez = g.zeros()
+    s = FieldState(model="ModalUnsplit", ez=ez, hy=g.zeros(), hx=g.zeros(), aux=g.zeros())
+    s.ez[0, 0] = 5.0
+    assert ez[0, 0] == 0.0
     assert s.is_finite()
     s.hy[1, 1] = np.inf
     assert not s.is_finite()
+    s.hy[1, 1] = 0.0
+    s.aux[2, 3] = np.nan
+    assert not s.is_finite()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    order=st.sampled_from([2, 4, 6]),
+    extra=st.integers(0, 120),
+    ny=st.integers(3, 9),
+    h=st.floats(0.01, 2.0),
+    banded=st.booleans(),
+    seed=st.integers(0, 2**31),
+)
+def test_dx_matches_dense_product(order, extra, ny, h, banded, seed):
+    """dx agrees with the dense product ops.x.d @ u to 1e-14 of the size of
+    its terms, |d| @ |u|.  n starts at 2 * boundary width, where the
+    closure blocks touch and there are no interior rows; ``banded`` forces
+    the banded apply below BANDED_MIN_N as well."""
+    bw = {2: 1, 4: 4, 6: 6}[order]
+    n = max(2 * bw, 3) + extra
+    ops = OperatorPair(x=build_sbp_operator(order, n, h), y=build_sbp_operator(order, max(ny, 2 * bw), 0.1))
+    u = np.random.default_rng(seed).standard_normal((n, ops.y.n))
+    expect = ops.x.d @ u
+    scale = np.abs(ops.x.d) @ np.abs(u)
+    with patch.object(grid_state, "BANDED_MIN_N", 0 if banded else grid_state.BANDED_MIN_N):
+        got = ops.dx(u)
+        out = np.full_like(u, np.nan)
+        assert ops.dx(u, out=out) is out
+    assert np.all(np.abs(got - expect) <= 1e-14 * scale)
+    assert np.array_equal(out, got)

@@ -1,12 +1,14 @@
 """Tests for the damping profile and the five semi-discrete model systems."""
 
 import math
+from unittest.mock import patch
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sbpml import grid_state
 from sbpml.boundary_sat import BoundaryConfig, PenaltyParams
 from sbpml.grid_state import FieldState, Grid2D
 from sbpml.pml_models import (
@@ -119,6 +121,47 @@ def test_rhs_matches_dense_oracle(kind, theta, penalties):
             assert np.max(np.abs(got.aux - d_aux)) <= 1e-12
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    kind=st.sampled_from(MODEL_KINDS),
+    order=st.sampled_from([2, 4, 6]),
+    nx_extra=st.integers(0, 8),
+    ny_extra=st.integers(0, 8),
+    theta=st.floats(0.0, 2.0),
+    penalties=st.sampled_from(["matching", "universal"]),
+    r_x=st.floats(-0.9, 1.0),
+    r_y=st.floats(-0.9, 1.0),
+    t=st.floats(0.0, 1.0),
+    banded=st.booleans(),
+    seed=st.integers(0, 2**31),
+)
+def test_rhs_into_buffer_matches_dense_oracle(
+    kind, order, nx_extra, ny_extra, theta, penalties, r_x, r_y, t, banded, seed
+):
+    """evaluate_rhs writing into a NaN-filled buffer overwrites all of it
+    with the dense Kronecker oracle's values, on random small grids, with
+    top-wall data; ``banded`` forces the banded x-derivative."""
+    n_min = {2: 3, 4: 8, 6: 12}[order]
+    g = Grid2D(-3.0, 3.0, -1.0, 1.0, n_min + nx_extra, n_min + ny_extra)
+    ops = g.operators(order)
+    prof = make_damping_profile(g, 1.0, 2.0, 3.0)
+
+    def g_top(x, t):
+        return np.sin(3.0 * x) * (1.0 + t)
+
+    bc = BoundaryConfig(r_x=r_x, r_y=r_y, g_top=g_top)
+    p = PenaltyParams.universal() if penalties == "universal" else PenaltyParams.estimate_matching(r_x, r_y)
+    spec = ModelSpec(kind, theta=theta)
+    s = random_state(g, STATE_MODEL[kind], np.random.default_rng(seed))
+    out = FieldState.wrap(s.model, np.full_like(s.data, np.nan))
+    with patch.object(grid_state, "BANDED_MIN_N", 0 if banded else grid_state.BANDED_MIN_N):
+        assert evaluate_rhs(spec, s, prof, bc, p, ops, g, t, out) is out
+    expect = dense_rhs_oracle(spec, s, prof, bc, p, ops, g, g_top=g_top(g.x, t))
+    scale = 1.0 + max(np.max(np.abs(e)) for e in expect if e is not None)
+    for got, e in zip(out.data, expect):
+        assert np.max(np.abs(got - e)) <= 1e-12 * scale
+
+
 def test_rhs_model_mismatch_rejected():
     g, ops, prof, bc, p = make_problem()
     s = FieldState.zeros(g, "Interior")
@@ -162,7 +205,8 @@ def test_rhs_linear_in_state(kind):
     v = random_state(g, STATE_MODEL[kind], rng)
     ru = evaluate_rhs(spec, u, prof, bc, p, ops, g, 0.0)
     rv = evaluate_rhs(spec, v, prof, bc, p, ops, g, 0.0)
-    rw = evaluate_rhs(spec, 2.0 * u + (-0.5) * v, prof, bc, p, ops, g, 0.0)
+    w = FieldState.wrap(u.model, 2.0 * u.data + (-0.5) * v.data)
+    rw = evaluate_rhs(spec, w, prof, bc, p, ops, g, 0.0)
     for name in ("ez", "hy", "hx"):
         assert np.allclose(getattr(rw, name), 2 * getattr(ru, name) - 0.5 * getattr(rv, name), atol=1e-12)
     if ru.aux is not None:
@@ -278,14 +322,21 @@ def test_layer_is_perfectly_matched_before_waves_arrive():
         s.ez[:] = np.exp(-(xx**2 + yy**2))
         return s
 
+    def advance(spec, prof, s, n_steps, dt):
+        def rhs(w, t, out):
+            evaluate_rhs(spec, FieldState.wrap(s.model, w), prof, bc, p, ops, g, t, FieldState.wrap(s.model, out))
+            return 0.0
+
+        k1, work = np.empty_like(s.data), [np.empty_like(s.data) for _ in range(4)]
+        for k in range(n_steps):
+            rhs(s.data, k * dt, k1)
+            rk4_step(rhs, s.data, k * dt, dt, k1, 0.0, work)
+
     dt, n_steps = 0.2, 15  # waves travel at unit speed: 3 < 10 = layer start
-    spec_pml = ModelSpec("ModalUnsplit", theta=1.0)
-    spec_int = ModelSpec("Interior")
     u = initial("ModalUnsplit")
     v = initial("Interior")
-    for k in range(n_steps):
-        u = rk4_step(lambda w, t: evaluate_rhs(spec_pml, w, prof, bc, p, ops, g, t), u, k * dt, dt)
-        v = rk4_step(lambda w, t: evaluate_rhs(spec_int, w, prof0, bc, p, ops, g, t), v, k * dt, dt)
+    advance(ModelSpec("ModalUnsplit", theta=1.0), prof, u, n_steps, dt)
+    advance(ModelSpec("Interior"), prof0, v, n_steps, dt)
     assert np.max(np.abs(u.ez - v.ez)) <= 1e-10
     assert np.max(np.abs(u.hy - v.hy)) <= 1e-10
     assert np.max(np.abs(u.hx - v.hx)) <= 1e-10

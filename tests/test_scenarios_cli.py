@@ -6,6 +6,10 @@ import os
 import numpy as np
 import pytest
 
+from sbpml import scenarios_cli
+from sbpml.boundary_sat import boundary_dissipation
+from sbpml.diagnostics import discrete_l2_norms, interior_energy, modal_bt_integrand, modal_energy, phys_energy
+from sbpml.pml_models import evaluate_rhs
 from sbpml.scenarios_cli import (
     PRESETS,
     ScenarioConfig,
@@ -25,7 +29,7 @@ from sbpml.scenarios_cli import (
     write_error_table,
     write_snapshot,
 )
-from sbpml.grid_state import Grid2D
+from sbpml.grid_state import FieldState, Grid2D
 
 
 def tiny_cavity(**kw):
@@ -87,6 +91,10 @@ def test_config_validation():
         tiny_cavity(delta=2.5)  # layer edge off the grid
     with pytest.raises(ValueError, match="stride"):
         tiny_cavity(stride=0)
+    with pytest.raises(ValueError, match="tol = none needs an explicit d0"):
+        tiny_cavity(tol=None)
+    assert tiny_cavity(tol=None, d0=1.0).d0 == 1.0
+    assert reference_config(0.04, 4, tol=None).tol is None  # no layer, so no d0 to derive
 
 
 def test_build_cavity_geometry():
@@ -272,6 +280,91 @@ def test_run_scenario_energy_column_finite_and_decaying(tmp_path):
     assert e[-1] <= e[0] * (1 + 1e-9)
 
 
+def reference_history(cfg):
+    """The history run_scenario should record, from an out-of-place RK4 loop
+    that evaluates every step's first stage and every sample's derivative
+    afresh: rows of (ez_norm, hy_norm, hx_norm, aux_norm, energy)."""
+    setup = build_scenario(cfg)
+    spec, ops, prof, grid = setup.spec, setup.ops, setup.prof, setup.grid
+    bc, p, model = setup.bc, setup.penalties, setup.state0.model
+
+    def f(data, t):
+        u = FieldState.wrap(model, data)
+        r = evaluate_rhs(spec, u, prof, bc, p, ops, grid, t)
+        if spec.kind == "ModalUnsplit":
+            return r.data, modal_bt_integrand(r.ez, ops)
+        return r.data, boundary_dissipation(u, bc, p, grid, ops)
+
+    def record(data, bt, t):
+        u = FieldState.wrap(model, data, bt)
+        norms = discrete_l2_norms(u, ops)
+        if spec.kind == "ModalUnsplit":
+            e = modal_energy(u, FieldState.wrap(model, f(data, t)[0]).ez, prof, grid, ops, spec.theta, bt)
+        elif spec.kind == "PhysicallyMotivated":
+            e = phys_energy(u, ops, bt)
+        else:
+            e = interior_energy(u, ops, bt)
+        return [norms["ez_norm"], norms["hy_norm"], norms["hx_norm"], norms["aux_norm"], e]
+
+    u, bt, dt = setup.state0.data.copy(), 0.0, setup.time_grid.dt
+    rows = [record(u, bt, 0.0)]
+    for k in range(setup.time_grid.n_steps):
+        t = k * dt
+        k1, q1 = f(u, t)
+        k2, q2 = f(u + (0.5 * dt) * k1, t + 0.5 * dt)
+        k3, q3 = f(u + (0.5 * dt) * k2, t + 0.5 * dt)
+        k4, q4 = f(u + dt * k3, t + dt)
+        u = u + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        bt = bt + (dt / 6.0) * (q1 + 2.0 * q2 + 2.0 * q3 + q4)
+        if (k + 1) % cfg.stride == 0 or k + 1 == setup.time_grid.n_steps:
+            rows.append(record(u, bt, (k + 1) * dt))
+    return np.array(rows)
+
+
+@pytest.mark.parametrize(
+    "kind,penalties,scenario",
+    [
+        ("ModalUnsplit", "estimate_matching", "Cavity"),
+        ("PhysicallyMotivated", "universal", "Cavity"),
+        ("SplitFieldStable", "estimate_matching", "Cavity"),
+        ("Interior", "universal", "Cavity"),
+        ("ModalUnsplit", "estimate_matching", "Waveguide"),
+    ],
+)
+def test_run_scenario_matches_out_of_place_loop(tmp_path, monkeypatch, kind, penalties, scenario):
+    """The in-place loop evaluates the RHS exactly 4 times a step plus once
+    at t = 0: the derivative after each step serves both the sample and the
+    next step's first stage.  Its history matches an out-of-place loop to
+    1e-12 relative, per column, and a second run writes the same bytes."""
+    if scenario == "Cavity":
+        cfg = tiny_cavity(model_kind=kind, penalties=penalties, stride=3, output_dir=str(tmp_path / "a"), label="loop")
+    else:
+        cfg = waveguide_config(
+            0.1, 4, t_final=0.3, penalties=penalties, stride=3, output_dir=str(tmp_path / "a"), label="loop"
+        )
+    calls = []
+    original = scenarios_cli.evaluate_rhs
+
+    def counting(*args, **kw):
+        calls.append(1)
+        return original(*args, **kw)
+
+    monkeypatch.setattr(scenarios_cli, "evaluate_rhs", counting)
+    art = run_scenario(cfg)
+    n_steps = build_scenario(cfg).time_grid.n_steps
+    assert len(calls) == 4 * n_steps + 1
+
+    keys = ("ez_norm", "hy_norm", "hx_norm", "aux_norm", "energy")
+    got = np.array([[r[k] for k in keys] for r in art.history.records])
+    expect = reference_history(cfg)
+    assert got.shape == expect.shape
+    assert np.all(np.abs(got - expect) <= 1e-12 * np.max(np.abs(expect), axis=0))
+
+    cfg.output_dir = str(tmp_path / "b")
+    again = run_scenario(cfg)
+    assert open(art.history_csv, "rb").read() == open(again.history_csv, "rb").read()
+
+
 def test_error_study_structure(tmp_path):
     rows = waveguide_error_study([0.2, 0.1], [4], output_dir=str(tmp_path))
     assert [r[0] for r in rows] == [4, 4]
@@ -319,6 +412,15 @@ def test_cli_rejects_stride_below_one(tmp_path, capsys):
     rc = cli_entry(["run", "--config", str(cfg_path), "--out", str(tmp_path / "out")])
     assert rc == 1
     assert "stride must be at least 1" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_rejects_tol_none_without_d0(tmp_path, capsys):
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text("scenario = Cavity\nx0 = 4\ny0 = 4\ndelta = 2\nh = 1\nt_final = 4\ntol = none\n")
+    rc = cli_entry(["run", "--config", str(cfg_path), "--out", str(tmp_path / "out")])
+    assert rc == 1
+    assert "tol = none needs an explicit d0" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 
