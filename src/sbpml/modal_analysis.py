@@ -12,8 +12,6 @@ cells, and Newton refinement.
 
 from __future__ import annotations
 
-import cmath
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,18 +38,18 @@ class ComplexParamRegion:
             raise ValueError("unstable-root scans require Re s >= 0")
         if not (self.re_max > self.re_min and self.im_max > self.im_min):
             raise ValueError("degenerate scan region")
+        for name in ("n_re", "n_im"):
+            if getattr(self, name) < 2:
+                raise ValueError(f"{name} must be at least 2, got {getattr(self, name)}")
 
 
-def principal_sqrt(z: complex) -> complex:
-    """Square root on the branch -pi < arg z <= pi, so Re(sqrt) >= 0."""
-    z = complex(z)
-    r = abs(z)
-    if r == 0.0:
-        return 0.0j
-    # math.atan2 underflows to 0 where cmath.phase raises OverflowError
-    # (for instance at z = 16 + 4e-323j); both give the same branch.
-    phi = math.atan2(z.imag, z.real)  # in (-pi, pi]
-    return cmath.rect(cmath.sqrt(r).real, phi / 2.0)
+def principal_sqrt(z):
+    """Square root on the branch -pi < arg z <= pi, so Re(sqrt) >= 0; elementwise.
+
+    This is numpy's complex sqrt, with the C99 cut: on the negative real axis
+    an imaginary part of -0.0 selects the lower side, sqrt(-1 - 0j) = -1j.
+    """
+    return np.sqrt(np.asarray(z, dtype=complex))
 
 
 def kappa_lower(s: complex, kx: float, sigma: float) -> complex:
@@ -108,36 +106,32 @@ def sx_identities(s: complex, sigma: float) -> dict:
     return {"direct": direct, "closed": closed}
 
 
-def dispersion_F1(s: complex, kx: float, sigma: float, gamma_y: float) -> complex:
+def dispersion_F1(s, kx: float, sigma: float, gamma_y: float):
     """Lower-wall boundary determinant (sqrt((s+sigma)^2+kx^2) + gy (s+sigma))/(s+sigma).
 
-    The damping enters only as the shift s -> s + sigma, so roots in
-    Re s >= 0 would have to come from roots of the sigma = 0 function in
-    Re s >= sigma.
+    Elementwise in s.  The damping enters only as the shift s -> s + sigma,
+    so roots in Re s >= 0 would have to come from roots of the sigma = 0
+    function in Re s >= sigma.
     """
-    s = complex(s)
-    z = s + sigma
-    if z == 0:
+    z = np.asarray(s, dtype=complex) + sigma
+    if np.any(z == 0):
         raise ZeroDivisionError("pole at s = -sigma")
     return (principal_sqrt(z**2 + kx**2) + gamma_y * z) / z
 
 
-def dispersion_F2(s: complex, ky: float, gamma_x: float) -> complex:
-    """Left-wall boundary determinant (sqrt(s^2 + ky^2) + gx s)/s; sigma-independent."""
-    s = complex(s)
-    if s == 0:
+def dispersion_F2(s, ky: float, gamma_x: float):
+    """Left-wall boundary determinant (sqrt(s^2 + ky^2) + gx s)/s, elementwise; sigma-independent."""
+    s = np.asarray(s, dtype=complex)
+    if np.any(s == 0):
         raise ZeroDivisionError("pole at s = 0")
     return (principal_sqrt(s**2 + ky**2) + gamma_x * s) / s
 
 
 def _winding_number(f, corners, n_per_edge: int = 64) -> int:
     """Winding number of f around a rectangle, by summing phase increments."""
-    pts = []
-    for k in range(4):
-        a, b = corners[k], corners[(k + 1) % 4]
-        for j in range(n_per_edge):
-            pts.append(a + (b - a) * j / n_per_edge)
-    vals = np.array([f(z) for z in pts])
+    a = np.asarray(corners, dtype=complex)
+    pts = (a[:, None] + (np.roll(a, -1) - a)[:, None] * np.arange(n_per_edge) / n_per_edge).ravel()
+    vals = np.broadcast_to(f(pts), pts.shape)
     if np.any(vals == 0) or not np.all(np.isfinite(vals)):
         return -1  # boundary hits a zero/pole; treat the cell as suspicious
     phases = np.angle(vals)
@@ -159,7 +153,7 @@ def _newton_refine(f, z0: complex, steps: int = 50, h: float = 1e-7) -> complex:
         z = z - step
         if abs(step) < 1e-15:
             break
-    return z
+    return complex(z)
 
 
 def scan_unstable_roots(f, region: ComplexParamRegion):
@@ -169,42 +163,44 @@ def scan_unstable_roots(f, region: ComplexParamRegion):
     smallest, plus anything below ``CANDIDATE_THRESHOLD``) get an
     argument-principle winding count on the surrounding cell and Newton
     refinement; only refined points with |f| < ``ROOT_TOLERANCE`` inside
-    the region are returned, sorted and deduplicated.  An empty list means
-    no unstable mode was found.
+    the region are returned, sorted and deduplicated, as Python complex
+    numbers.  An empty list means no unstable mode was found.
+
+    ``f`` must work elementwise on complex arrays: the grid is evaluated in
+    one call, and so is each winding contour.  Newton refinement calls it on
+    single complex numbers.
     """
+    shape = (region.n_re, region.n_im)
     re = np.linspace(region.re_min, region.re_max, region.n_re)
     im = np.linspace(region.im_min, region.im_max, region.n_im)
-    mod = np.empty((region.n_re, region.n_im))
-    for i, a in enumerate(re):
-        for j, b in enumerate(im):
-            mod[i, j] = abs(f(complex(a, b)))
+    mod = np.empty(shape)
+    mod[...] = np.abs(f(re[:, None] + 1j * im[None, :]))  # broadcast: a constant f works
 
-    minima = []
-    for i in range(region.n_re):
-        for j in range(region.n_im):
-            window = mod[max(i - 1, 0) : i + 2, max(j - 1, 0) : j + 2]
-            if mod[i, j] <= window.min():
-                minima.append((mod[i, j], i, j))
-    minima.sort()
+    # A local minimum is <= itself and its 8 neighbours, so a NaN in the
+    # window (the cell included) rules it out.  Sort by (value, i, j).
+    padded = np.pad(mod, 1, constant_values=np.inf)
+    is_min = np.ones(shape, dtype=bool)
+    for di in range(3):
+        for dj in range(3):
+            is_min &= mod <= padded[di : di + shape[0], dj : dj + shape[1]]
+    mi, mj = np.nonzero(is_min)
+    mv = mod[mi, mj]
+    order = np.lexsort((mj, mi, mv))
+    mi, mj, mv = mi[order], mj[order], mv[order]
     # Refine the few deepest minima plus anything suspiciously small, both
     # in absolute terms and relative to the typical modulus.
     typical = float(np.median(mod))
     cutoff = max(CANDIDATE_THRESHOLD, 0.25 * typical)
-    candidates = [(i, j) for v, i, j in minima[:3]]
-    candidates += [(i, j) for v, i, j in minima[3:50] if v < cutoff]
-    candidates += [(i, j) for v, i, j in minima[50:] if v < CANDIDATE_THRESHOLD]
+    rank = np.arange(mv.size)
+    keep = (rank < 3) | ((rank < 50) & (mv < cutoff)) | (mv < CANDIDATE_THRESHOLD)
+    candidates = zip(mi[keep], mj[keep])
 
     dre = re[1] - re[0]
     dim = im[1] - im[0]
     roots = []
     for i, j in candidates:
         z0 = complex(re[i], im[j])
-        corners = [
-            z0 + complex(-dre, -dim),
-            z0 + complex(dre, -dim),
-            z0 + complex(dre, dim),
-            z0 + complex(-dre, dim),
-        ]
+        corners = [z0 + complex(a * dre, b * dim) for a, b in ((-1, -1), (1, -1), (1, 1), (-1, 1))]
         wind = _winding_number(f, corners)
         z = _newton_refine(f, z0)
         in_region = (

@@ -424,6 +424,14 @@ def test_cli_rejects_tol_none_without_d0(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_cli_modal_rejects_single_point_axis(tmp_path, capsys):
+    for flag, name in (("--n-re", "n_re"), ("--n-im", "n_im")):
+        rc = cli_entry(["modal", flag, "1", "--nk", "1", "--out", str(tmp_path / "out")])
+        assert rc == 1
+        assert f"{name} must be at least 2, got 1" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_cli_rejects_unknown_preset(capsys):
     rc = cli_entry(["run", "--preset", "nope"])
     err = capsys.readouterr().err
