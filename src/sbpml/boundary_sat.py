@@ -196,42 +196,33 @@ def sat_contributions(
 
 
 def boundary_dissipation(
-    state: FieldState,
-    bc: BoundaryConfig,
-    p: PenaltyParams,
-    grid: Grid2D,
-    ops: OperatorPair,
-    verdict: Optional[str] = None,
+    state: FieldState, bc: BoundaryConfig, p: PenaltyParams, grid: Grid2D, ops: OperatorPair
 ) -> float:
-    """The boundary term BT_s with d/dt(sum of squared field norms) = -BT_s.
+    """The boundary term BT with 2 <u, RHS(u)>_P = -BT for zero wall data and damping.
 
-    Valid for homogeneous wall data.  Implemented for the two admissible
-    penalty families; the quadratic forms below were derived by collecting
-    the wall contributions of 2<u, RHS(u)>_P and are verified against that
-    identity in the test suite.  Other penalty sets return 0.0 (no energy
-    functional is defined for them).  ``verdict`` is
-    ``validate_penalties(bc, p)``; a time loop passes it once computed.
+    u is (Ez, Hy, Hx) with the total electric field of a split state.  BT
+    collects the SBP boundary terms of Dx and Dy and the SAT terms of
+    ``sat_contributions``; with the wall residuals r of zero data it is
+
+        2 Py [Ez_R Hy_R - Ez_L Hy_L + alpha_x (Ez_L r_L + Ez_R r_R) + theta_x (Hy_L r_L - Hy_R r_R)]
+      + 2 Px [Ez_B Hx_B - Ez_T Hx_T + alpha_y (Ez_B r_B + Ez_T r_T) + theta_y (Hx_T r_T - Hx_B r_B)]
+
+    summed along each wall, for every penalty set; admissible penalties
+    make it nonnegative.  Expanding r gives on each wall the quadratic
+    a e^2 + b e m + c m^2 in Ez and the tangential magnetic field, which is
+    what is evaluated: the e m terms of the SBP and SAT parts cancel in
+    the coefficient b, not in rounded wall values.
     """
-    if verdict is None:
-        verdict = validate_penalties(bc, p)
     ez, hy, hx = state.ez_total, state.hy, state.hx
+    cxm, cxp = 0.5 * (1.0 - bc.r_x), 0.5 * (1.0 + bc.r_x)
+    cym, cyp = 0.5 * (1.0 - bc.r_y), 0.5 * (1.0 + bc.r_y)
+    ax, bx, cx = p.alpha_x * cxm, 1.0 - p.alpha_x * cxp - p.theta_x * cxm, p.theta_x * cxp
+    ay, by, cy = p.alpha_y * cym, 1.0 - p.alpha_y * cyp - p.theta_y * cym, p.theta_y * cyp
+
+    def wall(w, e, m, a, b, c):
+        return 2.0 * np.sum(w * (a * e**2 + b * e * m + c * m**2))
+
     py, px = ops.y.p_diag, ops.x.p_diag
-    if verdict == "Universal":
-        bt = (1.0 - bc.r_x) * np.sum(py * (ez[0, :] ** 2 + ez[-1, :] ** 2))
-        bt += (1.0 + bc.r_x) * np.sum(py * (hy[0, :] ** 2 + hy[-1, :] ** 2))
-        bt += (1.0 - bc.r_y) * np.sum(px * (ez[:, 0] ** 2 + ez[:, -1] ** 2))
-        bt += (1.0 + bc.r_y) * np.sum(px * (hx[:, 0] ** 2 + hx[:, -1] ** 2))
-        return float(bt)
-    if verdict == "EstimateMatching":
-        gx = gamma_from_reflection(bc.r_x)
-        gy = gamma_from_reflection(bc.r_y)
-        tbx = p.theta_x * (1.0 + bc.r_x) / 2.0
-        tby = p.theta_y * (1.0 + bc.r_y) / 2.0
-        # Wall quadratic forms 2*(g e^2 +- t g e m + t m^2); the cross-term
-        # sign is + on the left/top walls and - on the right/bottom walls.
-        bt = 2.0 * np.sum(py * (gx * ez[0, :] ** 2 + tbx * gx * ez[0, :] * hy[0, :] + tbx * hy[0, :] ** 2))
-        bt += 2.0 * np.sum(py * (gx * ez[-1, :] ** 2 - tbx * gx * ez[-1, :] * hy[-1, :] + tbx * hy[-1, :] ** 2))
-        bt += 2.0 * np.sum(px * (gy * ez[:, 0] ** 2 - tby * gy * ez[:, 0] * hx[:, 0] + tby * hx[:, 0] ** 2))
-        bt += 2.0 * np.sum(px * (gy * ez[:, -1] ** 2 + tby * gy * ez[:, -1] * hx[:, -1] + tby * hx[:, -1] ** 2))
-        return float(bt)
-    return 0.0
+    left, right = wall(py, ez[0], hy[0], ax, -bx, cx), wall(py, ez[-1], hy[-1], ax, bx, cx)
+    bottom, top = wall(px, ez[:, 0], hx[:, 0], ay, by, cy), wall(px, ez[:, -1], hx[:, -1], ay, -by, cy)
+    return float(left + right + bottom + top)

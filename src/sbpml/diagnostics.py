@@ -86,8 +86,8 @@ def modal_energy(
     """The modal-PML energy functional of a state.
 
     ``rhs_ez`` must be the current dEz/dt and ``bt_integral`` the
-    accumulated boundary time-integral (the ``bt`` slot of a state whose
-    integrand was advanced alongside the fields).
+    accumulated boundary time-integral (of ``modal_bt_integrand``,
+    advanced alongside the fields).
     """
     sigma = prof.sigma_values[:, None]
     ez, hy, hx = state.ez, state.hy, state.hx
@@ -168,20 +168,18 @@ def assemble_semidiscrete_matrix(
     construction since columns are responses to unit states).
     """
     model = STATE_MODEL[spec.kind]
-    nfields = 3 if model == "Interior" else 4
-    n = grid.nx * grid.ny
-    m = nfields * n
+    state = FieldState.zeros(grid, model)
+    m = state.data.size
     if m > max_unknowns:
         raise ValueError(f"{m} unknowns exceed the dense-assembly guard of {max_unknowns}")
 
     # Column j of the matrix is the RHS of the j-th unit state; it is
     # written as row j of the transpose, which is contiguous.
     at = np.zeros((m, m))
-    flat = np.zeros(m)
-    state = FieldState.wrap(model, flat.reshape(nfields, grid.nx, grid.ny))
+    flat = state.data.reshape(-1)
     for col in range(m):
         flat[col] = 1.0
-        out = FieldState.wrap(model, at[col].reshape(nfields, grid.nx, grid.ny))
+        out = FieldState(model, at[col].reshape(state.data.shape))
         evaluate_rhs(spec, state, prof, bc, penalties, ops, grid, 0.0, out)
         flat[col] = 0.0
     return at.T

@@ -129,34 +129,14 @@ class FieldState:
     sigma * dHx/dy for ModalUnsplit, the recursive ODE variable for
     PhysicallyMotivated, and the second split component of Ez for
     SplitField (in which case ``ez`` holds the x-split component); an
-    Interior state has no ``aux``.  ``bt`` is the time integral of the
-    boundary dissipation that enters the discrete energies; the time loop
-    advances it beside the array.
-
-    The constructor copies the given fields into a new array; ``wrap``
-    makes a state of an existing array without copying it.
+    Interior state has no ``aux``.  The state wraps the given array
+    without copying it.
     """
 
-    def __init__(self, model: str, ez, hy, hx, aux=None, bt: float = 0.0):
-        _nfields(model)  # rejects an unknown model
-        if (aux is None) != (model == "Interior"):
-            raise ValueError(f"aux must be present iff model != Interior (model={model})")
-        parts = [ez, hy, hx] + ([] if aux is None else [aux])
-        shapes = {np.shape(a) for a in parts}
-        if len(shapes) != 1:
-            raise ValueError(f"field components have mismatched shapes: {shapes}")
-        self.model = model
-        self.data = np.array(parts, dtype=float)
-        self.bt = bt
-
-    @classmethod
-    def wrap(cls, model: str, data: np.ndarray, bt: float = 0.0) -> "FieldState":
-        """The state whose fields are views of ``data``, an (nfields, nx, ny) array."""
+    def __init__(self, model: str, data: np.ndarray):
         if data.ndim != 3 or len(data) != _nfields(model):
             raise ValueError(f"a {model} state needs an ({_nfields(model)}, nx, ny) array, got {data.shape}")
-        state = cls.__new__(cls)
-        state.model, state.data, state.bt = model, data, bt
-        return state
+        self.model, self.data = model, data
 
     @property
     def ez(self) -> np.ndarray:
@@ -181,9 +161,6 @@ class FieldState:
             return self.ez + self.aux
         return self.ez
 
-    def is_finite(self) -> bool:
-        return bool(np.isfinite(self.data).all())
-
     @classmethod
     def zeros(cls, grid: Grid2D, model: str = "Interior") -> "FieldState":
-        return cls.wrap(model, np.zeros((_nfields(model), grid.nx, grid.ny)))
+        return cls(model, np.zeros((_nfields(model), grid.nx, grid.ny)))

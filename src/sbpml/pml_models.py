@@ -129,9 +129,7 @@ def evaluate_rhs(
 
     The derivative is written into ``out``, a state of the same model and
     shape that shares no memory with ``state`` (a new state if None), and
-    returned.  Every entry of ``out.data`` is overwritten; ``out.bt`` is
-    not touched, since ``run_scenario`` advances the boundary integral of
-    the energies beside the fields (see ``diagnostics``).  The four wall
+    returned; every entry of ``out.data`` is overwritten.  The four wall
     residuals (and so any wall data) are evaluated once and shared by the
     SAT terms, the theta term and the split y-wall penalty; the SAT terms
     are added on the wall lines only.
@@ -141,7 +139,7 @@ def evaluate_rhs(
     if state.data.shape[1:] != (grid.nx, grid.ny):
         raise ValueError(f"state shape {state.data.shape[1:]} does not match grid {(grid.nx, grid.ny)}")
     if out is None:
-        out = FieldState.wrap(state.model, np.empty_like(state.data))
+        out = FieldState(state.model, np.empty_like(state.data))
     elif out.model != state.model or out.data.shape != state.data.shape:
         raise ValueError(
             f"output {out.model} {out.data.shape} does not match state {state.model} {state.data.shape}"
@@ -213,6 +211,4 @@ def reduce_splitfield_to_modal(state: FieldState, prof: DampingProfile) -> Field
     if state.model != "SplitField":
         raise ValueError(f"expected a SplitField state, got {state.model!r}")
     sigma = prof.sigma_values[:, None]
-    return FieldState(
-        model="ModalUnsplit", ez=state.ez + state.aux, hy=state.hy, hx=state.hx, aux=sigma * state.aux, bt=state.bt
-    )
+    return FieldState("ModalUnsplit", np.array([state.ez + state.aux, state.hy, state.hx, sigma * state.aux]))

@@ -94,10 +94,12 @@ class ScenarioConfig:
             raise ValueError(
                 f"unknown penalty preset {self.penalties!r}; expected one of {PENALTY_PRESETS}"
             )
-        for name in ("x0", "y0", "delta", "h", "t_final"):
+        for name in ("x0", "y0", "delta", "h", "dt_factor", "t_final"):
             v = getattr(self, name)
-            if v <= 0:
-                raise ValueError(f"{name} must be positive, got {v}")
+            if not (math.isfinite(v) and v > 0):
+                raise ValueError(f"{name} must be finite and positive, got {v}")
+        if self.d0 is not None and not (math.isfinite(self.d0) and self.d0 >= 0):
+            raise ValueError(f"d0 must be finite and nonnegative, got {self.d0}")
         if self.stride < 1:
             raise ValueError(f"stride must be at least 1, got {self.stride}")
         if self.scenario != "Reference" and self.tol is None and self.d0 is None:
@@ -126,7 +128,6 @@ class RunArtifacts:
     final_state: FieldState
     history: EnergyHistory
     grid: Grid2D
-    error_table_csv: Optional[str] = None
 
 
 def cavity_initial_state(grid: Grid2D, model: str = "Interior") -> FieldState:
@@ -209,7 +210,8 @@ def build_scenario(cfg: ScenarioConfig) -> ScenarioSetup:
 def _energy_functions(setup: ScenarioSetup):
     """Per-model (integrand, energy) callables for the history's energy column.
 
-    Both take a state and its time derivative.
+    Both take a state and its time derivative; the energy also takes the
+    accumulated time integral of the integrand.
     """
     spec, ops, prof = setup.spec, setup.ops, setup.prof
     bc, penalties, grid = setup.bc, setup.penalties, setup.grid
@@ -218,23 +220,21 @@ def _energy_functions(setup: ScenarioSetup):
         def integrand(u, rhs):
             return modal_bt_integrand(rhs.ez, ops)
 
-        def energy(u, rhs):
-            return modal_energy(u, rhs.ez, prof, grid, ops, spec.theta, u.bt)
+        def energy(u, rhs, bt):
+            return modal_energy(u, rhs.ez, prof, grid, ops, spec.theta, bt)
 
         return integrand, energy
 
-    verdict = validate_penalties(bc, penalties)
-
     def integrand(u, rhs):
-        return boundary_dissipation(u, bc, penalties, grid, ops, verdict)
+        return boundary_dissipation(u, bc, penalties, grid, ops)
 
     if spec.kind == "PhysicallyMotivated":
-        def energy(u, rhs):
-            return phys_energy(u, ops, u.bt)
+        def energy(u, rhs, bt):
+            return phys_energy(u, ops, bt)
 
     else:
-        def energy(u, rhs):
-            return interior_energy(u, ops, u.bt)
+        def energy(u, rhs, bt):
+            return interior_energy(u, ops, bt)
 
     return integrand, energy
 
@@ -284,7 +284,7 @@ def run_scenario(cfg: ScenarioConfig) -> RunArtifacts:
     model = u.model
 
     def rhs(v, t, out):
-        state, d = FieldState.wrap(model, v), FieldState.wrap(model, out)
+        state, d = FieldState(model, v), FieldState(model, out)
         evaluate_rhs(spec, state, prof, bc, penalties, ops, grid, t, d)
         return integrand(state, d)
 
@@ -292,29 +292,30 @@ def run_scenario(cfg: ScenarioConfig) -> RunArtifacts:
     label = cfg.run_label
     history = EnergyHistory()
 
-    def record(u, du):
+    def record(u, du, bt):
         rec = discrete_l2_norms(u, ops)
-        rec["energy"] = energy(u, du)
+        rec["energy"] = energy(u, du, bt)
         return rec
 
     tg = setup.time_grid
     # du holds the derivative at the current state: it is both what a
     # sample needs and the next step's first stage.
-    du = FieldState.wrap(model, np.empty_like(u.data))
+    du = FieldState(model, np.empty_like(u.data))
     work = [np.empty_like(u.data) for _ in range(4)]
     q = rhs(u.data, 0.0, du.data)
-    history.append(0.0, record(u, du))
+    bt = 0.0  # the time integral of q, which enters the energies
+    history.append(0.0, record(u, du, bt))
     diverged = False
     last_step = 0
     # A diverging run overflows to inf/nan by design; that outcome is
     # detected and recorded rather than warned about.
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(tg.n_steps):
-            u.bt += rk4_step(rhs, u.data, k * tg.dt, tg.dt, du.data, q, work)
+            bt += rk4_step(rhs, u.data, k * tg.dt, tg.dt, du.data, q, work)
             last_step = k + 1
             q = rhs(u.data, last_step * tg.dt, du.data)
             if last_step % cfg.stride == 0 or last_step == tg.n_steps:
-                rec = record(u, du)
+                rec = record(u, du, bt)
                 if not all(map(math.isfinite, rec.values())):
                     diverged = True
                     break

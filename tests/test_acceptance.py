@@ -69,8 +69,8 @@ def _interior_desk_rhs(dt_factor=0.4, t_final=2000.0):
     setup = build_scenario(cfg)
 
     def rhs(v, t, out):
-        evaluate_rhs(setup.spec, FieldState.wrap("Interior", v), setup.prof, setup.bc,
-                     setup.penalties, setup.ops, setup.grid, t, FieldState.wrap("Interior", out))
+        evaluate_rhs(setup.spec, FieldState("Interior", v), setup.prof, setup.bc,
+                     setup.penalties, setup.ops, setup.grid, t, FieldState("Interior", out))
         return 0.0
 
     return setup, rhs

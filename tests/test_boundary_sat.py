@@ -3,7 +3,7 @@ the boundary dissipation identity."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from sbpml.boundary_sat import (
@@ -17,7 +17,7 @@ from sbpml.boundary_sat import (
     wall_residuals,
 )
 from sbpml.grid_state import FieldState, Grid2D
-from sbpml.pml_models import ModelSpec, evaluate_rhs, zero_damping
+from sbpml.pml_models import STATE_MODEL, ModelSpec, evaluate_rhs, zero_damping
 
 from _oracles import dense_sat_oracle
 
@@ -204,9 +204,7 @@ def test_sat_linear_in_state_and_affine_in_data():
 
     su = sat_of(u, bc0, p, 0.0, g, ops)
     sv = sat_of(v, bc0, p, 0.0, g, ops)
-    w = FieldState(
-        model="Interior", ez=2 * u.ez - 3 * v.ez, hy=2 * u.hy - 3 * v.hy, hx=2 * u.hx - 3 * v.hx
-    )
+    w = FieldState("Interior", 2 * u.data - 3 * v.data)
     sw = sat_of(w, bc0, p, 0.0, g, ops)
     for a, b, c in zip(sw, su, sv):
         assert np.allclose(a, 2 * b - 3 * c, atol=1e-12)
@@ -263,11 +261,47 @@ def test_energy_identity_interior(r_x, r_y, preset, theta_bars):
         assert bt >= -1e-12  # admissible penalties dissipate
 
 
-def test_boundary_dissipation_unknown_penalties():
-    g = Grid2D(0.0, 1.0, 0.0, 1.0, 5, 5)
-    ops = g.operators(2)
-    s = FieldState.zeros(g, "Interior")
-    s.ez[:] = 1.0
-    bc = BoundaryConfig(r_x=0.0, r_y=0.0)
-    bad = PenaltyParams(3.0, 3.0, 0.0, 0.0)
-    assert boundary_dissipation(s, bc, bad, g, ops) == 0.0
+@settings(max_examples=150, deadline=None)
+@given(
+    order=st.sampled_from([2, 4, 6]),
+    kind=st.sampled_from(["Interior", "SplitFieldNaive", "SplitFieldStable"]),
+    r_x=st.floats(-1.0, 1.0),
+    r_y=st.floats(-1.0, 1.0),
+    family=st.sampled_from(["any", "universal", "matching"]),
+    weights=st.tuples(*[st.floats(-10.0, 10.0)] * 4),
+    fractions=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+    seed=st.integers(0, 2**31),
+)
+def test_boundary_dissipation_identity(order, kind, r_x, r_y, family, weights, fractions, seed):
+    """2 <u, RHS(u)>_P = -BT for every penalty set, with u = (Ez, Hy, Hx)
+    and the total electric field of a split state, at zero damping.
+
+    Penalties are any real weights, the universal set, or estimate-matching
+    with theta_bar anywhere in its admissible range [0, 4/gamma] (up to 10
+    at gamma = 0).  The identity must hold to 1e-12 of the size of its
+    terms, sum |u| |RHS(u)| P; admissible sets must also dissipate,
+    BT >= -1e-12."""
+    g = Grid2D(0.0, 2.0, 0.0, 1.5, 13, 12)
+    ops = g.operators(order)
+    bc = BoundaryConfig(r_x=r_x, r_y=r_y)
+    if family == "any":
+        p = PenaltyParams(*weights)
+    elif family == "universal":
+        p = PenaltyParams.universal()
+    else:
+        assume(r_x > -1.0 and r_y > -1.0)
+        gx, gy = gamma_from_reflection(r_x), gamma_from_reflection(r_y)
+        tbx, tby = (f * (4.0 / gam if gam > 0 else 10.0) for f, gam in zip(fractions, (gx, gy)))
+        p = PenaltyParams.estimate_matching(r_x, r_y, tbx, tby)
+    spec = ModelSpec(kind)
+    s = FieldState.zeros(g, STATE_MODEL[kind])
+    s.data[:] = np.random.default_rng(seed).standard_normal(s.data.shape)
+    rhs = evaluate_rhs(spec, s, zero_damping(g), bc, p, ops, g, 0.0)
+    d_ez = rhs.ez if rhs.aux is None else rhs.ez + rhs.aux
+    pairs = ((s.ez_total, d_ez), (s.hy, rhs.hy), (s.hx, rhs.hx))
+    de_dt = 2.0 * sum(ops.inner(a, b) for a, b in pairs)
+    scale = 2.0 * sum(ops.inner(np.abs(a), np.abs(b)) for a, b in pairs)
+    bt = boundary_dissipation(s, bc, p, g, ops)
+    assert abs(de_dt + bt) <= 1e-12 * scale
+    if validate_penalties(bc, p) != "Unstable":
+        assert bt >= -1e-12

@@ -212,8 +212,8 @@ def test_growth_bound_holds_along_stabilized_run():
     spec = ModelSpec("ModalUnsplit", theta=1.0)
 
     def rhs(v, t, out):
-        d = FieldState.wrap("ModalUnsplit", out)
-        evaluate_rhs(spec, FieldState.wrap("ModalUnsplit", v), prof, bc, p, ops, g, t, d)
+        d = FieldState("ModalUnsplit", out)
+        evaluate_rhs(spec, FieldState("ModalUnsplit", v), prof, bc, p, ops, g, t, d)
         return modal_bt_integrand(d.ez, ops)
 
     s = FieldState.zeros(g, "ModalUnsplit")
@@ -222,12 +222,12 @@ def test_growth_bound_holds_along_stabilized_run():
     dt = 0.4 * g.hx
     r = FieldState.zeros(g, "ModalUnsplit")
     work = [np.empty_like(s.data) for _ in range(4)]
-    times, energies = [], []
+    times, energies, bt = [], [], 0.0
     for k in range(80):
         q = rhs(s.data, k * dt, r.data)
         times.append(k * dt)
-        energies.append(modal_energy(s, r.ez, prof, g, ops, 1.0, s.bt))
-        s.bt += rk4_step(rhs, s.data, k * dt, dt, r.data, q, work)
+        energies.append(modal_energy(s, r.ez, prof, g, ops, 1.0, bt))
+        bt += rk4_step(rhs, s.data, k * dt, dt, r.data, q, work)
     chk = growth_bound_check(times, energies, prof.sigma_max, tol=1e-8)
     assert chk.ok, (chk.max_ratio, chk.worst_index)
 
@@ -238,8 +238,8 @@ def test_phys_energy_bound_universal_penalties():
     spec = ModelSpec("PhysicallyMotivated")
 
     def rhs(v, t, out):
-        u = FieldState.wrap("PhysicallyMotivated", v)
-        evaluate_rhs(spec, u, prof, bc, p, ops, g, t, FieldState.wrap("PhysicallyMotivated", out))
+        u = FieldState("PhysicallyMotivated", v)
+        evaluate_rhs(spec, u, prof, bc, p, ops, g, t, FieldState("PhysicallyMotivated", out))
         return boundary_dissipation(u, bc, p, g, ops)
 
     s = FieldState.zeros(g, "PhysicallyMotivated")
@@ -248,12 +248,12 @@ def test_phys_energy_bound_universal_penalties():
     dt = 0.2 * g.hx  # this model is stiffer; step conservatively
     k1 = np.empty_like(s.data)
     work = [np.empty_like(s.data) for _ in range(4)]
-    times, energies = [], []
+    times, energies, bt = [], [], 0.0
     for k in range(80):
         times.append(k * dt)
-        energies.append(phys_energy(s, ops, s.bt))
+        energies.append(phys_energy(s, ops, bt))
         q = rhs(s.data, k * dt, k1)
-        s.bt += rk4_step(rhs, s.data, k * dt, dt, k1, q, work)
+        bt += rk4_step(rhs, s.data, k * dt, dt, k1, q, work)
     chk = growth_bound_check(times, energies, prof.sigma_max, tol=1e-8)
     assert chk.ok, (chk.max_ratio, chk.worst_index)
 

@@ -54,19 +54,23 @@ def test_operator_pair_matches_dense_kronecker(order):
 
 
 def test_field_state_invariants():
+    """The constructor takes one (nfields, nx, ny) array: three fields for
+    Interior, four (with aux) for the other models."""
     g = Grid2D(0.0, 1.0, 0.0, 1.0, 4, 4)
     FieldState.zeros(g, "Interior")
     for model in ("ModalUnsplit", "PhysicallyMotivated", "SplitField"):
         s = FieldState.zeros(g, model)
         assert s.aux is not None
     with pytest.raises(ValueError):
-        FieldState(model="Interior", ez=g.zeros(), hy=g.zeros(), hx=g.zeros(), aux=g.zeros())
+        FieldState("Interior", np.zeros((4, 4, 4)))  # aux on an Interior state
     with pytest.raises(ValueError):
-        FieldState(model="ModalUnsplit", ez=g.zeros(), hy=g.zeros(), hx=g.zeros())
+        FieldState("ModalUnsplit", np.zeros((3, 4, 4)))  # no aux
     with pytest.raises(ValueError):
-        FieldState(model="Nope", ez=g.zeros(), hy=g.zeros(), hx=g.zeros())
+        FieldState("Nope", np.zeros((3, 4, 4)))
     with pytest.raises(ValueError):
-        FieldState(model="Interior", ez=g.zeros(), hy=g.zeros(), hx=np.zeros((3, 3)))
+        FieldState("Interior", np.zeros((3, 4)))  # not one array of fields
+    with pytest.raises(ValueError):
+        FieldState("Interior", np.zeros((1, 3, 4, 4)))
 
 
 def test_ez_total_sums_split_components():
@@ -82,9 +86,10 @@ def test_ez_total_sums_split_components():
 
 def test_field_state_fields_are_views_of_one_array():
     """ez, hy, hx and aux are views of one (nfields, nx, ny) array, and
-    ``wrap`` shares the caller's array rather than copying it."""
+    the constructor shares the caller's array rather than copying it."""
     data = np.arange(4 * 4 * 5, dtype=float).reshape(4, 4, 5)
-    s = FieldState.wrap("ModalUnsplit", data)
+    s = FieldState("ModalUnsplit", data)
+    assert s.data is data
     for i, name in enumerate(("ez", "hy", "hx", "aux")):
         assert np.shares_memory(getattr(s, name), data)
         assert np.array_equal(getattr(s, name), data[i])
@@ -94,23 +99,9 @@ def test_field_state_fields_are_views_of_one_array():
     interior = FieldState.zeros(g, "Interior")
     assert interior.data.shape == (3, 4, 5) and interior.aux is None
     with pytest.raises(ValueError):
-        FieldState.wrap("Interior", data)
+        FieldState("Interior", data)
     with pytest.raises(ValueError):
-        FieldState.wrap("ModalUnsplit", data[0])
-
-
-def test_constructor_copies_and_is_finite():
-    g = Grid2D(0.0, 1.0, 0.0, 1.0, 4, 4)
-    ez = g.zeros()
-    s = FieldState(model="ModalUnsplit", ez=ez, hy=g.zeros(), hx=g.zeros(), aux=g.zeros())
-    s.ez[0, 0] = 5.0
-    assert ez[0, 0] == 0.0
-    assert s.is_finite()
-    s.hy[1, 1] = np.inf
-    assert not s.is_finite()
-    s.hy[1, 1] = 0.0
-    s.aux[2, 3] = np.nan
-    assert not s.is_finite()
+        FieldState("ModalUnsplit", data[0])
 
 
 @settings(max_examples=60, deadline=None)

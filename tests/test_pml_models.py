@@ -153,7 +153,7 @@ def test_rhs_into_buffer_matches_dense_oracle(
     p = PenaltyParams.universal() if penalties == "universal" else PenaltyParams.estimate_matching(r_x, r_y)
     spec = ModelSpec(kind, theta=theta)
     s = random_state(g, STATE_MODEL[kind], np.random.default_rng(seed))
-    out = FieldState.wrap(s.model, np.full_like(s.data, np.nan))
+    out = FieldState(s.model, np.full_like(s.data, np.nan))
     with patch.object(grid_state, "BANDED_MIN_N", 0 if banded else grid_state.BANDED_MIN_N):
         assert evaluate_rhs(spec, s, prof, bc, p, ops, g, t, out) is out
     expect = dense_rhs_oracle(spec, s, prof, bc, p, ops, g, g_top=g_top(g.x, t))
@@ -205,7 +205,7 @@ def test_rhs_linear_in_state(kind):
     v = random_state(g, STATE_MODEL[kind], rng)
     ru = evaluate_rhs(spec, u, prof, bc, p, ops, g, 0.0)
     rv = evaluate_rhs(spec, v, prof, bc, p, ops, g, 0.0)
-    w = FieldState.wrap(u.model, 2.0 * u.data + (-0.5) * v.data)
+    w = FieldState(u.model, 2.0 * u.data + (-0.5) * v.data)
     rw = evaluate_rhs(spec, w, prof, bc, p, ops, g, 0.0)
     for name in ("ez", "hy", "hx"):
         assert np.allclose(getattr(rw, name), 2 * getattr(ru, name) - 0.5 * getattr(rv, name), atol=1e-12)
@@ -324,7 +324,7 @@ def test_layer_is_perfectly_matched_before_waves_arrive():
 
     def advance(spec, prof, s, n_steps, dt):
         def rhs(w, t, out):
-            evaluate_rhs(spec, FieldState.wrap(s.model, w), prof, bc, p, ops, g, t, FieldState.wrap(s.model, out))
+            evaluate_rhs(spec, FieldState(s.model, w), prof, bc, p, ops, g, t, FieldState(s.model, out))
             return 0.0
 
         k1, work = np.empty_like(s.data), [np.empty_like(s.data) for _ in range(4)]

@@ -94,6 +94,18 @@ def test_config_validation():
     with pytest.raises(ValueError, match="tol = none needs an explicit d0"):
         tiny_cavity(tol=None)
     assert tiny_cavity(tol=None, d0=1.0).d0 == 1.0
+    # A step that is not finite and positive, or an amplifying layer.
+    for bad in (-1.0, 0.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="dt_factor must be finite and positive"):
+            tiny_cavity(dt_factor=bad)
+    with pytest.raises(ValueError, match="dt_factor must be finite and positive"):
+        preset_config("cavity-desk-theta1", dt_factor=-1)
+    with pytest.raises(ValueError, match="t_final must be finite and positive"):
+        tiny_cavity(t_final=math.inf)
+    for bad in (-0.5, math.inf, math.nan):
+        with pytest.raises(ValueError, match="d0 must be finite and nonnegative"):
+            tiny_cavity(d0=bad)
+    assert tiny_cavity(d0=0.0).d0 == 0.0
     assert reference_config(0.04, 4, tol=None).tol is None  # no layer, so no d0 to derive
 
 
@@ -289,17 +301,17 @@ def reference_history(cfg):
     bc, p, model = setup.bc, setup.penalties, setup.state0.model
 
     def f(data, t):
-        u = FieldState.wrap(model, data)
+        u = FieldState(model, data)
         r = evaluate_rhs(spec, u, prof, bc, p, ops, grid, t)
         if spec.kind == "ModalUnsplit":
             return r.data, modal_bt_integrand(r.ez, ops)
         return r.data, boundary_dissipation(u, bc, p, grid, ops)
 
     def record(data, bt, t):
-        u = FieldState.wrap(model, data, bt)
+        u = FieldState(model, data)
         norms = discrete_l2_norms(u, ops)
         if spec.kind == "ModalUnsplit":
-            e = modal_energy(u, FieldState.wrap(model, f(data, t)[0]).ez, prof, grid, ops, spec.theta, bt)
+            e = modal_energy(u, FieldState(model, f(data, t)[0]).ez, prof, grid, ops, spec.theta, bt)
         elif spec.kind == "PhysicallyMotivated":
             e = phys_energy(u, ops, bt)
         else:
@@ -421,6 +433,15 @@ def test_cli_rejects_tol_none_without_d0(tmp_path, capsys):
     rc = cli_entry(["run", "--config", str(cfg_path), "--out", str(tmp_path / "out")])
     assert rc == 1
     assert "tol = none needs an explicit d0" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_rejects_zero_dt_factor(tmp_path, capsys):
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text("scenario = Cavity\nx0 = 4\ny0 = 4\ndelta = 2\nh = 1\nt_final = 4\ndt_factor = 0\n")
+    rc = cli_entry(["run", "--config", str(cfg_path), "--out", str(tmp_path / "out")])
+    assert rc == 1
+    assert "dt_factor must be finite and positive, got 0" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 
