@@ -14,8 +14,11 @@ The per-wall boundary-condition residuals used throughout are
     bottom (y = y_min): (1-Ry)/2 * Ez - (1+Ry)/2 * Hx - g
     top    (y = y_max): (1-Ry)/2 * Ez + (1+Ry)/2 * Hx - g
 
-Penalty admissibility reduces to nonnegativity of 2x2 symmetric matrices
-per wall, whose eigenvalues have a closed form in (gamma, theta_bar); see
+A penalty set is admissible when the boundary term of the energy estimate,
+on each wall a quadratic a e^2 + b e m + c m^2 in Ez and the tangential
+magnetic field, is nonnegative for every wall state; see
+``penalties_admissible``.  On the estimate-matching family its
+eigenvalues have a closed form in (gamma, theta_bar); see
 ``penalty_matrix_eigenvalues``.
 """
 
@@ -80,56 +83,46 @@ class PenaltyParams:
         )
 
 
-def gamma_from_reflection(r: float) -> float:
-    """Impedance parameter gamma = (1-R)/(1+R) >= 0; undefined at R = -1 (PEC)."""
-    if not -1 < r <= 1:
-        if r == -1:
-            raise ValueError("R = -1 is the PEC wall; gamma is undefined, use the R-form penalty")
-        raise ValueError(f"reflection coefficient must lie in (-1, 1], got {r}")
-    return (1.0 - r) / (1.0 + r)
-
-
 def penalty_matrix_eigenvalues(gamma: float, theta_bar: float):
     """Closed-form eigenvalues (lambda_minus, lambda_plus) of the wall matrices.
 
-    The wall dissipation matrices are [[g, -+ t*g/2], [-+ t*g/2, t]] with
-    g = gamma, t = theta_bar; both sign choices share the spectrum.  A
-    negative discriminant (complex pair) is reported via the third return
-    value and signals an inadmissible penalty choice.
+    The wall dissipation matrices of the estimate-matching family are
+    [[g, -+ t*g/2], [-+ t*g/2, t]] with g = gamma, t = theta_bar; both sign
+    choices share the spectrum.  The discriminant (g - t)^2 + (g t)^2 is
+    never negative, so the pair is real.
     """
-    tr = gamma + theta_bar
-    disc = tr**2 - 4.0 * gamma * theta_bar * (1.0 - gamma * theta_bar / 4.0)
-    if disc < 0:
-        root = complex(0.0, np.sqrt(-disc))
-        return (tr - root) / 2.0, (tr + root) / 2.0, True
-    root = np.sqrt(disc)
-    return (tr - root) / 2.0, (tr + root) / 2.0, False
+    root = np.sqrt((gamma - theta_bar) ** 2 + (gamma * theta_bar) ** 2)
+    return (gamma + theta_bar - root) / 2.0, (gamma + theta_bar + root) / 2.0
 
 
-def _theta_bar_ok(gamma: float, theta_bar: float, tol: float = 1e-12) -> bool:
-    if theta_bar < -tol:
-        return False
-    if gamma <= tol:
-        return True  # upper bound 4/gamma is unbounded
-    return theta_bar <= 4.0 / gamma + tol
+def _wall_coefficients(r: float, alpha: float, theta: float):
+    """Coefficients (a, b, c) of one direction's wall quadratic a e^2 + b e m + c m^2.
+
+    e is Ez and m the tangential magnetic field on the wall; b is the
+    coefficient of the right and bottom walls' form, and the left and top
+    walls carry -b.  Built from the residual weights (1 -+ R)/2 and the
+    penalty weights alpha and theta of that direction.
+    """
+    cm, cp = 0.5 * (1.0 - r), 0.5 * (1.0 + r)
+    return alpha * cm, 1.0 - alpha * cp - theta * cm, theta * cp
 
 
-def validate_penalties(bc: BoundaryConfig, p: PenaltyParams, tol: float = 1e-12) -> str:
-    """Classify penalties as 'Universal', 'EstimateMatching', or 'Unstable'."""
-    vals = (p.alpha_x, p.alpha_y, p.theta_x, p.theta_y)
-    if all(abs(v - 1.0) <= tol for v in vals):
-        return "Universal"
-    if bc.r_x != -1 and bc.r_y != -1:
-        ax = 2.0 / (1.0 + bc.r_x)
-        ay = 2.0 / (1.0 + bc.r_y)
-        if abs(p.alpha_x - ax) <= tol * max(1.0, ax) and abs(p.alpha_y - ay) <= tol * max(1.0, ay):
-            tbx = p.theta_x * (1.0 + bc.r_x) / 2.0
-            tby = p.theta_y * (1.0 + bc.r_y) / 2.0
-            gx = gamma_from_reflection(bc.r_x)
-            gy = gamma_from_reflection(bc.r_y)
-            if _theta_bar_ok(gx, tbx) and _theta_bar_ok(gy, tby):
-                return "EstimateMatching"
-    return "Unstable"
+def penalties_admissible(bc: BoundaryConfig, p: PenaltyParams) -> bool:
+    """Whether the wall term BT is nonnegative for every wall state.
+
+    True iff on both directions a >= 0, c >= 0 and b^2 <= 4 a c, each to
+    1e-12 relative to the largest coefficient: the 2x2 form is then
+    positive semidefinite, whichever sign b has on a given wall.
+    """
+    tol = 1e-12
+    for a, b, c in (
+        _wall_coefficients(bc.r_x, p.alpha_x, p.theta_x),
+        _wall_coefficients(bc.r_y, p.alpha_y, p.theta_y),
+    ):
+        scale = max(abs(a), abs(b), abs(c))
+        if a < -tol * scale or c < -tol * scale or b * b - 4.0 * a * c > tol * scale**2:
+            return False
+    return True
 
 
 def wall_residuals(ez, hy, hx, bc: BoundaryConfig, grid: Grid2D, t: float):
@@ -207,17 +200,16 @@ def boundary_dissipation(
         2 Py [Ez_R Hy_R - Ez_L Hy_L + alpha_x (Ez_L r_L + Ez_R r_R) + theta_x (Hy_L r_L - Hy_R r_R)]
       + 2 Px [Ez_B Hx_B - Ez_T Hx_T + alpha_y (Ez_B r_B + Ez_T r_T) + theta_y (Hx_T r_T - Hx_B r_B)]
 
-    summed along each wall, for every penalty set; admissible penalties
-    make it nonnegative.  Expanding r gives on each wall the quadratic
-    a e^2 + b e m + c m^2 in Ez and the tangential magnetic field, which is
-    what is evaluated: the e m terms of the SBP and SAT parts cancel in
-    the coefficient b, not in rounded wall values.
+    summed along each wall, for every penalty set; it is nonnegative for
+    every state exactly when ``penalties_admissible`` holds.  Expanding r
+    gives on each wall the quadratic a e^2 + b e m + c m^2 in Ez and the
+    tangential magnetic field, which is what is evaluated: the e m terms
+    of the SBP and SAT parts cancel in the coefficient b, not in rounded
+    wall values.
     """
     ez, hy, hx = state.ez_total, state.hy, state.hx
-    cxm, cxp = 0.5 * (1.0 - bc.r_x), 0.5 * (1.0 + bc.r_x)
-    cym, cyp = 0.5 * (1.0 - bc.r_y), 0.5 * (1.0 + bc.r_y)
-    ax, bx, cx = p.alpha_x * cxm, 1.0 - p.alpha_x * cxp - p.theta_x * cxm, p.theta_x * cxp
-    ay, by, cy = p.alpha_y * cym, 1.0 - p.alpha_y * cyp - p.theta_y * cym, p.theta_y * cyp
+    ax, bx, cx = _wall_coefficients(bc.r_x, p.alpha_x, p.theta_x)
+    ay, by, cy = _wall_coefficients(bc.r_y, p.alpha_y, p.theta_y)
 
     def wall(w, e, m, a, b, c):
         return 2.0 * np.sum(w * (a * e**2 + b * e * m + c * m**2))

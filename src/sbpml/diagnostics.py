@@ -164,10 +164,11 @@ def assemble_semidiscrete_matrix(
     """Dense matrix of the linear map u -> RHS(u), assembled column by column.
 
     Unknowns are ordered [ez, hy, hx, aux], each block stacked y-fastest.
-    Only homogeneous wall data contributes (the affine part is dropped by
-    construction since columns are responses to unit states).
+    The walls keep their reflection coefficients but not their data, so
+    column j is L e_j and not L e_j + RHS(0).
     """
     model = STATE_MODEL[spec.kind]
+    walls = BoundaryConfig(bc.r_x, bc.r_y)
     state = FieldState.zeros(grid, model)
     m = state.data.size
     if m > max_unknowns:
@@ -180,6 +181,6 @@ def assemble_semidiscrete_matrix(
     for col in range(m):
         flat[col] = 1.0
         out = FieldState(model, at[col].reshape(state.data.shape))
-        evaluate_rhs(spec, state, prof, bc, penalties, ops, grid, 0.0, out)
+        evaluate_rhs(spec, state, prof, walls, penalties, ops, grid, 0.0, out)
         flat[col] = 0.0
     return at.T

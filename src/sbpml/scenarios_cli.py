@@ -24,11 +24,11 @@ import math
 import os
 import sys
 from dataclasses import dataclass, asdict
-from typing import Optional
+from typing import Optional, get_type_hints
 
 import numpy as np
 
-from sbpml.boundary_sat import BoundaryConfig, PenaltyParams, boundary_dissipation, validate_penalties
+from sbpml.boundary_sat import BoundaryConfig, PenaltyParams, boundary_dissipation, penalties_admissible
 from sbpml.diagnostics import (
     EnergyHistory,
     discrete_l2_norms,
@@ -49,7 +49,7 @@ from sbpml.pml_models import (
     make_damping_profile,
 )
 from sbpml.sbp_core import build_sbp_operator, operator_verification_report
-from sbpml.time_integration import TimeGrid, rk4_step
+from sbpml.time_integration import rk4_step
 
 SCENARIOS = ("Cavity", "Waveguide", "Reference")
 PENALTY_PRESETS = ("estimate_matching", "universal")
@@ -158,7 +158,8 @@ class ScenarioSetup:
     penalties: PenaltyParams
     spec: ModelSpec
     state0: FieldState
-    time_grid: TimeGrid
+    dt: float
+    n_steps: int
 
 
 def _grid_points(length: float, h: float) -> int:
@@ -202,9 +203,8 @@ def build_scenario(cfg: ScenarioConfig) -> ScenarioSetup:
         penalties = PenaltyParams.estimate_matching(bc.r_x, bc.r_y)
     dt = cfg.dt_factor * cfg.h
     n_steps = max(1, math.ceil(cfg.t_final / dt - 1e-12))
-    time_grid = TimeGrid(dt=cfg.t_final / n_steps, n_steps=n_steps)
     ops = grid.operators(cfg.order)
-    return ScenarioSetup(grid, ops, prof, bc, penalties, spec, state0, time_grid)
+    return ScenarioSetup(grid, ops, prof, bc, penalties, spec, state0, cfg.t_final / n_steps, n_steps)
 
 
 def _energy_functions(setup: ScenarioSetup):
@@ -258,12 +258,12 @@ def _echo_config(path: str, cfg: ScenarioConfig, setup: ScenarioSetup, diverged:
     with open(path, "w") as f:
         for k, v in asdict(cfg).items():
             f.write(f"{k} = {v}\n")
-        f.write(f"resolved_dt = {setup.time_grid.dt:.17g}\n")
-        f.write(f"resolved_n_steps = {setup.time_grid.n_steps}\n")
+        f.write(f"resolved_dt = {setup.dt:.17g}\n")
+        f.write(f"resolved_n_steps = {setup.n_steps}\n")
         f.write(f"resolved_nx = {setup.grid.nx}\n")
         f.write(f"resolved_ny = {setup.grid.ny}\n")
         f.write(f"resolved_d0 = {setup.prof.d0:.17g}\n")
-        f.write(f"penalty_verdict = {validate_penalties(setup.bc, setup.penalties)}\n")
+        f.write(f"penalties_admissible = {penalties_admissible(setup.bc, setup.penalties)}\n")
         f.write(f"diverged = {diverged}\n")
         f.write(f"last_completed_step = {last_step}\n")
 
@@ -297,7 +297,7 @@ def run_scenario(cfg: ScenarioConfig) -> RunArtifacts:
         rec["energy"] = energy(u, du, bt)
         return rec
 
-    tg = setup.time_grid
+    dt, n_steps = setup.dt, setup.n_steps
     # du holds the derivative at the current state: it is both what a
     # sample needs and the next step's first stage.
     du = FieldState(model, np.empty_like(u.data))
@@ -310,16 +310,16 @@ def run_scenario(cfg: ScenarioConfig) -> RunArtifacts:
     # A diverging run overflows to inf/nan by design; that outcome is
     # detected and recorded rather than warned about.
     with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(tg.n_steps):
-            bt += rk4_step(rhs, u.data, k * tg.dt, tg.dt, du.data, q, work)
+        for k in range(n_steps):
+            bt += rk4_step(rhs, u.data, k * dt, dt, du.data, q, work)
             last_step = k + 1
-            q = rhs(u.data, last_step * tg.dt, du.data)
-            if last_step % cfg.stride == 0 or last_step == tg.n_steps:
+            q = rhs(u.data, last_step * dt, du.data)
+            if last_step % cfg.stride == 0 or last_step == n_steps:
                 rec = record(u, du, bt)
                 if not all(map(math.isfinite, rec.values())):
                     diverged = True
                     break
-                history.append(last_step * tg.dt, rec)
+                history.append(last_step * dt, rec)
 
     history_csv = os.path.join(cfg.output_dir, f"{label}_history.csv")
     history.to_csv(history_csv)
@@ -421,7 +421,7 @@ def write_error_table(path: str, rows):
 
 
 def parse_config_text(text: str) -> dict:
-    """Parse flat 'key = value' lines; '#' starts a comment."""
+    """Parse flat 'key = value' lines into raw value strings; '#' starts a comment."""
     out = {}
     for ln, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -430,41 +430,33 @@ def parse_config_text(text: str) -> dict:
         if "=" not in line:
             raise ValueError(f"line {ln}: expected 'key = value', got {raw!r}")
         key, _, val = line.partition("=")
-        key = key.strip()
-        val = val.strip().strip('"').strip("'")
-        if val.lower() in ("true", "false"):
-            out[key] = val.lower() == "true"
-            continue
-        if val.lower() in ("none", ""):
-            out[key] = None
-            continue
-        try:
-            out[key] = int(val)
-        except ValueError:
-            try:
-                out[key] = float(val)
-            except ValueError:
-                out[key] = val
+        out[key.strip()] = val.strip().strip('"').strip("'")
     return out
+
+
+def _field_value(key: str, text: str, kind):
+    """The config text of field ``key`` as its declared type: str, int, float or Optional[float]."""
+    if text.lower() == "none":
+        if kind == Optional[float]:
+            return None
+        raise ValueError(f"config field {key!r} cannot be none")
+    if kind is str:
+        return text
+    try:
+        return int(text) if kind is int else float(text)
+    except ValueError:
+        need = "an integer" if kind is int else "numeric"
+        raise ValueError(f"config field {key!r} must be {need}, got {text!r}") from None
 
 
 def config_from_file(path: str) -> ScenarioConfig:
     with open(path) as f:
         raw = parse_config_text(f.read())
-    valid = set(ScenarioConfig.__dataclass_fields__)
-    unknown = set(raw) - valid
+    kinds = get_type_hints(ScenarioConfig)
+    unknown = set(raw) - set(kinds)
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
-    numeric = {
-        "x0", "y0", "delta", "h", "dt_factor", "t_final", "theta", "tol", "d0",
-    }
-    for key in numeric & set(raw):
-        if raw[key] is not None and not isinstance(raw[key], (int, float)):
-            raise ValueError(f"config field {key!r} must be numeric, got {raw[key]!r}")
-    for key in ("order", "stride"):
-        if key in raw and not isinstance(raw[key], int):
-            raise ValueError(f"config field {key!r} must be an integer, got {raw[key]!r}")
-    return ScenarioConfig(**raw)
+    return ScenarioConfig(**{key: _field_value(key, text, kinds[key]) for key, text in raw.items()})
 
 
 # ---------------------------------------------------------------------------

@@ -2,27 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
-
-
-@dataclass(frozen=True)
-class TimeGrid:
-    """Fixed-step time axis with t_final = dt * n_steps."""
-
-    dt: float
-    n_steps: int
-
-    def __post_init__(self):
-        if self.dt <= 0:
-            raise ValueError(f"time step must be positive, got {self.dt}")
-        if self.n_steps < 0:
-            raise ValueError(f"step count must be nonnegative, got {self.n_steps}")
-
-    @property
-    def t_final(self) -> float:
-        return self.dt * self.n_steps
 
 
 def rk4_step(rhs, u: np.ndarray, t: float, dt: float, k1: np.ndarray, q1: float, work) -> float:

@@ -10,10 +10,9 @@ from sbpml.boundary_sat import (
     BoundaryConfig,
     PenaltyParams,
     boundary_dissipation,
-    gamma_from_reflection,
+    penalties_admissible,
     penalty_matrix_eigenvalues,
     sat_contributions,
-    validate_penalties,
     wall_residuals,
 )
 from sbpml.grid_state import FieldState, Grid2D
@@ -41,16 +40,6 @@ def sat_of(s, bc, p, t, grid, ops):
 # Penalty parameter algebra
 
 
-def test_gamma_from_reflection_values():
-    assert gamma_from_reflection(0.0) == 1.0
-    assert gamma_from_reflection(1.0) == 0.0
-    assert gamma_from_reflection(1.0 / 3.0) == pytest.approx(0.5)
-    with pytest.raises(ValueError):
-        gamma_from_reflection(-1.0)
-    with pytest.raises(ValueError):
-        gamma_from_reflection(1.5)
-
-
 def test_penalty_presets():
     u = PenaltyParams.universal()
     assert (u.alpha_x, u.alpha_y, u.theta_x, u.theta_y) == (1, 1, 1, 1)
@@ -76,48 +65,99 @@ def wall_matrix(gamma, theta_bar, sign):
     sign=st.sampled_from([-1.0, 1.0]),
 )
 def test_penalty_eigenvalue_formula_matches_eigensolve(gamma, theta_bar, sign):
-    lo, hi, is_complex = penalty_matrix_eigenvalues(gamma, theta_bar)
-    m = wall_matrix(gamma, theta_bar, sign)
-    ev = np.sort(np.linalg.eigvals(m))
-    if is_complex:
-        # A symmetric real matrix always has real eigenvalues, so the
-        # complex flag can only fire for parameters outside the admissible
-        # set; the closed form then reports the complex pair of the
-        # characteristic polynomial.
-        poly = np.array([1.0, -(gamma + theta_bar), gamma * theta_bar - (theta_bar * gamma / 2.0) ** 2])
-        roots = np.sort_complex(np.roots(poly))
-        assert abs(complex(lo) - roots[0]) <= 1e-10
-    else:
-        assert abs(lo - ev[0].real) <= 1e-10 * max(1.0, abs(ev[0]))
-        assert abs(hi - ev[1].real) <= 1e-10 * max(1.0, abs(ev[1]))
+    lo, hi = penalty_matrix_eigenvalues(gamma, theta_bar)
+    ev = np.linalg.eigvalsh(wall_matrix(gamma, theta_bar, sign))
+    assert abs(lo - ev[0]) <= 1e-10 * max(1.0, abs(ev[0]))
+    assert abs(hi - ev[1]) <= 1e-10 * max(1.0, abs(ev[1]))
 
 
 def test_admissibility_boundary():
     """theta_bar = 4/gamma sits on the boundary of the admissible set: the
     smaller eigenvalue vanishes there."""
     for gamma in (0.25, 1.0, 4.0):
-        lo, hi, is_complex = penalty_matrix_eigenvalues(gamma, 4.0 / gamma)
-        assert not is_complex
+        lo, hi = penalty_matrix_eigenvalues(gamma, 4.0 / gamma)
         assert abs(lo) <= 1e-12 * max(1.0, hi)
         assert hi > 0
     # Slightly beyond the boundary the matrix is indefinite.
-    lo, _, _ = penalty_matrix_eigenvalues(1.0, 4.0 + 1e-6)
+    lo, _ = penalty_matrix_eigenvalues(1.0, 4.0 + 1e-6)
     assert lo < 0
 
 
-def test_validate_penalties_classification():
+def test_penalties_admissible_classification():
     bc = BoundaryConfig(r_x=0.0, r_y=0.0)
-    assert validate_penalties(bc, PenaltyParams.universal()) == "Universal"
-    assert validate_penalties(bc, PenaltyParams.estimate_matching(0, 0)) == "EstimateMatching"
-    ok = PenaltyParams.estimate_matching(0, 0, theta_bar_x=4.0, theta_bar_y=4.0)
-    assert validate_penalties(bc, ok) == "EstimateMatching"
-    too_big = PenaltyParams.estimate_matching(0, 0, theta_bar_x=4.5)
-    assert validate_penalties(bc, too_big) == "Unstable"
-    wrong_alpha = PenaltyParams(3.0, 2.0, 0.0, 0.0)
-    assert validate_penalties(bc, wrong_alpha) == "Unstable"
-    # Universal penalties are admissible even at the PEC wall R = -1.
-    pec = BoundaryConfig(r_x=-1.0, r_y=0.0)
-    assert validate_penalties(pec, PenaltyParams.universal()) == "Universal"
+    assert penalties_admissible(bc, PenaltyParams.universal())
+    assert penalties_admissible(bc, PenaltyParams.estimate_matching(0, 0))
+    # theta_bar = 4/gamma = 4 is the marginal estimate-matching set; 4.5 is beyond it.
+    assert penalties_admissible(bc, PenaltyParams.estimate_matching(0, 0, theta_bar_x=4.0, theta_bar_y=4.0))
+    assert not penalties_admissible(bc, PenaltyParams.estimate_matching(0, 0, theta_bar_x=4.5))
+    assert not penalties_admissible(bc, PenaltyParams(3.0, 2.0, 0.0, 0.0))
+    # Outside both families: a = 3/4, b = -1/4, c = 1/2 is positive definite.
+    assert penalties_admissible(bc, PenaltyParams(1.5, 1.5, 1.0, 1.0))
+    # On the insulated wall (R = 1) a = 0 and on the PEC wall (R = -1) c = 0;
+    # with b = 0 there, the sign of the other coefficient decides.
+    assert not penalties_admissible(BoundaryConfig(r_x=1.0, r_y=0.0), PenaltyParams(1.0, 1.0, -1.0, 1.0))
+    assert not penalties_admissible(BoundaryConfig(r_x=-1.0, r_y=0.0), PenaltyParams(-1.0, 1.0, 1.0, 1.0))
+    # Universal penalties are admissible for every R, the PEC wall R = -1 included.
+    for r in np.linspace(-1.0, 1.0, 21):
+        assert penalties_admissible(BoundaryConfig(r_x=r, r_y=-r), PenaltyParams.universal()), r
+
+
+@settings(max_examples=200, deadline=None)
+@given(r=st.floats(-0.99, 1.0), fraction=st.floats(0.0, 1.3))
+def test_admissibility_matches_eigenvalue_lemma(r, fraction):
+    """On estimate-matching sets the paper's lemma is the oracle: admissible
+    iff the smaller closed-form eigenvalue is nonnegative, to 1e-12 of the
+    larger.  Sets within 1e-9 of the margin beyond theta_bar = 4/gamma are
+    left out, as the two tolerances may round them differently."""
+    gamma = (1.0 - r) / (1.0 + r)
+    theta_bar = fraction * (4.0 / gamma if gamma > 0 else 10.0)
+    lo, hi = penalty_matrix_eigenvalues(gamma, theta_bar)
+    assume(fraction <= 1.0 or abs(lo) > 1e-9 * hi)
+    bc = BoundaryConfig(r_x=r, r_y=r)
+    p = PenaltyParams.estimate_matching(r, r, theta_bar, theta_bar)
+    assert penalties_admissible(bc, p) == (lo >= -1e-12 * hi)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    r_x=st.floats(-1.0, 1.0),
+    r_y=st.floats(-1.0, 1.0),
+    weights=st.tuples(*[st.floats(-1.0, 4.0)] * 4),
+)
+def test_admissibility_is_the_sign_of_the_wall_form(r_x, r_y, weights):
+    """Every set that ``penalties_admissible`` rejects has a wall state with
+    BT < 0, and every set it accepts has none.
+
+    At one non-corner point of the left and of the bottom wall, the 2x2
+    matrix of BT in (Ez, tangential H) is read off ``boundary_dissipation``
+    by polarization.  A rejected direction has an eigenvalue below -1e-13
+    of the matrix's largest entry, well clear of round-off; its
+    eigenvector, placed at that point, must give BT < 0.  An accepted set's
+    eigenvalues may fall below zero only by its 1e-12 relative tolerance.
+    Weights in [-1, 4] make both outcomes common."""
+    bc, p = BoundaryConfig(r_x=r_x, r_y=r_y), PenaltyParams(*weights)
+    g = Grid2D(0.0, 2.0, 0.0, 1.5, 7, 6)
+    ops = g.operators(2)
+
+    def bt(point, field, e, m):
+        """BT of the state that is e in Ez and m in ``field`` at ``point``, zero elsewhere."""
+        s = FieldState.zeros(g, "Interior")
+        s.ez[point], getattr(s, field)[point] = e, m
+        return boundary_dissipation(s, bc, p, g, ops)
+
+    admissible = penalties_admissible(bc, p)
+    witnesses = []
+    for wall in (((0, 2), "hy"), ((3, 0), "hx")):
+        q_e, q_m = bt(*wall, 1.0, 0.0), bt(*wall, 0.0, 1.0)
+        off = 0.5 * (bt(*wall, 1.0, 1.0) - q_e - q_m)
+        m = np.array([[q_e, off], [off, q_m]])
+        lam, vec = np.linalg.eigh(m)
+        if admissible:
+            assert lam[0] >= -3e-12 * np.max(np.abs(m)), (wall, lam)
+        elif lam[0] < -1e-14 * np.max(np.abs(m)):
+            witnesses.append(bt(*wall, *vec[:, 0]))
+    if not admissible:
+        assert witnesses and all(w < 0 for w in witnesses), witnesses
 
 
 # ---------------------------------------------------------------------------
@@ -279,8 +319,8 @@ def test_boundary_dissipation_identity(order, kind, r_x, r_y, family, weights, f
     Penalties are any real weights, the universal set, or estimate-matching
     with theta_bar anywhere in its admissible range [0, 4/gamma] (up to 10
     at gamma = 0).  The identity must hold to 1e-12 of the size of its
-    terms, sum |u| |RHS(u)| P; admissible sets must also dissipate,
-    BT >= -1e-12."""
+    terms, sum |u| |RHS(u)| P.  Sets that ``penalties_admissible`` accepts,
+    from any family, must also dissipate, BT >= -1e-12."""
     g = Grid2D(0.0, 2.0, 0.0, 1.5, 13, 12)
     ops = g.operators(order)
     bc = BoundaryConfig(r_x=r_x, r_y=r_y)
@@ -290,7 +330,7 @@ def test_boundary_dissipation_identity(order, kind, r_x, r_y, family, weights, f
         p = PenaltyParams.universal()
     else:
         assume(r_x > -1.0 and r_y > -1.0)
-        gx, gy = gamma_from_reflection(r_x), gamma_from_reflection(r_y)
+        gx, gy = (1.0 - r_x) / (1.0 + r_x), (1.0 - r_y) / (1.0 + r_y)
         tbx, tby = (f * (4.0 / gam if gam > 0 else 10.0) for f, gam in zip(fractions, (gx, gy)))
         p = PenaltyParams.estimate_matching(r_x, r_y, tbx, tby)
     spec = ModelSpec(kind)
@@ -303,5 +343,5 @@ def test_boundary_dissipation_identity(order, kind, r_x, r_y, family, weights, f
     scale = 2.0 * sum(ops.inner(np.abs(a), np.abs(b)) for a, b in pairs)
     bt = boundary_dissipation(s, bc, p, g, ops)
     assert abs(de_dt + bt) <= 1e-12 * scale
-    if validate_penalties(bc, p) != "Unstable":
+    if penalties_admissible(bc, p):
         assert bt >= -1e-12

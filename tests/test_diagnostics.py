@@ -24,6 +24,7 @@ from sbpml.pml_models import (
     make_damping_profile,
     zero_damping,
 )
+from sbpml.scenarios_cli import waveguide_forcing
 from sbpml.time_integration import rk4_step
 
 from _oracles import selectors
@@ -277,6 +278,20 @@ def test_assembled_matrix_reproduces_rhs(kind):
     rparts = [r.ez, r.hy, r.hx] + ([r.aux] if r.aux is not None else [])
     expect = np.concatenate([q.reshape(-1) for q in rparts])
     assert np.max(np.abs(got - expect)) <= 1e-12
+
+
+def test_assembly_ignores_wall_data():
+    """Column j is L e_j, not L e_j + RHS(0): a 12x8 waveguide grid with the
+    top-wall forcing near its peak assembles the matrix of data-free walls."""
+    g = Grid2D(-2.0, 2.4, -1.0, 1.0, 12, 8)
+    ops = g.operators(4)
+    prof = make_damping_profile(g, 2.0, 0.4, 10.0, 2)
+    forced = BoundaryConfig(r_x=0.0, r_y=1.0, g_top=lambda x, t: waveguide_forcing(x, 1.0, t + 0.1))
+    assert np.max(forced.g_top(g.x, 0.0)) > 0.01
+    spec, p = ModelSpec("ModalUnsplit", theta=1.0), PenaltyParams.estimate_matching(0.0, 1.0)
+    a = assemble_semidiscrete_matrix(spec, g, prof, forced, p, ops)
+    free = assemble_semidiscrete_matrix(spec, g, prof, BoundaryConfig(r_x=0.0, r_y=1.0), p, ops)
+    assert np.array_equal(a, free)
 
 
 def test_assembly_guard():

@@ -2,6 +2,7 @@
 
 import math
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -133,9 +134,9 @@ def test_build_waveguide_geometry_and_dt():
     assert setup.bc.r_x == 0.0 and setup.bc.r_y == 1.0
     assert setup.bc.g_top is not None
     # dt_factor * h = 0.016 does not divide 5; the step shrinks to fit.
-    assert setup.time_grid.n_steps == 313
-    assert setup.time_grid.dt == pytest.approx(5.0 / 313)
-    assert setup.time_grid.t_final == pytest.approx(5.0)
+    assert setup.n_steps == 313
+    assert setup.dt == pytest.approx(5.0 / 313)
+    assert setup.dt * setup.n_steps == pytest.approx(5.0)
     # Empirical damping: tol = (1e-4 h)^2, on a quadratic ramp, whose peak is
     # (2 + 1) / (2 * 0.4) = 3.75 times ln(1/tol).
     assert setup.prof.d0 == pytest.approx(3.75 * math.log(1.0 / (1e-4 * 0.04) ** 2))
@@ -145,7 +146,7 @@ def test_build_waveguide_geometry_and_dt():
     # on the negative real axis, [-2.785, 0], at every preset resolution.
     for h in (0.04, 0.02, 0.01):
         s = build_scenario(waveguide_config(h, 6))
-        assert s.time_grid.dt * s.prof.sigma_max < 2.785
+        assert s.dt * s.prof.sigma_max < 2.785
 
 
 def test_waveguide_and_reference_overrides_replace_preset_values():
@@ -228,12 +229,9 @@ def test_parse_config_text():
     label = "demo"
     """
     out = parse_config_text(text)
-    assert out["scenario"] == "Cavity"
-    assert out["h"] == 0.5
-    assert out["order"] == 4 and isinstance(out["order"], int)
-    assert out["d0"] is None
-    assert out["label"] == "demo"
-    with pytest.raises(ValueError):
+    # Raw strings: each field's declared type converts them in config_from_file.
+    assert out == {"scenario": "Cavity", "h": "0.5", "order": "4", "theta": "1", "d0": "none", "label": "demo"}
+    with pytest.raises(ValueError, match="expected 'key = value'"):
         parse_config_text("just words\n")
 
 
@@ -244,6 +242,13 @@ def test_config_from_file(tmp_path):
     )
     cfg = config_from_file(path)
     assert cfg.scenario == "Cavity" and cfg.x0 == 4.0 and cfg.order == 4
+    # Each value takes its field's declared type.
+    assert type(cfg.x0) is float and type(cfg.order) is int
+
+    typed = tmp_path / "typed.cfg"
+    typed.write_text("scenario = Cavity\nd0 = None\ntol = 1e-3\nlabel = 7\n")
+    cfg = config_from_file(typed)
+    assert cfg.d0 is None and cfg.tol == 1e-3 and cfg.label == "7"
 
     bad = tmp_path / "bad.cfg"
     bad.write_text("scenario = Cavity\nwidth = 3\n")
@@ -260,6 +265,11 @@ def test_config_from_file(tmp_path):
     with pytest.raises(ValueError, match="must be numeric"):
         config_from_file(bad3)
 
+    bad4 = tmp_path / "bad4.cfg"
+    bad4.write_text("scenario = Cavity\norder = 4.0\n")
+    with pytest.raises(ValueError, match="must be an integer"):
+        config_from_file(bad4)
+
 
 # ---------------------------------------------------------------------------
 # Runs
@@ -274,14 +284,14 @@ def test_run_scenario_artifacts_and_determinism(tmp_path):
     assert os.path.exists(art.config_echo_path)
     # Samples at t = 0 plus every stride-th step: 20 steps, stride 2 -> 11 rows.
     assert len(art.history.times) == 11
-    echo = open(art.config_echo_path).read()
+    echo = Path(art.config_echo_path).read_text()
     assert "diverged = False" in echo
-    assert "penalty_verdict = EstimateMatching" in echo
+    assert "penalties_admissible = True" in echo
 
     # Bit-for-bit reproducibility.
     art2 = run_scenario(tiny_cavity(output_dir=str(tmp_path / "b"), label="tiny"))
-    assert open(art.history_csv, "rb").read() == open(art2.history_csv, "rb").read()
-    assert open(art.snapshot_path, "rb").read() == open(art2.snapshot_path, "rb").read()
+    assert Path(art.history_csv).read_bytes() == Path(art2.history_csv).read_bytes()
+    assert Path(art.snapshot_path).read_bytes() == Path(art2.snapshot_path).read_bytes()
 
 
 def test_run_scenario_energy_column_finite_and_decaying(tmp_path):
@@ -318,9 +328,9 @@ def reference_history(cfg):
             e = interior_energy(u, ops, bt)
         return [norms["ez_norm"], norms["hy_norm"], norms["hx_norm"], norms["aux_norm"], e]
 
-    u, bt, dt = setup.state0.data.copy(), 0.0, setup.time_grid.dt
+    u, bt, dt = setup.state0.data.copy(), 0.0, setup.dt
     rows = [record(u, bt, 0.0)]
-    for k in range(setup.time_grid.n_steps):
+    for k in range(setup.n_steps):
         t = k * dt
         k1, q1 = f(u, t)
         k2, q2 = f(u + (0.5 * dt) * k1, t + 0.5 * dt)
@@ -328,7 +338,7 @@ def reference_history(cfg):
         k4, q4 = f(u + dt * k3, t + dt)
         u = u + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         bt = bt + (dt / 6.0) * (q1 + 2.0 * q2 + 2.0 * q3 + q4)
-        if (k + 1) % cfg.stride == 0 or k + 1 == setup.time_grid.n_steps:
+        if (k + 1) % cfg.stride == 0 or k + 1 == setup.n_steps:
             rows.append(record(u, bt, (k + 1) * dt))
     return np.array(rows)
 
@@ -363,7 +373,7 @@ def test_run_scenario_matches_out_of_place_loop(tmp_path, monkeypatch, kind, pen
 
     monkeypatch.setattr(scenarios_cli, "evaluate_rhs", counting)
     art = run_scenario(cfg)
-    n_steps = build_scenario(cfg).time_grid.n_steps
+    n_steps = build_scenario(cfg).n_steps
     assert len(calls) == 4 * n_steps + 1
 
     keys = ("ez_norm", "hy_norm", "hx_norm", "aux_norm", "energy")
@@ -374,7 +384,7 @@ def test_run_scenario_matches_out_of_place_loop(tmp_path, monkeypatch, kind, pen
 
     cfg.output_dir = str(tmp_path / "b")
     again = run_scenario(cfg)
-    assert open(art.history_csv, "rb").read() == open(again.history_csv, "rb").read()
+    assert Path(art.history_csv).read_bytes() == Path(again.history_csv).read_bytes()
 
 
 def test_error_study_structure(tmp_path):
@@ -433,6 +443,24 @@ def test_cli_rejects_tol_none_without_d0(tmp_path, capsys):
     rc = cli_entry(["run", "--config", str(cfg_path), "--out", str(tmp_path / "out")])
     assert rc == 1
     assert "tol = none needs an explicit d0" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "line,message",
+    [
+        ("output_dir = none", "config field 'output_dir' cannot be none"),
+        ("stride = true", "config field 'stride' must be an integer, got 'true'"),
+        ("h = true", "config field 'h' must be numeric, got 'true'"),
+    ],
+)
+def test_cli_rejects_values_of_the_wrong_type(tmp_path, capsys, line, message):
+    """A value that is not of its field's declared type exits 1 with a message."""
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text(f"scenario = Cavity\nx0 = 4\ny0 = 4\ndelta = 2\nh = 1\nt_final = 4\n{line}\n")
+    rc = cli_entry(["run", "--config", str(cfg_path), "--out", str(tmp_path / "out")])
+    assert rc == 1
+    assert message in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 

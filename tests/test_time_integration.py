@@ -1,22 +1,9 @@
-"""Tests for the RK4 stepper and the fixed-step time grid."""
+"""Tests for the RK4 stepper."""
 
 import numpy as np
 import pytest
 
-from sbpml.time_integration import TimeGrid, rk4_step
-
-
-def test_time_grid_properties():
-    tg = TimeGrid(dt=0.25, n_steps=8)
-    assert tg.t_final == pytest.approx(2.0)
-    assert TimeGrid(dt=0.25, n_steps=0).t_final == 0.0
-
-
-def test_time_grid_validation():
-    with pytest.raises(ValueError):
-        TimeGrid(dt=0.0, n_steps=5)
-    with pytest.raises(ValueError):
-        TimeGrid(dt=0.1, n_steps=-1)
+from sbpml.time_integration import rk4_step
 
 
 def step(rhs, u, t, dt):
