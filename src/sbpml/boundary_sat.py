@@ -14,6 +14,9 @@ The per-wall boundary-condition residuals used throughout are
     bottom (y = y_min): (1-Ry)/2 * Ez - (1+Ry)/2 * Hx - g
     top    (y = y_max): (1-Ry)/2 * Ez + (1+Ry)/2 * Hx - g
 
+Each direction's walls are one pair (``walls``); the y pair is the x pair
+of the transposed fields, with its own signs (``X_SIGNS``, ``Y_SIGNS``).
+
 A penalty set is admissible when the boundary term of the energy estimate,
 on each wall a quadratic a e^2 + b e m + c m^2 in Ez and the tangential
 magnetic field, is nonnegative for every wall state; see
@@ -29,17 +32,18 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from sbpml.grid_state import FieldState, Grid2D, OperatorPair
+from sbpml.grid_state import FieldState, OperatorPair
 
-WallData = Optional[Callable[[np.ndarray, float], np.ndarray]]
+WallData = Optional[Callable[[float], np.ndarray]]
 
 
 @dataclass(frozen=True)
 class BoundaryConfig:
     """Reflection coefficients and optional wall data for the four walls.
 
-    Data callables receive (tangential coordinates, t) and return the wall
-    values of the penalized boundary expression; ``None`` means zero.
+    Data callables receive t and return the values of the penalized
+    boundary expression along their wall, at its grid points; ``None``
+    means zero.
     """
 
     r_x: float = 0.0
@@ -98,10 +102,10 @@ def penalty_matrix_eigenvalues(gamma: float, theta_bar: float):
 def _wall_coefficients(r: float, alpha: float, theta: float):
     """Coefficients (a, b, c) of one direction's wall quadratic a e^2 + b e m + c m^2.
 
-    e is Ez and m the tangential magnetic field on the wall; b is the
-    coefficient of the right and bottom walls' form, and the left and top
-    walls carry -b.  Built from the residual weights (1 -+ R)/2 and the
-    penalty weights alpha and theta of that direction.
+    e is Ez and m the tangential magnetic field on the wall; a wall whose
+    residual has the sign ``sign`` on m carries -sign * b.  Built from the
+    residual weights (1 -+ R)/2 and the penalty weights alpha and theta of
+    that direction.
     """
     cm, cp = 0.5 * (1.0 - r), 0.5 * (1.0 + r)
     return alpha * cm, 1.0 - alpha * cp - theta * cm, theta * cp
@@ -125,72 +129,67 @@ def penalties_admissible(bc: BoundaryConfig, p: PenaltyParams) -> bool:
     return True
 
 
-def wall_residuals(ez, hy, hx, bc: BoundaryConfig, grid: Grid2D, t: float):
-    """Boundary-condition residuals minus wall data, on the four wall lines."""
-    cxm, cxp = 0.5 * (1.0 - bc.r_x), 0.5 * (1.0 + bc.r_x)
-    cym, cyp = 0.5 * (1.0 - bc.r_y), 0.5 * (1.0 + bc.r_y)
-    r_left = cxm * ez[0, :] + cxp * hy[0, :]
-    r_right = cxm * ez[-1, :] - cxp * hy[-1, :]
-    r_bottom = cym * ez[:, 0] - cyp * hx[:, 0]
-    r_top = cym * ez[:, -1] + cyp * hx[:, -1]
-    if bc.g_left is not None:
-        r_left = r_left - bc.g_left(grid.y, t)
-    if bc.g_right is not None:
-        r_right = r_right - bc.g_right(grid.y, t)
-    if bc.g_bottom is not None:
-        r_bottom = r_bottom - bc.g_bottom(grid.x, t)
-    if bc.g_top is not None:
-        r_top = r_top - bc.g_top(grid.x, t)
-    return r_left, r_right, r_bottom, r_top
+def walls(u: np.ndarray) -> np.ndarray:
+    """Rows 0 and -1 of ``u`` as a (2, n) view: (left, right) of a field, (bottom, top) of its transpose."""
+    return u[:: len(u) - 1]
 
 
-def sat_y_field(r_bottom: np.ndarray, r_top: np.ndarray, weight: float, ops: OperatorPair, out: np.ndarray):
-    """Add the y-wall penalty field -weight * Py^{-1}(residual on each y wall) into ``out``.
+# The sign of the tangential magnetic field in each wall's residual, per
+# pair: +Hy left and -Hy right, -Hx bottom and +Hx top.
+X_SIGNS = np.array([[1.0], [-1.0]])
+Y_SIGNS = -X_SIGNS
+
+
+def wall_residuals(ez, hy, hx, bc: BoundaryConfig, t: float):
+    """Boundary-condition residuals minus wall data: the pairs rx (left, right) and ry (bottom, top)."""
+
+    def pair(e, m, r, signs, data):
+        res = 0.5 * (1.0 - r) * walls(e) + 0.5 * (1.0 + r) * signs * walls(m)
+        for i, g in enumerate(data):
+            if g is not None:
+                res[i] -= g(t)
+        return res
+
+    return (
+        pair(ez, hy, bc.r_x, X_SIGNS, (bc.g_left, bc.g_right)),
+        pair(ez.T, hx.T, bc.r_y, Y_SIGNS, (bc.g_bottom, bc.g_top)),
+    )
+
+
+def sat_y_field(ry: np.ndarray, weight: float, ops: OperatorPair, out: np.ndarray):
+    """Add the y-wall penalty field -weight * Py^{-1} ry into ``out``.
 
     This combination appears both in the electric-field equation (weight
     alpha_y) and, scaled by theta * alpha_y, in the stabilized auxiliary
     equation, so it is factored out here.
     """
-    out[:, 0] -= weight * r_bottom / ops.y.p_diag[0]
-    out[:, -1] -= weight * r_top / ops.y.p_diag[-1]
+    w = walls(out.T)
+    w -= weight * ry / walls(ops.y.p_diag)[:, None]
 
 
 def sat_contributions(
-    residuals,
-    p: PenaltyParams,
-    ops: OperatorPair,
-    ez: np.ndarray,
-    hy: np.ndarray,
-    hx: np.ndarray,
-    ez_y: Optional[np.ndarray] = None,
+    residuals, p: PenaltyParams, ops: OperatorPair, ez, hy, hx, ez_y: Optional[np.ndarray] = None
 ):
     """Add the penalty terms of the Ez, Hy and Hx equations into ``ez``, ``hy`` and ``hx``.
 
-    ``residuals`` are the four wall residuals of ``wall_residuals`` (for
+    ``residuals`` are the wall pairs (rx, ry) of ``wall_residuals`` (for
     SplitField states, formed with the total electric field ez + aux).
     The terms live on the wall lines, so only those lines are touched.
     The y-wall term of the Ez equation goes into ``ez_y`` when it is given
     (the undamped component of the stable split-field model), else into
     ``ez``.
     """
-    r_left, r_right, r_bottom, r_top = residuals
-    px0, px1 = ops.x.p_diag[0], ops.x.p_diag[-1]
-    py0, py1 = ops.y.p_diag[0], ops.y.p_diag[-1]
-
-    ez[0, :] -= p.alpha_x * r_left / px0
-    ez[-1, :] -= p.alpha_x * r_right / px1
-    sat_y_field(r_bottom, r_top, p.alpha_y, ops, ez if ez_y is None else ez_y)
-
-    hy[0, :] -= p.theta_x * r_left / px0
-    hy[-1, :] += p.theta_x * r_right / px1
-
-    hx[:, 0] += p.theta_y * r_bottom / py0
-    hx[:, -1] -= p.theta_y * r_top / py1
+    rx, ry = residuals
+    px = walls(ops.x.p_diag)[:, None]
+    ez_w, hy_w, hx_w = walls(ez), walls(hy), walls(hx.T)
+    ez_w -= p.alpha_x * rx / px
+    sat_y_field(ry, p.alpha_y, ops, ez if ez_y is None else ez_y)
+    # The magnetic terms carry the walls' signs; dividing by -P negates exactly.
+    hy_w -= p.theta_x * rx / (X_SIGNS * px)
+    hx_w -= p.theta_y * ry / (Y_SIGNS * walls(ops.y.p_diag)[:, None])
 
 
-def boundary_dissipation(
-    state: FieldState, bc: BoundaryConfig, p: PenaltyParams, grid: Grid2D, ops: OperatorPair
-) -> float:
+def boundary_dissipation(state: FieldState, bc: BoundaryConfig, p: PenaltyParams, ops: OperatorPair) -> float:
     """The boundary term BT with 2 <u, RHS(u)>_P = -BT for zero wall data and damping.
 
     u is (Ez, Hy, Hx) with the total electric field of a split state.  BT
@@ -202,19 +201,22 @@ def boundary_dissipation(
 
     summed along each wall, for every penalty set; it is nonnegative for
     every state exactly when ``penalties_admissible`` holds.  Expanding r
-    gives on each wall the quadratic a e^2 + b e m + c m^2 in Ez and the
-    tangential magnetic field, which is what is evaluated: the e m terms
-    of the SBP and SAT parts cancel in the coefficient b, not in rounded
-    wall values.
+    gives on each wall the quadratic a e^2 - sign b e m + c m^2 in Ez and
+    the tangential magnetic field, with the wall's sign in ``X_SIGNS`` or
+    ``Y_SIGNS``, which is what is evaluated: the e m terms of the SBP and
+    SAT parts cancel in the coefficient b, not in rounded wall values.
     """
     ez, hy, hx = state.ez_total, state.hy, state.hx
-    ax, bx, cx = _wall_coefficients(bc.r_x, p.alpha_x, p.theta_x)
-    ay, by, cy = _wall_coefficients(bc.r_y, p.alpha_y, p.theta_y)
-
-    def wall(w, e, m, a, b, c):
-        return 2.0 * np.sum(w * (a * e**2 + b * e * m + c * m**2))
-
-    py, px = ops.y.p_diag, ops.x.p_diag
-    left, right = wall(py, ez[0], hy[0], ax, -bx, cx), wall(py, ez[-1], hy[-1], ax, bx, cx)
-    bottom, top = wall(px, ez[:, 0], hx[:, 0], ay, by, cy), wall(px, ez[:, -1], hx[:, -1], ay, -by, cy)
+    # Each wall is summed on its own, and the sums add left, right, bottom,
+    # top: one reduction over a (2, n) pair could add in another order.
+    terms = []
+    for e, m, r, alpha, theta, signs, w in (
+        (ez, hy, bc.r_x, p.alpha_x, p.theta_x, X_SIGNS, ops.y.p_diag),
+        (ez.T, hx.T, bc.r_y, p.alpha_y, p.theta_y, Y_SIGNS, ops.x.p_diag),
+    ):
+        a, b, c = _wall_coefficients(r, alpha, theta)
+        e, m = walls(e), walls(m)
+        q = w * (a * e**2 - signs * b * e * m + c * m**2)
+        terms += [2.0 * np.sum(q[0]), 2.0 * np.sum(q[1])]
+    left, right, bottom, top = terms
     return float(left + right + bottom + top)

@@ -78,7 +78,6 @@ def modal_energy(
     state: FieldState,
     rhs_ez: np.ndarray,
     prof: DampingProfile,
-    grid: Grid2D,
     ops: OperatorPair,
     theta: float,
     bt_integral: float,
@@ -181,6 +180,6 @@ def assemble_semidiscrete_matrix(
     for col in range(m):
         flat[col] = 1.0
         out = FieldState(model, at[col].reshape(state.data.shape))
-        evaluate_rhs(spec, state, prof, walls, penalties, ops, grid, 0.0, out)
+        evaluate_rhs(spec, state, prof, walls, penalties, ops, 0.0, out)
         flat[col] = 0.0
     return at.T

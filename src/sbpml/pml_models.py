@@ -69,8 +69,6 @@ class ModelSpec:
 class DampingProfile:
     """Monomial-ramp damping profile, precomputed at the x grid points."""
 
-    x0: float
-    delta: float
     d0: float
     sigma_values: np.ndarray
 
@@ -107,11 +105,11 @@ def make_damping_profile(grid: Grid2D, x0: float, delta: float, d0: float, power
     d0 = 0 (or delta covering no grid point) gives the undamped interior
     problem.
     """
-    return DampingProfile(x0=x0, delta=delta, d0=d0, sigma_values=sigma_at(grid.x, x0, delta, d0, power))
+    return DampingProfile(d0=d0, sigma_values=sigma_at(grid.x, x0, delta, d0, power))
 
 
 def zero_damping(grid: Grid2D) -> DampingProfile:
-    return DampingProfile(x0=grid.x_max, delta=1.0, d0=0.0, sigma_values=np.zeros(grid.nx))
+    return DampingProfile(d0=0.0, sigma_values=np.zeros(grid.nx))
 
 
 def evaluate_rhs(
@@ -121,7 +119,6 @@ def evaluate_rhs(
     bc: BoundaryConfig,
     penalties: PenaltyParams,
     ops: OperatorPair,
-    grid: Grid2D,
     t: float,
     out: Optional[FieldState] = None,
 ) -> FieldState:
@@ -129,15 +126,15 @@ def evaluate_rhs(
 
     The derivative is written into ``out``, a state of the same model and
     shape that shares no memory with ``state`` (a new state if None), and
-    returned; every entry of ``out.data`` is overwritten.  The four wall
-    residuals (and so any wall data) are evaluated once and shared by the
+    returned; every entry of ``out.data`` is overwritten.  The wall
+    residual pairs (and so any wall data) are evaluated once and shared by the
     SAT terms, the theta term and the split y-wall penalty; the SAT terms
     are added on the wall lines only.
     """
     if state.model != STATE_MODEL[spec.kind]:
         raise ValueError(f"state model {state.model!r} does not match spec kind {spec.kind!r}")
-    if state.data.shape[1:] != (grid.nx, grid.ny):
-        raise ValueError(f"state shape {state.data.shape[1:]} does not match grid {(grid.nx, grid.ny)}")
+    if state.data.shape[1:] != (ops.x.n, ops.y.n):
+        raise ValueError(f"state shape {state.data.shape[1:]} does not match operators {(ops.x.n, ops.y.n)}")
     if out is None:
         out = FieldState(state.model, np.empty_like(state.data))
     elif out.model != state.model or out.data.shape != state.data.shape:
@@ -150,8 +147,7 @@ def evaluate_rhs(
     d_ez, d_hy, d_hx, d_aux = out.ez, out.hy, out.hx, out.aux
     ez_tot = state.ez_total
     sigma = prof.sigma_values[:, None]
-    residuals = wall_residuals(ez_tot, hy, hx, bc, grid, t)
-    _, _, r_bottom, r_top = residuals
+    residuals = wall_residuals(ez_tot, hy, hx, bc, t)
 
     # Magnetic equations of every model, with the total Ez of a split
     # state: d_hy = -(Dx Ez + sigma Hy) (no sigma in Interior), d_hx = Dy Ez.
@@ -194,7 +190,7 @@ def evaluate_rhs(
     if kind == "ModalUnsplit":
         # Auxiliary update with the weak y-wall treatment extended into it.
         if spec.theta != 0.0:
-            sat_y_field(r_bottom, r_top, spec.theta * penalties.alpha_y, ops, d_aux)
+            sat_y_field(residuals[1], spec.theta * penalties.alpha_y, ops, d_aux)
         d_aux *= sigma
 
     return out

@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import math
 import os
+import re
 import sys
 from dataclasses import dataclass, asdict
 from typing import Optional, get_type_hints
@@ -98,6 +99,8 @@ class ScenarioConfig:
             v = getattr(self, name)
             if not (math.isfinite(v) and v > 0):
                 raise ValueError(f"{name} must be finite and positive, got {v}")
+        if not math.isfinite(self.theta):
+            raise ValueError(f"theta must be finite, got {self.theta}")
         if self.d0 is not None and not (math.isfinite(self.d0) and self.d0 >= 0):
             raise ValueError(f"d0 must be finite and nonnegative, got {self.d0}")
         if self.stride < 1:
@@ -142,8 +145,6 @@ def cavity_initial_state(grid: Grid2D, model: str = "Interior") -> FieldState:
 def waveguide_forcing(x, y, t: float):
     """Top-wall magnetic forcing: a time Gaussian localized around (1, 1)."""
     f0 = 10.0
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
     return np.exp(-(np.pi**2) * (f0 * t - 1.0) ** 2) * np.exp(
         -((x - 1.0) ** 2 + (y - 1.0) ** 2) / 0.01
     )
@@ -187,8 +188,8 @@ def build_scenario(cfg: ScenarioConfig) -> ScenarioSetup:
         grid = Grid2D(
             -2.0, x_right, -y0, y0, _grid_points(x_right + 2.0, cfg.h), _grid_points(2 * y0, cfg.h)
         )
-        top = lambda x, t: waveguide_forcing(x, y0, t)
-        bc = BoundaryConfig(r_x=0.0, r_y=1.0, g_top=top)
+        x = grid.x
+        bc = BoundaryConfig(r_x=0.0, r_y=1.0, g_top=lambda t: waveguide_forcing(x, y0, t))
         if cfg.scenario == "Waveguide":
             p = WAVEGUIDE_RAMP_POWER
             d0 = cfg.d0 if cfg.d0 is not None else damping_coefficient(cfg.delta, cfg.tol, p)
@@ -214,19 +215,19 @@ def _energy_functions(setup: ScenarioSetup):
     accumulated time integral of the integrand.
     """
     spec, ops, prof = setup.spec, setup.ops, setup.prof
-    bc, penalties, grid = setup.bc, setup.penalties, setup.grid
+    bc, penalties = setup.bc, setup.penalties
 
     if spec.kind == "ModalUnsplit":
         def integrand(u, rhs):
             return modal_bt_integrand(rhs.ez, ops)
 
         def energy(u, rhs, bt):
-            return modal_energy(u, rhs.ez, prof, grid, ops, spec.theta, bt)
+            return modal_energy(u, rhs.ez, prof, ops, spec.theta, bt)
 
         return integrand, energy
 
     def integrand(u, rhs):
-        return boundary_dissipation(u, bc, penalties, grid, ops)
+        return boundary_dissipation(u, bc, penalties, ops)
 
     if spec.kind == "PhysicallyMotivated":
         def energy(u, rhs, bt):
@@ -271,10 +272,10 @@ def _echo_config(path: str, cfg: ScenarioConfig, setup: ScenarioSetup, diverged:
 def run_scenario(cfg: ScenarioConfig) -> RunArtifacts:
     """Advance the configured scenario with RK4, in place, sampling norms and energy.
 
-    A non-finite sampled record (a norm or the energy) stops the time loop
-    and is not kept; the history written so far is kept and the divergence
-    is recorded in the config echo (a divergence is a result, not an
-    error).
+    A non-finite sampled record (a norm or the energy), the t = 0 record
+    included, stops the time loop and is not kept; the history written so
+    far is kept and the divergence is recorded in the config echo (a
+    divergence is a result, not an error).
     """
     setup = build_scenario(cfg)
     grid, ops, prof = setup.grid, setup.ops, setup.prof
@@ -285,41 +286,41 @@ def run_scenario(cfg: ScenarioConfig) -> RunArtifacts:
 
     def rhs(v, t, out):
         state, d = FieldState(model, v), FieldState(model, out)
-        evaluate_rhs(spec, state, prof, bc, penalties, ops, grid, t, d)
+        evaluate_rhs(spec, state, prof, bc, penalties, ops, t, d)
         return integrand(state, d)
 
     os.makedirs(cfg.output_dir, exist_ok=True)
     label = cfg.run_label
     history = EnergyHistory()
 
-    def record(u, du, bt):
-        rec = discrete_l2_norms(u, ops)
-        rec["energy"] = energy(u, du, bt)
-        return rec
-
-    dt, n_steps = setup.dt, setup.n_steps
     # du holds the derivative at the current state: it is both what a
     # sample needs and the next step's first stage.
     du = FieldState(model, np.empty_like(u.data))
     work = [np.empty_like(u.data) for _ in range(4)]
-    q = rhs(u.data, 0.0, du.data)
-    bt = 0.0  # the time integral of q, which enters the energies
-    history.append(0.0, record(u, du, bt))
-    diverged = False
+
+    def sample(t, bt) -> bool:
+        """Append the record at time t if it is finite; return whether it was."""
+        rec = discrete_l2_norms(u, ops)
+        rec["energy"] = energy(u, du, bt)
+        finite = all(map(math.isfinite, rec.values()))
+        if finite:
+            history.append(t, rec)
+        return finite
+
+    dt, n_steps = setup.dt, setup.n_steps
     last_step = 0
     # A diverging run overflows to inf/nan by design; that outcome is
     # detected and recorded rather than warned about.
     with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(n_steps):
-            bt += rk4_step(rhs, u.data, k * dt, dt, du.data, q, work)
-            last_step = k + 1
+        q = rhs(u.data, 0.0, du.data)
+        bt = 0.0  # the time integral of q, which enters the energies
+        diverged = not sample(0.0, bt)
+        while not diverged and last_step < n_steps:
+            bt += rk4_step(rhs, u.data, last_step * dt, dt, du.data, q, work)
+            last_step += 1
             q = rhs(u.data, last_step * dt, du.data)
             if last_step % cfg.stride == 0 or last_step == n_steps:
-                rec = record(u, du, bt)
-                if not all(map(math.isfinite, rec.values())):
-                    diverged = True
-                    break
-                history.append(last_step * dt, rec)
+                diverged = not sample(last_step * dt, bt)
 
     history_csv = os.path.join(cfg.output_dir, f"{label}_history.csv")
     history.to_csv(history_csv)
@@ -327,15 +328,7 @@ def run_scenario(cfg: ScenarioConfig) -> RunArtifacts:
     write_snapshot(snapshot_path, grid, np.full((grid.nx, grid.ny), np.nan) if diverged else u.ez_total)
     echo_path = os.path.join(cfg.output_dir, f"{label}_config.txt")
     _echo_config(echo_path, cfg, setup, diverged, last_step)
-    return RunArtifacts(
-        history_csv=history_csv,
-        snapshot_path=snapshot_path,
-        config_echo_path=echo_path,
-        diverged=diverged,
-        final_state=u,
-        history=history,
-        grid=grid,
-    )
+    return RunArtifacts(history_csv, snapshot_path, echo_path, diverged, u, history, grid)
 
 
 # The named presets, as the ScenarioConfig fields they set; the defaults
@@ -389,9 +382,12 @@ def waveguide_error_study(h_list, order_list, output_dir: str = "out", theta: fl
 
     Error is the max-norm of the electric-field difference over the region
     x <= x0 at the final time.  Rates are log2 ratios between successive
-    resolutions (expects h halving).  Returns rows of
+    resolutions, so each h must be half the one before.  Returns rows of
     (order, h, error, rate) with rate = nan for the first h of each order.
     """
+    for coarse, fine in zip(h_list, h_list[1:]):
+        if abs(coarse / fine - 2.0) > 1e-9:
+            raise ValueError(f"each h must be half the one before (rates are log2 ratios), got {list(h_list)}")
     rows = []
     for order in order_list:
         prev_err = None
@@ -420,11 +416,15 @@ def write_error_table(path: str, rows):
 # Config files
 
 
+# The part of a line before its comment: a '#' inside quotes is text.
+_BEFORE_COMMENT = re.compile(r"""(?:[^#"']|"[^"]*"|'[^']*'|["'])*""")
+
+
 def parse_config_text(text: str) -> dict:
-    """Parse flat 'key = value' lines into raw value strings; '#' starts a comment."""
+    """Parse flat 'key = value' lines into raw value strings; '#' outside quotes starts a comment."""
     out = {}
     for ln, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+        line = _BEFORE_COMMENT.match(raw).group().strip()
         if not line:
             continue
         if "=" not in line:

@@ -71,7 +71,7 @@ def _interior_desk_rhs(dt_factor=0.4, t_final=2000.0):
 
     def rhs(v, t, out):
         evaluate_rhs(setup.spec, FieldState("Interior", v), setup.prof, setup.bc,
-                     setup.penalties, setup.ops, setup.grid, t, FieldState("Interior", out))
+                     setup.penalties, setup.ops, t, FieldState("Interior", out))
         return 0.0
 
     return setup, rhs
@@ -193,12 +193,12 @@ def test_stable_split_equivalent_to_stabilized_modal():
         s = FieldState.zeros(g, model="SplitField")
         for name in ("ez", "hy", "hx", "aux"):
             getattr(s, name)[:] = rng.standard_normal((g.nx, g.ny))
-        r_split = evaluate_rhs(ModelSpec("SplitFieldStable"), s, prof, bc, p, ops, g, 0.0)
+        r_split = evaluate_rhs(ModelSpec("SplitFieldStable"), s, prof, bc, p, ops, 0.0)
         mapped_rate = reduce_splitfield_to_modal(r_split, prof)
         r_modal = evaluate_rhs(
             ModelSpec("ModalUnsplit", theta=1.0),
             reduce_splitfield_to_modal(s, prof),
-            prof, bc, p, ops, g, 0.0,
+            prof, bc, p, ops, 0.0,
         )
         for name in ("ez", "hy", "hx", "aux"):
             a, b = getattr(mapped_rate, name), getattr(r_modal, name)

@@ -32,7 +32,7 @@ def random_interior_state(grid, rng):
 def sat_of(s, bc, p, t, grid, ops):
     """The SAT fields of a state, from its wall residuals at time t, added into zero fields."""
     fields = (grid.zeros(), grid.zeros(), grid.zeros())
-    sat_contributions(wall_residuals(s.ez, s.hy, s.hx, bc, grid, t), p, ops, *fields)
+    sat_contributions(wall_residuals(s.ez, s.hy, s.hx, bc, t), p, ops, *fields)
     return fields
 
 
@@ -143,7 +143,7 @@ def test_admissibility_is_the_sign_of_the_wall_form(r_x, r_y, weights):
         """BT of the state that is e in Ez and m in ``field`` at ``point``, zero elsewhere."""
         s = FieldState.zeros(g, "Interior")
         s.ez[point], getattr(s, field)[point] = e, m
-        return boundary_dissipation(s, bc, p, g, ops)
+        return boundary_dissipation(s, bc, p, ops)
 
     admissible = penalties_admissible(bc, p)
     witnesses = []
@@ -169,7 +169,7 @@ def test_wall_residuals_characteristic_walls():
     rng = np.random.default_rng(3)
     s = random_interior_state(g, rng)
     bc = BoundaryConfig(r_x=0.0, r_y=0.0)
-    rl, rr, rb, rt = wall_residuals(s.ez, s.hy, s.hx, bc, g, 0.0)
+    (rl, rr), (rb, rt) = wall_residuals(s.ez, s.hy, s.hx, bc, 0.0)
     assert np.allclose(rl, 0.5 * (s.ez[0, :] + s.hy[0, :]))
     assert np.allclose(rr, 0.5 * (s.ez[-1, :] - s.hy[-1, :]))
     assert np.allclose(rb, 0.5 * (s.ez[:, 0] - s.hx[:, 0]))
@@ -182,7 +182,7 @@ def test_wall_residuals_insulating_and_pec():
     s = random_interior_state(g, rng)
     # R = 1: only the magnetic field enters; R = -1: only the electric field.
     bc = BoundaryConfig(r_x=1.0, r_y=-1.0)
-    rl, rr, rb, rt = wall_residuals(s.ez, s.hy, s.hx, bc, g, 0.0)
+    (rl, rr), (rb, rt) = wall_residuals(s.ez, s.hy, s.hx, bc, 0.0)
     assert np.allclose(rl, s.hy[0, :])
     assert np.allclose(rr, -s.hy[-1, :])
     assert np.allclose(rb, s.ez[:, 0])
@@ -192,9 +192,33 @@ def test_wall_residuals_insulating_and_pec():
 def test_wall_residuals_subtract_data():
     g = Grid2D(0.0, 1.0, 0.0, 1.0, 5, 4)
     s = FieldState.zeros(g, "Interior")
-    bc = BoundaryConfig(r_x=0.0, r_y=1.0, g_top=lambda x, t: x + t)
-    _, _, _, rt = wall_residuals(s.ez, s.hy, s.hx, bc, g, 2.0)
+    bc = BoundaryConfig(r_x=0.0, r_y=1.0, g_top=lambda t: g.x + t)
+    _, (_, rt) = wall_residuals(s.ez, s.hy, s.hx, bc, 2.0)
     assert np.allclose(rt, -(g.x + 2.0))
+
+
+def test_wall_residuals_data_on_every_wall():
+    """Distinct data on each wall lands on that wall's row, beside its own sign of H."""
+    g = Grid2D(0.0, 1.0, 0.0, 1.0, 5, 4)
+    rng = np.random.default_rng(6)
+    s = random_interior_state(g, rng)
+    x, y = g.x, g.y
+    bc = BoundaryConfig(
+        r_x=0.3,
+        r_y=-0.6,
+        g_left=lambda t: y + t,
+        g_right=lambda t: 2.0 * y**2 - t,
+        g_bottom=lambda t: np.cos(x) * t,
+        g_top=lambda t: 3.0 - x * t,
+    )
+    t = 0.7
+    rx, ry = wall_residuals(s.ez, s.hy, s.hx, bc, t)
+    assert rx.shape == (2, g.ny) and ry.shape == (2, g.nx)
+    cxm, cxp, cym, cyp = 0.35, 0.65, 0.8, 0.2
+    assert np.allclose(rx[0], cxm * s.ez[0, :] + cxp * s.hy[0, :] - (y + t), rtol=0, atol=1e-14)
+    assert np.allclose(rx[1], cxm * s.ez[-1, :] - cxp * s.hy[-1, :] - (2.0 * y**2 - t), rtol=0, atol=1e-14)
+    assert np.allclose(ry[0], cym * s.ez[:, 0] - cyp * s.hx[:, 0] - np.cos(x) * t, rtol=0, atol=1e-14)
+    assert np.allclose(ry[1], cym * s.ez[:, -1] + cyp * s.hx[:, -1] - (3.0 - x * t), rtol=0, atol=1e-14)
 
 
 
@@ -240,7 +264,14 @@ def test_sat_linear_in_state_and_affine_in_data():
     v = random_interior_state(g, rng)
     p = PenaltyParams.universal()
     bc0 = BoundaryConfig(r_x=0.2, r_y=0.4)
-    bc_g = BoundaryConfig(r_x=0.2, r_y=0.4, g_left=lambda y, t: np.sin(y) + t)
+    bc_g = BoundaryConfig(
+        r_x=0.2,
+        r_y=0.4,
+        g_left=lambda t: np.sin(g.y) + t,
+        g_right=lambda t: np.cos(g.y) - t,
+        g_bottom=lambda t: g.x**2 * t,
+        g_top=lambda t: 1.0 - g.x,
+    )
 
     su = sat_of(u, bc0, p, 0.0, g, ops)
     sv = sat_of(v, bc0, p, 0.0, g, ops)
@@ -292,11 +323,11 @@ def test_energy_identity_interior(r_x, r_y, preset, theta_bars):
     spec = ModelSpec("Interior")
     for _ in range(5):
         s = random_interior_state(g, rng)
-        rhs = evaluate_rhs(spec, s, prof, bc, p, ops, g, 0.0)
+        rhs = evaluate_rhs(spec, s, prof, bc, p, ops, 0.0)
         de_dt = 2.0 * (
             ops.inner(s.ez, rhs.ez) + ops.inner(s.hy, rhs.hy) + ops.inner(s.hx, rhs.hx)
         )
-        bt = boundary_dissipation(s, bc, p, g, ops)
+        bt = boundary_dissipation(s, bc, p, ops)
         assert de_dt == pytest.approx(-bt, abs=1e-12)
         assert bt >= -1e-12  # admissible penalties dissipate
 
@@ -336,12 +367,12 @@ def test_boundary_dissipation_identity(order, kind, r_x, r_y, family, weights, f
     spec = ModelSpec(kind)
     s = FieldState.zeros(g, STATE_MODEL[kind])
     s.data[:] = np.random.default_rng(seed).standard_normal(s.data.shape)
-    rhs = evaluate_rhs(spec, s, zero_damping(g), bc, p, ops, g, 0.0)
+    rhs = evaluate_rhs(spec, s, zero_damping(g), bc, p, ops, 0.0)
     d_ez = rhs.ez if rhs.aux is None else rhs.ez + rhs.aux
     pairs = ((s.ez_total, d_ez), (s.hy, rhs.hy), (s.hx, rhs.hx))
     de_dt = 2.0 * sum(ops.inner(a, b) for a, b in pairs)
     scale = 2.0 * sum(ops.inner(np.abs(a), np.abs(b)) for a, b in pairs)
-    bt = boundary_dissipation(s, bc, p, g, ops)
+    bt = boundary_dissipation(s, bc, p, ops)
     assert abs(de_dt + bt) <= 1e-12 * scale
     if penalties_admissible(bc, p):
         assert bt >= -1e-12

@@ -112,9 +112,9 @@ def test_modal_energy_dense_oracle_and_positivity():
     rng = np.random.default_rng(6)
     s = random_state(g, "ModalUnsplit", rng)
     spec = ModelSpec("ModalUnsplit", theta=1.0)
-    rhs = evaluate_rhs(spec, s, prof, bc, p, ops, g, 0.0)
+    rhs = evaluate_rhs(spec, s, prof, bc, p, ops, 0.0)
     theta, bt = 1.0, 0.37
-    got = modal_energy(s, rhs.ez, prof, g, ops, theta, bt)
+    got = modal_energy(s, rhs.ez, prof, ops, theta, bt)
 
     w = np.kron(np.diag(ops.x.p_diag), np.diag(ops.y.p_diag))
     sig = prof.sigma_values[:, None]
@@ -140,8 +140,8 @@ def test_modal_energy_zero_damping_reduction():
     rng = np.random.default_rng(7)
     s = random_state(g, "ModalUnsplit", rng)
     s.aux[:] = 0.0
-    rhs = evaluate_rhs(ModelSpec("ModalUnsplit", theta=1.0), s, prof0, bc, p, ops, g, 0.0)
-    got = modal_energy(s, rhs.ez, prof0, g, ops, 1.0, 0.0)
+    rhs = evaluate_rhs(ModelSpec("ModalUnsplit", theta=1.0), s, prof0, bc, p, ops, 0.0)
+    got = modal_energy(s, rhs.ez, prof0, ops, 1.0, 0.0)
     expect = (
         ops.inner(rhs.ez, rhs.ez)
         + ops.inner(ops.dx(s.ez), ops.dx(s.ez))
@@ -214,7 +214,7 @@ def test_growth_bound_holds_along_stabilized_run():
 
     def rhs(v, t, out):
         d = FieldState("ModalUnsplit", out)
-        evaluate_rhs(spec, FieldState("ModalUnsplit", v), prof, bc, p, ops, g, t, d)
+        evaluate_rhs(spec, FieldState("ModalUnsplit", v), prof, bc, p, ops, t, d)
         return modal_bt_integrand(d.ez, ops)
 
     s = FieldState.zeros(g, "ModalUnsplit")
@@ -227,7 +227,7 @@ def test_growth_bound_holds_along_stabilized_run():
     for k in range(80):
         q = rhs(s.data, k * dt, r.data)
         times.append(k * dt)
-        energies.append(modal_energy(s, r.ez, prof, g, ops, 1.0, bt))
+        energies.append(modal_energy(s, r.ez, prof, ops, 1.0, bt))
         bt += rk4_step(rhs, s.data, k * dt, dt, r.data, q, work)
     chk = growth_bound_check(times, energies, prof.sigma_max, tol=1e-8)
     assert chk.ok, (chk.max_ratio, chk.worst_index)
@@ -240,8 +240,8 @@ def test_phys_energy_bound_universal_penalties():
 
     def rhs(v, t, out):
         u = FieldState("PhysicallyMotivated", v)
-        evaluate_rhs(spec, u, prof, bc, p, ops, g, t, FieldState("PhysicallyMotivated", out))
-        return boundary_dissipation(u, bc, p, g, ops)
+        evaluate_rhs(spec, u, prof, bc, p, ops, t, FieldState("PhysicallyMotivated", out))
+        return boundary_dissipation(u, bc, p, ops)
 
     s = FieldState.zeros(g, "PhysicallyMotivated")
     xx, yy = g.x[:, None], g.y[None, :]
@@ -274,7 +274,7 @@ def test_assembled_matrix_reproduces_rhs(kind):
     parts = [s.ez, s.hy, s.hx] + ([s.aux] if s.aux is not None else [])
     flat = np.concatenate([q.reshape(-1) for q in parts])
     got = a @ flat
-    r = evaluate_rhs(spec, s, prof, bc, p, ops, g, 0.0)
+    r = evaluate_rhs(spec, s, prof, bc, p, ops, 0.0)
     rparts = [r.ez, r.hy, r.hx] + ([r.aux] if r.aux is not None else [])
     expect = np.concatenate([q.reshape(-1) for q in rparts])
     assert np.max(np.abs(got - expect)) <= 1e-12
@@ -286,8 +286,8 @@ def test_assembly_ignores_wall_data():
     g = Grid2D(-2.0, 2.4, -1.0, 1.0, 12, 8)
     ops = g.operators(4)
     prof = make_damping_profile(g, 2.0, 0.4, 10.0, 2)
-    forced = BoundaryConfig(r_x=0.0, r_y=1.0, g_top=lambda x, t: waveguide_forcing(x, 1.0, t + 0.1))
-    assert np.max(forced.g_top(g.x, 0.0)) > 0.01
+    forced = BoundaryConfig(r_x=0.0, r_y=1.0, g_top=lambda t: waveguide_forcing(g.x, 1.0, t + 0.1))
+    assert np.max(forced.g_top(0.0)) > 0.01
     spec, p = ModelSpec("ModalUnsplit", theta=1.0), PenaltyParams.estimate_matching(0.0, 1.0)
     a = assemble_semidiscrete_matrix(spec, g, prof, forced, p, ops)
     free = assemble_semidiscrete_matrix(spec, g, prof, BoundaryConfig(r_x=0.0, r_y=1.0), p, ops)

@@ -112,7 +112,7 @@ def test_rhs_matches_dense_oracle(kind, theta, penalties):
     rng = np.random.default_rng(17)
     for _ in range(3):
         s = random_state(g, STATE_MODEL[kind], rng)
-        got = evaluate_rhs(spec, s, prof, bc, p, ops, g, 0.0)
+        got = evaluate_rhs(spec, s, prof, bc, p, ops, 0.0)
         d_ez, d_hy, d_hx, d_aux = dense_rhs_oracle(spec, s, prof, bc, p, ops, g)
         assert np.max(np.abs(got.ez - d_ez)) <= 1e-12
         assert np.max(np.abs(got.hy - d_hy)) <= 1e-12
@@ -146,8 +146,8 @@ def test_rhs_into_buffer_matches_dense_oracle(
     ops = g.operators(order)
     prof = make_damping_profile(g, 1.0, 2.0, 3.0)
 
-    def g_top(x, t):
-        return np.sin(3.0 * x) * (1.0 + t)
+    def g_top(t):
+        return np.sin(3.0 * g.x) * (1.0 + t)
 
     bc = BoundaryConfig(r_x=r_x, r_y=r_y, g_top=g_top)
     p = PenaltyParams.universal() if penalties == "universal" else PenaltyParams.estimate_matching(r_x, r_y)
@@ -155,8 +155,8 @@ def test_rhs_into_buffer_matches_dense_oracle(
     s = random_state(g, STATE_MODEL[kind], np.random.default_rng(seed))
     out = FieldState(s.model, np.full_like(s.data, np.nan))
     with patch.object(grid_state, "BANDED_MIN_N", 0 if banded else grid_state.BANDED_MIN_N):
-        assert evaluate_rhs(spec, s, prof, bc, p, ops, g, t, out) is out
-    expect = dense_rhs_oracle(spec, s, prof, bc, p, ops, g, g_top=g_top(g.x, t))
+        assert evaluate_rhs(spec, s, prof, bc, p, ops, t, out) is out
+    expect = dense_rhs_oracle(spec, s, prof, bc, p, ops, g, g_top=g_top(t))
     scale = 1.0 + max(np.max(np.abs(e)) for e in expect if e is not None)
     for got, e in zip(out.data, expect):
         assert np.max(np.abs(got - e)) <= 1e-12 * scale
@@ -166,10 +166,10 @@ def test_rhs_model_mismatch_rejected():
     g, ops, prof, bc, p = make_problem()
     s = FieldState.zeros(g, "Interior")
     with pytest.raises(ValueError):
-        evaluate_rhs(ModelSpec("ModalUnsplit"), s, prof, bc, p, ops, g, 0.0)
+        evaluate_rhs(ModelSpec("ModalUnsplit"), s, prof, bc, p, ops, 0.0)
     other = Grid2D(-3.0, 3.0, -1.0, 1.0, 7, 6)
-    with pytest.raises(ValueError, match="does not match grid"):
-        evaluate_rhs(ModelSpec("Interior"), FieldState.zeros(other), prof, bc, p, ops, g, 0.0)
+    with pytest.raises(ValueError, match="does not match operators"):
+        evaluate_rhs(ModelSpec("Interior"), FieldState.zeros(other), prof, bc, p, ops, 0.0)
 
 
 @pytest.mark.parametrize("kind", MODEL_KINDS)
@@ -180,13 +180,13 @@ def test_wall_data_evaluated_once_per_rhs(kind):
     g, ops, prof, _, p = make_problem()
     calls = []
 
-    def g_top(x, t):
+    def g_top(t):
         calls.append(t)
-        return np.sin(x) * t
+        return np.sin(g.x) * t
 
     bc = BoundaryConfig(g_top=g_top)
     s = random_state(g, STATE_MODEL[kind], np.random.default_rng(5))
-    evaluate_rhs(ModelSpec(kind, theta=1.0), s, prof, bc, p, ops, g, 0.5)
+    evaluate_rhs(ModelSpec(kind, theta=1.0), s, prof, bc, p, ops, 0.5)
     assert calls == [0.5]
 
 
@@ -203,10 +203,10 @@ def test_rhs_linear_in_state(kind):
     rng = np.random.default_rng(23)
     u = random_state(g, STATE_MODEL[kind], rng)
     v = random_state(g, STATE_MODEL[kind], rng)
-    ru = evaluate_rhs(spec, u, prof, bc, p, ops, g, 0.0)
-    rv = evaluate_rhs(spec, v, prof, bc, p, ops, g, 0.0)
+    ru = evaluate_rhs(spec, u, prof, bc, p, ops, 0.0)
+    rv = evaluate_rhs(spec, v, prof, bc, p, ops, 0.0)
     w = FieldState(u.model, 2.0 * u.data + (-0.5) * v.data)
-    rw = evaluate_rhs(spec, w, prof, bc, p, ops, g, 0.0)
+    rw = evaluate_rhs(spec, w, prof, bc, p, ops, 0.0)
     for name in ("ez", "hy", "hx"):
         assert np.allclose(getattr(rw, name), 2 * getattr(ru, name) - 0.5 * getattr(rv, name), atol=1e-12)
     if ru.aux is not None:
@@ -238,8 +238,8 @@ def test_zero_damping_reduces_to_interior(kind):
     s.hy[:] = base.hy
     s.hx[:] = base.hx
 
-    r_int = evaluate_rhs(ModelSpec("Interior"), base, prof, bc, p, ops, g, 0.0)
-    r = evaluate_rhs(spec, s, prof, bc, p, ops, g, 0.0)
+    r_int = evaluate_rhs(ModelSpec("Interior"), base, prof, bc, p, ops, 0.0)
+    r = evaluate_rhs(spec, s, prof, bc, p, ops, 0.0)
     ez_rate = r.ez + r.aux if model == "SplitField" else r.ez
     assert np.max(np.abs(ez_rate - r_int.ez)) <= 1e-12
     assert np.max(np.abs(r.hy - r_int.hy)) <= 1e-12
@@ -259,12 +259,12 @@ def test_stable_split_conjugate_to_stabilized_modal():
     rng = np.random.default_rng(41)
     for _ in range(5):
         s = random_state(g, "SplitField", rng)
-        r_split = evaluate_rhs(ModelSpec("SplitFieldStable"), s, prof, bc, p, ops, g, 0.0)
+        r_split = evaluate_rhs(ModelSpec("SplitFieldStable"), s, prof, bc, p, ops, 0.0)
         mapped_rate = reduce_splitfield_to_modal(r_split, prof)
         r_modal = evaluate_rhs(
             ModelSpec("ModalUnsplit", theta=1.0),
             reduce_splitfield_to_modal(s, prof),
-            prof, bc, p, ops, g, 0.0,
+            prof, bc, p, ops, 0.0,
         )
         for name in ("ez", "hy", "hx", "aux"):
             a, b = getattr(mapped_rate, name), getattr(r_modal, name)
@@ -275,8 +275,8 @@ def test_naive_split_differs_from_stable_only_at_y_walls():
     g, ops, prof, bc, p = make_problem()
     rng = np.random.default_rng(43)
     s = random_state(g, "SplitField", rng)
-    r_naive = evaluate_rhs(ModelSpec("SplitFieldNaive"), s, prof, bc, p, ops, g, 0.0)
-    r_stable = evaluate_rhs(ModelSpec("SplitFieldStable"), s, prof, bc, p, ops, g, 0.0)
+    r_naive = evaluate_rhs(ModelSpec("SplitFieldNaive"), s, prof, bc, p, ops, 0.0)
+    r_stable = evaluate_rhs(ModelSpec("SplitFieldStable"), s, prof, bc, p, ops, 0.0)
     # The magnetic updates coincide; the split components differ only on
     # the y-wall lines, and their sums agree everywhere.
     assert np.allclose(r_naive.hy, r_stable.hy, atol=1e-13)
@@ -301,7 +301,7 @@ def test_modal_aux_rate_vanishes_outside_layer(seed, theta):
     g, ops, prof, bc, p = make_problem()
     rng = np.random.default_rng(seed)
     s = random_state(g, "ModalUnsplit", rng)
-    r = evaluate_rhs(ModelSpec("ModalUnsplit", theta=theta), s, prof, bc, p, ops, g, 0.0)
+    r = evaluate_rhs(ModelSpec("ModalUnsplit", theta=theta), s, prof, bc, p, ops, 0.0)
     outside = prof.sigma_values == 0.0
     assert np.all(r.aux[outside, :] == 0.0)
 
@@ -324,7 +324,7 @@ def test_layer_is_perfectly_matched_before_waves_arrive():
 
     def advance(spec, prof, s, n_steps, dt):
         def rhs(w, t, out):
-            evaluate_rhs(spec, FieldState(s.model, w), prof, bc, p, ops, g, t, FieldState(s.model, out))
+            evaluate_rhs(spec, FieldState(s.model, w), prof, bc, p, ops, t, FieldState(s.model, out))
             return 0.0
 
         k1, work = np.empty_like(s.data), [np.empty_like(s.data) for _ in range(4)]

@@ -9,7 +9,14 @@ import pytest
 
 from sbpml import scenarios_cli
 from sbpml.boundary_sat import boundary_dissipation
-from sbpml.diagnostics import discrete_l2_norms, interior_energy, modal_bt_integrand, modal_energy, phys_energy
+from sbpml.diagnostics import (
+    CSV_HEADER,
+    discrete_l2_norms,
+    interior_energy,
+    modal_bt_integrand,
+    modal_energy,
+    phys_energy,
+)
 from sbpml.pml_models import evaluate_rhs
 from sbpml.scenarios_cli import (
     PRESETS,
@@ -107,6 +114,9 @@ def test_config_validation():
         with pytest.raises(ValueError, match="d0 must be finite and nonnegative"):
             tiny_cavity(d0=bad)
     assert tiny_cavity(d0=0.0).d0 == 0.0
+    for bad in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError, match="theta must be finite"):
+            tiny_cavity(theta=bad)
     assert reference_config(0.04, 4, tol=None).tol is None  # no layer, so no d0 to derive
 
 
@@ -227,10 +237,20 @@ def test_parse_config_text():
     theta = 1
     d0 = none
     label = "demo"
+    output_dir = "run#1"  # a '#' inside quotes is part of the value
     """
     out = parse_config_text(text)
     # Raw strings: each field's declared type converts them in config_from_file.
-    assert out == {"scenario": "Cavity", "h": "0.5", "order": "4", "theta": "1", "d0": "none", "label": "demo"}
+    assert out == {
+        "scenario": "Cavity",
+        "h": "0.5",
+        "order": "4",
+        "theta": "1",
+        "d0": "none",
+        "label": "demo",
+        "output_dir": "run#1",
+    }
+    assert parse_config_text("label = 'run#1'  # note\n") == {"label": "run#1"}
     with pytest.raises(ValueError, match="expected 'key = value'"):
         parse_config_text("just words\n")
 
@@ -312,16 +332,16 @@ def reference_history(cfg):
 
     def f(data, t):
         u = FieldState(model, data)
-        r = evaluate_rhs(spec, u, prof, bc, p, ops, grid, t)
+        r = evaluate_rhs(spec, u, prof, bc, p, ops, t)
         if spec.kind == "ModalUnsplit":
             return r.data, modal_bt_integrand(r.ez, ops)
-        return r.data, boundary_dissipation(u, bc, p, grid, ops)
+        return r.data, boundary_dissipation(u, bc, p, ops)
 
     def record(data, bt, t):
         u = FieldState(model, data)
         norms = discrete_l2_norms(u, ops)
         if spec.kind == "ModalUnsplit":
-            e = modal_energy(u, FieldState(model, f(data, t)[0]).ez, prof, grid, ops, spec.theta, bt)
+            e = modal_energy(u, FieldState(model, f(data, t)[0]).ez, prof, ops, spec.theta, bt)
         elif spec.kind == "PhysicallyMotivated":
             e = phys_energy(u, ops, bt)
         else:
@@ -385,6 +405,17 @@ def test_run_scenario_matches_out_of_place_loop(tmp_path, monkeypatch, kind, pen
     cfg.output_dir = str(tmp_path / "b")
     again = run_scenario(cfg)
     assert Path(art.history_csv).read_bytes() == Path(again.history_csv).read_bytes()
+
+
+def test_non_finite_first_record_is_a_divergence(tmp_path):
+    """The t = 0 record follows the loop's rule: d0 = 1e300 overflows the
+    modal energy at once, so the run diverges at step 0 and writes no row."""
+    cfg = preset_config("cavity-desk-theta1", d0=1e300, t_final=4, output_dir=str(tmp_path))
+    art = run_scenario(cfg)
+    assert art.diverged
+    echo = Path(art.config_echo_path).read_text().splitlines()
+    assert "diverged = True" in echo and "last_completed_step = 0" in echo
+    assert Path(art.history_csv).read_text().splitlines() == [CSV_HEADER]
 
 
 def test_error_study_structure(tmp_path):
@@ -461,6 +492,25 @@ def test_cli_rejects_values_of_the_wrong_type(tmp_path, capsys, line, message):
     rc = cli_entry(["run", "--config", str(cfg_path), "--out", str(tmp_path / "out")])
     assert rc == 1
     assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_cli_rejects_non_finite_theta(tmp_path, capsys, value):
+    """theta = nan would run and read as a layer divergence; it is a bad input."""
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text(f"scenario = Cavity\nx0 = 4\ny0 = 4\ndelta = 2\nh = 1\nt_final = 4\ntheta = {value}\n")
+    rc = cli_entry(["run", "--config", str(cfg_path), "--out", str(tmp_path / "out")])
+    assert rc == 1
+    assert f"theta must be finite, got {value}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_converge_rejects_h_that_does_not_halve(tmp_path, capsys):
+    """Rates are log2 ratios, so 0.04 -> 0.01 would report twice the true rate."""
+    rc = cli_entry(["converge", "--h", "0.04,0.01", "--out", str(tmp_path / "out")])
+    assert rc == 1
+    assert "each h must be half the one before" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 
