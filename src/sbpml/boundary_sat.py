@@ -164,7 +164,7 @@ def sat_y_field(ry: np.ndarray, weight: float, ops: OperatorPair, out: np.ndarra
     equation, so it is factored out here.
     """
     w = walls(out.T)
-    w -= weight * ry / walls(ops.y.p_diag)[:, None]
+    w -= weight * ry / ops.y.p_walls
 
 
 def sat_contributions(
@@ -180,13 +180,12 @@ def sat_contributions(
     ``ez``.
     """
     rx, ry = residuals
-    px = walls(ops.x.p_diag)[:, None]
     ez_w, hy_w, hx_w = walls(ez), walls(hy), walls(hx.T)
-    ez_w -= p.alpha_x * rx / px
+    ez_w -= p.alpha_x * rx / ops.x.p_walls
     sat_y_field(ry, p.alpha_y, ops, ez if ez_y is None else ez_y)
-    # The magnetic terms carry the walls' signs; dividing by -P negates exactly.
-    hy_w -= p.theta_x * rx / (X_SIGNS * px)
-    hx_w -= p.theta_y * ry / (Y_SIGNS * walls(ops.y.p_diag)[:, None])
+    # The magnetic terms carry the walls' signs, X_SIGNS = -normal and Y_SIGNS = +normal.
+    hy_w += p.theta_x * rx / ops.x.normal_p_walls
+    hx_w -= p.theta_y * ry / ops.y.normal_p_walls
 
 
 def boundary_dissipation(state: FieldState, bc: BoundaryConfig, p: PenaltyParams, ops: OperatorPair) -> float:

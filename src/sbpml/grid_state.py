@@ -11,14 +11,6 @@ from sbpml.sbp_core import SbpOperator1D, build_sbp_operator
 
 MODELS = ("Interior", "ModalUnsplit", "PhysicallyMotivated", "SplitField")
 
-# Fewest x-points at which ``OperatorPair.dx`` applies the band of Dx.
-# Below it one dense BLAS product costs less than the banded apply's eight
-# to ten numpy calls of about 2 us each: at 13x13 the dense product takes
-# 1.5-2.3 us against 6.5-18 us, and the two meet between 80 and 110
-# points for ny = 25 to 101 (orders 2-6, one core).
-BANDED_MIN_N = 100
-
-
 @dataclass(frozen=True)
 class Grid2D:
     """A uniform tensor-product grid on [x_min, x_max] x [y_min, y_max]."""
@@ -72,39 +64,23 @@ class OperatorPair:
     def dx(self, u: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
         """Apply (Dx kron Iy) to an (nx, ny) field, into ``out`` if given.
 
-        From ``BANDED_MIN_N`` x-points up, Dx is applied as the band it
-        is: the closure rows are two small products with its corner
-        blocks, and the interior rows apply the antisymmetric stencil
-        sum_k c_k (u[i+k] - u[i-k]) to contiguous row slices, with the c_k
-        read from Dx's first interior row.  That is O(nx ny) work, where
-        the dense product is O(nx^2 ny).
+        The blocked apply of ``dy`` on the transposed field and output.
         """
-        d, n, bw = self.x.d, self.x.n, self.x.boundary_width
-        w = self.x.interior_order // 2
-        if n < BANDED_MIN_N:
-            return np.matmul(d, u, out=out)
-        if out is None:
-            out = np.empty_like(u)
-        np.matmul(d[:bw, : bw + w], u[: bw + w], out=out[:bw])
-        np.matmul(d[n - bw :, n - bw - w :], u[n - bw - w :], out=out[n - bw :])
-        if n > 2 * bw:
-            lo, hi = bw, n - bw
-            mid = out[lo:hi]
-            np.subtract(u[lo + 1 : hi + 1], u[lo - 1 : hi - 1], out=mid)
-            mid *= d[lo, lo + 1]
-            for k in range(2, w + 1):
-                term = u[lo + k : hi + k] - u[lo - k : hi - k]
-                term *= d[lo, lo + k]
-                mid += term
+        out = np.empty_like(u) if out is None else out
+        _apply_blocks(self.x, u.T, out.T)
         return out
 
     def dy(self, u: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
         """Apply (Ix kron Dy) to an (nx, ny) field, into ``out`` if given.
 
-        A dense product: a y-row is short and its banded slices would be
-        strided, which measured slower at ny <= 101.
+        One product per block of Dy's rows (``SbpOperator1D.blocks``),
+        with only the columns where the block is nonzero: O(nx ny) work
+        where the dense product is O(nx ny^2), and that dense product on
+        axes of fewer than 2 * ``BLOCK_ROWS`` points.
         """
-        return np.matmul(u, self.y.d.T, out=out)
+        out = np.empty_like(u) if out is None else out
+        _apply_blocks(self.y, u, out)
+        return out
 
     def inner(self, u: np.ndarray, v: np.ndarray) -> float:
         """The (Px kron Py)-weighted inner product on (nx, ny) fields."""
@@ -112,6 +88,12 @@ class OperatorPair:
 
     def norm(self, u: np.ndarray) -> float:
         return float(np.sqrt(self.inner(u, u)))
+
+
+def _apply_blocks(op: SbpOperator1D, u: np.ndarray, out: np.ndarray):
+    """out[:, rows] = u[:, cols] @ D[rows, cols].T for each block of ``op``: D applied along axis 1."""
+    for rows, cols, block_t in op.blocks:
+        np.matmul(u[:, cols], block_t, out=out[:, rows])
 
 
 def _nfields(model: str) -> int:

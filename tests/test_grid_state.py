@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sbpml import grid_state
+from sbpml import sbp_core
 from sbpml.grid_state import FieldState, Grid2D, OperatorPair
 from sbpml.sbp_core import build_sbp_operator
 
@@ -110,23 +110,70 @@ def test_field_state_fields_are_views_of_one_array():
     extra=st.integers(0, 120),
     ny=st.integers(3, 9),
     h=st.floats(0.01, 2.0),
-    banded=st.booleans(),
+    small_blocks=st.booleans(),
     seed=st.integers(0, 2**31),
 )
-def test_dx_matches_dense_product(order, extra, ny, h, banded, seed):
+def test_dx_matches_dense_product(order, extra, ny, h, small_blocks, seed):
     """dx agrees with the dense product ops.x.d @ u to 1e-14 of the size of
     its terms, |d| @ |u|.  n starts at 2 * boundary width, where the
-    closure blocks touch and there are no interior rows; ``banded`` forces
-    the banded apply below BANDED_MIN_N as well."""
+    closure blocks touch and there are no interior rows; ``small_blocks``
+    builds the operators with 4-row blocks, so that small grids get
+    several blocks, some of which straddle a closure."""
     bw = {2: 1, 4: 4, 6: 6}[order]
     n = max(2 * bw, 3) + extra
-    ops = OperatorPair(x=build_sbp_operator(order, n, h), y=build_sbp_operator(order, max(ny, 2 * bw), 0.1))
+    with patch.object(sbp_core, "BLOCK_ROWS", 4 if small_blocks else sbp_core.BLOCK_ROWS):
+        ops = OperatorPair(x=build_sbp_operator(order, n, h), y=build_sbp_operator(order, max(ny, 2 * bw), 0.1))
     u = np.random.default_rng(seed).standard_normal((n, ops.y.n))
     expect = ops.x.d @ u
     scale = np.abs(ops.x.d) @ np.abs(u)
-    with patch.object(grid_state, "BANDED_MIN_N", 0 if banded else grid_state.BANDED_MIN_N):
-        got = ops.dx(u)
-        out = np.full_like(u, np.nan)
-        assert ops.dx(u, out=out) is out
+    got = ops.dx(u)
+    out = np.full_like(u, np.nan)
+    assert ops.dx(u, out=out) is out
     assert np.all(np.abs(got - expect) <= 1e-14 * scale)
     assert np.array_equal(out, got)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    order=st.sampled_from([2, 4, 6]),
+    extra=st.integers(0, 120),
+    nx=st.integers(3, 9),
+    h=st.floats(0.01, 2.0),
+    small_blocks=st.booleans(),
+    seed=st.integers(0, 2**31),
+)
+def test_dy_matches_dense_product(order, extra, nx, h, small_blocks, seed):
+    """dy agrees with the dense product u @ ops.y.d.T to 1e-14 of the size
+    of its terms, |u| @ |d|.T, for ny from 2 * boundary width (the
+    closure blocks touch) to about 130, and writes the same values into
+    ``out``; ``small_blocks`` as in ``test_dx_matches_dense_product``."""
+    bw = {2: 1, 4: 4, 6: 6}[order]
+    n = max(2 * bw, 3) + extra
+    with patch.object(sbp_core, "BLOCK_ROWS", 4 if small_blocks else sbp_core.BLOCK_ROWS):
+        ops = OperatorPair(x=build_sbp_operator(order, max(nx, 2 * bw), 0.1), y=build_sbp_operator(order, n, h))
+    u = np.random.default_rng(seed).standard_normal((ops.x.n, n))
+    expect = u @ ops.y.d.T
+    scale = np.abs(u) @ np.abs(ops.y.d).T
+    got = ops.dy(u)
+    out = np.full_like(u, np.nan)
+    assert ops.dy(u, out=out) is out
+    assert np.all(np.abs(got - expect) <= 1e-14 * scale)
+    assert np.array_equal(out, got)
+
+
+def test_operator_blocks_cover_d():
+    """The blocks partition D's rows into n // BLOCK_ROWS runs of near-equal
+    length (one block, the whole of D, below 2 * BLOCK_ROWS points), and
+    each block holds every nonzero of its rows, transposed and contiguous."""
+    for order, n in ((2, 3), (4, 63), (6, 64), (6, 101), (6, 501)):
+        op = build_sbp_operator(order, n, 0.1)
+        assert len(op.blocks) == max(1, n // sbp_core.BLOCK_ROWS)
+        rebuilt = np.zeros((n, n))
+        lengths = []
+        for rows, cols, block_t in op.blocks:
+            assert block_t.flags.c_contiguous
+            rebuilt[rows, cols] = block_t.T
+            lengths.append(rows.stop - rows.start)
+        assert [b[0].start for b in op.blocks] == [0] + [b[0].stop for b in op.blocks[:-1]]
+        assert op.blocks[-1][0].stop == n and max(lengths) - min(lengths) <= 1
+        assert np.array_equal(rebuilt, op.d)

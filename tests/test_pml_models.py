@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sbpml import grid_state
+from sbpml import sbp_core
 from sbpml.boundary_sat import BoundaryConfig, PenaltyParams
 from sbpml.grid_state import FieldState, Grid2D
 from sbpml.pml_models import (
@@ -132,18 +132,20 @@ def test_rhs_matches_dense_oracle(kind, theta, penalties):
     r_x=st.floats(-0.9, 1.0),
     r_y=st.floats(-0.9, 1.0),
     t=st.floats(0.0, 1.0),
-    banded=st.booleans(),
+    small_blocks=st.booleans(),
     seed=st.integers(0, 2**31),
 )
 def test_rhs_into_buffer_matches_dense_oracle(
-    kind, order, nx_extra, ny_extra, theta, penalties, r_x, r_y, t, banded, seed
+    kind, order, nx_extra, ny_extra, theta, penalties, r_x, r_y, t, small_blocks, seed
 ):
     """evaluate_rhs writing into a NaN-filled buffer overwrites all of it
     with the dense Kronecker oracle's values, on random small grids, with
-    top-wall data; ``banded`` forces the banded x-derivative."""
+    top-wall data; ``small_blocks`` builds the operators with 4-row blocks,
+    so that both derivatives apply several blocks."""
     n_min = {2: 3, 4: 8, 6: 12}[order]
     g = Grid2D(-3.0, 3.0, -1.0, 1.0, n_min + nx_extra, n_min + ny_extra)
-    ops = g.operators(order)
+    with patch.object(sbp_core, "BLOCK_ROWS", 4 if small_blocks else sbp_core.BLOCK_ROWS):
+        ops = g.operators(order)
     prof = make_damping_profile(g, 1.0, 2.0, 3.0)
 
     def g_top(t):
@@ -154,8 +156,7 @@ def test_rhs_into_buffer_matches_dense_oracle(
     spec = ModelSpec(kind, theta=theta)
     s = random_state(g, STATE_MODEL[kind], np.random.default_rng(seed))
     out = FieldState(s.model, np.full_like(s.data, np.nan))
-    with patch.object(grid_state, "BANDED_MIN_N", 0 if banded else grid_state.BANDED_MIN_N):
-        assert evaluate_rhs(spec, s, prof, bc, p, ops, t, out) is out
+    assert evaluate_rhs(spec, s, prof, bc, p, ops, t, out) is out
     expect = dense_rhs_oracle(spec, s, prof, bc, p, ops, g, g_top=g_top(t))
     scale = 1.0 + max(np.max(np.abs(e)) for e in expect if e is not None)
     for got, e in zip(out.data, expect):

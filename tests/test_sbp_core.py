@@ -1,5 +1,7 @@
 """Tests for the 1D SBP operators and their verification report."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -123,15 +125,7 @@ def test_verification_report_flags_corruption():
     op = build_sbp_operator(4, 20, 0.1)
     q_bad = op.q.copy()
     q_bad[0, 1] += 1e-6
-    bad = type(op)(
-        interior_order=op.interior_order,
-        n=op.n,
-        h=op.h,
-        p_diag=op.p_diag,
-        q=q_bad,
-        boundary_width=op.boundary_width,
-        d=q_bad / op.p_diag[:, None],
-    )
+    bad = dataclasses.replace(op, q=q_bad, d=q_bad / op.p_diag[:, None])
     rep = operator_verification_report(bad)
     assert not rep.ok
 
