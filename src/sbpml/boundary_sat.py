@@ -27,7 +27,7 @@ eigenvalues have a closed form in (gamma, theta_bar); see
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
@@ -36,6 +36,11 @@ from sbpml.grid_state import FieldState, OperatorPair
 
 WallData = Optional[Callable[[float], np.ndarray]]
 
+# The sign of the tangential magnetic field in each wall's residual, per
+# pair: +Hy left and -Hy right, -Hx bottom and +Hx top.
+X_SIGNS = np.array([[1.0], [-1.0]])
+Y_SIGNS = -X_SIGNS
+
 
 @dataclass(frozen=True)
 class BoundaryConfig:
@@ -43,7 +48,9 @@ class BoundaryConfig:
 
     Data callables receive t and return the values of the penalized
     boundary expression along their wall, at its grid points; ``None``
-    means zero.
+    means zero.  ``residual_weights`` holds, per direction, the residual's
+    weight (1-R)/2 on Ez and its (2, 1) column of weights +-(1+R)/2 on the
+    tangential magnetic field, built once here.
     """
 
     r_x: float = 0.0
@@ -52,20 +59,38 @@ class BoundaryConfig:
     g_right: WallData = None
     g_bottom: WallData = None
     g_top: WallData = None
+    residual_weights: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if abs(self.r_x) > 1 or abs(self.r_y) > 1:
             raise ValueError(f"reflection coefficients must lie in [-1, 1]: {self.r_x}, {self.r_y}")
+        weights = tuple(
+            (0.5 * (1.0 - r), 0.5 * (1.0 + r) * signs) for r, signs in ((self.r_x, X_SIGNS), (self.r_y, Y_SIGNS))
+        )
+        object.__setattr__(self, "residual_weights", weights)
 
 
 @dataclass(frozen=True)
 class PenaltyParams:
-    """Penalty weights of the weak boundary treatment."""
+    """Penalty weights of the weak boundary treatment.
+
+    ``sat_weights`` holds, per direction, the (2, 2, 1) coefficients of
+    P^{-1} r in the rates of (Ez, tangential H) on the (first, last) wall:
+    -alpha on Ez and -theta times the wall's sign on H, built once here.
+    """
 
     alpha_x: float
     alpha_y: float
     theta_x: float
     theta_y: float
+    sat_weights: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        weights = tuple(
+            -np.array([np.full((2, 1), alpha), theta * signs])
+            for alpha, theta, signs in ((self.alpha_x, self.theta_x, X_SIGNS), (self.alpha_y, self.theta_y, Y_SIGNS))
+        )
+        object.__setattr__(self, "sat_weights", weights)
 
     @classmethod
     def universal(cls) -> "PenaltyParams":
@@ -134,58 +159,56 @@ def walls(u: np.ndarray) -> np.ndarray:
     return u[:: len(u) - 1]
 
 
-# The sign of the tangential magnetic field in each wall's residual, per
-# pair: +Hy left and -Hy right, -Hx bottom and +Hx top.
-X_SIGNS = np.array([[1.0], [-1.0]])
-Y_SIGNS = -X_SIGNS
-
-
 def wall_residuals(ez, hy, hx, bc: BoundaryConfig, t: float):
     """Boundary-condition residuals minus wall data: the pairs rx (left, right) and ry (bottom, top)."""
 
-    def pair(e, m, r, signs, data):
-        res = 0.5 * (1.0 - r) * walls(e) + 0.5 * (1.0 + r) * signs * walls(m)
+    def pair(e, m, weights, data):
+        on_e, on_m = weights
+        res = on_e * walls(e)
+        res += on_m * walls(m)
         for i, g in enumerate(data):
             if g is not None:
                 res[i] -= g(t)
         return res
 
+    x_weights, y_weights = bc.residual_weights
     return (
-        pair(ez, hy, bc.r_x, X_SIGNS, (bc.g_left, bc.g_right)),
-        pair(ez.T, hx.T, bc.r_y, Y_SIGNS, (bc.g_bottom, bc.g_top)),
+        pair(ez, hy, x_weights, (bc.g_left, bc.g_right)),
+        pair(ez.T, hx.T, y_weights, (bc.g_bottom, bc.g_top)),
     )
 
 
 def sat_y_field(ry: np.ndarray, weight: float, ops: OperatorPair, out: np.ndarray):
     """Add the y-wall penalty field -weight * Py^{-1} ry into ``out``.
 
-    This combination appears both in the electric-field equation (weight
-    alpha_y) and, scaled by theta * alpha_y, in the stabilized auxiliary
-    equation, so it is factored out here.
+    The stabilized auxiliary equation carries this term with weight
+    theta * alpha_y; ``out`` may be a run of x rows, with the matching
+    columns of ry.
     """
     w = walls(out.T)
     w -= weight * ry / ops.y.p_walls
 
 
-def sat_contributions(
-    residuals, p: PenaltyParams, ops: OperatorPair, ez, hy, hx, ez_y: Optional[np.ndarray] = None
-):
-    """Add the penalty terms of the Ez, Hy and Hx equations into ``ez``, ``hy`` and ``hx``.
+def sat_contributions(residuals, p: PenaltyParams, ops: OperatorPair, rates: np.ndarray, ez_y: bool = False):
+    """Add the penalty terms of the Ez, Hy and Hx equations into ``rates``.
 
-    ``residuals`` are the wall pairs (rx, ry) of ``wall_residuals`` (for
-    SplitField states, formed with the total electric field ez + aux).
-    The terms live on the wall lines, so only those lines are touched.
-    The y-wall term of the Ez equation goes into ``ez_y`` when it is given
-    (the undamped component of the stable split-field model), else into
-    ``ez``.
+    ``rates`` is the (nfields, nx, ny) array of the rates (Ez, Hy, Hx, ...)
+    and ``residuals`` are the wall pairs (rx, ry) of ``wall_residuals``
+    (for SplitField states, formed with the total electric field ez + aux).
+    The terms live on the wall lines: each direction updates its two
+    penalized fields, (Ez, Hy) on the x walls and (Ez, Hx) on the y walls,
+    in one pass with ``PenaltyParams.sat_weights``.  With ``ez_y`` the
+    y-wall term of the Ez equation goes into the fourth field instead (the
+    undamped component of the stable split-field model).
     """
     rx, ry = residuals
-    ez_w, hy_w, hx_w = walls(ez), walls(hy), walls(hx.T)
-    ez_w -= p.alpha_x * rx / ops.x.p_walls
-    sat_y_field(ry, p.alpha_y, ops, ez if ez_y is None else ez_y)
-    # The magnetic terms carry the walls' signs, X_SIGNS = -normal and Y_SIGNS = +normal.
-    hy_w += p.theta_x * rx / ops.x.normal_p_walls
-    hx_w -= p.theta_y * ry / ops.y.normal_p_walls
+    x_weights, y_weights = p.sat_weights
+    nx, ny = rates.shape[1:]
+    y_fields = slice(3, 1, -1) if ez_y else slice(0, 3, 2)
+    x_lines = rates[0:2, :: nx - 1]
+    y_lines = rates[y_fields, :, :: ny - 1].transpose(0, 2, 1)
+    x_lines += x_weights * (rx / ops.x.p_walls)
+    y_lines += y_weights * (ry / ops.y.p_walls)
 
 
 def boundary_dissipation(state: FieldState, bc: BoundaryConfig, p: PenaltyParams, ops: OperatorPair) -> float:
@@ -205,17 +228,24 @@ def boundary_dissipation(state: FieldState, bc: BoundaryConfig, p: PenaltyParams
     ``Y_SIGNS``, which is what is evaluated: the e m terms of the SBP and
     SAT parts cancel in the coefficient b, not in rounded wall values.
     """
-    ez, hy, hx = state.ez_total, state.hy, state.hx
-    # Each wall is summed on its own, and the sums add left, right, bottom,
-    # top: one reduction over a (2, n) pair could add in another order.
+    # The total electric field is formed on the wall lines only.
+    ez_x, ez_y = walls(state.ez), walls(state.ez.T)
+    if state.model == "SplitField":
+        ez_x, ez_y = ez_x + walls(state.aux), ez_y + walls(state.aux.T)
+    # A direction's P-weighted sums e^2, e m and m^2 on both walls are
+    # entries of one Gram matrix of its four wall lines (e first, e last,
+    # m first, m last), weighted by the P diagonal of the other axis; the
+    # walls add left, right, bottom, top.
     terms = []
     for e, m, r, alpha, theta, signs, w in (
-        (ez, hy, bc.r_x, p.alpha_x, p.theta_x, X_SIGNS, ops.y.p_diag),
-        (ez.T, hx.T, bc.r_y, p.alpha_y, p.theta_y, Y_SIGNS, ops.x.p_diag),
+        (ez_x, walls(state.hy), bc.r_x, p.alpha_x, p.theta_x, X_SIGNS, ops.y.p_diag),
+        (ez_y, walls(state.hx.T), bc.r_y, p.alpha_y, p.theta_y, Y_SIGNS, ops.x.p_diag),
     ):
         a, b, c = _wall_coefficients(r, alpha, theta)
-        e, m = walls(e), walls(m)
-        q = w * (a * e**2 - signs * b * e * m + c * m**2)
-        terms += [2.0 * np.sum(q[0]), 2.0 * np.sum(q[1])]
+        lines = np.concatenate((e, m))
+        g = ((lines * w) @ lines.T).tolist()
+        terms += [
+            2.0 * (a * g[k][k] - sign * b * g[k][k + 2] + c * g[k + 2][k + 2]) for k, sign in enumerate(signs.flat)
+        ]
     left, right, bottom, top = terms
     return float(left + right + bottom + top)

@@ -22,7 +22,7 @@ from typing import Optional
 
 import numpy as np
 
-from sbpml.boundary_sat import BoundaryConfig, PenaltyParams
+from sbpml.boundary_sat import BoundaryConfig, PenaltyParams, walls
 from sbpml.grid_state import FieldState, Grid2D, OperatorPair
 from sbpml.pml_models import STATE_MODEL, DampingProfile, ModelSpec, evaluate_rhs
 
@@ -66,12 +66,14 @@ def discrete_l2_norms(state: FieldState, ops: OperatorPair) -> dict:
 def modal_bt_integrand(rhs_ez: np.ndarray, ops: OperatorPair) -> float:
     """Integrand of the boundary time-integral in the modal energy.
 
-    Equals 2 * (dEz/dt)^T ((E_R+E_L) kron Py + Px kron (E_R+E_L)) (dEz/dt).
+    Equals 2 * (dEz/dt)^T ((E_R+E_L) kron Py + Px kron (E_R+E_L)) (dEz/dt):
+    each wall pair's squares times the P diagonal of the other axis, one
+    product per pair.
     """
-    px, py = ops.x.p_diag, ops.y.p_diag
-    val = np.sum(py * (rhs_ez[0, :] ** 2 + rhs_ez[-1, :] ** 2))
-    val += np.sum(px * (rhs_ez[:, 0] ** 2 + rhs_ez[:, -1] ** 2))
-    return 2.0 * float(val)
+    x_walls, y_walls = walls(rhs_ez), walls(rhs_ez.T)
+    left, right = ((x_walls * x_walls) @ ops.y.p_diag).tolist()
+    bottom, top = ((y_walls * y_walls) @ ops.x.p_diag).tolist()
+    return 2.0 * (left + right + bottom + top)
 
 
 def modal_energy(

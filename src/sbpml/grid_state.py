@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -56,10 +56,17 @@ class Grid2D:
 
 @dataclass(frozen=True)
 class OperatorPair:
-    """The two 1D SBP operators acting along x and y."""
+    """The two 1D SBP operators acting along x and y.
+
+    ``weight`` is the (Px kron Py) diagonal as an (nx, ny) array, built once.
+    """
 
     x: SbpOperator1D
     y: SbpOperator1D
+    weight: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "weight", self.x.p_diag[:, None] * self.y.p_diag[None, :])
 
     def dx(self, u: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
         """Apply (Dx kron Iy) to an (nx, ny) field, into ``out`` if given.
@@ -84,7 +91,7 @@ class OperatorPair:
 
     def inner(self, u: np.ndarray, v: np.ndarray) -> float:
         """The (Px kron Py)-weighted inner product on (nx, ny) fields."""
-        return float(np.sum(self.x.p_diag[:, None] * self.y.p_diag[None, :] * u * v))
+        return float(np.sum(self.weight * u * v))
 
     def norm(self, u: np.ndarray) -> float:
         return float(np.sqrt(self.inner(u, u)))

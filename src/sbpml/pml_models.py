@@ -17,13 +17,15 @@ Five model kinds are implemented on top of the shared interior scheme:
 
 The damping sigma(x) acts per x-column (diag(sigma) kron Iy) and is a
 monomial ramp d0 * r^p (cubic, p = 3, unless a caller asks otherwise)
-inside layers of width delta at both ends of the x-interval.
+inside layers of width delta at both ends of the x-interval.  Every
+damping term is applied on the one run of x rows that holds the damped
+rows (``DampingProfile.rows``), not on the whole grid.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -67,10 +69,28 @@ class ModelSpec:
 
 @dataclass(frozen=True)
 class DampingProfile:
-    """Monomial-ramp damping profile, precomputed at the x grid points."""
+    """Monomial-ramp damping profile, precomputed at the grid points.
+
+    ``sigma_values`` holds sigma at the x points of a grid with ``ny``
+    points in y.  ``rows`` is the one slice of x rows, built once, from
+    the first to the last row with sigma != 0: empty when nothing is
+    damped, the last rows for a layer at one end, the whole axis for
+    layers at both ends.  ``sigma`` is sigma on those rows repeated along
+    y: a product with a broadcast column would make numpy allocate a
+    buffer of up to 8192 entries, a whole field at desk size.
+    """
 
     d0: float
     sigma_values: np.ndarray
+    ny: int
+    rows: slice = field(init=False, repr=False, compare=False)
+    sigma: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        damped = np.flatnonzero(self.sigma_values)
+        rows = slice(int(damped[0]), int(damped[-1]) + 1) if damped.size else slice(0, 0)
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "sigma", np.repeat(self.sigma_values[rows, None], self.ny, axis=1))
 
     @property
     def sigma_max(self) -> float:
@@ -105,11 +125,11 @@ def make_damping_profile(grid: Grid2D, x0: float, delta: float, d0: float, power
     d0 = 0 (or delta covering no grid point) gives the undamped interior
     problem.
     """
-    return DampingProfile(d0=d0, sigma_values=sigma_at(grid.x, x0, delta, d0, power))
+    return DampingProfile(d0=d0, sigma_values=sigma_at(grid.x, x0, delta, d0, power), ny=grid.ny)
 
 
 def zero_damping(grid: Grid2D) -> DampingProfile:
-    return DampingProfile(d0=0.0, sigma_values=np.zeros(grid.nx))
+    return DampingProfile(d0=0.0, sigma_values=np.zeros(grid.nx), ny=grid.ny)
 
 
 def evaluate_rhs(
@@ -129,12 +149,18 @@ def evaluate_rhs(
     returned; every entry of ``out.data`` is overwritten.  The wall
     residual pairs (and so any wall data) are evaluated once and shared by the
     SAT terms, the theta term and the split y-wall penalty; the SAT terms
-    are added on the wall lines only.
+    are added on the wall lines only.  The damping terms are applied on
+    ``prof.rows`` only, with a rate written later as their scratch, so no
+    full-size temporary is made; an auxiliary rate that carries sigma is
+    exactly zero outside those rows.
     """
     if state.model != STATE_MODEL[spec.kind]:
         raise ValueError(f"state model {state.model!r} does not match spec kind {spec.kind!r}")
-    if state.data.shape[1:] != (ops.x.n, ops.y.n):
-        raise ValueError(f"state shape {state.data.shape[1:]} does not match operators {(ops.x.n, ops.y.n)}")
+    shape = (ops.x.n, ops.y.n)
+    if state.data.shape[1:] != shape:
+        raise ValueError(f"state shape {state.data.shape[1:]} does not match operators {shape}")
+    if (prof.sigma_values.size, prof.ny) != shape:
+        raise ValueError(f"damping profile shape {(prof.sigma_values.size, prof.ny)} does not match operators {shape}")
     if out is None:
         out = FieldState(state.model, np.empty_like(state.data))
     elif out.model != state.model or out.data.shape != state.data.shape:
@@ -145,53 +171,62 @@ def evaluate_rhs(
     kind = spec.kind
     ez, hy, hx, aux = state.ez, state.hy, state.hx, state.aux
     d_ez, d_hy, d_hx, d_aux = out.ez, out.hy, out.hx, out.aux
-    ez_tot = state.ez_total
-    sigma = prof.sigma_values[:, None]
+    rows, sigma = prof.rows, prof.sigma
+    split = kind in ("SplitFieldNaive", "SplitFieldStable")
+
+    # A split state's total Ez lives in d_aux until Dy Hx is written there.
+    ez_tot = np.add(ez, aux, out=d_aux) if split else ez
     residuals = wall_residuals(ez_tot, hy, hx, bc, t)
 
-    # Magnetic equations of every model, with the total Ez of a split
-    # state: d_hy = -(Dx Ez + sigma Hy) (no sigma in Interior), d_hx = Dy Ez.
-    ops.dx(ez_tot, out=d_hy)
-    if kind != "Interior":
-        d_hy += sigma * hy
-    np.negative(d_hy, out=d_hy)
-    ops.dy(ez_tot, out=d_hx)
-
-    if kind in ("SplitFieldNaive", "SplitFieldStable"):
-        # d_ez_x = -(Dx Hy + sigma Ez_x), d_ez_y = Dy Hx.
-        ops.dx(hy, out=d_ez)
-        d_ez += sigma * ez
-        np.negative(d_ez, out=d_ez)
-        ops.dy(hx, out=d_aux)
-    else:
-        # d_ez = Dy Hx - Dx Hy (+ aux) (- sigma Ez); ModalUnsplit keeps
-        # Dy Hx in d_aux as the start of its auxiliary bracket.
+    if not split:
+        # d_ez = Dy Hx - Dx Hy (+ aux) (- sigma Ez), with Dx Hy and sigma Ez
+        # formed in d_hx; ModalUnsplit keeps Dy Hx in d_aux as the start of
+        # its auxiliary bracket.
         dy_hx = ops.dy(hx, out=d_aux if kind == "ModalUnsplit" else d_ez)
-        np.subtract(dy_hx, ops.dx(hy), out=d_ez)
+        np.subtract(dy_hx, ops.dx(hy, out=d_hx), out=d_ez)
         if kind == "ModalUnsplit":
             d_ez += aux
         if kind != "Interior":
-            d_ez -= sigma * ez
+            d_ez[rows] -= np.multiply(sigma, ez[rows], out=d_hx[rows])
+
+    # Magnetic equations of every model, with the total Ez of a split
+    # state: d_hy = -(Dx Ez + sigma Hy) (no sigma in Interior), d_hx = Dy Ez.
+    # sigma Hy is formed in a rate that is written after it.
+    ops.dx(ez_tot, out=d_hy)
+    if kind != "Interior":
+        scratch = d_ez if split else d_hx
+        d_hy[rows] += np.multiply(sigma, hy[rows], out=scratch[rows])
+    np.negative(d_hy, out=d_hy)
+    ops.dy(ez_tot, out=d_hx)
+
+    if split:
+        # d_ez_x = -(Dx Hy + sigma Ez_x), d_ez_y = Dy Hx.
+        ops.dx(hy, out=d_ez)
+        d_ez[rows] += np.multiply(sigma, ez[rows], out=d_aux[rows])
+        np.negative(d_ez, out=d_ez)
+        ops.dy(hx, out=d_aux)
 
     if kind == "PhysicallyMotivated":
         # The relaxation sigma (Hx - P) drives P and forces Hx.
-        np.subtract(hx, aux, out=d_aux)
-        d_aux *= sigma
-        d_hx += d_aux
+        relax = np.subtract(hx[rows], aux[rows], out=d_aux[rows])
+        relax *= sigma
+        d_hx[rows] += relax
 
     # In SplitFieldStable the y-wall penalty moves to the undamped
     # component; this is what makes the scheme conjugate to the stabilized
     # modal one.  SplitFieldNaive keeps both Ez penalties on the damped
     # x-component.
-    sat_contributions(
-        residuals, penalties, ops, d_ez, d_hy, d_hx, ez_y=d_aux if kind == "SplitFieldStable" else None
-    )
+    sat_contributions(residuals, penalties, ops, out.data, ez_y=kind == "SplitFieldStable")
 
     if kind == "ModalUnsplit":
         # Auxiliary update with the weak y-wall treatment extended into it.
+        bracket = d_aux[rows]
         if spec.theta != 0.0:
-            sat_y_field(residuals[1], spec.theta * penalties.alpha_y, ops, d_aux)
-        d_aux *= sigma
+            sat_y_field(residuals[1][:, rows], spec.theta * penalties.alpha_y, ops, bracket)
+        bracket *= sigma
+    if kind in ("ModalUnsplit", "PhysicallyMotivated"):
+        d_aux[: rows.start] = 0.0
+        d_aux[rows.stop :] = 0.0
 
     return out
 

@@ -107,8 +107,7 @@ class SbpOperator1D:
     P^{-1} Q.  ``blocks`` holds D by runs of rows (``BLOCK_ROWS``) as
     ``(rows, cols, D[rows, cols].T)``, with ``cols`` the run's nonzero
     columns and the transposed block a contiguous copy.  ``p_walls`` is
-    the (2, 1) column of P at the first and last node, and
-    ``normal_p_walls`` that times the outward normal (-1, +1).
+    the (2, 1) column of P at the first and last node.
     """
 
     interior_order: int
@@ -120,7 +119,6 @@ class SbpOperator1D:
     d: np.ndarray
     blocks: tuple
     p_walls: np.ndarray
-    normal_p_walls: np.ndarray
 
     @property
     def boundary_accuracy(self) -> int:
@@ -187,8 +185,7 @@ def build_sbp_operator(interior_order: int, n: int, h: float) -> SbpOperator1D:
         nonzero = np.flatnonzero(np.any(d[rows] != 0.0, axis=0))
         cols = slice(int(nonzero[0]), int(nonzero[-1]) + 1)
         blocks.append((rows, cols, np.ascontiguousarray(d[rows, cols].T)))
-    p_walls = p[[0, -1], None]
-    return SbpOperator1D(interior_order, n, h, p, q, bw, d, tuple(blocks), p_walls, [[-1.0], [1.0]] * p_walls)
+    return SbpOperator1D(interior_order, n, h, p, q, bw, d, tuple(blocks), p[[0, -1], None])
 
 
 @dataclass

@@ -30,10 +30,10 @@ def random_interior_state(grid, rng):
 
 
 def sat_of(s, bc, p, t, grid, ops):
-    """The SAT fields of a state, from its wall residuals at time t, added into zero fields."""
-    fields = (grid.zeros(), grid.zeros(), grid.zeros())
-    sat_contributions(wall_residuals(s.ez, s.hy, s.hx, bc, t), p, ops, *fields)
-    return fields
+    """The SAT fields (ez, hy, hx) of a state, from its wall residuals at time t, added into zero fields."""
+    fields = np.zeros((3, grid.nx, grid.ny))
+    sat_contributions(wall_residuals(s.ez, s.hy, s.hx, bc, t), p, ops, fields)
+    return tuple(fields)
 
 
 # ---------------------------------------------------------------------------

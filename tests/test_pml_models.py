@@ -1,6 +1,7 @@
 """Tests for the damping profile and the five semi-discrete model systems."""
 
 import math
+import tracemalloc
 from unittest.mock import patch
 
 import numpy as np
@@ -22,6 +23,7 @@ from sbpml.pml_models import (
     sigma_at,
     zero_damping,
 )
+from sbpml.scenarios_cli import build_scenario, cavity_config
 from sbpml.time_integration import rk4_step
 
 from _oracles import dense_rhs_oracle
@@ -82,9 +84,13 @@ def test_make_damping_profile_and_zero():
     assert prof.sigma_max == pytest.approx(8.0)
     inside = np.abs(g.x) <= 2.0
     assert np.all(prof.sigma_values[inside] == 0.0)
+    # Layers at both ends: the one damped run of rows is the whole axis.
+    assert prof.rows == slice(0, 13)
+    assert prof.sigma.shape == (13, 5) and np.all(prof.sigma == prof.sigma_values[:, None])
     z = zero_damping(g)
     assert z.sigma_max == 0.0
     assert np.all(z.sigma_values == 0.0)
+    assert z.rows == slice(0, 0) and z.sigma.shape == (0, 5)
 
 
 # ---------------------------------------------------------------------------
@@ -121,6 +127,24 @@ def test_rhs_matches_dense_oracle(kind, theta, penalties):
             assert np.max(np.abs(got.aux - d_aux)) <= 1e-12
 
 
+def assert_rhs_matches_oracle(spec, g, ops, prof, r_x, r_y, penalties, t, seed):
+    """evaluate_rhs writing into a NaN-filled buffer overwrites all of it
+    with the dense Kronecker oracle's values, with top-wall data."""
+
+    def g_top(t):
+        return np.sin(3.0 * g.x) * (1.0 + t)
+
+    bc = BoundaryConfig(r_x=r_x, r_y=r_y, g_top=g_top)
+    p = PenaltyParams.universal() if penalties == "universal" else PenaltyParams.estimate_matching(r_x, r_y)
+    s = random_state(g, STATE_MODEL[spec.kind], np.random.default_rng(seed))
+    out = FieldState(s.model, np.full_like(s.data, np.nan))
+    assert evaluate_rhs(spec, s, prof, bc, p, ops, t, out) is out
+    expect = dense_rhs_oracle(spec, s, prof, bc, p, ops, g, g_top=g_top(t))
+    scale = 1.0 + max(np.max(np.abs(e)) for e in expect if e is not None)
+    for got, e in zip(out.data, expect):
+        assert np.max(np.abs(got - e)) <= 1e-12 * scale
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     kind=st.sampled_from(MODEL_KINDS),
@@ -147,20 +171,74 @@ def test_rhs_into_buffer_matches_dense_oracle(
     with patch.object(sbp_core, "BLOCK_ROWS", 4 if small_blocks else sbp_core.BLOCK_ROWS):
         ops = g.operators(order)
     prof = make_damping_profile(g, 1.0, 2.0, 3.0)
+    assert_rhs_matches_oracle(ModelSpec(kind, theta=theta), g, ops, prof, r_x, r_y, penalties, t, seed)
 
-    def g_top(t):
-        return np.sin(3.0 * g.x) * (1.0 + t)
 
-    bc = BoundaryConfig(r_x=r_x, r_y=r_y, g_top=g_top)
-    p = PenaltyParams.universal() if penalties == "universal" else PenaltyParams.estimate_matching(r_x, r_y)
-    spec = ModelSpec(kind, theta=theta)
-    s = random_state(g, STATE_MODEL[kind], np.random.default_rng(seed))
-    out = FieldState(s.model, np.full_like(s.data, np.nan))
-    assert evaluate_rhs(spec, s, prof, bc, p, ops, t, out) is out
-    expect = dense_rhs_oracle(spec, s, prof, bc, p, ops, g, g_top=g_top(t))
-    scale = 1.0 + max(np.max(np.abs(e)) for e in expect if e is not None)
-    for got, e in zip(out.data, expect):
-        assert np.max(np.abs(got - e)) <= 1e-12 * scale
+# Layer geometries as (x_min, x_max, x0, delta, d0) of the ramp sigma_at:
+# no damped row, one end only (the right end, as in the waveguide, or the
+# left), both ends, and a layer across the whole axis.
+LAYERS = {
+    "none": (-3.0, 3.0, 1.0, 2.0, 0.0),
+    "right end": (-1.0, 3.0, 1.0, 2.0, 3.0),
+    "left end": (-3.0, 1.0, 1.0, 2.0, 3.0),
+    "both ends": (-3.0, 3.0, 1.0, 2.0, 3.0),
+    "whole axis": (-3.0, 3.0, -1.0, 4.0, 3.0),
+}
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    layer=st.sampled_from(sorted(LAYERS)),
+    order=st.sampled_from([2, 4, 6]),
+    nx_extra=st.integers(0, 8),
+    ny_extra=st.integers(0, 4),
+    theta=st.floats(0.0, 2.0),
+    penalties=st.sampled_from(["matching", "universal"]),
+    r_x=st.floats(-0.9, 1.0),
+    r_y=st.floats(-0.9, 1.0),
+    t=st.floats(0.0, 1.0),
+    seed=st.integers(0, 2**31),
+)
+def test_rhs_matches_dense_oracle_on_every_layer_geometry(
+    layer, order, nx_extra, ny_extra, theta, penalties, r_x, r_y, t, seed
+):
+    """Every model kind matches the dense oracle, into a NaN-filled buffer,
+    whichever run of rows the damping covers: the damping terms act on
+    ``DampingProfile.rows`` only, and the auxiliary rates are written as
+    zeros outside it."""
+    x_min, x_max, x0, delta, d0 = LAYERS[layer]
+    n_min = {2: 3, 4: 8, 6: 12}[order]
+    g = Grid2D(x_min, x_max, -1.0, 1.0, n_min + nx_extra, n_min + ny_extra)
+    ops = g.operators(order)
+    prof = make_damping_profile(g, x0, delta, d0)
+    damped = np.flatnonzero(prof.sigma_values)
+    if layer == "none":
+        assert prof.rows == slice(0, 0)
+    else:
+        assert prof.rows == slice(damped[0], damped[-1] + 1)
+    if layer == "whole axis":
+        assert damped.size == g.nx
+    for kind in MODEL_KINDS:
+        assert_rhs_matches_oracle(ModelSpec(kind, theta=theta), g, ops, prof, r_x, r_y, penalties, t, seed)
+
+
+@pytest.mark.parametrize("kind", MODEL_KINDS)
+def test_rhs_allocates_no_field(kind):
+    """A warm evaluate_rhs call into a given buffer on the 61x51 desk grid
+    allocates less than half a field: no full-size temporary, only the wall
+    lines."""
+    setup = build_scenario(cavity_config(order=4, desk=True, model_kind=kind))
+    s = random_state(setup.grid, STATE_MODEL[kind], np.random.default_rng(3))
+    out = FieldState(s.model, np.empty_like(s.data))
+    args = (setup.spec, s, setup.prof, setup.bc, setup.penalties, setup.ops, 0.5, out)
+    evaluate_rhs(*args)
+    tracemalloc.start()
+    try:
+        evaluate_rhs(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.5 * s.ez.nbytes, peak / s.ez.nbytes
 
 
 def test_rhs_model_mismatch_rejected():
@@ -171,6 +249,8 @@ def test_rhs_model_mismatch_rejected():
     other = Grid2D(-3.0, 3.0, -1.0, 1.0, 7, 6)
     with pytest.raises(ValueError, match="does not match operators"):
         evaluate_rhs(ModelSpec("Interior"), FieldState.zeros(other), prof, bc, p, ops, 0.0)
+    with pytest.raises(ValueError, match="damping profile shape"):
+        evaluate_rhs(ModelSpec("Interior"), FieldState.zeros(g), zero_damping(other), bc, p, ops, 0.0)
 
 
 @pytest.mark.parametrize("kind", MODEL_KINDS)

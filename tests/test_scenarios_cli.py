@@ -132,6 +132,8 @@ def test_build_cavity_geometry():
     sig = setup.prof.sigma_values
     assert np.all(sig[np.abs(g.x) <= 4.0] == 0.0)
     assert sig[0] == pytest.approx(setup.prof.d0)
+    # Layers at both ends: the damped run of rows is the whole axis.
+    assert setup.prof.rows == slice(0, 13)
 
 
 def test_build_waveguide_geometry_and_dt():
@@ -154,9 +156,11 @@ def test_build_waveguide_geometry_and_dt():
     assert np.allclose(setup.prof.sigma_values, setup.prof.d0 * r**2)
     # The damping rate times the step stays inside RK4's stability interval
     # on the negative real axis, [-2.785, 0], at every preset resolution.
+    # Only the layer's round(0.4 / h) rows at the right end are damped.
     for h in (0.04, 0.02, 0.01):
         s = build_scenario(waveguide_config(h, 6))
         assert s.dt * s.prof.sigma_max < 2.785
+        assert s.prof.rows == slice(s.grid.nx - round(0.4 / h), s.grid.nx)
 
 
 def test_waveguide_and_reference_overrides_replace_preset_values():
@@ -175,6 +179,7 @@ def test_build_reference_geometry():
     assert (g.x_min, g.x_max) == (-2.0, 8.0)
     assert setup.prof.d0 == 0.0
     assert np.all(setup.prof.sigma_values == 0.0)
+    assert setup.prof.rows == slice(0, 0)
 
 
 def test_cavity_presets():
