@@ -14,8 +14,10 @@ The per-wall boundary-condition residuals used throughout are
     bottom (y = y_min): (1-Ry)/2 * Ez - (1+Ry)/2 * Hx - g
     top    (y = y_max): (1-Ry)/2 * Ez + (1+Ry)/2 * Hx - g
 
-Each direction's walls are one pair (``walls``); the y pair is the x pair
-of the transposed fields, with its own signs (``X_SIGNS``, ``Y_SIGNS``).
+The four walls' points, left, right, bottom and top, form one boundary
+vector (``OperatorPair.wall_index``).  ``WallTerms`` builds once what of
+the wall terms does not depend on the state, so a right-hand side gathers
+the wall values once and scatters each direction's penalties once.
 
 A penalty set is admissible when the boundary term of the energy estimate,
 on each wall a quadratic a e^2 + b e m + c m^2 in Ez and the tangential
@@ -36,10 +38,9 @@ from sbpml.grid_state import FieldState, OperatorPair
 
 WallData = Optional[Callable[[float], np.ndarray]]
 
-# The sign of the tangential magnetic field in each wall's residual, per
-# pair: +Hy left and -Hy right, -Hx bottom and +Hx top.
-X_SIGNS = np.array([[1.0], [-1.0]])
-Y_SIGNS = -X_SIGNS
+# The sign of the tangential magnetic field in each wall's residual: +Hy
+# left, -Hy right, -Hx bottom and +Hx top.
+WALL_SIGNS = (1.0, -1.0, -1.0, 1.0)
 
 
 @dataclass(frozen=True)
@@ -48,9 +49,7 @@ class BoundaryConfig:
 
     Data callables receive t and return the values of the penalized
     boundary expression along their wall, at its grid points; ``None``
-    means zero.  ``residual_weights`` holds, per direction, the residual's
-    weight (1-R)/2 on Ez and its (2, 1) column of weights +-(1+R)/2 on the
-    tangential magnetic field, built once here.
+    means zero.
     """
 
     r_x: float = 0.0
@@ -59,38 +58,20 @@ class BoundaryConfig:
     g_right: WallData = None
     g_bottom: WallData = None
     g_top: WallData = None
-    residual_weights: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if abs(self.r_x) > 1 or abs(self.r_y) > 1:
             raise ValueError(f"reflection coefficients must lie in [-1, 1]: {self.r_x}, {self.r_y}")
-        weights = tuple(
-            (0.5 * (1.0 - r), 0.5 * (1.0 + r) * signs) for r, signs in ((self.r_x, X_SIGNS), (self.r_y, Y_SIGNS))
-        )
-        object.__setattr__(self, "residual_weights", weights)
 
 
 @dataclass(frozen=True)
 class PenaltyParams:
-    """Penalty weights of the weak boundary treatment.
-
-    ``sat_weights`` holds, per direction, the (2, 2, 1) coefficients of
-    P^{-1} r in the rates of (Ez, tangential H) on the (first, last) wall:
-    -alpha on Ez and -theta times the wall's sign on H, built once here.
-    """
+    """Penalty weights of the weak boundary treatment."""
 
     alpha_x: float
     alpha_y: float
     theta_x: float
     theta_y: float
-    sat_weights: tuple = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        weights = tuple(
-            -np.array([np.full((2, 1), alpha), theta * signs])
-            for alpha, theta, signs in ((self.alpha_x, self.theta_x, X_SIGNS), (self.alpha_y, self.theta_y, Y_SIGNS))
-        )
-        object.__setattr__(self, "sat_weights", weights)
 
     @classmethod
     def universal(cls) -> "PenaltyParams":
@@ -124,16 +105,19 @@ def penalty_matrix_eigenvalues(gamma: float, theta_bar: float):
     return (gamma + theta_bar - root) / 2.0, (gamma + theta_bar + root) / 2.0
 
 
-def _wall_coefficients(r: float, alpha: float, theta: float):
-    """Coefficients (a, b, c) of one direction's wall quadratic a e^2 + b e m + c m^2.
+def _wall_coefficients(bc: BoundaryConfig, p: PenaltyParams):
+    """Per direction, x then y, the coefficients (a, b, c) of its wall quadratic a e^2 + b e m + c m^2.
 
     e is Ez and m the tangential magnetic field on the wall; a wall whose
     residual has the sign ``sign`` on m carries -sign * b.  Built from the
     residual weights (1 -+ R)/2 and the penalty weights alpha and theta of
     that direction.
     """
-    cm, cp = 0.5 * (1.0 - r), 0.5 * (1.0 + r)
-    return alpha * cm, 1.0 - alpha * cp - theta * cm, theta * cp
+    coefficients = []
+    for r, alpha, theta in ((bc.r_x, p.alpha_x, p.theta_x), (bc.r_y, p.alpha_y, p.theta_y)):
+        cm, cp = 0.5 * (1.0 - r), 0.5 * (1.0 + r)
+        coefficients.append((alpha * cm, 1.0 - alpha * cp - theta * cm, theta * cp))
+    return coefficients
 
 
 def penalties_admissible(bc: BoundaryConfig, p: PenaltyParams) -> bool:
@@ -144,74 +128,127 @@ def penalties_admissible(bc: BoundaryConfig, p: PenaltyParams) -> bool:
     positive semidefinite, whichever sign b has on a given wall.
     """
     tol = 1e-12
-    for a, b, c in (
-        _wall_coefficients(bc.r_x, p.alpha_x, p.theta_x),
-        _wall_coefficients(bc.r_y, p.alpha_y, p.theta_y),
-    ):
+    for a, b, c in _wall_coefficients(bc, p):
         scale = max(abs(a), abs(b), abs(c))
         if a < -tol * scale or c < -tol * scale or b * b - 4.0 * a * c > tol * scale**2:
             return False
     return True
 
 
-def walls(u: np.ndarray) -> np.ndarray:
-    """Rows 0 and -1 of ``u`` as a (2, n) view: (left, right) of a field, (bottom, top) of its transpose."""
-    return u[:: len(u) - 1]
+@dataclass(frozen=True, eq=False)
+class WallTerms:
+    """The part of the wall terms that does not depend on the state, built once.
 
-
-def wall_residuals(ez, hy, hx, bc: BoundaryConfig, t: float):
-    """Boundary-condition residuals minus wall data: the pairs rx (left, right) and ry (bottom, top)."""
-
-    def pair(e, m, weights, data):
-        on_e, on_m = weights
-        res = on_e * walls(e)
-        res += on_m * walls(m)
-        for i, g in enumerate(data):
-            if g is not None:
-                res[i] -= g(t)
-        return res
-
-    x_weights, y_weights = bc.residual_weights
-    return (
-        pair(ez, hy, x_weights, (bc.g_left, bc.g_right)),
-        pair(ez.T, hx.T, y_weights, (bc.g_bottom, bc.g_top)),
-    )
-
-
-def sat_y_field(ry: np.ndarray, weight: float, ops: OperatorPair, out: np.ndarray):
-    """Add the y-wall penalty field -weight * Py^{-1} ry into ``out``.
-
-    The stabilized auxiliary equation carries this term with weight
-    theta * alpha_y; ``out`` may be a run of x rows, with the matching
-    columns of ry.
+    Built from the operators, walls, penalties and ``rows``, the damped x
+    rows that carry the modal theta term.  Per point of the boundary
+    vector (``OperatorPair.wall_index``), ``gather`` holds the flat indices
+    in an (nfields, nx, ny) array of Ez, the tangential magnetic field and
+    aux; ``residual`` the residual's weights on Ez and on that field;
+    ``p_normal`` P across the wall; ``bt`` BT's wall coefficients a,
+    -sign b and c times 2 and P along the wall.
+    ``sat[ez_y]`` holds per direction, x then y, its segment, the (2, n)
+    flat indices of the rates it penalizes, (Ez or, with ``ez_y``, aux on
+    the y walls; tangential H), and their weights -alpha and -theta times
+    the wall's sign.  ``theta`` holds the aux rates at the y-wall points of
+    ``rows``, those points' places and P; ``data`` each wall's segment and data.
     """
-    w = walls(out.T)
-    w -= weight * ry / ops.y.p_walls
+
+    ops: OperatorPair
+    bc: BoundaryConfig
+    penalties: PenaltyParams
+    rows: slice = field(default_factory=lambda: slice(0, 0))
+    gather: np.ndarray = field(init=False, repr=False)
+    residual: np.ndarray = field(init=False, repr=False)
+    p_normal: np.ndarray = field(init=False, repr=False)
+    bt: np.ndarray = field(init=False, repr=False)
+    sat: dict = field(init=False, repr=False)
+    theta: tuple = field(init=False, repr=False)
+    data: tuple = field(init=False, repr=False)
+
+    def __post_init__(self):
+        ops, bc, p = self.ops, self.bc, self.penalties
+        nx, ny = ops.x.n, ops.y.n
+        plane, n, index = nx * ny, 2 * ny, ops.wall_index
+        x, y = slice(0, n), slice(n, None)
+        sign = np.repeat(WALL_SIGNS, (ny, ny, nx, nx))
+        p_normal = np.repeat(np.concatenate((ops.x.p_diag[[0, -1]], ops.y.p_diag[[0, -1]])), (ny, ny, nx, nx))
+
+        def per_direction(on_x, on_y):
+            return np.concatenate((np.full(n, on_x), np.full(2 * nx, on_y)))
+
+        tangent = np.concatenate((index[x] + plane, index[y] + 2 * plane))
+        weights = -np.array([per_direction(p.alpha_x, p.alpha_y), per_direction(p.theta_x, p.theta_y) * sign])
+
+        def direction(segment, ez):
+            return segment, np.array([ez, tangent[segment]]), weights[:, segment].copy()
+
+        sat_x = direction(x, index[x])
+        a, b, c = map(per_direction, *_wall_coefficients(bc, p))
+        points = np.concatenate([np.arange(nx)[self.rows] + k for k in (n, n + nx)])
+        walls = (slice(0, ny), slice(ny, n), slice(n, n + nx), slice(n + nx, None))
+        data = zip(walls, (bc.g_left, bc.g_right, bc.g_bottom, bc.g_top))
+        for name, value in (
+            ("gather", np.array([index, tangent, index + 3 * plane])),
+            ("residual", np.array([per_direction(0.5 * (1.0 - bc.r_x), 0.5 * (1.0 - bc.r_y)),
+                                   per_direction(0.5 * (1.0 + bc.r_x), 0.5 * (1.0 + bc.r_y)) * sign])),
+            ("p_normal", p_normal),
+            ("bt", 2.0 * np.array([a, -sign * b, c]) * ops.wall_p_tangent),
+            ("sat", {False: (sat_x, direction(y, index[y])), True: (sat_x, direction(y, index[y] + 3 * plane))}),
+            ("theta", (index[points] + 3 * plane, points, p_normal[points])),
+            ("data", tuple((wall, g) for wall, g in data if g is not None)),
+        ):
+            object.__setattr__(self, name, value)
 
 
-def sat_contributions(residuals, p: PenaltyParams, ops: OperatorPair, rates: np.ndarray, ez_y: bool = False):
+def wall_values(data: np.ndarray, walls: WallTerms, split: bool = False):
+    """Ez (ez + aux with ``split``) and the tangential H on the boundary vector of a state's array, in one gather."""
+    values = data.take(walls.gather if split else walls.gather[:2])
+    e = values[0]
+    if split:
+        e += values[2]
+    return e, values[1]
+
+
+def wall_residuals(data: np.ndarray, walls: WallTerms, t: float, split: bool = False) -> np.ndarray:
+    """Boundary-condition residuals on the boundary vector, each wall's data at t subtracted on its segment."""
+    e, h = wall_values(data, walls, split)
+    weights = walls.residual
+    r = weights[0] * e
+    r += weights[1] * h
+    for wall, g in walls.data:
+        r[wall] -= g(t)
+    return r
+
+
+def sat_y_field(r: np.ndarray, weight: float, walls: WallTerms, rates: np.ndarray):
+    """Add the y-wall penalty -weight * Py^{-1} r on ``walls.rows`` into the aux rate of ``rates``.
+
+    The stabilized auxiliary equation carries this term with weight theta * alpha_y.
+    """
+    index, points, p = walls.theta
+    lines = rates.take(index)
+    lines -= weight * r.take(points) / p
+    rates.put(index, lines)
+
+
+def sat_contributions(r: np.ndarray, walls: WallTerms, rates: np.ndarray, ez_y: bool = False):
     """Add the penalty terms of the Ez, Hy and Hx equations into ``rates``.
 
     ``rates`` is the (nfields, nx, ny) array of the rates (Ez, Hy, Hx, ...)
-    and ``residuals`` are the wall pairs (rx, ry) of ``wall_residuals``
-    (for SplitField states, formed with the total electric field ez + aux).
-    The terms live on the wall lines: each direction updates its two
-    penalized fields, (Ez, Hy) on the x walls and (Ez, Hx) on the y walls,
-    in one pass with ``PenaltyParams.sat_weights``.  With ``ez_y`` the
-    y-wall term of the Ez equation goes into the fourth field instead (the
-    undamped component of the stable split-field model).
+    and ``r`` the residuals of ``wall_residuals``.  Each direction, x then
+    y, so that a corner sums in that order, takes the rates of its two
+    penalized fields on its wall lines, adds its increments and puts them
+    back.  With ``ez_y`` the y-wall term of the Ez equation goes into the
+    fourth field instead (the undamped component of the stable split field).
     """
-    rx, ry = residuals
-    x_weights, y_weights = p.sat_weights
-    nx, ny = rates.shape[1:]
-    y_fields = slice(3, 1, -1) if ez_y else slice(0, 3, 2)
-    x_lines = rates[0:2, :: nx - 1]
-    y_lines = rates[y_fields, :, :: ny - 1].transpose(0, 2, 1)
-    x_lines += x_weights * (rx / ops.x.p_walls)
-    y_lines += y_weights * (ry / ops.y.p_walls)
+    q = r / walls.p_normal
+    for segment, index, weights in walls.sat[ez_y]:
+        lines = rates.take(index)
+        lines += weights * q[segment]
+        rates.put(index, lines)
 
 
-def boundary_dissipation(state: FieldState, bc: BoundaryConfig, p: PenaltyParams, ops: OperatorPair) -> float:
+def boundary_dissipation(state: FieldState, walls: WallTerms) -> float:
     """The boundary term BT with 2 <u, RHS(u)>_P = -BT for zero wall data and damping.
 
     u is (Ez, Hy, Hx) with the total electric field of a split state.  BT
@@ -224,28 +261,11 @@ def boundary_dissipation(state: FieldState, bc: BoundaryConfig, p: PenaltyParams
     summed along each wall, for every penalty set; it is nonnegative for
     every state exactly when ``penalties_admissible`` holds.  Expanding r
     gives on each wall the quadratic a e^2 - sign b e m + c m^2 in Ez and
-    the tangential magnetic field, with the wall's sign in ``X_SIGNS`` or
-    ``Y_SIGNS``, which is what is evaluated: the e m terms of the SBP and
-    SAT parts cancel in the coefficient b, not in rounded wall values.
+    the tangential magnetic field, with the wall's sign in ``WALL_SIGNS``,
+    which is what is evaluated, as three dot products on the gathered wall
+    values with ``WallTerms.bt``: the e m terms of the SBP and SAT parts
+    cancel in the coefficient b, not in rounded wall values.
     """
-    # The total electric field is formed on the wall lines only.
-    ez_x, ez_y = walls(state.ez), walls(state.ez.T)
-    if state.model == "SplitField":
-        ez_x, ez_y = ez_x + walls(state.aux), ez_y + walls(state.aux.T)
-    # A direction's P-weighted sums e^2, e m and m^2 on both walls are
-    # entries of one Gram matrix of its four wall lines (e first, e last,
-    # m first, m last), weighted by the P diagonal of the other axis; the
-    # walls add left, right, bottom, top.
-    terms = []
-    for e, m, r, alpha, theta, signs, w in (
-        (ez_x, walls(state.hy), bc.r_x, p.alpha_x, p.theta_x, X_SIGNS, ops.y.p_diag),
-        (ez_y, walls(state.hx.T), bc.r_y, p.alpha_y, p.theta_y, Y_SIGNS, ops.x.p_diag),
-    ):
-        a, b, c = _wall_coefficients(r, alpha, theta)
-        lines = np.concatenate((e, m))
-        g = ((lines * w) @ lines.T).tolist()
-        terms += [
-            2.0 * (a * g[k][k] - sign * b * g[k][k + 2] + c * g[k + 2][k + 2]) for k, sign in enumerate(signs.flat)
-        ]
-    left, right, bottom, top = terms
-    return float(left + right + bottom + top)
+    e, m = wall_values(state.data, walls, state.model == "SplitField")
+    on_ee, on_em, on_mm = walls.bt
+    return float(on_ee @ (e * e) + on_em @ (e * m) + on_mm @ (m * m))

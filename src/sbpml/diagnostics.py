@@ -22,7 +22,7 @@ from typing import Optional
 
 import numpy as np
 
-from sbpml.boundary_sat import BoundaryConfig, PenaltyParams, walls
+from sbpml.boundary_sat import BoundaryConfig, PenaltyParams, WallTerms
 from sbpml.grid_state import FieldState, Grid2D, OperatorPair
 from sbpml.pml_models import STATE_MODEL, DampingProfile, ModelSpec, evaluate_rhs
 
@@ -67,13 +67,12 @@ def modal_bt_integrand(rhs_ez: np.ndarray, ops: OperatorPair) -> float:
     """Integrand of the boundary time-integral in the modal energy.
 
     Equals 2 * (dEz/dt)^T ((E_R+E_L) kron Py + Px kron (E_R+E_L)) (dEz/dt):
-    each wall pair's squares times the P diagonal of the other axis, one
-    product per pair.
+    the squares of dEz/dt on the boundary vector, gathered in one take,
+    against P of the axis along each wall.
     """
-    x_walls, y_walls = walls(rhs_ez), walls(rhs_ez.T)
-    left, right = ((x_walls * x_walls) @ ops.y.p_diag).tolist()
-    bottom, top = ((y_walls * y_walls) @ ops.x.p_diag).tolist()
-    return 2.0 * (left + right + bottom + top)
+    rate = rhs_ez.take(ops.wall_index)
+    rate *= rate
+    return 2.0 * float(rate @ ops.wall_p_tangent)
 
 
 def modal_energy(
@@ -88,18 +87,23 @@ def modal_energy(
 
     ``rhs_ez`` must be the current dEz/dt and ``bt_integral`` the
     accumulated boundary time-integral (of ``modal_bt_integrand``,
-    advanced alongside the fields).
+    advanced alongside the fields).  Two scratch arrays hold the damped
+    gradient and the sigma term on ``prof.rows``, squared in place.
     """
-    sigma = prof.sigma_values[:, None]
-    ez, hy, hx = state.ez, state.hy, state.hx
-    e = ops.inner(rhs_ez, rhs_ez)
-    gx = ops.dx(ez) + sigma * hy
-    gy = ops.dy(ez) + sigma * hx
-    e += ops.inner(gx, gx) + ops.inner(gy, gy)
-    e += ops.inner(sigma * hy, sigma * hy) + ops.inner(sigma * hx, sigma * hx)
+    rows, sigma, ez = prof.rows, prof.sigma, state.ez
     # sigma-weighted y-wall quadratic, Ez^T (sigma Px kron theta (E_R+E_L)) Ez.
     spx = prof.sigma_values * ops.x.p_diag
-    e += theta * float(np.sum(spx * (ez[:, 0] ** 2 + ez[:, -1] ** 2)))
+    e = theta * float(np.sum(spx * (ez[:, 0] ** 2 + ez[:, -1] ** 2)))
+    e += ops.inner(rhs_ez, rhs_ez)
+    grad, damped = np.empty_like(ez), np.empty_like(sigma)
+    for apply, h in ((ops.dx, state.hy), (ops.dy, state.hx)):
+        # |D Ez + sigma H|^2 + |sigma H|^2, with sigma H on the damped rows.
+        apply(ez, out=grad)
+        np.multiply(sigma, h[rows], out=damped)
+        grad[rows] += damped
+        grad *= grad
+        damped *= damped
+        e += np.vdot(ops.weight, grad) + np.vdot(ops.weight[rows], damped)
     return float(e) + bt_integral
 
 
@@ -169,7 +173,7 @@ def assemble_semidiscrete_matrix(
     column j is L e_j and not L e_j + RHS(0).
     """
     model = STATE_MODEL[spec.kind]
-    walls = BoundaryConfig(bc.r_x, bc.r_y)
+    walls = WallTerms(ops, BoundaryConfig(bc.r_x, bc.r_y), penalties, prof.rows)
     state = FieldState.zeros(grid, model)
     m = state.data.size
     if m > max_unknowns:
@@ -182,6 +186,6 @@ def assemble_semidiscrete_matrix(
     for col in range(m):
         flat[col] = 1.0
         out = FieldState(model, at[col].reshape(state.data.shape))
-        evaluate_rhs(spec, state, prof, walls, penalties, ops, 0.0, out)
+        evaluate_rhs(spec, state, prof, walls.bc, penalties, ops, 0.0, out, walls)
         flat[col] = 0.0
     return at.T

@@ -58,15 +58,24 @@ class Grid2D:
 class OperatorPair:
     """The two 1D SBP operators acting along x and y.
 
-    ``weight`` is the (Px kron Py) diagonal as an (nx, ny) array, built once.
+    ``weight`` is the (Px kron Py) diagonal as an (nx, ny) array.  The wall
+    points, left, right, bottom and top, form one boundary vector:
+    ``wall_index`` holds their flat indices in an (nx, ny) field and
+    ``wall_p_tangent`` P of the axis along their wall.  All are built once.
     """
 
     x: SbpOperator1D
     y: SbpOperator1D
     weight: np.ndarray = field(init=False, repr=False, compare=False)
+    wall_index: np.ndarray = field(init=False, repr=False, compare=False)
+    wall_p_tangent: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "weight", self.x.p_diag[:, None] * self.y.p_diag[None, :])
+        px, py = self.x.p_diag, self.y.p_diag
+        i, j = np.arange(self.x.n) * self.y.n, np.arange(self.y.n)
+        object.__setattr__(self, "weight", px[:, None] * py[None, :])
+        object.__setattr__(self, "wall_index", np.concatenate((j, i[-1] + j, i, i + j[-1])))
+        object.__setattr__(self, "wall_p_tangent", np.concatenate((py, py, px, px)))
 
     def dx(self, u: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
         """Apply (Dx kron Iy) to an (nx, ny) field, into ``out`` if given.

@@ -30,16 +30,8 @@ from typing import Optional
 
 import numpy as np
 
-from sbpml.boundary_sat import BoundaryConfig, PenaltyParams, sat_contributions, sat_y_field, wall_residuals
+from sbpml.boundary_sat import BoundaryConfig, PenaltyParams, WallTerms, sat_contributions, sat_y_field, wall_residuals
 from sbpml.grid_state import FieldState, Grid2D, OperatorPair
-
-MODEL_KINDS = (
-    "Interior",
-    "ModalUnsplit",
-    "PhysicallyMotivated",
-    "SplitFieldNaive",
-    "SplitFieldStable",
-)
 
 # Which FieldState.model each model kind advances.
 STATE_MODEL = {
@@ -49,6 +41,7 @@ STATE_MODEL = {
     "SplitFieldNaive": "SplitField",
     "SplitFieldStable": "SplitField",
 }
+MODEL_KINDS = tuple(STATE_MODEL)
 
 
 @dataclass(frozen=True)
@@ -141,18 +134,20 @@ def evaluate_rhs(
     ops: OperatorPair,
     t: float,
     out: Optional[FieldState] = None,
+    walls: Optional[WallTerms] = None,
 ) -> FieldState:
     """Time derivative of the state under the chosen semi-discrete model.
 
     The derivative is written into ``out``, a state of the same model and
     shape that shares no memory with ``state`` (a new state if None), and
-    returned; every entry of ``out.data`` is overwritten.  The wall
-    residual pairs (and so any wall data) are evaluated once and shared by the
-    SAT terms, the theta term and the split y-wall penalty; the SAT terms
-    are added on the wall lines only.  The damping terms are applied on
-    ``prof.rows`` only, with a rate written later as their scratch, so no
-    full-size temporary is made; an auxiliary rate that carries sigma is
-    exactly zero outside those rows.
+    returned; every entry of ``out.data`` is overwritten.  ``walls`` are
+    the ``WallTerms`` of (ops, bc, penalties, prof.rows), built here if
+    None, once by a caller that evaluates many.  The wall residuals (and
+    so any wall data) are evaluated once, on the boundary vector, and
+    shared by the SAT terms, the theta term and the split y-wall penalty.
+    The damping terms are applied on ``prof.rows`` only, with a rate
+    written later as their scratch, so no full-size temporary is made; an
+    auxiliary rate that carries sigma is exactly zero outside those rows.
     """
     if state.model != STATE_MODEL[spec.kind]:
         raise ValueError(f"state model {state.model!r} does not match spec kind {spec.kind!r}")
@@ -167,6 +162,10 @@ def evaluate_rhs(
         raise ValueError(
             f"output {out.model} {out.data.shape} does not match state {state.model} {state.data.shape}"
         )
+    if walls is None:
+        walls = WallTerms(ops, bc, penalties, prof.rows)
+    elif walls.ops is not ops or walls.bc is not bc or walls.penalties is not penalties or walls.rows != prof.rows:
+        raise ValueError("walls were built for other operators, walls, penalties or damped rows")
 
     kind = spec.kind
     ez, hy, hx, aux = state.ez, state.hy, state.hx, state.aux
@@ -176,7 +175,7 @@ def evaluate_rhs(
 
     # A split state's total Ez lives in d_aux until Dy Hx is written there.
     ez_tot = np.add(ez, aux, out=d_aux) if split else ez
-    residuals = wall_residuals(ez_tot, hy, hx, bc, t)
+    residuals = wall_residuals(state.data, walls, t, split)
 
     if not split:
         # d_ez = Dy Hx - Dx Hy (+ aux) (- sigma Ez), with Dx Hy and sigma Ez
@@ -216,14 +215,13 @@ def evaluate_rhs(
     # component; this is what makes the scheme conjugate to the stabilized
     # modal one.  SplitFieldNaive keeps both Ez penalties on the damped
     # x-component.
-    sat_contributions(residuals, penalties, ops, out.data, ez_y=kind == "SplitFieldStable")
+    sat_contributions(residuals, walls, out.data, ez_y=kind == "SplitFieldStable")
 
     if kind == "ModalUnsplit":
         # Auxiliary update with the weak y-wall treatment extended into it.
-        bracket = d_aux[rows]
         if spec.theta != 0.0:
-            sat_y_field(residuals[1][:, rows], spec.theta * penalties.alpha_y, ops, bracket)
-        bracket *= sigma
+            sat_y_field(residuals, spec.theta * penalties.alpha_y, walls, out.data)
+        d_aux[rows] *= sigma
     if kind in ("ModalUnsplit", "PhysicallyMotivated"):
         d_aux[: rows.start] = 0.0
         d_aux[rows.stop :] = 0.0

@@ -106,8 +106,7 @@ class SbpOperator1D:
     so P-weighted sums are quadrature rules directly.  ``d`` caches
     P^{-1} Q.  ``blocks`` holds D by runs of rows (``BLOCK_ROWS``) as
     ``(rows, cols, D[rows, cols].T)``, with ``cols`` the run's nonzero
-    columns and the transposed block a contiguous copy.  ``p_walls`` is
-    the (2, 1) column of P at the first and last node.
+    columns and the transposed block a contiguous copy.
     """
 
     interior_order: int
@@ -118,7 +117,6 @@ class SbpOperator1D:
     boundary_width: int
     d: np.ndarray
     blocks: tuple
-    p_walls: np.ndarray
 
     @property
     def boundary_accuracy(self) -> int:
@@ -185,7 +183,7 @@ def build_sbp_operator(interior_order: int, n: int, h: float) -> SbpOperator1D:
         nonzero = np.flatnonzero(np.any(d[rows] != 0.0, axis=0))
         cols = slice(int(nonzero[0]), int(nonzero[-1]) + 1)
         blocks.append((rows, cols, np.ascontiguousarray(d[rows, cols].T)))
-    return SbpOperator1D(interior_order, n, h, p, q, bw, d, tuple(blocks), p[[0, -1], None])
+    return SbpOperator1D(interior_order, n, h, p, q, bw, d, tuple(blocks))
 
 
 @dataclass
@@ -198,10 +196,16 @@ class VerificationReport:
     accuracy_residuals: dict = field(default_factory=dict)
 
     @property
+    def worst_failure(self):
+        """(name, value) of the residual farthest over its tolerance (a NaN the farthest), or None."""
+        checks = [("sbp_residual", self.sbp_residual, SBP_TOL)]
+        checks += [(name, r, ACCURACY_TOL) for name, r in self.accuracy_residuals.items()]
+        failing = [(r / tol if r == r else float("inf"), name, r) for name, r, tol in checks if not r <= tol]
+        return max(failing)[1:] if failing else None
+
+    @property
     def ok(self) -> bool:
-        if self.sbp_residual > SBP_TOL:
-            return False
-        return all(r <= ACCURACY_TOL for r in self.accuracy_residuals.values())
+        return self.worst_failure is None
 
 
 def operator_verification_report(op: SbpOperator1D) -> VerificationReport:

@@ -71,7 +71,7 @@ def _interior_desk_rhs(dt_factor=0.4, t_final=2000.0):
 
     def rhs(v, t, out):
         evaluate_rhs(setup.spec, FieldState("Interior", v), setup.prof, setup.bc,
-                     setup.penalties, setup.ops, t, FieldState("Interior", out))
+                     setup.penalties, setup.ops, t, FieldState("Interior", out), setup.walls)
         return 0.0
 
     return setup, rhs

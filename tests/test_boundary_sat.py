@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from sbpml.boundary_sat import (
     BoundaryConfig,
     PenaltyParams,
+    WallTerms,
     boundary_dissipation,
     penalties_admissible,
     penalty_matrix_eigenvalues,
@@ -32,8 +33,17 @@ def random_interior_state(grid, rng):
 def sat_of(s, bc, p, t, grid, ops):
     """The SAT fields (ez, hy, hx) of a state, from its wall residuals at time t, added into zero fields."""
     fields = np.zeros((3, grid.nx, grid.ny))
-    sat_contributions(wall_residuals(s.ez, s.hy, s.hx, bc, t), p, ops, fields)
+    walls = WallTerms(ops, bc, p)
+    sat_contributions(wall_residuals(s.data, walls, t), walls, fields)
     return tuple(fields)
+
+
+def residuals_by_wall(s, bc, t, grid):
+    """The wall residuals of a state at time t as its (left, right, bottom, top) segments."""
+    walls = WallTerms(grid.operators(2), bc, PenaltyParams.universal())
+    r = wall_residuals(s.data, walls, t)
+    assert r.shape == (2 * grid.ny + 2 * grid.nx,)
+    return np.split(r, np.cumsum([grid.ny, grid.ny, grid.nx]))
 
 
 # ---------------------------------------------------------------------------
@@ -137,13 +147,13 @@ def test_admissibility_is_the_sign_of_the_wall_form(r_x, r_y, weights):
     Weights in [-1, 4] make both outcomes common."""
     bc, p = BoundaryConfig(r_x=r_x, r_y=r_y), PenaltyParams(*weights)
     g = Grid2D(0.0, 2.0, 0.0, 1.5, 7, 6)
-    ops = g.operators(2)
+    walls = WallTerms(g.operators(2), bc, p)
 
     def bt(point, field, e, m):
         """BT of the state that is e in Ez and m in ``field`` at ``point``, zero elsewhere."""
         s = FieldState.zeros(g, "Interior")
         s.ez[point], getattr(s, field)[point] = e, m
-        return boundary_dissipation(s, bc, p, ops)
+        return boundary_dissipation(s, walls)
 
     admissible = penalties_admissible(bc, p)
     witnesses = []
@@ -169,7 +179,7 @@ def test_wall_residuals_characteristic_walls():
     rng = np.random.default_rng(3)
     s = random_interior_state(g, rng)
     bc = BoundaryConfig(r_x=0.0, r_y=0.0)
-    (rl, rr), (rb, rt) = wall_residuals(s.ez, s.hy, s.hx, bc, 0.0)
+    rl, rr, rb, rt = residuals_by_wall(s, bc, 0.0, g)
     assert np.allclose(rl, 0.5 * (s.ez[0, :] + s.hy[0, :]))
     assert np.allclose(rr, 0.5 * (s.ez[-1, :] - s.hy[-1, :]))
     assert np.allclose(rb, 0.5 * (s.ez[:, 0] - s.hx[:, 0]))
@@ -182,7 +192,7 @@ def test_wall_residuals_insulating_and_pec():
     s = random_interior_state(g, rng)
     # R = 1: only the magnetic field enters; R = -1: only the electric field.
     bc = BoundaryConfig(r_x=1.0, r_y=-1.0)
-    (rl, rr), (rb, rt) = wall_residuals(s.ez, s.hy, s.hx, bc, 0.0)
+    rl, rr, rb, rt = residuals_by_wall(s, bc, 0.0, g)
     assert np.allclose(rl, s.hy[0, :])
     assert np.allclose(rr, -s.hy[-1, :])
     assert np.allclose(rb, s.ez[:, 0])
@@ -193,7 +203,7 @@ def test_wall_residuals_subtract_data():
     g = Grid2D(0.0, 1.0, 0.0, 1.0, 5, 4)
     s = FieldState.zeros(g, "Interior")
     bc = BoundaryConfig(r_x=0.0, r_y=1.0, g_top=lambda t: g.x + t)
-    _, (_, rt) = wall_residuals(s.ez, s.hy, s.hx, bc, 2.0)
+    rt = residuals_by_wall(s, bc, 2.0, g)[3]
     assert np.allclose(rt, -(g.x + 2.0))
 
 
@@ -212,13 +222,13 @@ def test_wall_residuals_data_on_every_wall():
         g_top=lambda t: 3.0 - x * t,
     )
     t = 0.7
-    rx, ry = wall_residuals(s.ez, s.hy, s.hx, bc, t)
-    assert rx.shape == (2, g.ny) and ry.shape == (2, g.nx)
+    left, right, bottom, top = residuals_by_wall(s, bc, t, g)
+    assert left.shape == right.shape == (g.ny,) and bottom.shape == top.shape == (g.nx,)
     cxm, cxp, cym, cyp = 0.35, 0.65, 0.8, 0.2
-    assert np.allclose(rx[0], cxm * s.ez[0, :] + cxp * s.hy[0, :] - (y + t), rtol=0, atol=1e-14)
-    assert np.allclose(rx[1], cxm * s.ez[-1, :] - cxp * s.hy[-1, :] - (2.0 * y**2 - t), rtol=0, atol=1e-14)
-    assert np.allclose(ry[0], cym * s.ez[:, 0] - cyp * s.hx[:, 0] - np.cos(x) * t, rtol=0, atol=1e-14)
-    assert np.allclose(ry[1], cym * s.ez[:, -1] + cyp * s.hx[:, -1] - (3.0 - x * t), rtol=0, atol=1e-14)
+    assert np.allclose(left, cxm * s.ez[0, :] + cxp * s.hy[0, :] - (y + t), rtol=0, atol=1e-14)
+    assert np.allclose(right, cxm * s.ez[-1, :] - cxp * s.hy[-1, :] - (2.0 * y**2 - t), rtol=0, atol=1e-14)
+    assert np.allclose(bottom, cym * s.ez[:, 0] - cyp * s.hx[:, 0] - np.cos(x) * t, rtol=0, atol=1e-14)
+    assert np.allclose(top, cym * s.ez[:, -1] + cyp * s.hx[:, -1] - (3.0 - x * t), rtol=0, atol=1e-14)
 
 
 
@@ -327,7 +337,7 @@ def test_energy_identity_interior(r_x, r_y, preset, theta_bars):
         de_dt = 2.0 * (
             ops.inner(s.ez, rhs.ez) + ops.inner(s.hy, rhs.hy) + ops.inner(s.hx, rhs.hx)
         )
-        bt = boundary_dissipation(s, bc, p, ops)
+        bt = boundary_dissipation(s, WallTerms(ops, bc, p))
         assert de_dt == pytest.approx(-bt, abs=1e-12)
         assert bt >= -1e-12  # admissible penalties dissipate
 
@@ -372,7 +382,7 @@ def test_boundary_dissipation_identity(order, kind, r_x, r_y, family, weights, f
     pairs = ((s.ez_total, d_ez), (s.hy, rhs.hy), (s.hx, rhs.hx))
     de_dt = 2.0 * sum(ops.inner(a, b) for a, b in pairs)
     scale = 2.0 * sum(ops.inner(np.abs(a), np.abs(b)) for a, b in pairs)
-    bt = boundary_dissipation(s, bc, p, ops)
+    bt = boundary_dissipation(s, WallTerms(ops, bc, p))
     assert abs(de_dt + bt) <= 1e-12 * scale
     if penalties_admissible(bc, p):
         assert bt >= -1e-12

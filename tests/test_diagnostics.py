@@ -1,9 +1,11 @@
 """Tests for norms, energy functionals, growth bounds, and spectra."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from sbpml.boundary_sat import BoundaryConfig, PenaltyParams, boundary_dissipation
+from sbpml.boundary_sat import BoundaryConfig, PenaltyParams, WallTerms, boundary_dissipation
 from sbpml.diagnostics import (
     CSV_HEADER,
     EnergyHistory,
@@ -24,7 +26,7 @@ from sbpml.pml_models import (
     make_damping_profile,
     zero_damping,
 )
-from sbpml.scenarios_cli import waveguide_forcing
+from sbpml.scenarios_cli import build_scenario, cavity_config, waveguide_forcing
 from sbpml.time_integration import rk4_step
 
 from _oracles import selectors
@@ -134,6 +136,26 @@ def test_modal_energy_dense_oracle_and_positivity():
     assert got >= 0.0
 
 
+def test_modal_energy_allocates_at_most_two_fields():
+    """A warm modal_energy call on the 61x51 desk cavity holds at most two
+    field-sized arrays at once: the derivative of Ez and the sigma terms on
+    the damped rows, which the two-sided layer spreads over the whole x
+    axis.  The quarter field above two allows for the wall lines and the
+    array views, not for a third field."""
+    setup = build_scenario(cavity_config(order=4, desk=True))
+    s = random_state(setup.grid, "ModalUnsplit", np.random.default_rng(8))
+    rhs = evaluate_rhs(setup.spec, s, setup.prof, setup.bc, setup.penalties, setup.ops, 0.5)
+    args = (s, rhs.ez, setup.prof, setup.ops, 1.0, 0.25)
+    first = modal_energy(*args)
+    tracemalloc.start()
+    try:
+        assert modal_energy(*args) == first
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.25 * s.ez.nbytes, peak / s.ez.nbytes
+
+
 def test_modal_energy_zero_damping_reduction():
     g, ops, _, bc, p = small_problem()
     prof0 = zero_damping(g)
@@ -237,11 +259,12 @@ def test_phys_energy_bound_universal_penalties():
     g, ops, prof, bc, _ = small_problem()
     p = PenaltyParams.universal()
     spec = ModelSpec("PhysicallyMotivated")
+    walls = WallTerms(ops, bc, p, prof.rows)
 
     def rhs(v, t, out):
         u = FieldState("PhysicallyMotivated", v)
-        evaluate_rhs(spec, u, prof, bc, p, ops, t, FieldState("PhysicallyMotivated", out))
-        return boundary_dissipation(u, bc, p, ops)
+        evaluate_rhs(spec, u, prof, bc, p, ops, t, FieldState("PhysicallyMotivated", out), walls)
+        return boundary_dissipation(u, walls)
 
     s = FieldState.zeros(g, "PhysicallyMotivated")
     xx, yy = g.x[:, None], g.y[None, :]

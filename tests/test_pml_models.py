@@ -10,7 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sbpml import sbp_core
-from sbpml.boundary_sat import BoundaryConfig, PenaltyParams
+from sbpml.boundary_sat import BoundaryConfig, PenaltyParams, WallTerms, boundary_dissipation
+from sbpml.diagnostics import modal_bt_integrand
 from sbpml.grid_state import FieldState, Grid2D
 from sbpml.pml_models import (
     MODEL_KINDS,
@@ -174,6 +175,105 @@ def test_rhs_into_buffer_matches_dense_oracle(
     assert_rhs_matches_oracle(ModelSpec(kind, theta=theta), g, ops, prof, r_x, r_y, penalties, t, seed)
 
 
+def bt_of_wall_residuals(state, bc, p, ops):
+    """BT written out wall by wall from the residuals r of zero data:
+
+        2 Py [Ez_R Hy_R - Ez_L Hy_L + alpha_x (Ez_L r_L + Ez_R r_R) + theta_x (Hy_L r_L - Hy_R r_R)]
+      + 2 Px [Ez_B Hx_B - Ez_T Hx_T + alpha_y (Ez_B r_B + Ez_T r_T) + theta_y (Hx_T r_T - Hx_B r_B)]
+
+    and the sum of the absolute values of its terms."""
+    ez, hy, hx = state.ez_total, state.hy, state.hx
+    cxm, cxp, cym, cyp = 0.5 * (1 - bc.r_x), 0.5 * (1 + bc.r_x), 0.5 * (1 - bc.r_y), 0.5 * (1 + bc.r_y)
+    el, er, hl, hr = ez[0], ez[-1], hy[0], hy[-1]
+    eb, et, hb, ht = ez[:, 0], ez[:, -1], hx[:, 0], hx[:, -1]
+    rl, rr = cxm * el + cxp * hl, cxm * er - cxp * hr
+    rb, rt = cym * eb - cyp * hb, cym * et + cyp * ht
+    terms = [
+        2 * ops.y.p_diag * (er * hr - el * hl + p.alpha_x * (el * rl + er * rr) + p.theta_x * (hl * rl - hr * rr)),
+        2 * ops.x.p_diag * (eb * hb - et * ht + p.alpha_y * (eb * rb + et * rt) + p.theta_y * (ht * rt - hb * rb)),
+    ]
+    return sum(float(np.sum(t)) for t in terms), sum(float(np.sum(np.abs(t))) for t in terms)
+
+
+def modal_bt_of_walls(rate, ops):
+    """The modal boundary integrand wall by wall: twice the Py-weighted squares
+    on the x walls plus the Px-weighted squares on the y walls."""
+    px, py = ops.x.p_diag, ops.y.p_diag
+    x_walls = np.sum(py * rate[0] ** 2) + np.sum(py * rate[-1] ** 2)
+    return 2.0 * float(x_walls + np.sum(px * rate[:, 0] ** 2) + np.sum(px * rate[:, -1] ** 2))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    order=st.sampled_from([2, 4, 6]),
+    nx_extra=st.integers(0, 5),
+    ny_extra=st.integers(0, 3),
+    theta=st.sampled_from([0.0, 1.0]),
+    penalties=st.sampled_from(["matching", "universal"]),
+    r_x=st.sampled_from([0.0, 1.0]) | st.floats(-0.9, 0.9),
+    r_y=st.sampled_from([0.0, 1.0]) | st.floats(-0.9, 0.9),
+    t=st.floats(0.0, 1.0),
+    small_blocks=st.booleans(),
+    seed=st.integers(0, 2**31),
+)
+def test_boundary_vector_matches_dense_oracle(
+    order, nx_extra, ny_extra, theta, penalties, r_x, r_y, t, small_blocks, seed
+):
+    """The boundary vector of ``WallTerms``, on grids down to twice the
+    boundary width, where the closures of the two walls meet and the
+    corners matter.  Every model kind matches the dense oracle with
+    top-wall data; the gather covers each wall point once per direction
+    (each corner twice in all); each direction's scatter indices are
+    distinct; and both energy integrands equal their wall-by-wall
+    formulas."""
+    n_min = {2: 3, 4: 8, 6: 12}[order]
+    g = Grid2D(-3.0, 3.0, -1.0, 1.0, n_min + nx_extra, n_min + ny_extra)
+    with patch.object(sbp_core, "BLOCK_ROWS", 4 if small_blocks else sbp_core.BLOCK_ROWS):
+        ops = g.operators(order)
+    prof = make_damping_profile(g, 1.0, 2.0, 3.0)
+    for kind in MODEL_KINDS:
+        assert_rhs_matches_oracle(ModelSpec(kind, theta=theta), g, ops, prof, r_x, r_y, penalties, t, seed)
+
+    nx, ny = g.nx, g.ny
+    plane = nx * ny
+    index = ops.wall_index
+    i, j = np.divmod(index, ny)
+    assert np.array_equal(np.sort(index[: 2 * ny]), np.flatnonzero((np.arange(plane) // ny) % (nx - 1) == 0))
+    assert np.array_equal(np.sort(index[2 * ny :]), np.flatnonzero((np.arange(plane) % ny) % (ny - 1) == 0))
+    on_x = np.arange(index.size) < 2 * ny
+    assert np.array_equal(ops.wall_p_tangent, np.where(on_x, ops.y.p_diag[j], ops.x.p_diag[i]))
+    corners = [0, ny - 1, (nx - 1) * ny, plane - 1]
+    assert all(np.count_nonzero(index == c) == 2 for c in corners)
+
+    bc = BoundaryConfig(r_x=r_x, r_y=r_y)
+    p = PenaltyParams.universal() if penalties == "universal" else PenaltyParams.estimate_matching(r_x, r_y)
+    walls = WallTerms(ops, bc, p, prof.rows)
+    assert np.array_equal(walls.p_normal, np.where(on_x, ops.x.p_diag[i], ops.y.p_diag[j]))
+    tangent = np.concatenate((index[: 2 * ny] + plane, index[2 * ny :] + 2 * plane))
+    assert np.array_equal(walls.gather, [index, tangent, index + 3 * plane])
+    for ez_y in (False, True):
+        for segment, scatter, weights in walls.sat[ez_y]:
+            assert np.unique(scatter).size == scatter.size == 2 * index[segment].size
+            assert weights.shape == scatter.shape
+    theta_index, theta_points, _ = walls.theta
+    assert np.unique(theta_index).size == theta_index.size == 2 * len(range(nx)[prof.rows])
+    assert np.array_equal(theta_index, index[theta_points] + 3 * plane) and np.all(theta_points >= 2 * ny)
+
+    rng = np.random.default_rng(seed)
+    for kind in MODEL_KINDS:
+        s = random_state(g, STATE_MODEL[kind], rng)
+        # The gathers and scatters work on any layout: a strided output gets
+        # the same rates, up to the derivative products' summation order.
+        spec, strided = ModelSpec(kind, theta=theta), np.empty(s.data.shape[::-1]).T
+        got = evaluate_rhs(spec, s, prof, bc, p, ops, t, FieldState(s.model, strided), walls).data
+        want = evaluate_rhs(spec, s, prof, bc, p, ops, t).data
+        assert np.max(np.abs(got - want)) <= 1e-12 * (1.0 + np.max(np.abs(want)))
+        bt, scale = bt_of_wall_residuals(s, bc, p, ops)
+        assert abs(boundary_dissipation(s, walls) - bt) <= 1e-13 * scale
+        rate = s.ez
+        assert modal_bt_integrand(rate, ops) == pytest.approx(modal_bt_of_walls(rate, ops), rel=1e-13)
+
+
 # Layer geometries as (x_min, x_max, x0, delta, d0) of the ramp sigma_at:
 # no damped row, one end only (the right end, as in the waveguide, or the
 # left), both ends, and a layer across the whole axis.
@@ -224,13 +324,13 @@ def test_rhs_matches_dense_oracle_on_every_layer_geometry(
 
 @pytest.mark.parametrize("kind", MODEL_KINDS)
 def test_rhs_allocates_no_field(kind):
-    """A warm evaluate_rhs call into a given buffer on the 61x51 desk grid
-    allocates less than half a field: no full-size temporary, only the wall
-    lines."""
+    """A warm evaluate_rhs call into a given buffer on the 61x51 desk grid,
+    with the scenario's wall terms as run_scenario passes them, allocates
+    less than half a field: no full-size temporary, only the wall lines."""
     setup = build_scenario(cavity_config(order=4, desk=True, model_kind=kind))
     s = random_state(setup.grid, STATE_MODEL[kind], np.random.default_rng(3))
     out = FieldState(s.model, np.empty_like(s.data))
-    args = (setup.spec, s, setup.prof, setup.bc, setup.penalties, setup.ops, 0.5, out)
+    args = (setup.spec, s, setup.prof, setup.bc, setup.penalties, setup.ops, 0.5, out, setup.walls)
     evaluate_rhs(*args)
     tracemalloc.start()
     try:
@@ -251,6 +351,9 @@ def test_rhs_model_mismatch_rejected():
         evaluate_rhs(ModelSpec("Interior"), FieldState.zeros(other), prof, bc, p, ops, 0.0)
     with pytest.raises(ValueError, match="damping profile shape"):
         evaluate_rhs(ModelSpec("Interior"), FieldState.zeros(g), zero_damping(other), bc, p, ops, 0.0)
+    walls = WallTerms(ops, bc, p, prof.rows)
+    with pytest.raises(ValueError, match="walls were built for"):
+        evaluate_rhs(ModelSpec("Interior"), FieldState.zeros(g), prof, BoundaryConfig(), p, ops, 0.0, None, walls)
 
 
 @pytest.mark.parametrize("kind", MODEL_KINDS)

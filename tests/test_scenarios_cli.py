@@ -1,5 +1,6 @@
 """Tests for scenario construction, run artifacts, config files, and the CLI."""
 
+import dataclasses
 import math
 import os
 from pathlib import Path
@@ -7,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sbpml import scenarios_cli
+from sbpml import sbp_core, scenarios_cli
 from sbpml.boundary_sat import boundary_dissipation
 from sbpml.diagnostics import (
     CSV_HEADER,
@@ -340,7 +341,7 @@ def reference_history(cfg):
         r = evaluate_rhs(spec, u, prof, bc, p, ops, t)
         if spec.kind == "ModalUnsplit":
             return r.data, modal_bt_integrand(r.ez, ops)
-        return r.data, boundary_dissipation(u, bc, p, ops)
+        return r.data, boundary_dissipation(u, setup.walls)
 
     def record(data, bt, t):
         u = FieldState(model, data)
@@ -557,3 +558,60 @@ def test_cli_verify_passes(capsys):
     captured = capsys.readouterr()
     assert rc == 0
     assert "verify: PASS" in captured.out
+
+
+@pytest.mark.parametrize("corrupt", ["q", "d"])
+def test_cli_verify_names_the_failing_residual(corrupt, monkeypatch, capsys):
+    """A failing operator is reported by its worst failing residual, by name
+    and value: the SBP residual for a corrupted Q (built as in
+    ``test_verification_report_flags_corruption``), a polynomial-accuracy
+    residual when only D is corrupted and Q + Q^T = E still holds, where
+    the SBP residual passes and printing it would show a passing number."""
+
+    def corrupted(order, n, h):
+        op = sbp_core.build_sbp_operator(order, n, h)
+        if corrupt == "q":
+            q_bad = op.q.copy()
+            q_bad[0, 1] += 1e-6
+            return dataclasses.replace(op, q=q_bad, d=q_bad / op.p_diag[:, None])
+        d_bad = op.d.copy()
+        d_bad[0, 1] += 1e-6
+        return dataclasses.replace(op, d=d_bad)
+
+    monkeypatch.setattr(scenarios_cli, "build_sbp_operator", corrupted)
+    rc = cli_entry(["verify", "--samples", "50"])
+    err = capsys.readouterr().err
+    assert rc == 1
+    rep = sbp_core.operator_verification_report(corrupted(4, 33, 0.1))
+    name, value = rep.worst_failure
+    if corrupt == "q":
+        assert name == "sbp_residual" and value == pytest.approx(1e-6)
+    else:
+        assert rep.sbp_residual <= sbp_core.SBP_TOL
+        assert name.startswith("boundary_deg") and value > sbp_core.ACCURACY_TOL
+        assert "sbp_residual" not in err
+    assert f"FAIL: operator order 4, n 33: {name} = {value:g}" in err
+    assert err.count("FAIL: operator") == 9
+
+
+def test_verification_report_worst_failure():
+    """The worst failure is the residual farthest over its own tolerance,
+    and a NaN residual fails."""
+    rep = sbp_core.VerificationReport(4, 20, 0.0, {"interior_deg1": 1e-9, "boundary_deg0": 5e-9})
+    assert rep.ok and rep.worst_failure is None
+    rep.sbp_residual = 5e-14
+    rep.accuracy_residuals["interior_deg2"] = 1e-6
+    assert rep.worst_failure == ("interior_deg2", 1e-6) and not rep.ok
+    rep.accuracy_residuals["boundary_deg1"] = float("nan")
+    assert rep.worst_failure[0] == "boundary_deg1"
+
+
+def test_waveguide_forcing_closure_matches_definition():
+    """The top-wall data of a waveguide scenario, whose spatial factor is
+    built once, equals ``waveguide_forcing`` at the wall bit for bit."""
+    for cfg in (waveguide_config(0.04, 4), reference_config(0.04, 4)):
+        setup = build_scenario(cfg)
+        for t in (0.0, 0.1, 0.37, 1.0, 5.0):
+            got = setup.bc.g_top(t)
+            assert np.array_equal(got, waveguide_forcing(setup.grid.x, cfg.y0, t))
+        assert np.max(setup.bc.g_top(0.1)) > 0.5
