@@ -22,9 +22,9 @@ from typing import Optional
 
 import numpy as np
 
-from sbpml.boundary_sat import BoundaryConfig, PenaltyParams, WallTerms
+from sbpml.boundary_sat import BoundaryConfig, PenaltyParams
 from sbpml.grid_state import FieldState, Grid2D, OperatorPair
-from sbpml.pml_models import STATE_MODEL, DampingProfile, ModelSpec, evaluate_rhs
+from sbpml.pml_models import DampingProfile, ModelSpec, SemiDiscrete, evaluate_rhs
 
 CSV_HEADER = "t,ez_norm,hy_norm,hx_norm,aux_norm,energy"
 
@@ -75,25 +75,19 @@ def modal_bt_integrand(rhs_ez: np.ndarray, ops: OperatorPair) -> float:
     return 2.0 * float(rate @ ops.wall_p_tangent)
 
 
-def modal_energy(
-    state: FieldState,
-    rhs_ez: np.ndarray,
-    prof: DampingProfile,
-    ops: OperatorPair,
-    theta: float,
-    bt_integral: float,
-) -> float:
-    """The modal-PML energy functional of a state.
+def modal_energy(state: FieldState, rhs_ez: np.ndarray, system: SemiDiscrete, bt_integral: float) -> float:
+    """The modal-PML energy functional of a state of the ModalUnsplit ``system``.
 
     ``rhs_ez`` must be the current dEz/dt and ``bt_integral`` the
     accumulated boundary time-integral (of ``modal_bt_integrand``,
     advanced alongside the fields).  Two scratch arrays hold the damped
     gradient and the sigma term on ``prof.rows``, squared in place.
     """
-    rows, sigma, ez = prof.rows, prof.sigma, state.ez
+    prof, ops, ez = system.prof, system.ops, state.ez
+    rows, sigma = prof.rows, prof.sigma
     # sigma-weighted y-wall quadratic, Ez^T (sigma Px kron theta (E_R+E_L)) Ez.
     spx = prof.sigma_values * ops.x.p_diag
-    e = theta * float(np.sum(spx * (ez[:, 0] ** 2 + ez[:, -1] ** 2)))
+    e = system.spec.theta * float(np.sum(spx * (ez[:, 0] ** 2 + ez[:, -1] ** 2)))
     e += ops.inner(rhs_ez, rhs_ez)
     grad, damped = np.empty_like(ez), np.empty_like(sigma)
     for apply, h in ((ops.dx, state.hy), (ops.dy, state.hx)):
@@ -172,9 +166,8 @@ def assemble_semidiscrete_matrix(
     The walls keep their reflection coefficients but not their data, so
     column j is L e_j and not L e_j + RHS(0).
     """
-    model = STATE_MODEL[spec.kind]
-    walls = WallTerms(ops, BoundaryConfig(bc.r_x, bc.r_y), penalties, prof.rows)
-    state = FieldState.zeros(grid, model)
+    system = SemiDiscrete(spec, prof, BoundaryConfig(bc.r_x, bc.r_y), penalties, ops)
+    state = FieldState.zeros(grid, system.model)
     m = state.data.size
     if m > max_unknowns:
         raise ValueError(f"{m} unknowns exceed the dense-assembly guard of {max_unknowns}")
@@ -185,7 +178,6 @@ def assemble_semidiscrete_matrix(
     flat = state.data.reshape(-1)
     for col in range(m):
         flat[col] = 1.0
-        out = FieldState(model, at[col].reshape(state.data.shape))
-        evaluate_rhs(spec, state, prof, walls.bc, penalties, ops, 0.0, out, walls)
+        evaluate_rhs(system, state, 0.0, FieldState(system.model, at[col].reshape(state.data.shape)))
         flat[col] = 0.0
     return at.T

@@ -125,47 +125,59 @@ def zero_damping(grid: Grid2D) -> DampingProfile:
     return DampingProfile(d0=0.0, sigma_values=np.zeros(grid.nx), ny=grid.ny)
 
 
-def evaluate_rhs(
-    spec: ModelSpec,
-    state: FieldState,
-    prof: DampingProfile,
-    bc: BoundaryConfig,
-    penalties: PenaltyParams,
-    ops: OperatorPair,
-    t: float,
-    out: Optional[FieldState] = None,
-    walls: Optional[WallTerms] = None,
-) -> FieldState:
-    """Time derivative of the state under the chosen semi-discrete model.
+@dataclass(frozen=True, eq=False)
+class SemiDiscrete:
+    """One semi-discrete system: a model with its damping, walls, penalties and operators.
+
+    Built once per scenario or assembly: ``__post_init__`` checks the
+    damping profile against the operators and builds ``walls``, the
+    ``WallTerms`` of (ops, bc, penalties, prof.rows).
+    """
+
+    spec: ModelSpec
+    prof: DampingProfile
+    bc: BoundaryConfig
+    penalties: PenaltyParams
+    ops: OperatorPair
+    walls: WallTerms = field(init=False, repr=False)
+
+    def __post_init__(self):
+        got, shape = (self.prof.sigma_values.size, self.prof.ny), (self.ops.x.n, self.ops.y.n)
+        if got != shape:
+            raise ValueError(f"damping profile shape {got} does not match operators {shape}")
+        object.__setattr__(self, "walls", WallTerms(self.ops, self.bc, self.penalties, self.prof.rows))
+
+    @property
+    def model(self) -> str:
+        """The ``FieldState.model`` this system advances."""
+        return STATE_MODEL[self.spec.kind]
+
+
+def evaluate_rhs(system: SemiDiscrete, state: FieldState, t: float, out: Optional[FieldState] = None) -> FieldState:
+    """Time derivative of the state under the system's semi-discrete model.
 
     The derivative is written into ``out``, a state of the same model and
     shape that shares no memory with ``state`` (a new state if None), and
-    returned; every entry of ``out.data`` is overwritten.  ``walls`` are
-    the ``WallTerms`` of (ops, bc, penalties, prof.rows), built here if
-    None, once by a caller that evaluates many.  The wall residuals (and
-    so any wall data) are evaluated once, on the boundary vector, and
-    shared by the SAT terms, the theta term and the split y-wall penalty.
-    The damping terms are applied on ``prof.rows`` only, with a rate
-    written later as their scratch, so no full-size temporary is made; an
-    auxiliary rate that carries sigma is exactly zero outside those rows.
+    returned; every entry of ``out.data`` is overwritten.  The wall
+    residuals (and so any wall data) are evaluated once, on the boundary
+    vector, and shared by the SAT terms, the theta term and the split
+    y-wall penalty.  The damping terms are applied on ``prof.rows`` only,
+    with a rate written later as their scratch, so no full-size temporary
+    is made; an auxiliary rate that carries sigma is exactly zero outside
+    those rows.
     """
-    if state.model != STATE_MODEL[spec.kind]:
+    spec, prof, ops, walls = system.spec, system.prof, system.ops, system.walls
+    if state.model != system.model:
         raise ValueError(f"state model {state.model!r} does not match spec kind {spec.kind!r}")
     shape = (ops.x.n, ops.y.n)
     if state.data.shape[1:] != shape:
         raise ValueError(f"state shape {state.data.shape[1:]} does not match operators {shape}")
-    if (prof.sigma_values.size, prof.ny) != shape:
-        raise ValueError(f"damping profile shape {(prof.sigma_values.size, prof.ny)} does not match operators {shape}")
     if out is None:
         out = FieldState(state.model, np.empty_like(state.data))
     elif out.model != state.model or out.data.shape != state.data.shape:
         raise ValueError(
             f"output {out.model} {out.data.shape} does not match state {state.model} {state.data.shape}"
         )
-    if walls is None:
-        walls = WallTerms(ops, bc, penalties, prof.rows)
-    elif walls.ops is not ops or walls.bc is not bc or walls.penalties is not penalties or walls.rows != prof.rows:
-        raise ValueError("walls were built for other operators, walls, penalties or damped rows")
 
     kind = spec.kind
     ez, hy, hx, aux = state.ez, state.hy, state.hx, state.aux
@@ -220,7 +232,7 @@ def evaluate_rhs(
     if kind == "ModalUnsplit":
         # Auxiliary update with the weak y-wall treatment extended into it.
         if spec.theta != 0.0:
-            sat_y_field(residuals, spec.theta * penalties.alpha_y, walls, out.data)
+            sat_y_field(residuals, spec.theta * system.penalties.alpha_y, walls, out.data)
         d_aux[rows] *= sigma
     if kind in ("ModalUnsplit", "PhysicallyMotivated"):
         d_aux[: rows.start] = 0.0

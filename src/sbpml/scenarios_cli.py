@@ -29,7 +29,7 @@ from typing import Optional, get_type_hints
 
 import numpy as np
 
-from sbpml.boundary_sat import BoundaryConfig, PenaltyParams, WallTerms, boundary_dissipation, penalties_admissible
+from sbpml.boundary_sat import BoundaryConfig, PenaltyParams, boundary_dissipation, penalties_admissible
 from sbpml.diagnostics import (
     EnergyHistory,
     discrete_l2_norms,
@@ -39,12 +39,12 @@ from sbpml.diagnostics import (
     phys_energy,
     assemble_semidiscrete_matrix,
 )
-from sbpml.grid_state import FieldState, Grid2D, OperatorPair
+from sbpml.grid_state import FieldState, Grid2D
 from sbpml.modal_analysis import ComplexParamRegion, dispersion_F1, dispersion_F2, scan_unstable_roots
 from sbpml.pml_models import (
     STATE_MODEL,
-    DampingProfile,
     ModelSpec,
+    SemiDiscrete,
     damping_coefficient,
     evaluate_rhs,
     make_damping_profile,
@@ -156,15 +156,12 @@ def _forcing_at(x, y):
 @dataclass
 class ScenarioSetup:
     grid: Grid2D
-    ops: OperatorPair
-    prof: DampingProfile
-    bc: BoundaryConfig
-    penalties: PenaltyParams
-    spec: ModelSpec
+    system: SemiDiscrete
     state0: FieldState
     dt: float
     n_steps: int
-    walls: WallTerms
+
+    prof = property(lambda self: self.system.prof)
 
 
 def _grid_points(length: float, h: float) -> int:
@@ -175,7 +172,7 @@ def _grid_points(length: float, h: float) -> int:
 
 
 def build_scenario(cfg: ScenarioConfig) -> ScenarioSetup:
-    """Resolve a config into grid, operators, profile, walls, and initial state."""
+    """Resolve a config into its grid, its semi-discrete system, and the initial state."""
     spec = ModelSpec(kind=cfg.model_kind, theta=cfg.theta)
     model = STATE_MODEL[cfg.model_kind]
 
@@ -207,9 +204,8 @@ def build_scenario(cfg: ScenarioConfig) -> ScenarioSetup:
         penalties = PenaltyParams.estimate_matching(bc.r_x, bc.r_y)
     dt = cfg.dt_factor * cfg.h
     n_steps = max(1, math.ceil(cfg.t_final / dt - 1e-12))
-    ops = grid.operators(cfg.order)
-    walls = WallTerms(ops, bc, penalties, prof.rows)
-    return ScenarioSetup(grid, ops, prof, bc, penalties, spec, state0, cfg.t_final / n_steps, n_steps, walls)
+    system = SemiDiscrete(spec, prof, bc, penalties, grid.operators(cfg.order))
+    return ScenarioSetup(grid, system, state0, cfg.t_final / n_steps, n_steps)
 
 
 def write_snapshot(path: str, grid: Grid2D, values: np.ndarray):
@@ -236,7 +232,7 @@ def _echo_config(path: str, cfg: ScenarioConfig, setup: ScenarioSetup, diverged:
         f.write(f"resolved_nx = {setup.grid.nx}\n")
         f.write(f"resolved_ny = {setup.grid.ny}\n")
         f.write(f"resolved_d0 = {setup.prof.d0:.17g}\n")
-        f.write(f"penalties_admissible = {penalties_admissible(setup.bc, setup.penalties)}\n")
+        f.write(f"penalties_admissible = {penalties_admissible(setup.system.bc, setup.system.penalties)}\n")
         f.write(f"diverged = {diverged}\n")
         f.write(f"last_completed_step = {last_step}\n")
 
@@ -250,12 +246,10 @@ def run_scenario(cfg: ScenarioConfig) -> RunArtifacts:
     divergence is a result, not an error).
     """
     setup = build_scenario(cfg)
-    grid, ops, prof = setup.grid, setup.ops, setup.prof
-    bc, penalties, spec, walls = setup.bc, setup.penalties, setup.spec, setup.walls
-    u = setup.state0
-    model = u.model
-    modal = spec.kind == "ModalUnsplit"
-    fields_energy = phys_energy if spec.kind == "PhysicallyMotivated" else interior_energy
+    grid, system, u = setup.grid, setup.system, setup.state0
+    ops, walls, kind, model = system.ops, system.walls, system.spec.kind, u.model
+    modal = kind == "ModalUnsplit"
+    fields_energy = phys_energy if kind == "PhysicallyMotivated" else interior_energy
 
     # The energy column: the boundary integrand of a state and its derivative,
     # and the energy, which also takes the integrand's time integral bt.
@@ -263,11 +257,11 @@ def run_scenario(cfg: ScenarioConfig) -> RunArtifacts:
         return modal_bt_integrand(d.ez, ops) if modal else boundary_dissipation(v, walls)
 
     def energy(v, d, bt):
-        return modal_energy(v, d.ez, prof, ops, spec.theta, bt) if modal else fields_energy(v, ops, bt)
+        return modal_energy(v, d.ez, system, bt) if modal else fields_energy(v, ops, bt)
 
     def rhs(v, t, out):
         state, d = FieldState(model, v), FieldState(model, out)
-        evaluate_rhs(spec, state, prof, bc, penalties, ops, t, d, walls)
+        evaluate_rhs(system, state, t, d)
         return integrand(state, d)
 
     os.makedirs(cfg.output_dir, exist_ok=True)

@@ -17,7 +17,7 @@ from sbpml.boundary_sat import (
     wall_residuals,
 )
 from sbpml.grid_state import FieldState, Grid2D
-from sbpml.pml_models import STATE_MODEL, ModelSpec, evaluate_rhs, zero_damping
+from sbpml.pml_models import ModelSpec, SemiDiscrete, evaluate_rhs, zero_damping
 
 from _oracles import dense_sat_oracle
 
@@ -329,15 +329,14 @@ def test_energy_identity_interior(r_x, r_y, preset, theta_bars):
         p = PenaltyParams.universal()
     else:
         p = PenaltyParams.estimate_matching(r_x, r_y, *theta_bars)
-    prof = zero_damping(g)
-    spec = ModelSpec("Interior")
+    system = SemiDiscrete(ModelSpec("Interior"), zero_damping(g), bc, p, ops)
     for _ in range(5):
         s = random_interior_state(g, rng)
-        rhs = evaluate_rhs(spec, s, prof, bc, p, ops, 0.0)
+        rhs = evaluate_rhs(system, s, 0.0)
         de_dt = 2.0 * (
             ops.inner(s.ez, rhs.ez) + ops.inner(s.hy, rhs.hy) + ops.inner(s.hx, rhs.hx)
         )
-        bt = boundary_dissipation(s, WallTerms(ops, bc, p))
+        bt = boundary_dissipation(s, system.walls)
         assert de_dt == pytest.approx(-bt, abs=1e-12)
         assert bt >= -1e-12  # admissible penalties dissipate
 
@@ -374,15 +373,15 @@ def test_boundary_dissipation_identity(order, kind, r_x, r_y, family, weights, f
         gx, gy = (1.0 - r_x) / (1.0 + r_x), (1.0 - r_y) / (1.0 + r_y)
         tbx, tby = (f * (4.0 / gam if gam > 0 else 10.0) for f, gam in zip(fractions, (gx, gy)))
         p = PenaltyParams.estimate_matching(r_x, r_y, tbx, tby)
-    spec = ModelSpec(kind)
-    s = FieldState.zeros(g, STATE_MODEL[kind])
+    system = SemiDiscrete(ModelSpec(kind), zero_damping(g), bc, p, ops)
+    s = FieldState.zeros(g, system.model)
     s.data[:] = np.random.default_rng(seed).standard_normal(s.data.shape)
-    rhs = evaluate_rhs(spec, s, zero_damping(g), bc, p, ops, 0.0)
+    rhs = evaluate_rhs(system, s, 0.0)
     d_ez = rhs.ez if rhs.aux is None else rhs.ez + rhs.aux
     pairs = ((s.ez_total, d_ez), (s.hy, rhs.hy), (s.hx, rhs.hx))
     de_dt = 2.0 * sum(ops.inner(a, b) for a, b in pairs)
     scale = 2.0 * sum(ops.inner(np.abs(a), np.abs(b)) for a, b in pairs)
-    bt = boundary_dissipation(s, WallTerms(ops, bc, p))
+    bt = boundary_dissipation(s, system.walls)
     assert abs(de_dt + bt) <= 1e-12 * scale
     if penalties_admissible(bc, p):
         assert bt >= -1e-12

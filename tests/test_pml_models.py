@@ -17,6 +17,7 @@ from sbpml.pml_models import (
     MODEL_KINDS,
     STATE_MODEL,
     ModelSpec,
+    SemiDiscrete,
     damping_coefficient,
     evaluate_rhs,
     make_damping_profile,
@@ -116,10 +117,11 @@ def make_problem(order=2, nx=6, ny=6, r_x=0.0, r_y=0.0, d0=3.0, penalties="match
 def test_rhs_matches_dense_oracle(kind, theta, penalties):
     g, ops, prof, bc, p = make_problem(penalties=penalties)
     spec = ModelSpec(kind, theta=theta)
+    system = SemiDiscrete(spec, prof, bc, p, ops)
     rng = np.random.default_rng(17)
     for _ in range(3):
         s = random_state(g, STATE_MODEL[kind], rng)
-        got = evaluate_rhs(spec, s, prof, bc, p, ops, 0.0)
+        got = evaluate_rhs(system, s, 0.0)
         d_ez, d_hy, d_hx, d_aux = dense_rhs_oracle(spec, s, prof, bc, p, ops, g)
         assert np.max(np.abs(got.ez - d_ez)) <= 1e-12
         assert np.max(np.abs(got.hy - d_hy)) <= 1e-12
@@ -139,7 +141,7 @@ def assert_rhs_matches_oracle(spec, g, ops, prof, r_x, r_y, penalties, t, seed):
     p = PenaltyParams.universal() if penalties == "universal" else PenaltyParams.estimate_matching(r_x, r_y)
     s = random_state(g, STATE_MODEL[spec.kind], np.random.default_rng(seed))
     out = FieldState(s.model, np.full_like(s.data, np.nan))
-    assert evaluate_rhs(spec, s, prof, bc, p, ops, t, out) is out
+    assert evaluate_rhs(SemiDiscrete(spec, prof, bc, p, ops), s, t, out) is out
     expect = dense_rhs_oracle(spec, s, prof, bc, p, ops, g, g_top=g_top(t))
     scale = 1.0 + max(np.max(np.abs(e)) for e in expect if e is not None)
     for got, e in zip(out.data, expect):
@@ -264,9 +266,10 @@ def test_boundary_vector_matches_dense_oracle(
         s = random_state(g, STATE_MODEL[kind], rng)
         # The gathers and scatters work on any layout: a strided output gets
         # the same rates, up to the derivative products' summation order.
-        spec, strided = ModelSpec(kind, theta=theta), np.empty(s.data.shape[::-1]).T
-        got = evaluate_rhs(spec, s, prof, bc, p, ops, t, FieldState(s.model, strided), walls).data
-        want = evaluate_rhs(spec, s, prof, bc, p, ops, t).data
+        system = SemiDiscrete(ModelSpec(kind, theta=theta), prof, bc, p, ops)
+        strided = np.empty(s.data.shape[::-1]).T
+        got = evaluate_rhs(system, s, t, FieldState(s.model, strided)).data
+        want = evaluate_rhs(system, s, t).data
         assert np.max(np.abs(got - want)) <= 1e-12 * (1.0 + np.max(np.abs(want)))
         bt, scale = bt_of_wall_residuals(s, bc, p, ops)
         assert abs(boundary_dissipation(s, walls) - bt) <= 1e-13 * scale
@@ -325,12 +328,12 @@ def test_rhs_matches_dense_oracle_on_every_layer_geometry(
 @pytest.mark.parametrize("kind", MODEL_KINDS)
 def test_rhs_allocates_no_field(kind):
     """A warm evaluate_rhs call into a given buffer on the 61x51 desk grid,
-    with the scenario's wall terms as run_scenario passes them, allocates
-    less than half a field: no full-size temporary, only the wall lines."""
+    with the scenario's system as run_scenario passes it, allocates less
+    than half a field: no full-size temporary, only the wall lines."""
     setup = build_scenario(cavity_config(order=4, desk=True, model_kind=kind))
     s = random_state(setup.grid, STATE_MODEL[kind], np.random.default_rng(3))
     out = FieldState(s.model, np.empty_like(s.data))
-    args = (setup.spec, s, setup.prof, setup.bc, setup.penalties, setup.ops, 0.5, out, setup.walls)
+    args = (setup.system, s, 0.5, out)
     evaluate_rhs(*args)
     tracemalloc.start()
     try:
@@ -342,18 +345,18 @@ def test_rhs_allocates_no_field(kind):
 
 
 def test_rhs_model_mismatch_rejected():
+    """A state of another model or shape is rejected by evaluate_rhs; a
+    damping profile of another shape already by the system's constructor."""
     g, ops, prof, bc, p = make_problem()
     s = FieldState.zeros(g, "Interior")
     with pytest.raises(ValueError):
-        evaluate_rhs(ModelSpec("ModalUnsplit"), s, prof, bc, p, ops, 0.0)
+        evaluate_rhs(SemiDiscrete(ModelSpec("ModalUnsplit"), prof, bc, p, ops), s, 0.0)
     other = Grid2D(-3.0, 3.0, -1.0, 1.0, 7, 6)
+    interior = SemiDiscrete(ModelSpec("Interior"), prof, bc, p, ops)
     with pytest.raises(ValueError, match="does not match operators"):
-        evaluate_rhs(ModelSpec("Interior"), FieldState.zeros(other), prof, bc, p, ops, 0.0)
+        evaluate_rhs(interior, FieldState.zeros(other), 0.0)
     with pytest.raises(ValueError, match="damping profile shape"):
-        evaluate_rhs(ModelSpec("Interior"), FieldState.zeros(g), zero_damping(other), bc, p, ops, 0.0)
-    walls = WallTerms(ops, bc, p, prof.rows)
-    with pytest.raises(ValueError, match="walls were built for"):
-        evaluate_rhs(ModelSpec("Interior"), FieldState.zeros(g), prof, BoundaryConfig(), p, ops, 0.0, None, walls)
+        SemiDiscrete(ModelSpec("Interior"), zero_damping(other), bc, p, ops)
 
 
 @pytest.mark.parametrize("kind", MODEL_KINDS)
@@ -370,7 +373,7 @@ def test_wall_data_evaluated_once_per_rhs(kind):
 
     bc = BoundaryConfig(g_top=g_top)
     s = random_state(g, STATE_MODEL[kind], np.random.default_rng(5))
-    evaluate_rhs(ModelSpec(kind, theta=1.0), s, prof, bc, p, ops, 0.5)
+    evaluate_rhs(SemiDiscrete(ModelSpec(kind, theta=1.0), prof, bc, p, ops), s, 0.5)
     assert calls == [0.5]
 
 
@@ -383,14 +386,14 @@ def test_model_spec_validation():
 @pytest.mark.parametrize("kind", MODEL_KINDS)
 def test_rhs_linear_in_state(kind):
     g, ops, prof, bc, p = make_problem()
-    spec = ModelSpec(kind, theta=1.0)
+    system = SemiDiscrete(ModelSpec(kind, theta=1.0), prof, bc, p, ops)
     rng = np.random.default_rng(23)
     u = random_state(g, STATE_MODEL[kind], rng)
     v = random_state(g, STATE_MODEL[kind], rng)
-    ru = evaluate_rhs(spec, u, prof, bc, p, ops, 0.0)
-    rv = evaluate_rhs(spec, v, prof, bc, p, ops, 0.0)
+    ru = evaluate_rhs(system, u, 0.0)
+    rv = evaluate_rhs(system, v, 0.0)
     w = FieldState(u.model, 2.0 * u.data + (-0.5) * v.data)
-    rw = evaluate_rhs(spec, w, prof, bc, p, ops, 0.0)
+    rw = evaluate_rhs(system, w, 0.0)
     for name in ("ez", "hy", "hx"):
         assert np.allclose(getattr(rw, name), 2 * getattr(ru, name) - 0.5 * getattr(rv, name), atol=1e-12)
     if ru.aux is not None:
@@ -422,8 +425,8 @@ def test_zero_damping_reduces_to_interior(kind):
     s.hy[:] = base.hy
     s.hx[:] = base.hx
 
-    r_int = evaluate_rhs(ModelSpec("Interior"), base, prof, bc, p, ops, 0.0)
-    r = evaluate_rhs(spec, s, prof, bc, p, ops, 0.0)
+    r_int = evaluate_rhs(SemiDiscrete(ModelSpec("Interior"), prof, bc, p, ops), base, 0.0)
+    r = evaluate_rhs(SemiDiscrete(spec, prof, bc, p, ops), s, 0.0)
     ez_rate = r.ez + r.aux if model == "SplitField" else r.ez
     assert np.max(np.abs(ez_rate - r_int.ez)) <= 1e-12
     assert np.max(np.abs(r.hy - r_int.hy)) <= 1e-12
@@ -440,16 +443,13 @@ def test_stable_split_conjugate_to_stabilized_modal():
     prof = make_damping_profile(g, 1.0, 2.0, 4.0)
     bc = BoundaryConfig(r_x=0.0, r_y=0.0)
     p = PenaltyParams.estimate_matching(0, 0)
+    split = SemiDiscrete(ModelSpec("SplitFieldStable"), prof, bc, p, ops)
+    modal = SemiDiscrete(ModelSpec("ModalUnsplit", theta=1.0), prof, bc, p, ops)
     rng = np.random.default_rng(41)
     for _ in range(5):
         s = random_state(g, "SplitField", rng)
-        r_split = evaluate_rhs(ModelSpec("SplitFieldStable"), s, prof, bc, p, ops, 0.0)
-        mapped_rate = reduce_splitfield_to_modal(r_split, prof)
-        r_modal = evaluate_rhs(
-            ModelSpec("ModalUnsplit", theta=1.0),
-            reduce_splitfield_to_modal(s, prof),
-            prof, bc, p, ops, 0.0,
-        )
+        mapped_rate = reduce_splitfield_to_modal(evaluate_rhs(split, s, 0.0), prof)
+        r_modal = evaluate_rhs(modal, reduce_splitfield_to_modal(s, prof), 0.0)
         for name in ("ez", "hy", "hx", "aux"):
             a, b = getattr(mapped_rate, name), getattr(r_modal, name)
             assert np.max(np.abs(a - b)) <= 1e-12, name
@@ -459,8 +459,8 @@ def test_naive_split_differs_from_stable_only_at_y_walls():
     g, ops, prof, bc, p = make_problem()
     rng = np.random.default_rng(43)
     s = random_state(g, "SplitField", rng)
-    r_naive = evaluate_rhs(ModelSpec("SplitFieldNaive"), s, prof, bc, p, ops, 0.0)
-    r_stable = evaluate_rhs(ModelSpec("SplitFieldStable"), s, prof, bc, p, ops, 0.0)
+    r_naive = evaluate_rhs(SemiDiscrete(ModelSpec("SplitFieldNaive"), prof, bc, p, ops), s, 0.0)
+    r_stable = evaluate_rhs(SemiDiscrete(ModelSpec("SplitFieldStable"), prof, bc, p, ops), s, 0.0)
     # The magnetic updates coincide; the split components differ only on
     # the y-wall lines, and their sums agree everywhere.
     assert np.allclose(r_naive.hy, r_stable.hy, atol=1e-13)
@@ -485,7 +485,7 @@ def test_modal_aux_rate_vanishes_outside_layer(seed, theta):
     g, ops, prof, bc, p = make_problem()
     rng = np.random.default_rng(seed)
     s = random_state(g, "ModalUnsplit", rng)
-    r = evaluate_rhs(ModelSpec("ModalUnsplit", theta=theta), s, prof, bc, p, ops, 0.0)
+    r = evaluate_rhs(SemiDiscrete(ModelSpec("ModalUnsplit", theta=theta), prof, bc, p, ops), s, 0.0)
     outside = prof.sigma_values == 0.0
     assert np.all(r.aux[outside, :] == 0.0)
 
@@ -506,9 +506,9 @@ def test_layer_is_perfectly_matched_before_waves_arrive():
         s.ez[:] = np.exp(-(xx**2 + yy**2))
         return s
 
-    def advance(spec, prof, s, n_steps, dt):
+    def advance(system, s, n_steps, dt):
         def rhs(w, t, out):
-            evaluate_rhs(spec, FieldState(s.model, w), prof, bc, p, ops, t, FieldState(s.model, out))
+            evaluate_rhs(system, FieldState(s.model, w), t, FieldState(s.model, out))
             return 0.0
 
         k1, work = np.empty_like(s.data), [np.empty_like(s.data) for _ in range(4)]
@@ -519,8 +519,8 @@ def test_layer_is_perfectly_matched_before_waves_arrive():
     dt, n_steps = 0.2, 15  # waves travel at unit speed: 3 < 10 = layer start
     u = initial("ModalUnsplit")
     v = initial("Interior")
-    advance(ModelSpec("ModalUnsplit", theta=1.0), prof, u, n_steps, dt)
-    advance(ModelSpec("Interior"), prof0, v, n_steps, dt)
+    advance(SemiDiscrete(ModelSpec("ModalUnsplit", theta=1.0), prof, bc, p, ops), u, n_steps, dt)
+    advance(SemiDiscrete(ModelSpec("Interior"), prof0, bc, p, ops), v, n_steps, dt)
     assert np.max(np.abs(u.ez - v.ez)) <= 1e-10
     assert np.max(np.abs(u.hy - v.hy)) <= 1e-10
     assert np.max(np.abs(u.hx - v.hx)) <= 1e-10

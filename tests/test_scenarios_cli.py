@@ -126,9 +126,9 @@ def test_build_cavity_geometry():
     g = setup.grid
     assert (g.x_min, g.x_max) == (-6.0, 6.0)
     assert (g.nx, g.ny) == (13, 9)
-    assert setup.bc.r_x == 0.0 and setup.bc.r_y == 0.0
+    assert setup.system.bc.r_x == 0.0 and setup.system.bc.r_y == 0.0
     # Estimate-matching penalties at R = 0.
-    assert setup.penalties.alpha_x == 2.0 and setup.penalties.theta_x == 0.0
+    assert setup.system.penalties.alpha_x == 2.0 and setup.system.penalties.theta_x == 0.0
     # Damping vanishes for |x| <= x0 and is d0 at the outer edge.
     sig = setup.prof.sigma_values
     assert np.all(sig[np.abs(g.x) <= 4.0] == 0.0)
@@ -144,8 +144,8 @@ def test_build_waveguide_geometry_and_dt():
     assert (g.x_min, g.x_max) == (-2.0, 2.4)
     assert (g.y_min, g.y_max) == (-1.0, 1.0)
     assert (g.nx, g.ny) == (111, 51)
-    assert setup.bc.r_x == 0.0 and setup.bc.r_y == 1.0
-    assert setup.bc.g_top is not None
+    assert setup.system.bc.r_x == 0.0 and setup.system.bc.r_y == 1.0
+    assert setup.system.bc.g_top is not None
     # dt_factor * h = 0.016 does not divide 5; the step shrinks to fit.
     assert setup.n_steps == 313
     assert setup.dt == pytest.approx(5.0 / 313)
@@ -333,21 +333,21 @@ def reference_history(cfg):
     that evaluates every step's first stage and every sample's derivative
     afresh: rows of (ez_norm, hy_norm, hx_norm, aux_norm, energy)."""
     setup = build_scenario(cfg)
-    spec, ops, prof, grid = setup.spec, setup.ops, setup.prof, setup.grid
-    bc, p, model = setup.bc, setup.penalties, setup.state0.model
+    system, model = setup.system, setup.state0.model
+    spec, ops = system.spec, system.ops
 
     def f(data, t):
         u = FieldState(model, data)
-        r = evaluate_rhs(spec, u, prof, bc, p, ops, t)
+        r = evaluate_rhs(system, u, t)
         if spec.kind == "ModalUnsplit":
             return r.data, modal_bt_integrand(r.ez, ops)
-        return r.data, boundary_dissipation(u, setup.walls)
+        return r.data, boundary_dissipation(u, system.walls)
 
     def record(data, bt, t):
         u = FieldState(model, data)
         norms = discrete_l2_norms(u, ops)
         if spec.kind == "ModalUnsplit":
-            e = modal_energy(u, FieldState(model, f(data, t)[0]).ez, prof, ops, spec.theta, bt)
+            e = modal_energy(u, FieldState(model, f(data, t)[0]).ez, system, bt)
         elif spec.kind == "PhysicallyMotivated":
             e = phys_energy(u, ops, bt)
         else:
@@ -612,6 +612,6 @@ def test_waveguide_forcing_closure_matches_definition():
     for cfg in (waveguide_config(0.04, 4), reference_config(0.04, 4)):
         setup = build_scenario(cfg)
         for t in (0.0, 0.1, 0.37, 1.0, 5.0):
-            got = setup.bc.g_top(t)
+            got = setup.system.bc.g_top(t)
             assert np.array_equal(got, waveguide_forcing(setup.grid.x, cfg.y0, t))
-        assert np.max(setup.bc.g_top(0.1)) > 0.5
+        assert np.max(setup.system.bc.g_top(0.1)) > 0.5
