@@ -44,9 +44,6 @@ class Grid2D:
     def y(self) -> np.ndarray:
         return self.y_min + np.arange(self.ny) * self.hy
 
-    def zeros(self) -> np.ndarray:
-        return np.zeros((self.nx, self.ny))
-
     def operators(self, order: int) -> "OperatorPair":
         return OperatorPair(
             x=build_sbp_operator(order, self.nx, self.hx),

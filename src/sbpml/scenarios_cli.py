@@ -142,13 +142,9 @@ def cavity_initial_state(grid: Grid2D, model: str = "Interior") -> FieldState:
     return state
 
 
-def waveguide_forcing(x, y, t: float):
-    """Top-wall magnetic forcing: a time Gaussian localized around (1, 1)."""
-    return _forcing_at(x, y)(t)
-
-
-def _forcing_at(x, y):
-    """``waveguide_forcing`` at fixed points as a callable of t, its spatial factor built once."""
+def waveguide_forcing(x, y):
+    """Top-wall magnetic forcing at the points (x, y), a time Gaussian localized
+    around (1, 1), as a callable of t; its spatial factor is built once."""
     bump = np.exp(-((x - 1.0) ** 2 + (y - 1.0) ** 2) / 0.01)
     return lambda t: np.exp(-(np.pi**2) * (10.0 * t - 1.0) ** 2) * bump
 
@@ -189,7 +185,7 @@ def build_scenario(cfg: ScenarioConfig) -> ScenarioSetup:
         grid = Grid2D(
             -2.0, x_right, -y0, y0, _grid_points(x_right + 2.0, cfg.h), _grid_points(2 * y0, cfg.h)
         )
-        bc = BoundaryConfig(r_x=0.0, r_y=1.0, g_top=_forcing_at(grid.x, y0))
+        bc = BoundaryConfig(r_x=0.0, r_y=1.0, g_top=waveguide_forcing(grid.x, y0))
         if cfg.scenario == "Waveguide":
             p = WAVEGUIDE_RAMP_POWER
             d0 = cfg.d0 if cfg.d0 is not None else damping_coefficient(cfg.delta, cfg.tol, p)
@@ -237,8 +233,36 @@ def _echo_config(path: str, cfg: ScenarioConfig, setup: ScenarioSetup, diverged:
         f.write(f"last_completed_step = {last_step}\n")
 
 
+def march(system: SemiDiscrete, u: FieldState, dt: float, n_steps: int):
+    """Advance ``u`` in place by ``n_steps`` RK4 steps of ``dt`` from t = 0.
+
+    Yields ``(k, du, bt)`` at k = 0 and after every step.  ``du`` is the
+    derivative at t = k dt, which is also the next step's first stage, so
+    it must not be changed.  ``bt`` is the RK4-weighted time integral up
+    to k dt of the boundary integrand that the energies take:
+    ``modal_bt_integrand`` for ModalUnsplit, ``boundary_dissipation``
+    otherwise.  The RHS is evaluated 4 times a step plus once at t = 0.
+    """
+    ops, walls, model = system.ops, system.walls, u.model
+    modal = system.spec.kind == "ModalUnsplit"
+
+    def rhs(v, t, out):
+        state, d = FieldState(model, v), FieldState(model, out)
+        evaluate_rhs(system, state, t, d)
+        return modal_bt_integrand(d.ez, ops) if modal else boundary_dissipation(state, walls)
+
+    du = FieldState(model, np.empty_like(u.data))
+    work = [np.empty_like(u.data) for _ in range(4)]
+    q, bt = rhs(u.data, 0.0, du.data), 0.0
+    yield 0, du, bt
+    for k in range(n_steps):
+        bt += rk4_step(rhs, u.data, k * dt, dt, du.data, q, work)
+        q = rhs(u.data, (k + 1) * dt, du.data)
+        yield k + 1, du, bt
+
+
 def run_scenario(cfg: ScenarioConfig) -> RunArtifacts:
-    """Advance the configured scenario with RK4, in place, sampling norms and energy.
+    """Advance the configured scenario with ``march``, sampling norms and energy.
 
     A non-finite sampled record (a norm or the energy), the t = 0 record
     included, stops the time loop and is not kept; the history written so
@@ -246,56 +270,25 @@ def run_scenario(cfg: ScenarioConfig) -> RunArtifacts:
     divergence is a result, not an error).
     """
     setup = build_scenario(cfg)
-    grid, system, u = setup.grid, setup.system, setup.state0
-    ops, walls, kind, model = system.ops, system.walls, system.spec.kind, u.model
-    modal = kind == "ModalUnsplit"
-    fields_energy = phys_energy if kind == "PhysicallyMotivated" else interior_energy
-
-    # The energy column: the boundary integrand of a state and its derivative,
-    # and the energy, which also takes the integrand's time integral bt.
-    def integrand(v, d):
-        return modal_bt_integrand(d.ez, ops) if modal else boundary_dissipation(v, walls)
-
-    def energy(v, d, bt):
-        return modal_energy(v, d.ez, system, bt) if modal else fields_energy(v, ops, bt)
-
-    def rhs(v, t, out):
-        state, d = FieldState(model, v), FieldState(model, out)
-        evaluate_rhs(system, state, t, d)
-        return integrand(state, d)
-
+    grid, system, u, n_steps = setup.grid, setup.system, setup.state0, setup.n_steps
+    ops, modal = system.ops, system.spec.kind == "ModalUnsplit"
+    fields_energy = phys_energy if system.spec.kind == "PhysicallyMotivated" else interior_energy
     os.makedirs(cfg.output_dir, exist_ok=True)
     label = cfg.run_label
     history = EnergyHistory()
-
-    # du holds the derivative at the current state: it is both what a
-    # sample needs and the next step's first stage.
-    du = FieldState(model, np.empty_like(u.data))
-    work = [np.empty_like(u.data) for _ in range(4)]
-
-    def sample(t, bt) -> bool:
-        """Append the record at time t if it is finite; return whether it was."""
-        rec = discrete_l2_norms(u, ops)
-        rec["energy"] = energy(u, du, bt)
-        finite = all(map(math.isfinite, rec.values()))
-        if finite:
-            history.append(t, rec)
-        return finite
-
-    dt, n_steps = setup.dt, setup.n_steps
-    last_step = 0
+    last_step, diverged = 0, False
     # A diverging run overflows to inf/nan by design; that outcome is
     # detected and recorded rather than warned about.
     with np.errstate(over="ignore", invalid="ignore"):
-        q = rhs(u.data, 0.0, du.data)
-        bt = 0.0  # the time integral of q, which enters the energies
-        diverged = not sample(0.0, bt)
-        while not diverged and last_step < n_steps:
-            bt += rk4_step(rhs, u.data, last_step * dt, dt, du.data, q, work)
-            last_step += 1
-            q = rhs(u.data, last_step * dt, du.data)
-            if last_step % cfg.stride == 0 or last_step == n_steps:
-                diverged = not sample(last_step * dt, bt)
+        for k, du, bt in march(system, u, setup.dt, n_steps):
+            if k % cfg.stride and k < n_steps:
+                continue
+            rec = discrete_l2_norms(u, ops)
+            rec["energy"] = modal_energy(u, du.ez, system, bt) if modal else fields_energy(u, ops, bt)
+            last_step, diverged = k, not all(map(math.isfinite, rec.values()))
+            if diverged:
+                break
+            history.append(k * setup.dt, rec)
 
     history_csv = os.path.join(cfg.output_dir, f"{label}_history.csv")
     history.to_csv(history_csv)

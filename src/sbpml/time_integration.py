@@ -11,9 +11,10 @@ def rk4_step(rhs, u: np.ndarray, t: float, dt: float, k1: np.ndarray, q1: float,
     ``rhs(v, s, out)`` writes dv/dt at time s into ``out`` and returns the
     integrand q of a scalar integrated beside the state (the boundary
     integral of the energies; 0.0 if there is none).  ``k1`` must hold
-    rhs(u, t) and ``q1`` its integrand: the caller has them already, from
-    sampling the end of the previous step.  ``work`` is four arrays shaped
-    like ``u``, overwritten as the stage buffers; ``k1`` is left as is.
+    rhs(u, t) and ``q1`` its integrand: ``scenarios_cli.march``, the one
+    caller, has them from the end of the previous step.  ``work`` is four
+    arrays shaped like ``u``, overwritten as the stage buffers; ``k1`` is
+    left as is.
     Returns the scalar's increment dt/6 (q1 + 2 q2 + 2 q3 + q4), the same
     weights as the fields'.  Exactly linear in u when rhs is linear.
     """

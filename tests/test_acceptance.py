@@ -37,11 +37,11 @@ from sbpml.sbp_core import build_sbp_operator, operator_verification_report
 from sbpml.scenarios_cli import (
     build_scenario,
     cavity_config,
+    march,
     read_snapshot,
     run_scenario,
     waveguide_error_study,
 )
-from sbpml.time_integration import rk4_step
 
 
 # ---------------------------------------------------------------------------
@@ -66,38 +66,26 @@ def test_operator_algebra_all_sizes(order):
 # 2. Energy stability of the undamped interior scheme
 
 
-def _interior_desk_rhs(dt_factor=0.4, t_final=2000.0):
-    cfg = cavity_config(order=4, desk=True, model_kind="Interior", d0=0.0,
-                        dt_factor=dt_factor, t_final=t_final)
-    setup = build_scenario(cfg)
-
-    def rhs(v, t, out):
-        evaluate_rhs(setup.system, FieldState("Interior", v), t, FieldState("Interior", out))
-        return 0.0
-
-    return setup, rhs
+def _interior_desk(dt_factor=0.4, t_final=2000.0):
+    return build_scenario(cavity_config(order=4, desk=True, model_kind="Interior", d0=0.0,
+                                        dt_factor=dt_factor, t_final=t_final))
 
 
-def _step(rhs, u, k, dt, k1, work):
-    """Step k of the in-place RK4 loop on the state u."""
-    rhs(u.data, k * dt, k1)
-    rk4_step(rhs, u.data, k * dt, dt, k1, 0.0, work)
+def _advance(system, u, dt, n_steps):
+    """Step the state u in place by n_steps RK4 steps, skipping every yield of ``march``."""
+    for _ in march(system, u, dt, n_steps):
+        pass
 
 
 def test_undamped_energy_nonincreasing_every_step():
     """With absorbing walls and no layer, the squared field norms must not
     grow at any RK4 step of the full desk-scale cavity run."""
-    setup, rhs = _interior_desk_rhs()
-    u = setup.state0
-    k1, work = np.empty_like(u.data), [np.empty_like(u.data) for _ in range(4)]
-    e_prev = interior_energy(u, setup.system.ops)
-    e0 = e_prev
-    for k in range(setup.n_steps):
-        _step(rhs, u, k, setup.dt, k1, work)
-        e = interior_energy(u, setup.system.ops)
-        assert e <= e_prev * (1.0 + 1e-10), f"energy rose at step {k + 1}"
-        e_prev = e
-    assert e_prev <= e0
+    setup = _interior_desk()
+    u, ops = setup.state0, setup.system.ops
+    e = np.array([interior_energy(u, ops) for _ in march(setup.system, u, setup.dt, setup.n_steps)])
+    rose = np.flatnonzero(e[1:] > e[:-1] * (1.0 + 1e-10)) + 1
+    assert rose.size == 0, f"energy rose at steps {rose}"
+    assert e[-1] <= e[0]
 
 
 def test_undamped_energy_drift_is_fourth_order_in_dt():
@@ -108,12 +96,9 @@ def test_undamped_energy_drift_is_fourth_order_in_dt():
     t_end = 40.0
     finals = []
     for dtf in (0.2, 0.1, 0.05):
-        setup, rhs = _interior_desk_rhs(dt_factor=dtf, t_final=t_end)
-        u = setup.state0
-        k1, work = np.empty_like(u.data), [np.empty_like(u.data) for _ in range(4)]
-        for k in range(setup.n_steps):
-            _step(rhs, u, k, setup.dt, k1, work)
-        finals.append(interior_energy(u, setup.system.ops))
+        setup = _interior_desk(dt_factor=dtf, t_final=t_end)
+        _advance(setup.system, setup.state0, setup.dt, setup.n_steps)
+        finals.append(interior_energy(setup.state0, setup.system.ops))
     d1 = abs(finals[0] - finals[1])
     d2 = abs(finals[1] - finals[2])
     assert d2 > 0
@@ -343,14 +328,8 @@ def _pec_cavity_error(order, n):
                          -2.0 * np.pi * np.cos(2 * x) * np.sin(y) * s,
                          np.pi * np.sin(2 * x) * np.cos(y) * s])
 
-    def rhs(v, t, out):
-        evaluate_rhs(system, FieldState("Interior", v), t, FieldState("Interior", out))
-        return 0.0
-
     u, dt, n_steps = FieldState("Interior", exact(0.0)), 0.1 / n, 10 * n
-    k1, work = np.empty_like(u.data), [np.empty_like(u.data) for _ in range(4)]
-    for k in range(n_steps):
-        _step(rhs, u, k, dt, k1, work)
+    _advance(system, u, dt, n_steps)
     error = u.data - exact(n_steps * dt)
     return math.sqrt(sum(ops.inner(e, e) for e in error))
 

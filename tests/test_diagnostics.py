@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from sbpml import diagnostics
-from sbpml.boundary_sat import BoundaryConfig, PenaltyParams, boundary_dissipation
+from sbpml.boundary_sat import BoundaryConfig, PenaltyParams
 from sbpml.diagnostics import (
     CSV_HEADER,
     EnergyHistory,
@@ -28,8 +28,7 @@ from sbpml.pml_models import (
     make_damping_profile,
     zero_damping,
 )
-from sbpml.scenarios_cli import build_scenario, cavity_config, waveguide_forcing
-from sbpml.time_integration import rk4_step
+from sbpml.scenarios_cli import build_scenario, cavity_config, march, waveguide_forcing
 
 from _oracles import selectors
 
@@ -236,24 +235,14 @@ def test_growth_bound_holds_along_stabilized_run():
     the stabilized modal layer (checked per sample)."""
     g, ops, prof, bc, p = small_problem(d0=damping_coefficient(2.0, 1e-4))
     system = SemiDiscrete(ModelSpec("ModalUnsplit", theta=1.0), prof, bc, p, ops)
-
-    def rhs(v, t, out):
-        d = FieldState("ModalUnsplit", out)
-        evaluate_rhs(system, FieldState("ModalUnsplit", v), t, d)
-        return modal_bt_integrand(d.ez, ops)
-
     s = FieldState.zeros(g, "ModalUnsplit")
     xx, yy = g.x[:, None], g.y[None, :]
     s.ez[:] = np.exp(-(xx**2 + yy**2))
     dt = 0.4 * g.hx
-    r = FieldState.zeros(g, "ModalUnsplit")
-    work = [np.empty_like(s.data) for _ in range(4)]
-    times, energies, bt = [], [], 0.0
-    for k in range(80):
-        q = rhs(s.data, k * dt, r.data)
+    times, energies = [], []
+    for k, ds, bt in march(system, s, dt, 79):
         times.append(k * dt)
-        energies.append(modal_energy(s, r.ez, system, bt))
-        bt += rk4_step(rhs, s.data, k * dt, dt, r.data, q, work)
+        energies.append(modal_energy(s, ds.ez, system, bt))
     chk = growth_bound_check(times, energies, prof.sigma_max, tol=1e-8)
     assert chk.ok, (chk.max_ratio, chk.worst_index)
 
@@ -262,24 +251,14 @@ def test_phys_energy_bound_universal_penalties():
     g, ops, prof, bc, _ = small_problem()
     p = PenaltyParams.universal()
     system = SemiDiscrete(ModelSpec("PhysicallyMotivated"), prof, bc, p, ops)
-
-    def rhs(v, t, out):
-        u = FieldState("PhysicallyMotivated", v)
-        evaluate_rhs(system, u, t, FieldState("PhysicallyMotivated", out))
-        return boundary_dissipation(u, system.walls)
-
     s = FieldState.zeros(g, "PhysicallyMotivated")
     xx, yy = g.x[:, None], g.y[None, :]
     s.ez[:] = np.exp(-(xx**2 + yy**2))
     dt = 0.2 * g.hx  # this model is stiffer; step conservatively
-    k1 = np.empty_like(s.data)
-    work = [np.empty_like(s.data) for _ in range(4)]
-    times, energies, bt = [], [], 0.0
-    for k in range(80):
+    times, energies = [], []
+    for k, _, bt in march(system, s, dt, 79):
         times.append(k * dt)
         energies.append(phys_energy(s, ops, bt))
-        q = rhs(s.data, k * dt, k1)
-        bt += rk4_step(rhs, s.data, k * dt, dt, k1, q, work)
     chk = growth_bound_check(times, energies, prof.sigma_max, tol=1e-8)
     assert chk.ok, (chk.max_ratio, chk.worst_index)
 
@@ -293,7 +272,8 @@ def forced_waveguide():
     g = Grid2D(-2.0, 2.4, -1.0, 1.0, 12, 8)
     ops = g.operators(4)
     prof = make_damping_profile(g, 2.0, 0.4, 10.0, 2)
-    forced = BoundaryConfig(r_x=0.0, r_y=1.0, g_top=lambda t: waveguide_forcing(g.x, 1.0, t + 0.1))
+    top = waveguide_forcing(g.x, 1.0)
+    forced = BoundaryConfig(r_x=0.0, r_y=1.0, g_top=lambda t: top(t + 0.1))
     assert np.max(forced.g_top(0.0)) > 0.01
     return g, ops, prof, forced, PenaltyParams.estimate_matching(0.0, 1.0)
 

@@ -18,7 +18,6 @@ def test_grid_geometry():
     assert g.hy == pytest.approx(1.0)
     assert g.x[0] == -60.0 and g.x[-1] == pytest.approx(60.0)
     assert g.y[0] == -50.0 and g.y[-1] == pytest.approx(50.0)
-    assert g.zeros().shape == (121, 101)
 
 
 def test_grid_validation():

@@ -25,8 +25,7 @@ from sbpml.pml_models import (
     sigma_at,
     zero_damping,
 )
-from sbpml.scenarios_cli import build_scenario, cavity_config
-from sbpml.time_integration import rk4_step
+from sbpml.scenarios_cli import build_scenario, cavity_config, march
 
 from _oracles import dense_rhs_oracle
 
@@ -507,14 +506,8 @@ def test_layer_is_perfectly_matched_before_waves_arrive():
         return s
 
     def advance(system, s, n_steps, dt):
-        def rhs(w, t, out):
-            evaluate_rhs(system, FieldState(s.model, w), t, FieldState(s.model, out))
-            return 0.0
-
-        k1, work = np.empty_like(s.data), [np.empty_like(s.data) for _ in range(4)]
-        for k in range(n_steps):
-            rhs(s.data, k * dt, k1)
-            rk4_step(rhs, s.data, k * dt, dt, k1, 0.0, work)
+        for _ in march(system, s, dt, n_steps):
+            pass
 
     dt, n_steps = 0.2, 15  # waves travel at unit speed: 3 < 10 = layer start
     u = initial("ModalUnsplit")

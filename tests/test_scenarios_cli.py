@@ -78,11 +78,11 @@ def test_cavity_initial_state_values():
 
 def test_waveguide_forcing_values():
     # Time factor peaks when 10 t = 1; space factor peaks at (1, 1).
-    assert waveguide_forcing(1.0, 1.0, 0.1) == pytest.approx(1.0)
-    assert waveguide_forcing(1.0, 1.0, 0.0) == pytest.approx(math.exp(-math.pi**2))
-    assert waveguide_forcing(1.1, 1.0, 0.1) == pytest.approx(math.exp(-1.0))
+    assert waveguide_forcing(1.0, 1.0)(0.1) == pytest.approx(1.0)
+    assert waveguide_forcing(1.0, 1.0)(0.0) == pytest.approx(math.exp(-math.pi**2))
+    assert waveguide_forcing(1.1, 1.0)(0.1) == pytest.approx(math.exp(-1.0))
     # Far from the source the forcing is negligible.
-    assert waveguide_forcing(-2.0, 1.0, 0.1) < 1e-300
+    assert waveguide_forcing(-2.0, 1.0)(0.1) < 1e-300
 
 
 # ---------------------------------------------------------------------------
@@ -413,6 +413,31 @@ def test_run_scenario_matches_out_of_place_loop(tmp_path, monkeypatch, kind, pen
     assert Path(art.history_csv).read_bytes() == Path(again.history_csv).read_bytes()
 
 
+@pytest.mark.parametrize("scenario", ["Cavity", "Waveguide"])
+def test_march_yields_every_step_with_its_derivative(monkeypatch, scenario):
+    """``march`` yields k = 0, 1, ..., n in order, with du bit for bit the
+    derivative at t = k dt, and evaluates the RHS 4 n + 1 times.  The
+    waveguide's top-wall data depend on t, so a wrong time would show."""
+    if scenario == "Cavity":
+        setup = build_scenario(preset_config("cavity-desk-theta1", t_final=4.0))
+    else:
+        setup = build_scenario(waveguide_config(0.1, 4, t_final=0.3))
+    calls = []
+    original = scenarios_cli.evaluate_rhs
+
+    def counting(*args, **kw):
+        calls.append(1)
+        return original(*args, **kw)
+
+    monkeypatch.setattr(scenarios_cli, "evaluate_rhs", counting)
+    u, steps = setup.state0, []
+    for k, du, _ in scenarios_cli.march(setup.system, u, setup.dt, setup.n_steps):
+        steps.append(k)
+        assert np.array_equal(du.data, evaluate_rhs(setup.system, u, k * setup.dt).data), k
+    assert steps == list(range(setup.n_steps + 1))
+    assert len(calls) == 4 * setup.n_steps + 1
+
+
 def test_non_finite_first_record_is_a_divergence(tmp_path):
     """The t = 0 record follows the loop's rule: d0 = 1e300 overflows the
     modal energy at once, so the run diverges at step 0 and writes no row."""
@@ -607,11 +632,11 @@ def test_verification_report_worst_failure():
 
 
 def test_waveguide_forcing_closure_matches_definition():
-    """The top-wall data of a waveguide scenario, whose spatial factor is
-    built once, equals ``waveguide_forcing`` at the wall bit for bit."""
+    """The top-wall data of a waveguide or reference scenario is
+    ``waveguide_forcing`` on the top wall's points, bit for bit."""
     for cfg in (waveguide_config(0.04, 4), reference_config(0.04, 4)):
         setup = build_scenario(cfg)
         for t in (0.0, 0.1, 0.37, 1.0, 5.0):
             got = setup.system.bc.g_top(t)
-            assert np.array_equal(got, waveguide_forcing(setup.grid.x, cfg.y0, t))
+            assert np.array_equal(got, waveguide_forcing(setup.grid.x, cfg.y0)(t))
         assert np.max(setup.system.bc.g_top(0.1)) > 0.5

@@ -3,12 +3,18 @@
 ``perfbench/spans.py`` wraps each ``(module, attribute)`` of its
 ``TARGETS`` and skips, as "not traced", one it cannot find, so a renamed
 or deleted function would make its per-layer metric read 0 without an
-error.  This test only reads ``perfbench/spans.py``.
+error.  Nor may a traced call move out of the module where the tracer
+wraps its name.  These tests only read ``perfbench/spans.py``.
 """
 
 import importlib
 import importlib.util
 from pathlib import Path
+
+import pytest
+
+from sbpml import scenarios_cli
+from sbpml.pml_models import MODEL_KINDS
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
@@ -47,3 +53,30 @@ def test_every_trace_target_resolves():
         ("scenarios_cli", "boundary_dissipation"),
     ):
         assert target in targets and resolves(*target)
+
+
+@pytest.mark.parametrize("kind", MODEL_KINDS)
+def test_traced_run_counts_every_step_rhs_and_sample(tmp_path, kind):
+    """A traced desk run counts n steps, 4 n + 1 RHS evaluations, one
+    sample per history row and a nonzero boundary-integrand time.  That
+    holds only while ``march`` and ``run_scenario`` call the traced
+    functions through ``scenarios_cli``'s module globals.  The run is
+    called through the module attribute: a ``run_scenario`` imported
+    before ``install`` is not wrapped, and its samples read 0."""
+    cfg = scenarios_cli.preset_config(
+        "cavity-desk-theta1", model_kind=kind, t_final=12.0, stride=4, output_dir=str(tmp_path)
+    )
+    n = scenarios_cli.build_scenario(cfg).n_steps
+    tracer = load_spans().Tracer()
+    try:
+        tracer.install()
+        first = tracer.mark()
+        art = scenarios_cli.run_scenario(cfg)
+    finally:
+        tracer.uninstall()
+    m = tracer.round_metrics(first, 0.0)
+    assert (n, len(art.history.times)) == (30, 9)
+    assert m["time_integration.steps"] == n
+    assert m["pml_models.rhs_calls"] == 4 * n + 1
+    assert m["diagnostics.sample_calls"] == len(art.history.times)
+    assert m["diagnostics.bt_integrand_s"] > 0
