@@ -17,6 +17,7 @@ operator column by column so its spectrum can be examined on small grids.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field as dc_field
 from typing import Optional
 
@@ -53,14 +54,20 @@ class EnergyHistory:
                 f.write(",".join(f"{v:.17g}" for v in row) + "\n")
 
 
-def discrete_l2_norms(state: FieldState, ops: OperatorPair) -> dict:
-    """P-weighted field norms; the electric field norm uses the split total."""
-    return {
-        "ez_norm": ops.norm(state.ez_total),
-        "hy_norm": ops.norm(state.hy),
-        "hx_norm": ops.norm(state.hx),
-        "aux_norm": 0.0 if state.aux is None else ops.norm(state.aux),
-    }
+def field_squares(state: FieldState, ops: OperatorPair) -> tuple:
+    """The squared P-norms (ez, hy, hx, aux) of a state, each formed once.
+
+    ``ez`` is the split total, and ``aux`` is 0 for a state without one.
+    ``discrete_l2_norms`` and the field energies take these values.
+    """
+    ez, aux = state.ez_total, state.aux
+    aux_sq = 0.0 if aux is None else ops.inner(aux, aux)
+    return ops.inner(ez, ez), ops.inner(state.hy, state.hy), ops.inner(state.hx, state.hx), aux_sq
+
+
+def discrete_l2_norms(squares: tuple) -> dict:
+    """P-weighted field norms from ``field_squares``; the electric field norm uses the split total."""
+    return dict(zip(("ez_norm", "hy_norm", "hx_norm", "aux_norm"), map(math.sqrt, squares)))
 
 
 def modal_bt_integrand(rhs_ez: np.ndarray, ops: OperatorPair) -> float:
@@ -101,20 +108,17 @@ def modal_energy(state: FieldState, rhs_ez: np.ndarray, system: SemiDiscrete, bt
     return float(e) + bt_integral
 
 
-def phys_energy(state: FieldState, ops: OperatorPair, bt_integral: float) -> float:
-    """The physically-motivated-PML energy: four field norms + boundary integral."""
-    e = ops.inner(state.ez, state.ez) + ops.inner(state.hy, state.hy)
-    e += ops.inner(state.hx, state.hx)
-    if state.aux is not None:
-        e += ops.inner(state.aux, state.aux)
-    return float(e) + bt_integral
+def phys_energy(squares: tuple, bt_integral: float) -> float:
+    """The physically-motivated-PML energy: the four squared field norms of
+    ``field_squares`` plus the boundary integral."""
+    ez, hy, hx, aux = squares
+    return ((ez + hy) + hx) + aux + bt_integral
 
 
-def interior_energy(state: FieldState, ops: OperatorPair, bt_integral: float = 0.0) -> float:
-    """Sum of the squared field P-norms (plus boundary integral if tracked)."""
-    e = ops.inner(state.ez_total, state.ez_total)
-    e += ops.inner(state.hy, state.hy) + ops.inner(state.hx, state.hx)
-    return float(e) + bt_integral
+def interior_energy(squares: tuple, bt_integral: float = 0.0) -> float:
+    """The three squared field norms of ``field_squares`` (plus the boundary integral if tracked)."""
+    ez, hy, hx, _ = squares
+    return ez + (hy + hx) + bt_integral
 
 
 @dataclass

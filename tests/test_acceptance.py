@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from sbpml.boundary_sat import BoundaryConfig, PenaltyParams, penalty_matrix_eigenvalues
-from sbpml.diagnostics import assemble_semidiscrete_matrix, interior_energy
+from sbpml.diagnostics import assemble_semidiscrete_matrix, field_squares, interior_energy
 from sbpml.grid_state import FieldState, Grid2D
 from sbpml.modal_analysis import (
     ComplexParamRegion,
@@ -82,7 +82,7 @@ def test_undamped_energy_nonincreasing_every_step():
     grow at any RK4 step of the full desk-scale cavity run."""
     setup = _interior_desk()
     u, ops = setup.state0, setup.system.ops
-    e = np.array([interior_energy(u, ops) for _ in march(setup.system, u, setup.dt, setup.n_steps)])
+    e = np.array([interior_energy(field_squares(u, ops)) for _ in march(setup.system, u, setup.dt, setup.n_steps)])
     rose = np.flatnonzero(e[1:] > e[:-1] * (1.0 + 1e-10)) + 1
     assert rose.size == 0, f"energy rose at steps {rose}"
     assert e[-1] <= e[0]
@@ -98,7 +98,7 @@ def test_undamped_energy_drift_is_fourth_order_in_dt():
     for dtf in (0.2, 0.1, 0.05):
         setup = _interior_desk(dt_factor=dtf, t_final=t_end)
         _advance(setup.system, setup.state0, setup.dt, setup.n_steps)
-        finals.append(interior_energy(setup.state0, setup.system.ops))
+        finals.append(interior_energy(field_squares(setup.state0, setup.system.ops)))
     d1 = abs(finals[0] - finals[1])
     d2 = abs(finals[1] - finals[2])
     assert d2 > 0

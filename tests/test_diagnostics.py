@@ -12,6 +12,7 @@ from sbpml.diagnostics import (
     EnergyHistory,
     assemble_semidiscrete_matrix,
     discrete_l2_norms,
+    field_squares,
     growth_bound_check,
     interior_energy,
     modal_bt_integrand,
@@ -61,7 +62,7 @@ def test_discrete_l2_norms_against_dense():
     rng = np.random.default_rng(1)
     s = random_state(g, "ModalUnsplit", rng)
     w = np.kron(np.diag(ops.x.p_diag), np.diag(ops.y.p_diag))
-    rec = discrete_l2_norms(s, ops)
+    rec = discrete_l2_norms(field_squares(s, ops))
     for key, fld in (("ez_norm", s.ez), ("hy_norm", s.hy), ("hx_norm", s.hx), ("aux_norm", s.aux)):
         flat = fld.reshape(-1)
         assert rec[key] == pytest.approx(np.sqrt(flat @ w @ flat), rel=1e-12)
@@ -72,7 +73,7 @@ def test_split_state_norm_uses_total_field():
     s = FieldState.zeros(g, "SplitField")
     s.ez[:] = 1.0
     s.aux[:] = -1.0
-    rec = discrete_l2_norms(s, ops)
+    rec = discrete_l2_norms(field_squares(s, ops))
     assert rec["ez_norm"] == 0.0
     assert rec["aux_norm"] > 0.0
 
@@ -178,14 +179,14 @@ def test_phys_and_interior_energy():
     g, ops, _, _, _ = small_problem()
     rng = np.random.default_rng(8)
     s = random_state(g, "PhysicallyMotivated", rng)
-    e = phys_energy(s, ops, 0.25)
+    e = phys_energy(field_squares(s, ops), 0.25)
     expect = sum(
         ops.inner(f, f) for f in (s.ez, s.hy, s.hx, s.aux)
     ) + 0.25
     assert e == pytest.approx(expect, rel=1e-12)
 
     i = random_state(g, "Interior", rng)
-    assert interior_energy(i, ops) == pytest.approx(
+    assert interior_energy(field_squares(i, ops)) == pytest.approx(
         ops.inner(i.ez, i.ez) + ops.inner(i.hy, i.hy) + ops.inner(i.hx, i.hx), rel=1e-12
     )
 
@@ -258,7 +259,7 @@ def test_phys_energy_bound_universal_penalties():
     times, energies = [], []
     for k, _, bt in march(system, s, dt, 79):
         times.append(k * dt)
-        energies.append(phys_energy(s, ops, bt))
+        energies.append(phys_energy(field_squares(s, ops), bt))
     chk = growth_bound_check(times, energies, prof.sigma_max, tol=1e-8)
     assert chk.ok, (chk.max_ratio, chk.worst_index)
 

@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import os
+import re
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +14,7 @@ from sbpml.boundary_sat import boundary_dissipation
 from sbpml.diagnostics import (
     CSV_HEADER,
     discrete_l2_norms,
+    field_squares,
     interior_energy,
     modal_bt_integrand,
     modal_energy,
@@ -100,6 +102,10 @@ def test_config_validation():
         tiny_cavity(delta=2.5)  # layer edge off the grid
     with pytest.raises(ValueError, match="stride"):
         tiny_cavity(stride=0)
+    with pytest.raises(ValueError, match=r"unsupported order 5; expected one of \(2, 4, 6\)"):
+        tiny_cavity(order=5)
+    with pytest.raises(ValueError, match="unknown model kind 'Bogus'; expected one of"):
+        tiny_cavity(model_kind="Bogus")
     with pytest.raises(ValueError, match="tol = none needs an explicit d0"):
         tiny_cavity(tol=None)
     assert tiny_cavity(tol=None, d0=1.0).d0 == 1.0
@@ -345,13 +351,14 @@ def reference_history(cfg):
 
     def record(data, bt, t):
         u = FieldState(model, data)
-        norms = discrete_l2_norms(u, ops)
+        squares = field_squares(u, ops)
+        norms = discrete_l2_norms(squares)
         if spec.kind == "ModalUnsplit":
             e = modal_energy(u, FieldState(model, f(data, t)[0]).ez, system, bt)
         elif spec.kind == "PhysicallyMotivated":
-            e = phys_energy(u, ops, bt)
+            e = phys_energy(squares, bt)
         else:
-            e = interior_energy(u, ops, bt)
+            e = interior_energy(squares, bt)
         return [norms["ez_norm"], norms["hy_norm"], norms["hx_norm"], norms["aux_norm"], e]
 
     u, bt, dt = setup.state0.data.copy(), 0.0, setup.dt
@@ -462,6 +469,95 @@ def test_error_study_structure(tmp_path):
     assert len(lines) == 3
 
 
+def usable_cpus(monkeypatch, n):
+    """Make ``os.sched_getaffinity`` report n usable CPUs."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+
+
+def test_pooled_error_study_matches_in_process_cells(tmp_path, monkeypatch):
+    """On two CPUs the cells run in a pool of two spawned workers; each row
+    equals ``_layer_error`` called here, bit for bit, every file the study
+    writes equals the in-process run's byte for byte, and no worker
+    outlives the call."""
+    import multiprocessing
+    from concurrent import futures
+
+    pools = []
+
+    class Spy(futures.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            pools.append(self)
+
+    usable_cpus(monkeypatch, 2)
+    monkeypatch.setattr(futures, "ProcessPoolExecutor", Spy)
+    # The same relative output_dir on both sides, so the config echoes compare.
+    (tmp_path / "pool").mkdir()
+    monkeypatch.chdir(tmp_path / "pool")
+    rows = waveguide_error_study([0.2, 0.1], [4], output_dir="out")
+    assert len(pools) == 1 and pools[0]._max_workers == 2
+    assert multiprocessing.active_children() == []
+
+    (tmp_path / "here").mkdir()
+    monkeypatch.chdir(tmp_path / "here")
+    errors = [
+        scenarios_cli._layer_error(waveguide_config(h, 4, output_dir="out"), reference_config(h, 4, output_dir="out"))
+        for h in (0.2, 0.1)
+    ]
+    assert [r[2] for r in rows] == errors
+    assert rows[1][3] == math.log2(errors[0] / errors[1])
+    pooled = sorted(p.name for p in (tmp_path / "pool" / "out").iterdir())
+    assert pooled == sorted(p.name for p in (tmp_path / "here" / "out").iterdir())
+    assert len(pooled) == 12  # history, snapshot and echo of four runs
+    for name in pooled:
+        assert (tmp_path / "pool" / "out" / name).read_bytes() == (tmp_path / "here" / "out" / name).read_bytes()
+
+
+def test_error_study_on_one_cpu_starts_no_pool(tmp_path, monkeypatch):
+    from concurrent import futures
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a process pool was started on one CPU")
+
+    usable_cpus(monkeypatch, 1)
+    monkeypatch.setattr(futures, "ProcessPoolExecutor", no_pool)
+    out = str(tmp_path)
+    rows = waveguide_error_study([0.2, 0.1], [4], output_dir=out)
+    errors = [
+        scenarios_cli._layer_error(waveguide_config(h, 4, output_dir=out), reference_config(h, 4, output_dir=out))
+        for h in (0.2, 0.1)
+    ]
+    assert [r[2] for r in rows] == errors
+
+
+def test_worker_error_reaches_the_caller(tmp_path, monkeypatch, capsys):
+    """Order 6 at h = 0.2 gives ny = 11, under the 12 points order 6 needs;
+    the worker's ValueError is raised here with its message."""
+    usable_cpus(monkeypatch, 2)
+    with pytest.raises(ValueError, match="order 6 needs at least n = 12 points, got 11"):
+        waveguide_error_study([0.2, 0.1], [6], output_dir=str(tmp_path / "study"))
+    rc = cli_entry(["converge", "--orders", "6", "--h", "0.2,0.1", "--out", str(tmp_path / "cli")])
+    assert rc == 1
+    assert "order 6 needs at least n = 12 points, got 11" in capsys.readouterr().err
+
+
+def test_error_study_rejects_a_repeated_order(tmp_path, capsys):
+    """Two cells of one order would write the same files, at once in a pool."""
+    with pytest.raises(ValueError, match=r"each order may appear once, got \[4, 4\]"):
+        waveguide_error_study([0.2, 0.1], [4, 4], output_dir=str(tmp_path / "study"))
+    rc = cli_entry(["converge", "--orders", "4,4", "--out", str(tmp_path / "out")])
+    assert rc == 1
+    assert "each order may appear once" in capsys.readouterr().err
+    assert not (tmp_path / "study").exists() and not (tmp_path / "out").exists()
+
+
+def test_cli_converge_reports_cells_processes_and_time(tmp_path, monkeypatch, capsys):
+    usable_cpus(monkeypatch, 1)
+    rc = cli_entry(["converge", "--orders", "4", "--h", "0.2,0.1", "--out", str(tmp_path)])
+    assert rc == 0
+    assert re.search(r"^error study: 2 cells on 1 process, \d+\.\d s$", capsys.readouterr().out, re.M)
+
+
 # ---------------------------------------------------------------------------
 # CLI
 
@@ -542,6 +638,22 @@ def test_cli_converge_rejects_h_that_does_not_halve(tmp_path, capsys):
     rc = cli_entry(["converge", "--h", "0.04,0.01", "--out", str(tmp_path / "out")])
     assert rc == 1
     assert "each h must be half the one before" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_converge_rejects_unsupported_order(tmp_path, capsys):
+    rc = cli_entry(["converge", "--orders", "8", "--out", str(tmp_path / "out")])
+    assert rc == 1
+    assert "unsupported order 8; expected one of (2, 4, 6)" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_run_rejects_unsupported_order(tmp_path, capsys):
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text("scenario = Cavity\nx0 = 4\ny0 = 4\ndelta = 2\nh = 1\nt_final = 4\norder = 5\n")
+    rc = cli_entry(["run", "--config", str(cfg_path), "--out", str(tmp_path / "out")])
+    assert rc == 1
+    assert "unsupported order 5; expected one of (2, 4, 6)" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 
