@@ -17,14 +17,13 @@ The per-wall boundary-condition residuals used throughout are
 The four walls' points, left, right, bottom and top, form one boundary
 vector (``OperatorPair.wall_index``).  ``WallTerms`` builds once what of
 the wall terms does not depend on the state, so a right-hand side gathers
-the wall values once and scatters each direction's penalties once.
+the wall values once and scatters the SAT penalties of both directions
+once, and the modal theta term once.
 
 A penalty set is admissible when the boundary term of the energy estimate,
 on each wall a quadratic a e^2 + b e m + c m^2 in Ez and the tangential
 magnetic field, is nonnegative for every wall state; see
-``penalties_admissible``.  On the estimate-matching family its
-eigenvalues have a closed form in (gamma, theta_bar); see
-``penalty_matrix_eigenvalues``.
+``penalties_admissible``.
 """
 
 from __future__ import annotations
@@ -93,18 +92,6 @@ class PenaltyParams:
         )
 
 
-def penalty_matrix_eigenvalues(gamma: float, theta_bar: float):
-    """Closed-form eigenvalues (lambda_minus, lambda_plus) of the wall matrices.
-
-    The wall dissipation matrices of the estimate-matching family are
-    [[g, -+ t*g/2], [-+ t*g/2, t]] with g = gamma, t = theta_bar; both sign
-    choices share the spectrum.  The discriminant (g - t)^2 + (g t)^2 is
-    never negative, so the pair is real.
-    """
-    root = np.sqrt((gamma - theta_bar) ** 2 + (gamma * theta_bar) ** 2)
-    return (gamma + theta_bar - root) / 2.0, (gamma + theta_bar + root) / 2.0
-
-
 def _wall_coefficients(bc: BoundaryConfig, p: PenaltyParams):
     """Per direction, x then y, the coefficients (a, b, c) of its wall quadratic a e^2 + b e m + c m^2.
 
@@ -141,23 +128,27 @@ class WallTerms:
 
     Built from the operators, walls, penalties and ``rows``, the damped x
     rows that carry the modal theta term.  Per point of the boundary
-    vector (``OperatorPair.wall_index``), ``gather`` holds the flat indices
-    in an (nfields, nx, ny) array of Ez, the tangential magnetic field and
-    aux; ``residual`` the residual's weights on Ez and on that field;
-    ``p_normal`` P across the wall; ``bt`` BT's wall coefficients a,
-    -sign b and c times 2 and P along the wall.
-    ``sat[ez_y]`` holds per direction, x then y, its segment, the (2, n)
-    flat indices of the rates it penalizes, (Ez or, with ``ez_y``, aux on
-    the y walls; tangential H), and their weights -alpha and -theta times
-    the wall's sign.  ``theta`` holds the aux rates at the y-wall points of
-    ``rows``, those points' places and P; ``data`` each wall's segment and data.
+    vector (``OperatorPair.wall_index``), ``gather[split]`` holds the flat
+    indices in an (nfields, nx, ny) array of Ez and the tangential magnetic
+    field, and with ``split`` of aux as well; ``residual`` the residual's
+    weights on Ez and on that field; ``p_normal`` P across the wall; ``bt``
+    BT's wall coefficients a, -sign b and c times 2 and P along the wall.
+    ``sat[ez_y]`` is the one scatter of the SAT penalties: the x walls'
+    then the y walls' rates of Ez (or, with ``ez_y``, aux on the y walls)
+    and of the tangential H, each entry's place in the boundary vector and
+    its weight, -alpha or -theta times the wall's sign.  ``theta`` is the
+    scatter of the modal theta term into the aux rates at the y-wall points
+    of ``rows``, with those points' places and -P across the wall.  A
+    scatter's places in the rates are given twice: as flat indices, for a
+    C-contiguous array, whose flat view is no copy, and as (field, i, j)
+    index arrays, for any other.  ``data`` holds each wall's segment and data.
     """
 
     ops: OperatorPair
     bc: BoundaryConfig
     penalties: PenaltyParams
     rows: slice = field(default_factory=lambda: slice(0, 0))
-    gather: np.ndarray = field(init=False, repr=False)
+    gather: dict = field(init=False, repr=False)
     residual: np.ndarray = field(init=False, repr=False)
     p_normal: np.ndarray = field(init=False, repr=False)
     bt: np.ndarray = field(init=False, repr=False)
@@ -178,43 +169,47 @@ class WallTerms:
 
         tangent = np.concatenate((index[x] + plane, index[y] + 2 * plane))
         weights = -np.array([per_direction(p.alpha_x, p.alpha_y), per_direction(p.theta_x, p.theta_y) * sign])
+        place = np.arange(index.size)
 
-        def direction(segment, ez):
-            return segment, np.array([ez, tangent[segment]]), weights[:, segment].copy()
+        def scatter(flat):
+            return flat, (flat // plane, flat % plane // ny, flat % ny)
 
-        sat_x = direction(x, index[x])
+        def sat(ez_on_y):
+            # x then y, so that add.at sums a corner in that order.
+            return (*scatter(np.concatenate([index[x], tangent[x], ez_on_y, tangent[y]])),
+                    np.concatenate([place[x], place[x], place[y], place[y]]),
+                    np.concatenate([weights[0, x], weights[1, x], weights[0, y], weights[1, y]]))
+
         a, b, c = map(per_direction, *_wall_coefficients(bc, p))
         points = np.concatenate([np.arange(nx)[self.rows] + k for k in (n, n + nx)])
         walls = (slice(0, ny), slice(ny, n), slice(n, n + nx), slice(n + nx, None))
         data = zip(walls, (bc.g_left, bc.g_right, bc.g_bottom, bc.g_top))
+        gather = np.array([index, tangent, index + 3 * plane])
         for name, value in (
-            ("gather", np.array([index, tangent, index + 3 * plane])),
+            ("gather", {False: gather[:2], True: gather}),
             ("residual", np.array([per_direction(0.5 * (1.0 - bc.r_x), 0.5 * (1.0 - bc.r_y)),
                                    per_direction(0.5 * (1.0 + bc.r_x), 0.5 * (1.0 + bc.r_y)) * sign])),
             ("p_normal", p_normal),
             ("bt", 2.0 * np.array([a, -sign * b, c]) * ops.wall_p_tangent),
-            ("sat", {False: (sat_x, direction(y, index[y])), True: (sat_x, direction(y, index[y] + 3 * plane))}),
-            ("theta", (index[points] + 3 * plane, points, p_normal[points])),
+            ("sat", {False: sat(index[y]), True: sat(index[y] + 3 * plane)}),
+            ("theta", (*scatter(index[points] + 3 * plane), points, -p_normal[points])),
             ("data", tuple((wall, g) for wall, g in data if g is not None)),
         ):
             object.__setattr__(self, name, value)
 
 
-def wall_values(data: np.ndarray, walls: WallTerms, split: bool = False):
-    """Ez (ez + aux with ``split``) and the tangential H on the boundary vector of a state's array, in one gather."""
-    values = data.take(walls.gather if split else walls.gather[:2])
-    e = values[0]
-    if split:
-        e += values[2]
-    return e, values[1]
-
-
 def wall_residuals(data: np.ndarray, walls: WallTerms, t: float, split: bool = False) -> np.ndarray:
-    """Boundary-condition residuals on the boundary vector, each wall's data at t subtracted on its segment."""
-    e, h = wall_values(data, walls, split)
-    weights = walls.residual
-    r = weights[0] * e
-    r += weights[1] * h
+    """Boundary-condition residuals on the boundary vector of a state's array,
+    each wall's data at t subtracted on its segment.
+
+    Ez (ez + aux with ``split``) and the tangential H come in one gather.
+    """
+    values = data.take(walls.gather[split])
+    if split:
+        values[0] += values[2]
+        values = values[:2]
+    values *= walls.residual
+    r = np.add(values[0], values[1])
     for wall, g in walls.data:
         r[wall] -= g(t)
     return r
@@ -223,29 +218,36 @@ def wall_residuals(data: np.ndarray, walls: WallTerms, t: float, split: bool = F
 def sat_y_field(r: np.ndarray, weight: float, walls: WallTerms, rates: np.ndarray):
     """Add the y-wall penalty -weight * Py^{-1} r on ``walls.rows`` into the aux rate of ``rates``.
 
-    The stabilized auxiliary equation carries this term with weight theta * alpha_y.
+    The stabilized auxiliary equation carries this term with weight
+    theta * alpha_y.  It is added as (weight r) / (-P), which has the bits
+    of subtracting (weight r) / P.
     """
-    index, points, p = walls.theta
-    lines = rates.take(index)
-    lines -= weight * r.take(points) / p
-    rates.put(index, lines)
+    flat, fij, points, minus_p = walls.theta
+    increments = weight * r.take(points)
+    increments /= minus_p
+    if rates.flags.c_contiguous:
+        np.add.at(rates.ravel(), flat, increments)
+    else:
+        np.add.at(rates, fij, increments)
 
 
 def sat_contributions(r: np.ndarray, walls: WallTerms, rates: np.ndarray, ez_y: bool = False):
     """Add the penalty terms of the Ez, Hy and Hx equations into ``rates``.
 
     ``rates`` is the (nfields, nx, ny) array of the rates (Ez, Hy, Hx, ...)
-    and ``r`` the residuals of ``wall_residuals``.  Each direction, x then
-    y, so that a corner sums in that order, takes the rates of its two
-    penalized fields on its wall lines, adds its increments and puts them
-    back.  With ``ez_y`` the y-wall term of the Ez equation goes into the
-    fourth field instead (the undamped component of the stable split field).
+    and ``r`` the residuals of ``wall_residuals``.  One ``np.add.at``
+    scatters the increments of both directions, x then y: it adds repeated
+    indices in order, so a corner sums in that order.  With ``ez_y`` the
+    y-wall term of the Ez equation goes into the fourth field instead (the
+    undamped component of the stable split field).
     """
-    q = r / walls.p_normal
-    for segment, index, weights in walls.sat[ez_y]:
-        lines = rates.take(index)
-        lines += weights * q[segment]
-        rates.put(index, lines)
+    flat, fij, places, weights = walls.sat[ez_y]
+    increments = (r / walls.p_normal).take(places)
+    increments *= weights
+    if rates.flags.c_contiguous:
+        np.add.at(rates.ravel(), flat, increments)
+    else:
+        np.add.at(rates, fij, increments)
 
 
 def boundary_dissipation(state: FieldState, walls: WallTerms) -> float:
@@ -266,6 +268,9 @@ def boundary_dissipation(state: FieldState, walls: WallTerms) -> float:
     values with ``WallTerms.bt``: the e m terms of the SBP and SAT parts
     cancel in the coefficient b, not in rounded wall values.
     """
-    e, m = wall_values(state.data, walls, state.model == "SplitField")
+    split = state.model == "SplitField"
+    e, m, *aux = state.data.take(walls.gather[split])
+    if split:
+        e += aux[0]
     on_ee, on_em, on_mm = walls.bt
     return float(on_ee @ (e * e) + on_em @ (e * m) + on_mm @ (m * m))

@@ -177,11 +177,12 @@ def assemble_semidiscrete_matrix(
         raise ValueError(f"{m} unknowns exceed the dense-assembly guard of {max_unknowns}")
 
     # Column j of the matrix is the RHS of the j-th unit state; it is
-    # written as row j of the transpose, which is contiguous.
-    at = np.zeros((m, m))
-    flat = state.data.reshape(-1)
+    # written as row j of the transpose, which is contiguous.  evaluate_rhs
+    # overwrites every entry of its output, so the rows start uninitialized.
+    at = np.empty((m, m))
+    columns, flat, model = at.reshape((m,) + state.data.shape), state.data.reshape(-1), system.model
     for col in range(m):
         flat[col] = 1.0
-        evaluate_rhs(system, state, 0.0, FieldState(system.model, at[col].reshape(state.data.shape)))
+        evaluate_rhs(system, state, 0.0, FieldState(model, columns[col]))
         flat[col] = 0.0
     return at.T

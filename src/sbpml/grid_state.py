@@ -75,24 +75,41 @@ class OperatorPair:
         object.__setattr__(self, "wall_p_tangent", np.concatenate((py, py, px, px)))
 
     def dx(self, u: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
-        """Apply (Dx kron Iy) to an (nx, ny) field, into ``out`` if given.
+        """Apply (Dx kron Iy) to an (nx, ny) field, or to each field of a
+        stack (..., nx, ny), into ``out`` if given.
 
-        The blocked apply of ``dy`` on the transposed field and output.
+        The blocked apply of ``dy`` on the fields and outputs with their
+        last two axes swapped.
         """
         out = np.empty_like(u) if out is None else out
-        _apply_blocks(self.x, u.T, out.T)
+        u_t, out_t, blocks = u.swapaxes(-1, -2), out.swapaxes(-1, -2), self.x.blocks
+        if len(blocks) == 1:
+            np.matmul(u_t, blocks[0][2], out=out_t)
+        else:
+            for rows, cols, block_t in blocks:
+                np.matmul(u_t[..., cols], block_t, out=out_t[..., rows])
         return out
 
     def dy(self, u: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
-        """Apply (Ix kron Dy) to an (nx, ny) field, into ``out`` if given.
+        """Apply (Ix kron Dy) to an (nx, ny) field, or to each field of a
+        stack (..., nx, ny), into ``out`` if given.
 
-        One product per block of Dy's rows (``SbpOperator1D.blocks``),
-        with only the columns where the block is nonzero: O(nx ny) work
-        where the dense product is O(nx ny^2), and that dense product on
-        axes of fewer than 2 * ``BLOCK_ROWS`` points.
+        One product out[..., rows] = u[..., cols] @ D[rows, cols].T per
+        block of Dy's rows (``SbpOperator1D.blocks``), with only the
+        columns where the block is nonzero: O(nx ny) work where the dense
+        product is O(nx ny^2), and that dense product on axes of fewer than
+        2 * ``BLOCK_ROWS`` points, where the one block is applied to the
+        whole field without slicing it.  numpy's matmul computes each field
+        of a stack as its own product, so a stacked apply gives each field
+        the bits of its own apply.
         """
         out = np.empty_like(u) if out is None else out
-        _apply_blocks(self.y, u, out)
+        blocks = self.y.blocks
+        if len(blocks) == 1:
+            np.matmul(u, blocks[0][2], out=out)
+        else:
+            for rows, cols, block_t in blocks:
+                np.matmul(u[..., cols], block_t, out=out[..., rows])
         return out
 
     def inner(self, u: np.ndarray, v: np.ndarray) -> float:
@@ -101,12 +118,6 @@ class OperatorPair:
 
     def norm(self, u: np.ndarray) -> float:
         return float(np.sqrt(self.inner(u, u)))
-
-
-def _apply_blocks(op: SbpOperator1D, u: np.ndarray, out: np.ndarray):
-    """out[:, rows] = u[:, cols] @ D[rows, cols].T for each block of ``op``: D applied along axis 1."""
-    for rows, cols, block_t in op.blocks:
-        np.matmul(u[:, cols], block_t, out=out[:, rows])
 
 
 def _nfields(model: str) -> int:

@@ -121,17 +121,14 @@ def make_damping_profile(grid: Grid2D, x0: float, delta: float, d0: float, power
     return DampingProfile(d0=d0, sigma_values=sigma_at(grid.x, x0, delta, d0, power), ny=grid.ny)
 
 
-def zero_damping(grid: Grid2D) -> DampingProfile:
-    return DampingProfile(d0=0.0, sigma_values=np.zeros(grid.nx), ny=grid.ny)
-
-
 @dataclass(frozen=True, eq=False)
 class SemiDiscrete:
     """One semi-discrete system: a model with its damping, walls, penalties and operators.
 
     Built once per scenario or assembly: ``__post_init__`` checks the
     damping profile against the operators and builds ``walls``, the
-    ``WallTerms`` of (ops, bc, penalties, prof.rows).
+    ``WallTerms`` of (ops, bc, penalties, prof.rows), and ``model``, the
+    ``FieldState.model`` this system advances.
     """
 
     spec: ModelSpec
@@ -140,17 +137,14 @@ class SemiDiscrete:
     penalties: PenaltyParams
     ops: OperatorPair
     walls: WallTerms = field(init=False, repr=False)
+    model: str = field(init=False, repr=False)
 
     def __post_init__(self):
         got, shape = (self.prof.sigma_values.size, self.prof.ny), (self.ops.x.n, self.ops.y.n)
         if got != shape:
             raise ValueError(f"damping profile shape {got} does not match operators {shape}")
         object.__setattr__(self, "walls", WallTerms(self.ops, self.bc, self.penalties, self.prof.rows))
-
-    @property
-    def model(self) -> str:
-        """The ``FieldState.model`` this system advances."""
-        return STATE_MODEL[self.spec.kind]
+        object.__setattr__(self, "model", STATE_MODEL[self.spec.kind])
 
 
 def evaluate_rhs(system: SemiDiscrete, state: FieldState, t: float, out: Optional[FieldState] = None) -> FieldState:
@@ -161,95 +155,93 @@ def evaluate_rhs(system: SemiDiscrete, state: FieldState, t: float, out: Optiona
     returned; every entry of ``out.data`` is overwritten.  The wall
     residuals (and so any wall data) are evaluated once, on the boundary
     vector, and shared by the SAT terms, the theta term and the split
-    y-wall penalty.  The damping terms are applied on ``prof.rows`` only,
-    with a rate written later as their scratch, so no full-size temporary
-    is made; an auxiliary rate that carries sigma is exactly zero outside
-    those rows.
+    y-wall penalty.  Derivatives of two fields along one axis are one
+    stacked apply where the outputs allow it.  The damping terms are
+    applied on ``prof.rows`` only, with a rate written later as their
+    scratch, so no full-size temporary is made; an auxiliary rate that
+    carries sigma is exactly zero outside those rows.
     """
-    spec, prof, ops, walls = system.spec, system.prof, system.ops, system.walls
+    spec, prof, ops, walls, data = system.spec, system.prof, system.ops, system.walls, state.data
     if state.model != system.model:
         raise ValueError(f"state model {state.model!r} does not match spec kind {spec.kind!r}")
     shape = (ops.x.n, ops.y.n)
-    if state.data.shape[1:] != shape:
-        raise ValueError(f"state shape {state.data.shape[1:]} does not match operators {shape}")
+    if data.shape[1:] != shape:
+        raise ValueError(f"state shape {data.shape[1:]} does not match operators {shape}")
     if out is None:
-        out = FieldState(state.model, np.empty_like(state.data))
-    elif out.model != state.model or out.data.shape != state.data.shape:
-        raise ValueError(
-            f"output {out.model} {out.data.shape} does not match state {state.model} {state.data.shape}"
-        )
+        out = FieldState(state.model, np.empty_like(data))
+    elif out.model != state.model or out.data.shape != data.shape:
+        raise ValueError(f"output {out.model} {out.data.shape} does not match state {state.model} {data.shape}")
 
-    kind = spec.kind
-    ez, hy, hx, aux = state.ez, state.hy, state.hx, state.aux
-    d_ez, d_hy, d_hx, d_aux = out.ez, out.hy, out.hx, out.aux
+    kind, d = spec.kind, out.data
+    d_ez, d_hy, d_hx = d[0], d[1], d[2]
     rows, sigma = prof.rows, prof.sigma
-    split = kind in ("SplitFieldNaive", "SplitFieldStable")
 
-    # A split state's total Ez lives in d_aux until Dy Hx is written there.
-    ez_tot = np.add(ez, aux, out=d_aux) if split else ez
-    residuals = wall_residuals(state.data, walls, t, split)
-
-    if not split:
-        # d_ez = Dy Hx - Dx Hy (+ aux) (- sigma Ez), with Dx Hy and sigma Ez
-        # formed in d_hx; ModalUnsplit keeps Dy Hx in d_aux as the start of
-        # its auxiliary bracket.
-        dy_hx = ops.dy(hx, out=d_aux if kind == "ModalUnsplit" else d_ez)
-        np.subtract(dy_hx, ops.dx(hy, out=d_hx), out=d_ez)
-        if kind == "ModalUnsplit":
-            d_ez += aux
-        if kind != "Interior":
-            d_ez[rows] -= np.multiply(sigma, ez[rows], out=d_hx[rows])
-
-    # Magnetic equations of every model, with the total Ez of a split
-    # state: d_hy = -(Dx Ez + sigma Hy) (no sigma in Interior), d_hx = Dy Ez.
-    # sigma Hy is formed in a rate that is written after it.
-    ops.dx(ez_tot, out=d_hy)
-    if kind != "Interior":
-        scratch = d_ez if split else d_hx
-        d_hy[rows] += np.multiply(sigma, hy[rows], out=scratch[rows])
-    np.negative(d_hy, out=d_hy)
-    ops.dy(ez_tot, out=d_hx)
-
-    if split:
-        # d_ez_x = -(Dx Hy + sigma Ez_x), d_ez_y = Dy Hx.
-        ops.dx(hy, out=d_ez)
-        d_ez[rows] += np.multiply(sigma, ez[rows], out=d_aux[rows])
+    if kind in ("SplitFieldNaive", "SplitFieldStable"):
+        # The total Ez lives in d_aux until Dy Hx is written there.
+        # d_hy = -(Dx Ez + sigma Hy), d_hx = Dy Ez, d_ez_x = -(Dx Hy + sigma
+        # Ez_x), d_ez_y = Dy Hx; each sigma term formed in a later rate.
+        ez_tot = np.add(data[0], data[3], out=d[3])
+        residuals = wall_residuals(data, walls, t, True)
+        ops.dx(ez_tot, out=d_hy)
+        v = d_hy[rows]
+        np.add(v, np.multiply(sigma, data[1, rows], out=d_ez[rows]), out=v)
+        np.negative(d_hy, out=d_hy)
+        ops.dy(ez_tot, out=d_hx)
+        ops.dx(data[1], out=d_ez)
+        v = d_ez[rows]
+        np.add(v, np.multiply(sigma, data[0, rows], out=d[3, rows]), out=v)
         np.negative(d_ez, out=d_ez)
-        ops.dy(hx, out=d_aux)
-
-    if kind == "PhysicallyMotivated":
-        # The relaxation sigma (Hx - P) drives P and forces Hx.
-        relax = np.subtract(hx[rows], aux[rows], out=d_aux[rows])
-        relax *= sigma
-        d_hx[rows] += relax
+        ops.dy(data[2], out=d[3])
+    else:
+        # d_ez = Dy Hx - Dx Hy (+ aux) (- sigma Ez), d_hy = -(Dx Ez + sigma
+        # Hy), with no sigma in Interior, and d_hx = Dy Ez.  Dx Hy and Dx Ez
+        # are one stacked apply into d_ez and d_hy.
+        residuals = wall_residuals(data, walls, t)
+        ops.dx(data[1::-1], out=d[0:2])
+        if kind == "PhysicallyMotivated":
+            # Dy Ez and Dy Hx are one stacked apply into d_hx and d_aux.
+            dy_hx = ops.dy(data[0:3:2], out=d[2:4])[1]
+        else:
+            # ModalUnsplit keeps Dy Hx in d_aux as the start of its
+            # auxiliary bracket.
+            dy_hx = ops.dy(data[2], out=d[3] if kind == "ModalUnsplit" else d_hx)
+        np.subtract(dy_hx, d_ez, out=d_ez)
+        if kind == "ModalUnsplit":
+            np.add(d_ez, data[3], out=d_ez)
+        if kind != "Interior":
+            # The sigma terms are formed in a rate written after them: d_hx
+            # before Dy Ez, or PhysicallyMotivated's d_aux once Dy Hx is used.
+            scratch = (dy_hx if kind == "PhysicallyMotivated" else d_hx)[rows]
+            v = d_ez[rows]
+            np.subtract(v, np.multiply(sigma, data[0, rows], out=scratch), out=v)
+            v = d_hy[rows]
+            np.add(v, np.multiply(sigma, data[1, rows], out=scratch), out=v)
+        np.negative(d_hy, out=d_hy)
+        if kind == "PhysicallyMotivated":
+            # The relaxation sigma (Hx - P) drives P and forces Hx.
+            relax = np.subtract(data[2, rows], data[3, rows], out=scratch)
+            relax *= sigma
+            v = d_hx[rows]
+            np.add(v, relax, out=v)
+        else:
+            ops.dy(data[0], out=d_hx)
 
     # In SplitFieldStable the y-wall penalty moves to the undamped
     # component; this is what makes the scheme conjugate to the stabilized
     # modal one.  SplitFieldNaive keeps both Ez penalties on the damped
     # x-component.
-    sat_contributions(residuals, walls, out.data, ez_y=kind == "SplitFieldStable")
+    sat_contributions(residuals, walls, d, kind == "SplitFieldStable")
 
     if kind == "ModalUnsplit":
         # Auxiliary update with the weak y-wall treatment extended into it.
         if spec.theta != 0.0:
-            sat_y_field(residuals, spec.theta * system.penalties.alpha_y, walls, out.data)
-        d_aux[rows] *= sigma
+            sat_y_field(residuals, spec.theta * system.penalties.alpha_y, walls, d)
+        v = d[3, rows]
+        np.multiply(v, sigma, out=v)
     if kind in ("ModalUnsplit", "PhysicallyMotivated"):
-        d_aux[: rows.start] = 0.0
-        d_aux[rows.stop :] = 0.0
+        if rows.start:
+            d[3, : rows.start] = 0.0
+        if rows.stop < shape[0]:
+            d[3, rows.stop :] = 0.0
 
     return out
-
-
-def reduce_splitfield_to_modal(state: FieldState, prof: DampingProfile) -> FieldState:
-    """Map a split-field state to the modal unknowns.
-
-    The electric field is the sum of the split components and the modal
-    auxiliary variable is sigma * Ez^(y) pointwise.  Applying this map to
-    the stable split-field right-hand side reproduces the theta = 1 modal
-    right-hand side of the mapped state.
-    """
-    if state.model != "SplitField":
-        raise ValueError(f"expected a SplitField state, got {state.model!r}")
-    sigma = prof.sigma_values[:, None]
-    return FieldState("ModalUnsplit", np.array([state.ez + state.aux, state.hy, state.hx, sigma * state.aux]))

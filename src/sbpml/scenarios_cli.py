@@ -401,10 +401,18 @@ def waveguide_error_study(h_list, order_list, output_dir: str = "out", theta: fl
         # to the import that every run pays.
         import multiprocessing
         from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures.process import BrokenProcessPool
 
         # spawn: a forked child would inherit the parent's threads' locks.
-        with ProcessPoolExecutor(n_proc, mp_context=multiprocessing.get_context("spawn")) as pool:
-            errors = list(pool.map(_layer_error, layer, reference))
+        try:
+            with ProcessPoolExecutor(n_proc, mp_context=multiprocessing.get_context("spawn")) as pool:
+                errors = list(pool.map(_layer_error, layer, reference))
+        except BrokenProcessPool as err:
+            raise RuntimeError(
+                "a worker of the error study died before returning its cell. Each worker imports the "
+                "calling script as its main module, so a script that calls waveguide_error_study must "
+                'keep its entry code under `if __name__ == "__main__":`'
+            ) from err
     error = dict(zip(cells, errors))
     rows = []
     for order in order_list:

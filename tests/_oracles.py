@@ -11,7 +11,9 @@ import math
 
 import numpy as np
 
+from sbpml.grid_state import FieldState
 from sbpml.modal_analysis import CANDIDATE_THRESHOLD, ROOT_TOLERANCE
+from sbpml.pml_models import DampingProfile
 
 
 def selectors(n):
@@ -169,6 +171,57 @@ def dense_rhs_oracle(spec, state, prof, bc, p, ops, grid, g_top=None):
 
 # ---------------------------------------------------------------------------
 # Pointwise dispersion functions and root scan
+
+
+def zero_damping(grid):
+    """The profile with sigma = 0 everywhere: the undamped interior problem."""
+    return DampingProfile(d0=0.0, sigma_values=np.zeros(grid.nx), ny=grid.ny)
+
+
+def reduce_splitfield_to_modal(state, prof):
+    """Map a split-field state to the modal unknowns.
+
+    The electric field is the sum of the split components and the modal
+    auxiliary variable is sigma * Ez^(y) pointwise.  Applying this map to
+    the stable split-field right-hand side reproduces the theta = 1 modal
+    right-hand side of the mapped state.
+    """
+    if state.model != "SplitField":
+        raise ValueError(f"expected a SplitField state, got {state.model!r}")
+    sigma = prof.sigma_values[:, None]
+    return FieldState("ModalUnsplit", np.array([state.ez + state.aux, state.hy, state.hx, sigma * state.aux]))
+
+
+def penalty_matrix_eigenvalues(gamma, theta_bar):
+    """Closed-form eigenvalues (lambda_minus, lambda_plus) of the wall matrices.
+
+    The wall dissipation matrices of the estimate-matching family are
+    [[g, -+ t*g/2], [-+ t*g/2, t]] with g = gamma, t = theta_bar; both sign
+    choices share the spectrum.  The discriminant (g - t)^2 + (g t)^2 is
+    never negative, so the pair is real.
+    """
+    root = np.sqrt((gamma - theta_bar) ** 2 + (gamma * theta_bar) ** 2)
+    return (gamma + theta_bar - root) / 2.0, (gamma + theta_bar + root) / 2.0
+
+
+def sat_by_direction(r, walls, rates, ez_y=False):
+    """``sat_contributions`` as one take, += and put of the rates per
+    direction, x then y, the scatter it replaced."""
+    flat, _, places, weights = walls.sat[ez_y]
+    q = r / walls.p_normal
+    x_entries = 4 * walls.ops.y.n  # Ez and tangential H on the 2 ny x-wall points
+    for part in (slice(0, x_entries), slice(x_entries, None)):
+        lines = rates.take(flat[part])
+        lines += weights[part] * q.take(places[part])
+        rates.put(flat[part], lines)
+
+
+def theta_term_by_take_put(r, weight, walls, rates):
+    """``sat_y_field`` as a take, -= and put of the aux rates, the scatter it replaced."""
+    flat, _, points, minus_p = walls.theta
+    lines = rates.take(flat)
+    lines -= weight * r.take(points) / -minus_p
+    rates.put(flat, lines)
 
 
 def scalar_principal_sqrt(z):

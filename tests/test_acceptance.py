@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sbpml.boundary_sat import BoundaryConfig, PenaltyParams, penalty_matrix_eigenvalues
+from sbpml.boundary_sat import BoundaryConfig, PenaltyParams
 from sbpml.diagnostics import assemble_semidiscrete_matrix, field_squares, interior_energy
 from sbpml.grid_state import FieldState, Grid2D
 from sbpml.modal_analysis import (
@@ -30,8 +30,6 @@ from sbpml.pml_models import (
     SemiDiscrete,
     evaluate_rhs,
     make_damping_profile,
-    reduce_splitfield_to_modal,
-    zero_damping,
 )
 from sbpml.sbp_core import build_sbp_operator, operator_verification_report
 from sbpml.scenarios_cli import (
@@ -42,6 +40,8 @@ from sbpml.scenarios_cli import (
     run_scenario,
     waveguide_error_study,
 )
+
+from _oracles import penalty_matrix_eigenvalues, reduce_splitfield_to_modal, zero_damping
 
 
 # ---------------------------------------------------------------------------

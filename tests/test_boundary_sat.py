@@ -12,14 +12,13 @@ from sbpml.boundary_sat import (
     WallTerms,
     boundary_dissipation,
     penalties_admissible,
-    penalty_matrix_eigenvalues,
     sat_contributions,
     wall_residuals,
 )
 from sbpml.grid_state import FieldState, Grid2D
-from sbpml.pml_models import ModelSpec, SemiDiscrete, evaluate_rhs, zero_damping
+from sbpml.pml_models import ModelSpec, SemiDiscrete, evaluate_rhs
 
-from _oracles import dense_sat_oracle
+from _oracles import dense_sat_oracle, penalty_matrix_eigenvalues, zero_damping
 
 
 def random_interior_state(grid, rng):

@@ -27,11 +27,10 @@ from sbpml.pml_models import (
     damping_coefficient,
     evaluate_rhs,
     make_damping_profile,
-    zero_damping,
 )
 from sbpml.scenarios_cli import build_scenario, cavity_config, march, waveguide_forcing
 
-from _oracles import selectors
+from _oracles import selectors, zero_damping
 
 
 def random_state(grid, model, rng):

@@ -160,6 +160,35 @@ def test_dy_matches_dense_product(order, extra, nx, h, small_blocks, seed):
     assert np.array_equal(out, got)
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    order=st.sampled_from([2, 4, 6]),
+    nx_extra=st.integers(0, 40),
+    ny_extra=st.integers(0, 40),
+    small_blocks=st.booleans(),
+    seed=st.integers(0, 2**31),
+)
+def test_stacked_apply_equals_per_field_applies(order, nx_extra, ny_extra, small_blocks, seed):
+    """dx and dy of a stack (k, nx, ny) equal the applies to each field,
+    bit for bit, into a stacked output and into a new array: on the
+    contiguous stack, on the reversed view ``data[1::-1]`` and on the
+    strided view ``data[0:3:2]``, into outputs of the same layouts, as
+    ``evaluate_rhs`` uses them; ``small_blocks`` as in
+    ``test_dx_matches_dense_product``."""
+    n_min = max(2 * {2: 1, 4: 4, 6: 6}[order], 3)
+    with patch.object(sbp_core, "BLOCK_ROWS", 4 if small_blocks else sbp_core.BLOCK_ROWS):
+        ops = Grid2D(0.0, 1.0, 0.0, 2.0, n_min + nx_extra, n_min + ny_extra).operators(order)
+    data = np.random.default_rng(seed).standard_normal((4, ops.x.n, ops.y.n))
+    for view in (np.s_[:], np.s_[1::-1], np.s_[0:3:2]):
+        stack = data[view]
+        for apply in (ops.dx, ops.dy):
+            each = np.array([apply(np.ascontiguousarray(field)) for field in stack])
+            out = np.full_like(data, np.nan)
+            assert apply(stack, out=out[view]).base is out
+            assert np.array_equal(out[view], each)
+            assert np.array_equal(apply(stack), each)
+
+
 def test_operator_blocks_cover_d():
     """The blocks partition D's rows into n // BLOCK_ROWS runs of near-equal
     length (one block, the whole of D, below 2 * BLOCK_ROWS points), and

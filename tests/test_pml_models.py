@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+import warnings
 from unittest.mock import patch
 
 import numpy as np
@@ -10,7 +11,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sbpml import sbp_core
-from sbpml.boundary_sat import BoundaryConfig, PenaltyParams, WallTerms, boundary_dissipation
+from sbpml.boundary_sat import (
+    BoundaryConfig,
+    PenaltyParams,
+    WallTerms,
+    boundary_dissipation,
+    sat_contributions,
+    sat_y_field,
+)
 from sbpml.diagnostics import modal_bt_integrand
 from sbpml.grid_state import FieldState, Grid2D
 from sbpml.pml_models import (
@@ -21,13 +29,17 @@ from sbpml.pml_models import (
     damping_coefficient,
     evaluate_rhs,
     make_damping_profile,
-    reduce_splitfield_to_modal,
     sigma_at,
-    zero_damping,
 )
 from sbpml.scenarios_cli import build_scenario, cavity_config, march
 
-from _oracles import dense_rhs_oracle
+from _oracles import (
+    dense_rhs_oracle,
+    reduce_splitfield_to_modal,
+    sat_by_direction,
+    theta_term_by_take_put,
+    zero_damping,
+)
 
 
 def random_state(grid, model, rng):
@@ -251,14 +263,39 @@ def test_boundary_vector_matches_dense_oracle(
     walls = WallTerms(ops, bc, p, prof.rows)
     assert np.array_equal(walls.p_normal, np.where(on_x, ops.x.p_diag[i], ops.y.p_diag[j]))
     tangent = np.concatenate((index[: 2 * ny] + plane, index[2 * ny :] + 2 * plane))
-    assert np.array_equal(walls.gather, [index, tangent, index + 3 * plane])
+    assert np.array_equal(walls.gather[True], [index, tangent, index + 3 * plane])
+    assert np.array_equal(walls.gather[False], [index, tangent])
+    # One scatter of both directions, x walls first: each direction's
+    # indices are distinct, and the (field, i, j) form names the same places.
+    n_x = 2 * ny
+    place = np.arange(index.size)
     for ez_y in (False, True):
-        for segment, scatter, weights in walls.sat[ez_y]:
-            assert np.unique(scatter).size == scatter.size == 2 * index[segment].size
-            assert weights.shape == scatter.shape
-    theta_index, theta_points, _ = walls.theta
+        scatter, fij, places, weights = walls.sat[ez_y]
+        for part in (scatter[: 2 * n_x], scatter[2 * n_x :]):
+            assert np.unique(part).size == part.size
+        assert scatter.size == 2 * index.size
+        assert np.array_equal(np.ravel_multi_index(fij, (4, nx, ny)), scatter)
+        assert np.array_equal(places, np.concatenate([place[:n_x], place[:n_x], place[n_x:], place[n_x:]]))
+        assert weights.shape == scatter.shape
+    theta_index, theta_fij, theta_points, minus_p = walls.theta
     assert np.unique(theta_index).size == theta_index.size == 2 * len(range(nx)[prof.rows])
     assert np.array_equal(theta_index, index[theta_points] + 3 * plane) and np.all(theta_points >= 2 * ny)
+    assert np.array_equal(np.ravel_multi_index(theta_fij, (4, nx, ny)), theta_index)
+    assert np.array_equal(minus_p, -walls.p_normal[theta_points])
+    # The scatters add what one take, += and put per direction added, bit
+    # for bit, a corner x first, into contiguous and strided rates alike.
+    scatter_rng = np.random.default_rng(seed)
+    r = scatter_rng.standard_normal(index.size)
+    for ez_y in (False, True):
+        want = scatter_rng.standard_normal((4, nx, ny))
+        strided = np.empty(want.shape[::-1]).T
+        strided[...] = got = want.copy()
+        sat_by_direction(r, walls, want, ez_y)
+        theta_term_by_take_put(r, 0.7, walls, want)
+        for rates in (got, strided):
+            sat_contributions(r, walls, rates, ez_y)
+            sat_y_field(r, 0.7, walls, rates)
+            assert np.array_equal(rates, want)
 
     rng = np.random.default_rng(seed)
     for kind in MODEL_KINDS:
@@ -341,6 +378,33 @@ def test_rhs_allocates_no_field(kind):
     finally:
         tracemalloc.stop()
     assert peak < 0.5 * s.ez.nbytes, peak / s.ez.nbytes
+
+
+@pytest.mark.parametrize("kind", MODEL_KINDS)
+def test_complex_state_rate_is_the_rate_of_its_parts(kind):
+    """Over a data-free system the RHS is a real linear map, so a complex
+    state a + i b has the rate RHS(a) + i RHS(b), to 1e-13 relative (the
+    complex products may sum in another order), into a given complex
+    buffer and into a new one, with no ComplexWarning.  The damped rows
+    are one end of the x axis, so the aux rate is zeroed on the rest."""
+    g = Grid2D(-1.0, 3.0, -1.0, 1.0, 14, 12)
+    ops = g.operators(4)
+    prof = make_damping_profile(g, 1.0, 2.0, 3.0)
+    assert 0 < prof.rows.start < prof.rows.stop == g.nx
+    bc = BoundaryConfig(r_x=0.3, r_y=-0.5)
+    system = SemiDiscrete(ModelSpec(kind, theta=1.0), prof, bc, PenaltyParams.universal(), ops)
+    rng = np.random.default_rng(21)
+    a, b = (random_state(g, STATE_MODEL[kind], rng) for _ in range(2))
+    z = FieldState(a.model, a.data + 1j * b.data)
+    want = evaluate_rhs(system, a, 0.3).data + 1j * evaluate_rhs(system, b, 0.3).data
+    out = FieldState(z.model, np.full_like(z.data, np.nan))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", np.exceptions.ComplexWarning)
+        assert evaluate_rhs(system, z, 0.3, out) is out
+        fresh = evaluate_rhs(system, z, 0.3)
+    for got in (out.data, fresh.data):
+        assert got.dtype == np.complex128
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 def test_rhs_model_mismatch_rejected():

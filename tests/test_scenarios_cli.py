@@ -4,6 +4,10 @@ import dataclasses
 import math
 import os
 import re
+import signal
+import subprocess
+import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -539,6 +543,61 @@ def test_worker_error_reaches_the_caller(tmp_path, monkeypatch, capsys):
     rc = cli_entry(["converge", "--orders", "6", "--h", "0.2,0.1", "--out", str(tmp_path / "cli")])
     assert rc == 1
     assert "order 6 needs at least n = 12 points, got 11" in capsys.readouterr().err
+
+
+# A script that runs the study at module level, with no main guard, on 2 CPUs.
+UNGUARDED_SCRIPT = """
+import os
+os.sched_getaffinity = lambda pid: {0, 1}
+from sbpml.scenarios_cli import waveguide_error_study
+waveguide_error_study([0.2, 0.1], [4], output_dir="out")
+"""
+
+
+def session_processes(sid):
+    """The pids of the live processes of session ``sid``, read from /proc."""
+    pids = []
+    for stat in Path("/proc").glob("[0-9]*/stat"):
+        try:
+            # After "pid (comm)": state, ppid, pgrp, session.
+            state, _, _, session = stat.read_text().rsplit(")", 1)[1].split()[:4]
+        except (OSError, ValueError):
+            continue  # the process ended while being read
+        if int(session) == sid and state != "Z":
+            pids.append(int(stat.parent.name))
+    return pids
+
+
+@pytest.mark.skipif(not Path("/proc/self/stat").is_file(), reason="reads each process's session from /proc")
+def test_unguarded_script_is_told_to_add_the_main_guard(tmp_path):
+    """Each spawned worker imports the calling script again, so an
+    unguarded script's workers die in multiprocessing's bootstrapping
+    check.  The script exits nonzero with a RuntimeError that names the
+    main guard, chained to the BrokenProcessPool, and leaves no process
+    behind in its session."""
+    (tmp_path / "unguarded.py").write_text(UNGUARDED_SCRIPT)
+    env = dict(os.environ, PYTHONPATH=str(Path(scenarios_cli.__file__).resolve().parents[1]))
+    proc = subprocess.Popen(
+        [sys.executable, "unguarded.py"], cwd=tmp_path, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        text=True, start_new_session=True,
+    )
+    try:
+        _, err = proc.communicate(timeout=120)
+        deadline = time.monotonic() + 10
+        while session_processes(proc.pid) and time.monotonic() < deadline:
+            time.sleep(0.1)
+        left = session_processes(proc.pid)
+    finally:
+        try:
+            os.killpg(proc.pid, signal.SIGKILL)
+        except ProcessLookupError:
+            pass
+        proc.wait()
+    assert proc.returncode != 0
+    assert "RuntimeError: a worker of the error study died" in err
+    assert 'keep its entry code under `if __name__ == "__main__":`' in err
+    assert "BrokenProcessPool" in err and "direct cause of the following exception" in err
+    assert left == []
 
 
 def test_error_study_rejects_a_repeated_order(tmp_path, capsys):
