@@ -18,7 +18,8 @@ The four walls' points, left, right, bottom and top, form one boundary
 vector (``OperatorPair.wall_index``).  ``WallTerms`` builds once what of
 the wall terms does not depend on the state, so a right-hand side gathers
 the wall values once and scatters the SAT penalties of both directions
-once, and the modal theta term once.
+once, and the modal theta term once, for one state or for a stack of
+states alike.
 
 A penalty set is admissible when the boundary term of the energy estimate,
 on each wall a quadratic a e^2 + b e m + c m^2 in Ez and the tangential
@@ -139,9 +140,12 @@ class WallTerms:
     its weight, -alpha or -theta times the wall's sign.  ``theta`` is the
     scatter of the modal theta term into the aux rates at the y-wall points
     of ``rows``, with those points' places and -P across the wall.  A
-    scatter's places in the rates are given twice: as flat indices, for a
-    C-contiguous array, whose flat view is no copy, and as (field, i, j)
-    index arrays, for any other.  ``data`` holds each wall's segment and data.
+    scatter's places in one state's rates are given twice: as flat indices,
+    for a C-contiguous array, whose per-state flat view is no copy, and as
+    (field, i, j) index arrays, for any other.  The scatters index the last
+    axis of that view, or the last three of the array, so one index reaches
+    its place in every state of a stack.  ``data`` holds each wall's segment
+    and data.
     """
 
     ops: OperatorPair
@@ -202,16 +206,18 @@ def wall_residuals(data: np.ndarray, walls: WallTerms, t: float, split: bool = F
     """Boundary-condition residuals on the boundary vector of a state's array,
     each wall's data at t subtracted on its segment.
 
-    Ez (ez + aux with ``split``) and the tangential H come in one gather.
+    Ez (ez + aux with ``split``) and the tangential H come in one gather
+    from the per-state flat view.  A stack (..., nfields, nx, ny) of states
+    gives a stack (..., npts) of boundary vectors.
     """
-    values = data.take(walls.gather[split])
+    values = data.reshape(data.shape[:-3] + (-1,)).take(walls.gather[split], axis=-1)
     if split:
-        values[0] += values[2]
-        values = values[:2]
+        values[..., 0, :] += values[..., 2, :]
+        values = values[..., :2, :]
     values *= walls.residual
-    r = np.add(values[0], values[1])
+    r = np.add(values[..., 0, :], values[..., 1, :])
     for wall, g in walls.data:
-        r[wall] -= g(t)
+        r[..., wall] -= g(t)
     return r
 
 
@@ -223,31 +229,33 @@ def sat_y_field(r: np.ndarray, weight: float, walls: WallTerms, rates: np.ndarra
     of subtracting (weight r) / P.
     """
     flat, fij, points, minus_p = walls.theta
-    increments = weight * r.take(points)
+    increments = weight * r.take(points, axis=-1)
     increments /= minus_p
     if rates.flags.c_contiguous:
-        np.add.at(rates.ravel(), flat, increments)
+        np.add.at(rates.reshape(rates.shape[:-3] + (-1,)), (..., flat), increments)
     else:
-        np.add.at(rates, fij, increments)
+        np.add.at(rates, (..., *fij), increments)
 
 
 def sat_contributions(r: np.ndarray, walls: WallTerms, rates: np.ndarray, ez_y: bool = False):
     """Add the penalty terms of the Ez, Hy and Hx equations into ``rates``.
 
-    ``rates`` is the (nfields, nx, ny) array of the rates (Ez, Hy, Hx, ...)
-    and ``r`` the residuals of ``wall_residuals``.  One ``np.add.at``
+    ``rates`` is the (..., nfields, nx, ny) array of the rates (Ez, Hy, Hx,
+    ...) and ``r`` the residuals of ``wall_residuals``.  One ``np.add.at``
     scatters the increments of both directions, x then y: it adds repeated
-    indices in order, so a corner sums in that order.  With ``ez_y`` the
+    indices in order, so a corner sums in that order.  For a stack of states
+    ``r`` and the increments are stacks (..., n) too, and the index
+    ``(..., place)`` reaches its place in every state.  With ``ez_y`` the
     y-wall term of the Ez equation goes into the fourth field instead (the
     undamped component of the stable split field).
     """
     flat, fij, places, weights = walls.sat[ez_y]
-    increments = (r / walls.p_normal).take(places)
+    increments = (r / walls.p_normal).take(places, axis=-1)
     increments *= weights
     if rates.flags.c_contiguous:
-        np.add.at(rates.ravel(), flat, increments)
+        np.add.at(rates.reshape(rates.shape[:-3] + (-1,)), (..., flat), increments)
     else:
-        np.add.at(rates, fij, increments)
+        np.add.at(rates, (..., *fij), increments)
 
 
 def boundary_dissipation(state: FieldState, walls: WallTerms) -> float:

@@ -11,8 +11,9 @@ Two energy functionals accompany the PML models:
 
 Both satisfy d/dt sqrt(E) <= sigma_max sqrt(E) for the admissible
 discretizations; ``growth_bound_check`` verifies that bound on sampled
-histories.  ``assemble_semidiscrete_matrix`` materializes the semi-discrete
-operator column by column so its spectrum can be examined on small grids.
+histories.  ``assemble_system_matrix`` materializes the semi-discrete
+operator, a stack of unit states at a time, so its spectrum can be
+examined on small grids.
 """
 
 from __future__ import annotations
@@ -24,10 +25,15 @@ from typing import Optional
 import numpy as np
 
 from sbpml.boundary_sat import BoundaryConfig, PenaltyParams
-from sbpml.grid_state import FieldState, Grid2D, OperatorPair
+from sbpml.grid_state import FieldState, Grid2D, OperatorPair, nfields
 from sbpml.pml_models import DampingProfile, ModelSpec, SemiDiscrete, evaluate_rhs
 
 CSV_HEADER = "t,ez_norm,hy_norm,hx_norm,aux_norm,energy"
+
+# Unit states per evaluate_rhs call of the dense assembly.  The stack
+# (ASSEMBLY_CHUNK, nfields, nx, ny) bounds the assembly's memory beside the
+# matrix itself.
+ASSEMBLY_CHUNK = 64
 
 
 @dataclass
@@ -155,6 +161,41 @@ def growth_bound_check(times, energies, sigma_inf: float, tol: float = None) -> 
     return GrowthCheck(ok=bool(worst <= 1.0 + tol), max_ratio=float(worst), worst_index=worst_idx)
 
 
+def assemble_system_matrix(system: SemiDiscrete, dtype=np.float64, max_unknowns: int = 5000) -> np.ndarray:
+    """Dense matrix, of ``dtype``, of the linear map u -> RHS(u) of ``system.data_free()``.
+
+    Unknowns are ordered [ez, hy, hx, aux], each block stacked y-fastest,
+    the order of a state's array.  The walls keep their reflection
+    coefficients but not their data, so column j is L e_j and not
+    L e_j + RHS(0).  Column j is the RHS of the j-th unit state, written
+    as row j of the transpose, which is contiguous: one ``evaluate_rhs``
+    call takes a stack of ``ASSEMBLY_CHUNK`` unit states and writes their
+    rates straight into that many rows.  Each state of a stack gets the
+    bits of its own rate, so the matrix does not depend on the chunk.
+    """
+    system = system.data_free()
+    model = system.model
+    shape = (nfields(model), system.ops.x.n, system.ops.y.n)
+    m = math.prod(shape)
+    if m > max_unknowns:
+        raise ValueError(f"{m} unknowns exceed the dense-assembly guard of {max_unknowns}")
+
+    # evaluate_rhs overwrites every entry of its output, so the rows start
+    # uninitialized.  The chunk from column `start` is the unit states
+    # e_start, ..., e_(start+n-1): their ones lie on the diagonal of the
+    # (n, n) block of `units` that starts at that column.
+    at = np.empty((m, m), dtype)
+    units = np.zeros((min(ASSEMBLY_CHUNK, m), m), dtype)
+    for start in range(0, m, ASSEMBLY_CHUNK):
+        n = min(ASSEMBLY_CHUNK, m - start)
+        ones = units[:n, start : start + n]
+        np.fill_diagonal(ones, 1)
+        stack = FieldState(model, units[:n].reshape((n,) + shape))
+        evaluate_rhs(system, stack, 0.0, FieldState(model, at[start : start + n].reshape((n,) + shape)))
+        np.fill_diagonal(ones, 0)
+    return at.T
+
+
 def assemble_semidiscrete_matrix(
     spec: ModelSpec,
     grid: Grid2D,
@@ -164,25 +205,8 @@ def assemble_semidiscrete_matrix(
     ops: OperatorPair,
     max_unknowns: int = 5000,
 ) -> np.ndarray:
-    """Dense matrix of the linear map u -> RHS(u), assembled column by column.
-
-    Unknowns are ordered [ez, hy, hx, aux], each block stacked y-fastest.
-    The walls keep their reflection coefficients but not their data, so
-    column j is L e_j and not L e_j + RHS(0).
-    """
-    system = SemiDiscrete(spec, prof, BoundaryConfig(bc.r_x, bc.r_y), penalties, ops)
-    state = FieldState.zeros(grid, system.model)
-    m = state.data.size
-    if m > max_unknowns:
-        raise ValueError(f"{m} unknowns exceed the dense-assembly guard of {max_unknowns}")
-
-    # Column j of the matrix is the RHS of the j-th unit state; it is
-    # written as row j of the transpose, which is contiguous.  evaluate_rhs
-    # overwrites every entry of its output, so the rows start uninitialized.
-    at = np.empty((m, m))
-    columns, flat, model = at.reshape((m,) + state.data.shape), state.data.reshape(-1), system.model
-    for col in range(m):
-        flat[col] = 1.0
-        evaluate_rhs(system, state, 0.0, FieldState(model, columns[col]))
-        flat[col] = 0.0
-    return at.T
+    """``assemble_system_matrix`` of the system (spec, prof, bc, penalties,
+    ops) in float64; ``grid`` must be the grid of ``ops``."""
+    if (grid.nx, grid.ny) != (ops.x.n, ops.y.n):
+        raise ValueError(f"grid {grid.nx}x{grid.ny} does not match operators {ops.x.n}x{ops.y.n}")
+    return assemble_system_matrix(SemiDiscrete(spec, prof, bc, penalties, ops), max_unknowns=max_unknowns)

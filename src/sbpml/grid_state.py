@@ -84,10 +84,10 @@ class OperatorPair:
         out = np.empty_like(u) if out is None else out
         u_t, out_t, blocks = u.swapaxes(-1, -2), out.swapaxes(-1, -2), self.x.blocks
         if len(blocks) == 1:
-            np.matmul(u_t, blocks[0][2], out=out_t)
+            np.matmul(u_t, blocks[0][2], out_t)
         else:
             for rows, cols, block_t in blocks:
-                np.matmul(u_t[..., cols], block_t, out=out_t[..., rows])
+                np.matmul(u_t[..., cols], block_t, out_t[..., rows])
         return out
 
     def dy(self, u: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
@@ -106,10 +106,10 @@ class OperatorPair:
         out = np.empty_like(u) if out is None else out
         blocks = self.y.blocks
         if len(blocks) == 1:
-            np.matmul(u, blocks[0][2], out=out)
+            np.matmul(u, blocks[0][2], out)
         else:
             for rows, cols, block_t in blocks:
-                np.matmul(u[..., cols], block_t, out=out[..., rows])
+                np.matmul(u[..., cols], block_t, out[..., rows])
         return out
 
     def inner(self, u: np.ndarray, v: np.ndarray) -> float:
@@ -120,17 +120,21 @@ class OperatorPair:
         return float(np.sqrt(self.inner(u, u)))
 
 
-def _nfields(model: str) -> int:
+def nfields(model: str) -> int:
+    """The fields of a ``model`` state: 3 for Interior, 4 (with aux) for the others."""
     if model not in MODELS:
         raise ValueError(f"unknown model {model!r}; expected one of {MODELS}")
     return 3 if model == "Interior" else 4
 
 
 class FieldState:
-    """The unknowns of one semi-discrete model: one (nfields, nx, ny) array.
+    """The unknowns of one semi-discrete model: one (nfields, nx, ny) array,
+    or a stack (..., nfields, nx, ny) of such states.
 
-    ``data`` holds the fields in the order ez, hy, hx, aux, and the
-    properties of those names are views of it.  ``aux`` is the
+    ``data`` holds the fields in the order ez, hy, hx, aux on its axis -3,
+    ``fields`` is its view with that axis moved to the front, made once,
+    which for one state is the array itself, and the properties of those
+    names are views of it.  ``aux`` is the
     model-specific extra unknown: the auxiliary variable driven by
     sigma * dHx/dy for ModalUnsplit, the recursive ODE variable for
     PhysicallyMotivated, and the second split component of Ez for
@@ -140,25 +144,25 @@ class FieldState:
     """
 
     def __init__(self, model: str, data: np.ndarray):
-        if data.ndim != 3 or len(data) != _nfields(model):
-            raise ValueError(f"a {model} state needs an ({_nfields(model)}, nx, ny) array, got {data.shape}")
-        self.model, self.data = model, data
+        if data.ndim < 3 or data.shape[-3] != nfields(model):
+            raise ValueError(f"a {model} state needs an (..., {nfields(model)}, nx, ny) array, got {data.shape}")
+        self.model, self.data, self.fields = model, data, np.moveaxis(data, -3, 0)
 
     @property
     def ez(self) -> np.ndarray:
-        return self.data[0]
+        return self.fields[0]
 
     @property
     def hy(self) -> np.ndarray:
-        return self.data[1]
+        return self.fields[1]
 
     @property
     def hx(self) -> np.ndarray:
-        return self.data[2]
+        return self.fields[2]
 
     @property
     def aux(self) -> Optional[np.ndarray]:
-        return self.data[3] if len(self.data) == 4 else None
+        return self.fields[3] if len(self.fields) == 4 else None
 
     @property
     def ez_total(self) -> np.ndarray:
@@ -169,4 +173,4 @@ class FieldState:
 
     @classmethod
     def zeros(cls, grid: Grid2D, model: str = "Interior") -> "FieldState":
-        return cls(model, np.zeros((_nfields(model), grid.nx, grid.ny)))
+        return cls(model, np.zeros((nfields(model), grid.nx, grid.ny)))

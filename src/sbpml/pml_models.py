@@ -146,33 +146,52 @@ class SemiDiscrete:
         object.__setattr__(self, "walls", WallTerms(self.ops, self.bc, self.penalties, self.prof.rows))
         object.__setattr__(self, "model", STATE_MODEL[self.spec.kind])
 
+    def data_free(self) -> "SemiDiscrete":
+        """This system without wall data: the same walls' reflection
+        coefficients with zero data, so its RHS is a linear map of the state.
+        The system itself when it has no wall data."""
+        if not self.walls.data:
+            return self
+        return SemiDiscrete(self.spec, self.prof, BoundaryConfig(self.bc.r_x, self.bc.r_y), self.penalties, self.ops)
+
 
 def evaluate_rhs(system: SemiDiscrete, state: FieldState, t: float, out: Optional[FieldState] = None) -> FieldState:
     """Time derivative of the state under the system's semi-discrete model.
 
-    The derivative is written into ``out``, a state of the same model and
-    shape that shares no memory with ``state`` (a new state if None), and
-    returned; every entry of ``out.data`` is overwritten.  The wall
-    residuals (and so any wall data) are evaluated once, on the boundary
-    vector, and shared by the SAT terms, the theta term and the split
-    y-wall penalty.  Derivatives of two fields along one axis are one
-    stacked apply where the outputs allow it.  The damping terms are
-    applied on ``prof.rows`` only, with a rate written later as their
-    scratch, so no full-size temporary is made; an auxiliary rate that
-    carries sigma is exactly zero outside those rows.
+    The derivative is written into ``out``, a state of the same model,
+    shape and dtype that shares no memory with ``state`` (a new state if
+    None), and returned; every entry of ``out.data`` is overwritten.
+    ``state`` may be one state or a stack (..., nfields, nx, ny) of states,
+    each of which gets the bits of its own rate: the body runs on the
+    states' fields-first views ``FieldState.fields``, which for one state
+    are the arrays themselves, and every apply, product and scatter acts
+    on each state of a stack as on one state.  The wall residuals (and so
+    any wall data) are evaluated once, on the boundary vector, and shared
+    by the SAT terms, the theta term and the split y-wall penalty.
+    Derivatives of two fields along one axis are one stacked apply where
+    the outputs allow it.  The damping terms are applied on ``prof.rows``
+    only, with a rate written later as their scratch, so no full-size
+    temporary is made; an auxiliary rate that carries sigma is exactly
+    zero outside those rows.
     """
-    spec, prof, ops, walls, data = system.spec, system.prof, system.ops, system.walls, state.data
+    spec, prof, ops, walls = system.spec, system.prof, system.ops, system.walls
     if state.model != system.model:
         raise ValueError(f"state model {state.model!r} does not match spec kind {spec.kind!r}")
     shape = (ops.x.n, ops.y.n)
-    if data.shape[1:] != shape:
-        raise ValueError(f"state shape {data.shape[1:]} does not match operators {shape}")
+    if state.data.shape[-2:] != shape:
+        raise ValueError(f"state shape {state.data.shape[-2:]} does not match operators {shape}")
     if out is None:
-        out = FieldState(state.model, np.empty_like(data))
-    elif out.model != state.model or out.data.shape != data.shape:
-        raise ValueError(f"output {out.model} {out.data.shape} does not match state {state.model} {data.shape}")
+        out = FieldState(state.model, np.empty_like(state.data))
+    elif out.model != state.model or out.data.shape != state.data.shape or out.data.dtype != state.data.dtype:
+        raise ValueError(
+            f"output {out.model} {out.data.shape} {out.data.dtype} does not match "
+            f"state {state.model} {state.data.shape} {state.data.dtype}"
+        )
 
-    kind, d = spec.kind, out.data
+    # Fields first, for one state or a stack: data[k] is field k, and
+    # data_r[k] its damped rows.  Ufuncs take their output positionally,
+    # which skips keyword parsing on every call.
+    kind, data, d = spec.kind, state.fields, out.fields
     d_ez, d_hy, d_hx = d[0], d[1], d[2]
     rows, sigma = prof.rows, prof.sigma
 
@@ -180,23 +199,24 @@ def evaluate_rhs(system: SemiDiscrete, state: FieldState, t: float, out: Optiona
         # The total Ez lives in d_aux until Dy Hx is written there.
         # d_hy = -(Dx Ez + sigma Hy), d_hx = Dy Ez, d_ez_x = -(Dx Hy + sigma
         # Ez_x), d_ez_y = Dy Hx; each sigma term formed in a later rate.
-        ez_tot = np.add(data[0], data[3], out=d[3])
-        residuals = wall_residuals(data, walls, t, True)
+        data_r, d_r = data[:, ..., rows, :], d[:, ..., rows, :]
+        ez_tot = np.add(data[0], data[3], d[3])
+        residuals = wall_residuals(state.data, walls, t, True)
         ops.dx(ez_tot, out=d_hy)
-        v = d_hy[rows]
-        np.add(v, np.multiply(sigma, data[1, rows], out=d_ez[rows]), out=v)
-        np.negative(d_hy, out=d_hy)
+        v = d_r[1]
+        np.add(v, np.multiply(sigma, data_r[1], d_r[0]), v)
+        np.negative(d_hy, d_hy)
         ops.dy(ez_tot, out=d_hx)
         ops.dx(data[1], out=d_ez)
-        v = d_ez[rows]
-        np.add(v, np.multiply(sigma, data[0, rows], out=d[3, rows]), out=v)
-        np.negative(d_ez, out=d_ez)
+        v = d_r[0]
+        np.add(v, np.multiply(sigma, data_r[0], d_r[3]), v)
+        np.negative(d_ez, d_ez)
         ops.dy(data[2], out=d[3])
     else:
         # d_ez = Dy Hx - Dx Hy (+ aux) (- sigma Ez), d_hy = -(Dx Ez + sigma
         # Hy), with no sigma in Interior, and d_hx = Dy Ez.  Dx Hy and Dx Ez
         # are one stacked apply into d_ez and d_hy.
-        residuals = wall_residuals(data, walls, t)
+        residuals = wall_residuals(state.data, walls, t)
         ops.dx(data[1::-1], out=d[0:2])
         if kind == "PhysicallyMotivated":
             # Dy Ez and Dy Hx are one stacked apply into d_hx and d_aux.
@@ -205,24 +225,25 @@ def evaluate_rhs(system: SemiDiscrete, state: FieldState, t: float, out: Optiona
             # ModalUnsplit keeps Dy Hx in d_aux as the start of its
             # auxiliary bracket.
             dy_hx = ops.dy(data[2], out=d[3] if kind == "ModalUnsplit" else d_hx)
-        np.subtract(dy_hx, d_ez, out=d_ez)
+        np.subtract(dy_hx, d_ez, d_ez)
         if kind == "ModalUnsplit":
-            np.add(d_ez, data[3], out=d_ez)
+            np.add(d_ez, data[3], d_ez)
         if kind != "Interior":
             # The sigma terms are formed in a rate written after them: d_hx
             # before Dy Ez, or PhysicallyMotivated's d_aux once Dy Hx is used.
-            scratch = (dy_hx if kind == "PhysicallyMotivated" else d_hx)[rows]
-            v = d_ez[rows]
-            np.subtract(v, np.multiply(sigma, data[0, rows], out=scratch), out=v)
-            v = d_hy[rows]
-            np.add(v, np.multiply(sigma, data[1, rows], out=scratch), out=v)
-        np.negative(d_hy, out=d_hy)
+            data_r, d_r = data[:, ..., rows, :], d[:, ..., rows, :]
+            scratch = d_r[3] if kind == "PhysicallyMotivated" else d_r[2]
+            v = d_r[0]
+            np.subtract(v, np.multiply(sigma, data_r[0], scratch), v)
+            v = d_r[1]
+            np.add(v, np.multiply(sigma, data_r[1], scratch), v)
+        np.negative(d_hy, d_hy)
         if kind == "PhysicallyMotivated":
             # The relaxation sigma (Hx - P) drives P and forces Hx.
-            relax = np.subtract(data[2, rows], data[3, rows], out=scratch)
+            relax = np.subtract(data_r[2], data_r[3], scratch)
             relax *= sigma
-            v = d_hx[rows]
-            np.add(v, relax, out=v)
+            v = d_r[2]
+            np.add(v, relax, v)
         else:
             ops.dy(data[0], out=d_hx)
 
@@ -230,18 +251,18 @@ def evaluate_rhs(system: SemiDiscrete, state: FieldState, t: float, out: Optiona
     # component; this is what makes the scheme conjugate to the stabilized
     # modal one.  SplitFieldNaive keeps both Ez penalties on the damped
     # x-component.
-    sat_contributions(residuals, walls, d, kind == "SplitFieldStable")
+    sat_contributions(residuals, walls, out.data, kind == "SplitFieldStable")
 
     if kind == "ModalUnsplit":
         # Auxiliary update with the weak y-wall treatment extended into it.
         if spec.theta != 0.0:
-            sat_y_field(residuals, spec.theta * system.penalties.alpha_y, walls, d)
-        v = d[3, rows]
-        np.multiply(v, sigma, out=v)
+            sat_y_field(residuals, spec.theta * system.penalties.alpha_y, walls, out.data)
+        v = d_r[3]
+        np.multiply(v, sigma, v)
     if kind in ("ModalUnsplit", "PhysicallyMotivated"):
         if rows.start:
-            d[3, : rows.start] = 0.0
+            d[3, ..., : rows.start, :] = 0.0
         if rows.stop < shape[0]:
-            d[3, rows.stop :] = 0.0
+            d[3, ..., rows.stop :, :] = 0.0
 
     return out

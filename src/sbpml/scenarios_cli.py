@@ -254,12 +254,14 @@ def march(system: SemiDiscrete, u: FieldState, dt: float, n_steps: int):
     modal = system.spec.kind == "ModalUnsplit"
 
     def rhs(v, t, out):
-        state, d = FieldState(model, v), FieldState(model, out)
+        state, d = states[id(v)], states[id(out)]
         evaluate_rhs(system, state, t, d)
         return modal_bt_integrand(d.ez, ops) if modal else boundary_dissipation(state, walls)
 
     du = FieldState(model, np.empty_like(u.data))
     work = [np.empty_like(u.data) for _ in range(4)]
+    # rk4_step hands rhs only these arrays, so each is wrapped once.
+    states = {id(s.data): s for s in [u, du, *(FieldState(model, w) for w in work)]}
     q, bt = rhs(u.data, 0.0, du.data), 0.0
     yield 0, du, bt
     for k in range(n_steps):

@@ -2,7 +2,8 @@
 
 Everything here is built from explicit Kronecker-product matrices so that
 the production code's matrix-free evaluations can be checked term by term
-on small grids.  The root-scan oracle at the end evaluates one complex
+on small grids.  The dense assembly's oracle is its old column loop, one
+unit state per RHS.  The root-scan oracle at the end evaluates one complex
 number at a time, with Python loops over the grid and the contour.
 """
 
@@ -11,9 +12,9 @@ import math
 
 import numpy as np
 
-from sbpml.grid_state import FieldState
+from sbpml.grid_state import FieldState, nfields
 from sbpml.modal_analysis import CANDIDATE_THRESHOLD, ROOT_TOLERANCE
-from sbpml.pml_models import DampingProfile
+from sbpml.pml_models import DampingProfile, evaluate_rhs
 
 
 def selectors(n):
@@ -222,6 +223,23 @@ def theta_term_by_take_put(r, weight, walls, rates):
     lines = rates.take(flat)
     lines -= weight * r.take(points) / -minus_p
     rates.put(flat, lines)
+
+
+def assemble_by_columns(system):
+    """The dense matrix of ``system.data_free()`` with one ``evaluate_rhs``
+    call per unknown, on one state: the column loop that the chunked
+    ``assemble_system_matrix`` replaced."""
+    system = system.data_free()
+    shape = (nfields(system.model), system.ops.x.n, system.ops.y.n)
+    m = math.prod(shape)
+    state = FieldState(system.model, np.zeros(shape))
+    at = np.empty((m, m))
+    columns, flat = at.reshape((m,) + shape), state.data.reshape(-1)
+    for col in range(m):
+        flat[col] = 1.0
+        evaluate_rhs(system, state, 0.0, FieldState(system.model, columns[col]))
+        flat[col] = 0.0
+    return at.T
 
 
 def scalar_principal_sqrt(z):

@@ -1,6 +1,8 @@
 """Tests for norms, energy functionals, growth bounds, and spectra."""
 
+import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from sbpml.diagnostics import (
     CSV_HEADER,
     EnergyHistory,
     assemble_semidiscrete_matrix,
+    assemble_system_matrix,
     discrete_l2_norms,
     field_squares,
     growth_bound_check,
@@ -21,6 +24,7 @@ from sbpml.diagnostics import (
 )
 from sbpml.grid_state import FieldState, Grid2D
 from sbpml.pml_models import (
+    MODEL_KINDS,
     STATE_MODEL,
     ModelSpec,
     SemiDiscrete,
@@ -30,7 +34,7 @@ from sbpml.pml_models import (
 )
 from sbpml.scenarios_cli import build_scenario, cavity_config, march, waveguide_forcing
 
-from _oracles import selectors, zero_damping
+from _oracles import assemble_by_columns, selectors, zero_damping
 
 
 def random_state(grid, model, rng):
@@ -305,21 +309,107 @@ def test_assembled_matrix_reproduces_rhs(kind, forced):
     assert np.max(np.abs(got - expect)) <= 1e-12
 
 
-def test_assembly_calls_rhs_once_per_unknown(monkeypatch):
+def test_assembly_calls_rhs_once_per_chunk(monkeypatch):
     """The assembly evaluates ``diagnostics.evaluate_rhs``, the name that
     the benchmark's tracer wraps (``perfbench/spans.py``), exactly once per
-    unknown, so that the traced RHS count of a spectrum stays right."""
+    chunk of ``ASSEMBLY_CHUNK`` unit states, so that the traced RHS count
+    of a spectrum stays right: ceil(m / ASSEMBLY_CHUNK) calls for m
+    unknowns, each on a stack of at most that many states."""
     g, ops, prof, bc, p = small_problem(order=2, nx=7, ny=6)
-    calls = []
+    stacks = []
     original = diagnostics.evaluate_rhs
 
-    def counting(*args, **kw):
-        calls.append(1)
-        return original(*args, **kw)
+    def counting(system, state, *args, **kw):
+        stacks.append(state.data.shape[0])
+        return original(system, state, *args, **kw)
 
     monkeypatch.setattr(diagnostics, "evaluate_rhs", counting)
     a = assemble_semidiscrete_matrix(ModelSpec("ModalUnsplit", theta=1.0), g, prof, bc, p, ops)
-    assert len(calls) == a.shape[1] == 4 * g.nx * g.ny
+    m = 4 * g.nx * g.ny
+    assert a.shape[1] == m and m > diagnostics.ASSEMBLY_CHUNK
+    assert len(stacks) == math.ceil(m / diagnostics.ASSEMBLY_CHUNK)
+    assert sum(stacks) == m and max(stacks) == diagnostics.ASSEMBLY_CHUNK
+
+
+def spectra_cavity(order):
+    """The 13x13 cavity of the benchmark's spectra, with its layer at both ends."""
+    g = Grid2D(-60.0, 60.0, -50.0, 50.0, 13, 13)
+    prof = make_damping_profile(g, 50.0, 10.0, damping_coefficient(10.0, 1e-4))
+    return g, g.operators(order), prof, BoundaryConfig(r_x=0.0, r_y=0.0)
+
+
+# Every model kind, ModalUnsplit at theta = 0 and 1, with its penalties.
+SPECTRA_CASES = [
+    ("Interior", 0.0, PenaltyParams.estimate_matching(0, 0)),
+    ("ModalUnsplit", 0.0, PenaltyParams.estimate_matching(0, 0)),
+    ("ModalUnsplit", 1.0, PenaltyParams.estimate_matching(0, 0)),
+    ("PhysicallyMotivated", 0.0, PenaltyParams.universal()),
+    ("SplitFieldNaive", 0.0, PenaltyParams.estimate_matching(0, 0)),
+    ("SplitFieldStable", 0.0, PenaltyParams.estimate_matching(0, 0)),
+]
+
+
+@pytest.mark.parametrize("order", [2, 4, 6])
+def test_chunked_assembly_equals_column_oracle(order):
+    """On the 13x13 spectra cavity the chunked assembly equals the column
+    loop bit for bit, for every model kind: each state of a chunk gets the
+    bits of its own RHS.  Neither 676 nor 507 unknowns is a multiple of
+    the chunk, so the last chunk is a short one."""
+    g, ops, prof, bc = spectra_cavity(order)
+    for kind, theta, p in SPECTRA_CASES:
+        system = SemiDiscrete(ModelSpec(kind, theta=theta), prof, bc, p, ops)
+        a = assemble_system_matrix(system)
+        assert a.shape[0] % diagnostics.ASSEMBLY_CHUNK != 0
+        assert np.array_equal(a, assemble_by_columns(system)), (kind, theta)
+        assert np.array_equal(a, assemble_semidiscrete_matrix(system.spec, g, prof, bc, p, ops))
+
+
+@pytest.mark.parametrize("nx,ny", [(3, 3), (4, 4), (9, 5)], ids=["under-one-chunk", "one-chunk", "ragged"])
+def test_chunked_assembly_on_any_unknown_count(nx, ny):
+    """A forced 3x3 grid (36 unknowns, less than a chunk), 4x4 (64, exactly
+    one chunk) and 9x5 (180, two chunks and a short one) all equal the
+    column oracle bit for bit, for every model kind, and the wall data are
+    left out."""
+    g = Grid2D(-2.0, 2.0, -1.0, 1.0, nx, ny)
+    ops = g.operators(2)
+    prof = make_damping_profile(g, 0.5, 1.5, 2.0)
+    forced = BoundaryConfig(r_x=0.3, r_y=1.0, g_top=lambda t: np.sin(g.x) + 1.0, g_left=lambda t: np.cos(g.y))
+    for kind, theta, p in SPECTRA_CASES:
+        system = SemiDiscrete(ModelSpec(kind, theta=theta), prof, forced, p, ops)
+        a = assemble_system_matrix(system)
+        assert np.array_equal(a, assemble_by_columns(system)), (kind, theta)
+
+
+def test_data_free_system():
+    """``data_free`` keeps the walls' reflection coefficients and drops their
+    data, so its RHS is RHS(u) - RHS(0); a system without data is its own
+    data-free system."""
+    g, ops, prof, forced, p = forced_waveguide()
+    system = SemiDiscrete(ModelSpec("ModalUnsplit", theta=1.0), prof, forced, p, ops)
+    free = system.data_free()
+    assert free is not system and free.data_free() is free
+    assert (free.bc.r_x, free.bc.r_y) == (forced.r_x, forced.r_y) and not free.walls.data
+    assert (free.spec, free.prof, free.penalties, free.ops) == (system.spec, system.prof, system.penalties, system.ops)
+    s = random_state(g, free.model, np.random.default_rng(8))
+    zero = FieldState.zeros(g, free.model)
+    want = evaluate_rhs(system, s, 0.0).data - evaluate_rhs(system, zero, 0.0).data
+    assert np.max(np.abs(evaluate_rhs(free, s, 0.0).data - want)) <= 1e-12
+
+
+@pytest.mark.parametrize("kind", MODEL_KINDS)
+def test_complex_assembly_of_a_real_system(kind):
+    """A complex128 assembly of a real system equals the float64 one to
+    1e-13 relative (the complex products may sum in another order), with a
+    zero imaginary part and no ComplexWarning."""
+    g, ops, prof, forced, p = forced_waveguide()
+    system = SemiDiscrete(ModelSpec(kind, theta=1.0), prof, forced, p, ops)
+    real = assemble_system_matrix(system)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", np.exceptions.ComplexWarning)
+        z = assemble_system_matrix(system, np.complex128)
+    assert z.dtype == np.complex128 and real.dtype == np.float64
+    assert np.all(z.imag == 0.0)
+    assert np.max(np.abs(z.real - real)) <= 1e-13 * np.max(np.abs(real))
 
 
 def test_assembly_ignores_wall_data():
@@ -338,6 +428,9 @@ def test_assembly_guard():
         assemble_semidiscrete_matrix(
             ModelSpec("ModalUnsplit"), g, prof, bc, p, ops, max_unknowns=10
         )
+    other = Grid2D(g.x_min, g.x_max, g.y_min, g.y_max, g.nx + 1, g.ny)
+    with pytest.raises(ValueError, match="does not match operators"):
+        assemble_semidiscrete_matrix(ModelSpec("ModalUnsplit"), other, prof, bc, p, ops)
 
 
 def test_stabilized_spectrum_nonpositive_small_grid():

@@ -53,8 +53,8 @@ def test_operator_pair_matches_dense_kronecker(order):
 
 
 def test_field_state_invariants():
-    """The constructor takes one (nfields, nx, ny) array: three fields for
-    Interior, four (with aux) for the other models."""
+    """The constructor takes one (nfields, nx, ny) array, or a stack of
+    them: three fields for Interior, four (with aux) for the other models."""
     g = Grid2D(0.0, 1.0, 0.0, 1.0, 4, 4)
     FieldState.zeros(g, "Interior")
     for model in ("ModalUnsplit", "PhysicallyMotivated", "SplitField"):
@@ -69,7 +69,22 @@ def test_field_state_invariants():
     with pytest.raises(ValueError):
         FieldState("Interior", np.zeros((3, 4)))  # not one array of fields
     with pytest.raises(ValueError):
-        FieldState("Interior", np.zeros((1, 3, 4, 4)))
+        FieldState("Interior", np.zeros((3, 1, 4, 4)))  # a stack whose states are not Interior states
+    # A (1, 3, 4, 4) array is a stack of one Interior state.
+    assert FieldState("Interior", np.zeros((1, 3, 4, 4))).ez.shape == (1, 4, 4)
+
+
+def test_stacked_state_fields_index_axis_minus_3():
+    """A FieldState may hold a stack (..., nfields, nx, ny) of states; its
+    field properties are views along axis -3."""
+    data = np.arange(2 * 3 * 4 * 5 * 6, dtype=float).reshape(2, 3, 4, 5, 6)
+    s = FieldState("SplitField", data)
+    for k, name in enumerate(("ez", "hy", "hx", "aux")):
+        view = getattr(s, name)
+        assert view.shape == (2, 3, 5, 6) and np.shares_memory(view, data)
+        assert np.array_equal(view, data[:, :, k])
+    assert np.array_equal(s.ez_total, data[:, :, 0] + data[:, :, 3])
+    assert FieldState("Interior", data[..., :3, :, :]).aux is None
 
 
 def test_ez_total_sums_split_components():

@@ -422,6 +422,69 @@ def test_rhs_model_mismatch_rejected():
         SemiDiscrete(ModelSpec("Interior"), zero_damping(other), bc, p, ops)
 
 
+def test_rhs_output_of_another_dtype_or_stack_rejected():
+    """An output whose dtype or shape, batch axes included, differs from the
+    state's is rejected before any apply, with both named: a complex state
+    into a float64 output, a float32 output of a float64 state, and a stack
+    of 3 states into an output for 2."""
+    g, ops, prof, bc, p = make_problem()
+    system = SemiDiscrete(ModelSpec("ModalUnsplit", theta=1.0), prof, bc, p, ops)
+    s = random_state(g, "ModalUnsplit", np.random.default_rng(4))
+    z = FieldState(s.model, s.data + 1j * s.data)
+    stack = FieldState(s.model, np.stack([s.data] * 3))
+    for state, out in (
+        (z, np.full(s.data.shape, np.nan)),
+        (s, np.full(s.data.shape, np.nan, dtype=np.float32)),
+        (stack, np.full((2,) + s.data.shape, np.nan)),
+    ):
+        with pytest.raises(ValueError) as err:
+            evaluate_rhs(system, state, 0.0, FieldState(s.model, out))
+        for named in (state.data.dtype, out.dtype, state.data.shape, out.shape):
+            assert str(named) in str(err.value)
+        assert np.all(np.isnan(out))
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    batch=st.integers(1, 9),
+    layer=st.sampled_from(sorted(LAYERS)),
+    order=st.sampled_from([2, 4, 6]),
+    theta=st.floats(0.0, 2.0),
+    penalties=st.sampled_from(["matching", "universal"]),
+    t=st.floats(0.1, 2.0),
+    seed=st.integers(0, 2**31),
+)
+def test_stacked_states_get_the_bits_of_their_own_rates(batch, layer, order, theta, penalties, t, seed):
+    """A stack of B states gives each state the bits of its own RHS, for
+    every model kind and layer geometry, with wall data at t != 0, into a
+    C-contiguous output and into a strided one (the batch axis last in
+    memory).  A strided stack is compared with one state into the same
+    kind of strided output, since a strided output may sum the derivative
+    products in another order."""
+    x_min, x_max, x0, delta, d0 = LAYERS[layer]
+    g = Grid2D(x_min, x_max, -1.0, 1.0, *{2: (8, 7), 4: (10, 8), 6: (13, 12)}[order])
+    ops = g.operators(order)
+    prof = make_damping_profile(g, x0, delta, d0)
+    # Wall data on the left and top walls, nonzero at every t.
+    bc = BoundaryConfig(r_x=0.2, r_y=0.5, g_left=lambda t: np.cos(3.0 * t) + g.y, g_top=lambda t: np.sin(t) * g.x)
+    p = PenaltyParams.universal() if penalties == "universal" else PenaltyParams.estimate_matching(0.2, 0.5)
+    rng = np.random.default_rng(seed)
+    for kind in MODEL_KINDS:
+        system = SemiDiscrete(ModelSpec(kind, theta=theta), prof, bc, p, ops)
+        states = np.stack([random_state(g, system.model, rng).data for _ in range(batch)])
+        stack = FieldState(system.model, states)
+        contiguous = evaluate_rhs(system, stack, t).data
+        assert contiguous.flags.c_contiguous
+        strided = FieldState(system.model, np.full(states.shape[::-1], np.nan).T)
+        assert not strided.data.flags.c_contiguous
+        assert evaluate_rhs(system, stack, t, strided) is strided
+        for b in range(batch):
+            one = FieldState(system.model, states[b])
+            assert np.array_equal(contiguous[b], evaluate_rhs(system, one, t).data)
+            out = FieldState(system.model, np.full(one.data.shape[::-1], np.nan).T)
+            assert np.array_equal(strided.data[b], evaluate_rhs(system, one, t, out).data)
+
+
 @pytest.mark.parametrize("kind", MODEL_KINDS)
 def test_wall_data_evaluated_once_per_rhs(kind):
     """The wall residuals are formed once per RHS and reused by the theta
