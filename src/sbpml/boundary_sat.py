@@ -141,7 +141,7 @@ class WallTerms:
     scatter of the modal theta term into the aux rates at the y-wall points
     of ``rows``, with those points' places and -P across the wall.  A
     scatter's places in one state's rates are given twice: as flat indices,
-    for a C-contiguous array, whose per-state flat view is no copy, and as
+    for a state with a per-state flat view (``FieldState.flat``), and as
     (field, i, j) index arrays, for any other.  The scatters index the last
     axis of that view, or the last three of the array, so one index reaches
     its place in every state of a stack.  ``data`` holds each wall's segment
@@ -202,15 +202,17 @@ class WallTerms:
             object.__setattr__(self, name, value)
 
 
-def wall_residuals(data: np.ndarray, walls: WallTerms, t: float, split: bool = False) -> np.ndarray:
-    """Boundary-condition residuals on the boundary vector of a state's array,
+def wall_residuals(state: FieldState, walls: WallTerms, t: float, split: bool = False) -> np.ndarray:
+    """Boundary-condition residuals on the boundary vector of a state,
     each wall's data at t subtracted on its segment.
 
     Ez (ez + aux with ``split``) and the tangential H come in one gather
-    from the per-state flat view.  A stack (..., nfields, nx, ny) of states
-    gives a stack (..., npts) of boundary vectors.
+    from the per-state flat view (of a copy, for a strided array).  A stack
+    (..., nfields, nx, ny) of states gives a stack (..., npts) of boundary
+    vectors.
     """
-    values = data.reshape(data.shape[:-3] + (-1,)).take(walls.gather[split], axis=-1)
+    flat = state.flat if state.flat is not None else state.data.reshape(state.data.shape[:-3] + (-1,))
+    values = flat.take(walls.gather[split], axis=-1)
     if split:
         values[..., 0, :] += values[..., 2, :]
         values = values[..., :2, :]
@@ -221,7 +223,7 @@ def wall_residuals(data: np.ndarray, walls: WallTerms, t: float, split: bool = F
     return r
 
 
-def sat_y_field(r: np.ndarray, weight: float, walls: WallTerms, rates: np.ndarray):
+def sat_y_field(r: np.ndarray, weight: float, walls: WallTerms, rates: FieldState):
     """Add the y-wall penalty -weight * Py^{-1} r on ``walls.rows`` into the aux rate of ``rates``.
 
     The stabilized auxiliary equation carries this term with weight
@@ -231,17 +233,18 @@ def sat_y_field(r: np.ndarray, weight: float, walls: WallTerms, rates: np.ndarra
     flat, fij, points, minus_p = walls.theta
     increments = weight * r.take(points, axis=-1)
     increments /= minus_p
-    if rates.flags.c_contiguous:
-        np.add.at(rates.reshape(rates.shape[:-3] + (-1,)), (..., flat), increments)
+    if rates.flat is not None:
+        np.add.at(rates.flat, (..., flat), increments)
     else:
-        np.add.at(rates, (..., *fij), increments)
+        np.add.at(rates.data, (..., *fij), increments)
 
 
-def sat_contributions(r: np.ndarray, walls: WallTerms, rates: np.ndarray, ez_y: bool = False):
+def sat_contributions(r: np.ndarray, walls: WallTerms, rates: FieldState, ez_y: bool = False):
     """Add the penalty terms of the Ez, Hy and Hx equations into ``rates``.
 
-    ``rates`` is the (..., nfields, nx, ny) array of the rates (Ez, Hy, Hx,
-    ...) and ``r`` the residuals of ``wall_residuals``.  One ``np.add.at``
+    ``rates`` is the state of the rates (Ez, Hy, Hx, ...), one or a stack,
+    scattered into through its flat view when it has one, and ``r`` the
+    residuals of ``wall_residuals``.  One ``np.add.at``
     scatters the increments of both directions, x then y: it adds repeated
     indices in order, so a corner sums in that order.  For a stack of states
     ``r`` and the increments are stacks (..., n) too, and the index
@@ -252,10 +255,10 @@ def sat_contributions(r: np.ndarray, walls: WallTerms, rates: np.ndarray, ez_y: 
     flat, fij, places, weights = walls.sat[ez_y]
     increments = (r / walls.p_normal).take(places, axis=-1)
     increments *= weights
-    if rates.flags.c_contiguous:
-        np.add.at(rates.reshape(rates.shape[:-3] + (-1,)), (..., flat), increments)
+    if rates.flat is not None:
+        np.add.at(rates.flat, (..., flat), increments)
     else:
-        np.add.at(rates, (..., *fij), increments)
+        np.add.at(rates.data, (..., *fij), increments)
 
 
 def boundary_dissipation(state: FieldState, walls: WallTerms) -> float:

@@ -134,7 +134,9 @@ class FieldState:
     ``data`` holds the fields in the order ez, hy, hx, aux on its axis -3,
     ``fields`` is its view with that axis moved to the front, made once,
     which for one state is the array itself, and the properties of those
-    names are views of it.  ``aux`` is the
+    names are views of it.  ``flat`` is the per-state flat view (...,
+    nfields * nx * ny) of a C-contiguous ``data``, also made once, and None
+    for any other.  ``aux`` is the
     model-specific extra unknown: the auxiliary variable driven by
     sigma * dHx/dy for ModalUnsplit, the recursive ODE variable for
     PhysicallyMotivated, and the second split component of Ez for
@@ -147,6 +149,7 @@ class FieldState:
         if data.ndim < 3 or data.shape[-3] != nfields(model):
             raise ValueError(f"a {model} state needs an (..., {nfields(model)}, nx, ny) array, got {data.shape}")
         self.model, self.data, self.fields = model, data, np.moveaxis(data, -3, 0)
+        self.flat = data.reshape(data.shape[:-3] + (-1,)) if data.flags.c_contiguous else None
 
     @property
     def ez(self) -> np.ndarray:

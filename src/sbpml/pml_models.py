@@ -201,7 +201,7 @@ def evaluate_rhs(system: SemiDiscrete, state: FieldState, t: float, out: Optiona
         # Ez_x), d_ez_y = Dy Hx; each sigma term formed in a later rate.
         data_r, d_r = data[:, ..., rows, :], d[:, ..., rows, :]
         ez_tot = np.add(data[0], data[3], d[3])
-        residuals = wall_residuals(state.data, walls, t, True)
+        residuals = wall_residuals(state, walls, t, True)
         ops.dx(ez_tot, out=d_hy)
         v = d_r[1]
         np.add(v, np.multiply(sigma, data_r[1], d_r[0]), v)
@@ -216,7 +216,7 @@ def evaluate_rhs(system: SemiDiscrete, state: FieldState, t: float, out: Optiona
         # d_ez = Dy Hx - Dx Hy (+ aux) (- sigma Ez), d_hy = -(Dx Ez + sigma
         # Hy), with no sigma in Interior, and d_hx = Dy Ez.  Dx Hy and Dx Ez
         # are one stacked apply into d_ez and d_hy.
-        residuals = wall_residuals(state.data, walls, t)
+        residuals = wall_residuals(state, walls, t)
         ops.dx(data[1::-1], out=d[0:2])
         if kind == "PhysicallyMotivated":
             # Dy Ez and Dy Hx are one stacked apply into d_hx and d_aux.
@@ -251,12 +251,12 @@ def evaluate_rhs(system: SemiDiscrete, state: FieldState, t: float, out: Optiona
     # component; this is what makes the scheme conjugate to the stabilized
     # modal one.  SplitFieldNaive keeps both Ez penalties on the damped
     # x-component.
-    sat_contributions(residuals, walls, out.data, kind == "SplitFieldStable")
+    sat_contributions(residuals, walls, out, kind == "SplitFieldStable")
 
     if kind == "ModalUnsplit":
         # Auxiliary update with the weak y-wall treatment extended into it.
         if spec.theta != 0.0:
-            sat_y_field(residuals, spec.theta * system.penalties.alpha_y, walls, out.data)
+            sat_y_field(residuals, spec.theta * system.penalties.alpha_y, walls, out)
         v = d_r[3]
         np.multiply(v, sigma, v)
     if kind in ("ModalUnsplit", "PhysicallyMotivated"):

@@ -12,12 +12,15 @@ semi-discrete one.
 
 Boundary-closure coefficients are stored as exact rationals.  The skew
 part of Q is assembled as U - U^T from a single float per entry, so the
-SBP identity holds exactly in floating point, not just to round-off.
+SBP identity holds exactly in floating point, not just to round-off.  Q
+and D are banded, an interior stencil plus boundary closures, and are
+built and kept as bands, in O(n) memory and time.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 
 import numpy as np
@@ -98,30 +101,109 @@ ACCURACY_TOL = 1e-8
 BLOCK_ROWS = 32
 
 
+def _band_writes(order: int):
+    """Q's band for one order: its interior row, and the writes that make
+    the closures and the ends.
+
+    The half-width w is the widest offset j - i of a nonzero entry Q[i, j]:
+    of the interior stencil, the zeroed closure block or the table.  The
+    closure entries of U are resolved in the order of the dense
+    assembly: the bw-by-bw block zeroed, then the table.  Each entry u at
+    (i, j), i < j, gives u above the diagonal and 0.0 - u at (j, i) below it
+    (0.0 - 0.0 is +0.0, as in U - U^T), and the mirrored right closure the
+    same pair at (n-1-j, n-1-i) and (n-1-i, n-1-j).  Then Q[0, 0] = -1/2,
+    Q[n-1, n-1] = 1/2, and the band's entries outside the matrix are zero.
+
+    Returns (row, index, values, on_right): the band is ``row`` on every
+    row, then band.flat[index + n * width * on_right] = values, with
+    ``on_right`` 1 for a write of the right end, whose rows count from n.
+    Writes that meet on the smallest grids carry equal values (the tables
+    are mirror-consistent).
+    """
+    bw, table = _BOUNDARY_WIDTH[order], _Q_BLOCK_UPPER[order]
+    w = max(len(_INTERIOR[order]), bw - 1, *(j - i for i, j in table))
+    width = 2 * w + 1
+    row = np.zeros(width)
+    for k, c in enumerate(_INTERIOR[order], start=1):
+        row[w + k], row[w - k] = float(c), 0.0 - float(c)
+    closure = {(i, j): 0.0 for i in range(bw) for j in range(i + 1, bw)}
+    closure.update((ij, float(v)) for ij, v in table.items())
+    # (row, band column, value); rows of the right end count from n.
+    left, right = [(0, w, -0.5)], [(-1, w, 0.5)]
+    for (i, j), u in closure.items():
+        left += [(i, w + j - i, u), (j, w - j + i, 0.0 - u)]
+        right += [(-1 - j, w + j - i, u), (-1 - i, w - j + i, 0.0 - u)]
+    for i in range(w):
+        for k in range(i + 1, w + 1):
+            left.append((i, w - k, 0.0))
+            right.append((-1 - i, w + k, 0.0))
+    writes = [(r * width + c, v, end) for end, part in enumerate((left, right)) for r, c, v in part]
+    index, values, on_right = (np.array(a) for a in zip(*writes))
+    return row, index, values, on_right
+
+
+_BAND_WRITES = {order: _band_writes(order) for order in SUPPORTED_ORDERS}
+_NORM_FLOATS = {order: np.array([float(v) for v in _NORM_BOUNDARY[order]]) for order in SUPPORTED_ORDERS}
+
+
+def _sheared(band: np.ndarray) -> np.ndarray:
+    """The m x (m + 2w) matrix with band[i, k] at column i + k, zero elsewhere.
+
+    For the rows r0 to r0 + m of a band, column c holds the matrix's
+    column r0 - w + c.  band[i, k] is written at i (m + 2w + 1) + k of one
+    zeroed buffer, which is the wanted place in rows of m + 2w.
+    """
+    m, width = band.shape
+    cols = m + width - 1
+    buffer = np.zeros(m * (cols + 1))
+    buffer.reshape(m, cols + 1)[:, :width] = band
+    return buffer[: m * cols].reshape(m, cols)
+
+
+def _dense(band: np.ndarray) -> np.ndarray:
+    """The n x n matrix M with band[i, w + j - i] = M[i, j]."""
+    n, w = band.shape[0], band.shape[1] // 2
+    return _sheared(band)[:, w : w + n]
+
+
 @dataclass(frozen=True)
 class SbpOperator1D:
     """A 1D diagonal-norm SBP first-derivative operator.
 
     ``p_diag`` is the physical norm diagonal (it includes the factor h),
-    so P-weighted sums are quadrature rules directly.  ``d`` caches
-    P^{-1} Q.  ``blocks`` holds D by runs of rows (``BLOCK_ROWS``) as
-    ``(rows, cols, D[rows, cols].T)``, with ``cols`` the run's nonzero
-    columns and the transposed block a contiguous copy.
+    so P-weighted sums are quadrature rules directly.  Q and D = P^{-1} Q
+    are kept by their bands: ``q_band[i, w + j - i]`` is Q[i, j], with
+    w = ``q_band.shape[1] // 2``, and likewise ``d_band``; entries that
+    fall outside the matrix are zero.  ``q`` and ``d`` are the dense n x n
+    matrices, made on first use, for checks only.  ``blocks`` holds D by
+    runs of rows (``BLOCK_ROWS``) as ``(rows, cols, D[rows, cols].T)``,
+    with ``cols`` the run's nonzero columns and the transposed block
+    C-contiguous.
     """
 
     interior_order: int
     n: int
     h: float
     p_diag: np.ndarray
-    q: np.ndarray
     boundary_width: int
-    d: np.ndarray
+    q_band: np.ndarray
+    d_band: np.ndarray
     blocks: tuple
 
     @property
     def boundary_accuracy(self) -> int:
         """Order of accuracy of the boundary rows (half the interior order)."""
         return self.interior_order // 2
+
+    @cached_property
+    def q(self) -> np.ndarray:
+        """Q as a dense n x n array."""
+        return _dense(self.q_band)
+
+    @cached_property
+    def d(self) -> np.ndarray:
+        """D = P^{-1} Q as a dense n x n array."""
+        return _dense(self.d_band)
 
     def norm(self, u: np.ndarray) -> float:
         """P-weighted l2 norm sqrt(u^T P u) of a 1D sequence."""
@@ -133,6 +215,8 @@ def build_sbp_operator(interior_order: int, n: int, h: float) -> SbpOperator1D:
 
     Requires n >= 2 * boundary_width (the closure blocks may touch but not
     overlap; the coefficient tables are mirror-consistent) and h > 0.
+    Q and D are built as bands of width 2 w + 1 (``SbpOperator1D``), in
+    O(n w) memory and time, with no n x n array.
     """
     if interior_order not in SUPPORTED_ORDERS:
         raise ValueError(
@@ -145,45 +229,34 @@ def build_sbp_operator(interior_order: int, n: int, h: float) -> SbpOperator1D:
     if not h > 0:
         raise ValueError(f"grid spacing must be positive, got {h}")
 
-    w = interior_order // 2
-    stencil = [float(c) for c in _INTERIOR[interior_order]]
+    # The interior stencil on every row, then the closures and ends on
+    # top (``_band_writes``): the bits of the dense Q = U - U^T.
+    row, index, values, on_right = _BAND_WRITES[interior_order]
+    band = np.empty((n, row.size))
+    band[...] = row
+    band.reshape(-1)[index + n * row.size * on_right] = values
 
-    # Upper triangle of Q; the skew part is U - U^T, so Q + Q^T is exactly
-    # the diagonal correction regardless of rounding in the entries.
-    upper = np.zeros((n, n))
-    for k, c in enumerate(stencil, start=1):
-        idx = np.arange(n - k)
-        upper[idx, idx + k] = c
-
-    # Entries inside the bw-by-bw closure block default to zero; couplings
-    # to interior columns (j >= bw) keep the interior stencil values unless
-    # the block table overrides them.
-    for i in range(bw):
-        for j in range(i + 1, bw):
-            upper[i, j] = 0.0
-            upper[n - 1 - j, n - 1 - i] = 0.0
-    for (i, j), v in _Q_BLOCK_UPPER[interior_order].items():
-        upper[i, j] = float(v)
-        # Mirrored right closure: Q[n-1-i, n-1-j] = -Q[i, j].
-        upper[n - 1 - j, n - 1 - i] = float(v)
-
-    q = upper - upper.T
-    q[0, 0] = -0.5
-    q[-1, -1] = 0.5
-
+    norms = _NORM_FLOATS[interior_order] * h
     p = np.full(n, h)
-    for i, v in enumerate(_NORM_BOUNDARY[interior_order]):
-        p[i] = float(v) * h
-        p[n - 1 - i] = float(v) * h
+    p[: norms.size] = norms
+    p[n - norms.size :] = norms[::-1]
+    d_band = band / p[:, None]
+    return SbpOperator1D(interior_order, n, h, p, bw, band, d_band, _blocks(d_band))
 
-    d = q / p[:, None]
+
+def _blocks(d_band: np.ndarray) -> tuple:
+    """``SbpOperator1D.blocks`` of the D with band ``d_band``: per run of
+    rows, the columns from its first to its last nonzero one, and the
+    transposed block copied out of the run's sheared rows."""
+    n, w = d_band.shape[0], d_band.shape[1] // 2
     blocks, nb = [], max(1, n // BLOCK_ROWS)
     for k in range(nb):
-        rows = slice(k * n // nb, (k + 1) * n // nb)
-        nonzero = np.flatnonzero(np.any(d[rows] != 0.0, axis=0))
-        cols = slice(int(nonzero[0]), int(nonzero[-1]) + 1)
-        blocks.append((rows, cols, np.ascontiguousarray(d[rows, cols].T)))
-    return SbpOperator1D(interior_order, n, h, p, q, bw, d, tuple(blocks))
+        r0, r1 = k * n // nb, (k + 1) * n // nb
+        sheared = _sheared(d_band[r0:r1])
+        nonzero = np.flatnonzero(np.any(sheared != 0.0, axis=0))
+        a, b = int(nonzero[0]), int(nonzero[-1]) + 1
+        blocks.append((slice(r0, r1), slice(r0 - w + a, r0 - w + b), np.ascontiguousarray(sheared[:, a:b].T)))
+    return tuple(blocks)
 
 
 @dataclass

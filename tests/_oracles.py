@@ -2,8 +2,9 @@
 
 Everything here is built from explicit Kronecker-product matrices so that
 the production code's matrix-free evaluations can be checked term by term
-on small grids.  The dense assembly's oracle is its old column loop, one
-unit state per RHS.  The root-scan oracle at the end evaluates one complex
+on small grids.  The SBP operators' oracle is their old dense builder,
+which made U, Q and D as n x n arrays.  The dense assembly's oracle is
+its old column loop, one unit state per RHS.  The root-scan oracle at the end evaluates one complex
 number at a time, with Python loops over the grid and the contour.
 """
 
@@ -12,9 +13,55 @@ import math
 
 import numpy as np
 
+from sbpml import sbp_core
 from sbpml.grid_state import FieldState, nfields
 from sbpml.modal_analysis import CANDIDATE_THRESHOLD, ROOT_TOLERANCE
 from sbpml.pml_models import DampingProfile, evaluate_rhs
+
+
+def dense_sbp_operator(interior_order, n, h):
+    """``build_sbp_operator`` as the dense builder it replaced: p_diag, Q,
+    D = Q / P and the blocks cut from D, with U, Q and D made as n x n
+    arrays.  Returns (p, q, d, blocks)."""
+    bw = sbp_core._BOUNDARY_WIDTH[interior_order]
+    stencil = [float(c) for c in sbp_core._INTERIOR[interior_order]]
+
+    # Upper triangle of Q; the skew part is U - U^T, so Q + Q^T is exactly
+    # the diagonal correction regardless of rounding in the entries.
+    upper = np.zeros((n, n))
+    for k, c in enumerate(stencil, start=1):
+        idx = np.arange(n - k)
+        upper[idx, idx + k] = c
+
+    # Entries inside the bw-by-bw closure block default to zero; couplings
+    # to interior columns (j >= bw) keep the interior stencil values unless
+    # the block table overrides them.
+    for i in range(bw):
+        for j in range(i + 1, bw):
+            upper[i, j] = 0.0
+            upper[n - 1 - j, n - 1 - i] = 0.0
+    for (i, j), v in sbp_core._Q_BLOCK_UPPER[interior_order].items():
+        upper[i, j] = float(v)
+        # Mirrored right closure: Q[n-1-i, n-1-j] = -Q[i, j].
+        upper[n - 1 - j, n - 1 - i] = float(v)
+
+    q = upper - upper.T
+    q[0, 0] = -0.5
+    q[-1, -1] = 0.5
+
+    p = np.full(n, h)
+    for i, v in enumerate(sbp_core._NORM_BOUNDARY[interior_order]):
+        p[i] = float(v) * h
+        p[n - 1 - i] = float(v) * h
+
+    d = q / p[:, None]
+    blocks, nb = [], max(1, n // sbp_core.BLOCK_ROWS)
+    for k in range(nb):
+        rows = slice(k * n // nb, (k + 1) * n // nb)
+        nonzero = np.flatnonzero(np.any(d[rows] != 0.0, axis=0))
+        cols = slice(int(nonzero[0]), int(nonzero[-1]) + 1)
+        blocks.append((rows, cols, np.ascontiguousarray(d[rows, cols].T)))
+    return p, q, d, tuple(blocks)
 
 
 def selectors(n):

@@ -33,14 +33,14 @@ def sat_of(s, bc, p, t, grid, ops):
     """The SAT fields (ez, hy, hx) of a state, from its wall residuals at time t, added into zero fields."""
     fields = np.zeros((3, grid.nx, grid.ny))
     walls = WallTerms(ops, bc, p)
-    sat_contributions(wall_residuals(s.data, walls, t), walls, fields)
+    sat_contributions(wall_residuals(s, walls, t), walls, FieldState("Interior", fields))
     return tuple(fields)
 
 
 def residuals_by_wall(s, bc, t, grid):
     """The wall residuals of a state at time t as its (left, right, bottom, top) segments."""
     walls = WallTerms(grid.operators(2), bc, PenaltyParams.universal())
-    r = wall_residuals(s.data, walls, t)
+    r = wall_residuals(s, walls, t)
     assert r.shape == (2 * grid.ny + 2 * grid.nx,)
     return np.split(r, np.cumsum([grid.ny, grid.ny, grid.nx]))
 

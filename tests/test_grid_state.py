@@ -83,6 +83,10 @@ def test_stacked_state_fields_index_axis_minus_3():
         view = getattr(s, name)
         assert view.shape == (2, 3, 5, 6) and np.shares_memory(view, data)
         assert np.array_equal(view, data[:, :, k])
+    # The per-state flat view of a C-contiguous array is made once and
+    # writes through; a strided array has none.
+    assert s.flat.shape == (2, 3, 4 * 5 * 6) and np.shares_memory(s.flat, data)
+    assert FieldState("SplitField", np.moveaxis(data, -1, -2)).flat is None
     assert np.array_equal(s.ez_total, data[:, :, 0] + data[:, :, 3])
     assert FieldState("Interior", data[..., :3, :, :]).aux is None
 

@@ -293,8 +293,8 @@ def test_boundary_vector_matches_dense_oracle(
         sat_by_direction(r, walls, want, ez_y)
         theta_term_by_take_put(r, 0.7, walls, want)
         for rates in (got, strided):
-            sat_contributions(r, walls, rates, ez_y)
-            sat_y_field(r, 0.7, walls, rates)
+            sat_contributions(r, walls, FieldState("ModalUnsplit", rates), ez_y)
+            sat_y_field(r, 0.7, walls, FieldState("ModalUnsplit", rates))
             assert np.array_equal(rates, want)
 
     rng = np.random.default_rng(seed)

@@ -1,6 +1,8 @@
 """Tests for the 1D SBP operators and their verification report."""
 
 import dataclasses
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,6 +14,8 @@ from sbpml.sbp_core import (
     build_sbp_operator,
     operator_verification_report,
 )
+
+from _oracles import dense_sbp_operator
 
 ORDERS = list(SUPPORTED_ORDERS)
 
@@ -123,9 +127,9 @@ def test_smallest_grids_keep_sbp_identity():
 def test_verification_report_flags_corruption():
     """A deliberately corrupted Q must be caught by the report."""
     op = build_sbp_operator(4, 20, 0.1)
-    q_bad = op.q.copy()
-    q_bad[0, 1] += 1e-6
-    bad = dataclasses.replace(op, q=q_bad, d=q_bad / op.p_diag[:, None])
+    q_bad = op.q_band.copy()
+    q_bad[0, q_bad.shape[1] // 2 + 1] += 1e-6  # Q[0, 1]
+    bad = dataclasses.replace(op, q_band=q_bad, d_band=q_bad / op.p_diag[:, None])
     rep = operator_verification_report(bad)
     assert not rep.ok
 
@@ -154,3 +158,53 @@ def test_summation_by_parts_inner_product_property(n, seed):
     rhs = u[-1] * v[-1] - u[0] * v[0]
     scale = max(1.0, np.max(np.abs(u)) * np.max(np.abs(v)))
     assert abs(lhs - rhs) <= 1e-12 * scale
+
+
+def same_bits(a, b):
+    """Equal shape, dtype and bytes: every value with its sign bit."""
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("order", ORDERS)
+def test_banded_build_equals_dense_oracle(order):
+    """The banded build gives the dense builder's p_diag, Q, D and blocks
+    (rows, columns, values and sign bits, each block C-contiguous), at every
+    n from the smallest to 140, where the closures touch and then part, and
+    at the waveguide sizes 221, 251, 501 and 1001."""
+    n_min = {2: 3, 4: 8, 6: 12}[order]
+    for n in [*range(n_min, 141), 221, 251, 501, 1001]:
+        op = build_sbp_operator(order, n, 0.37)
+        p, q, d, blocks = dense_sbp_operator(order, n, 0.37)
+        assert same_bits(op.p_diag, p) and same_bits(op.q, q) and same_bits(op.d, d), n
+        assert len(op.blocks) == len(blocks), n
+        for (rows, cols, block), (want_rows, want_cols, want) in zip(op.blocks, blocks):
+            assert (rows, cols) == (want_rows, want_cols), n
+            assert same_bits(block, want) and block.flags.c_contiguous, (n, rows)
+
+
+@pytest.mark.parametrize("order", ORDERS)
+def test_build_allocates_no_dense_matrix(order):
+    """Building a 1001-point operator peaks under 1 MiB: one 1001 x 1001
+    float64 matrix is 7.6 MiB, and the dense builder peaked at 23.3."""
+    build_sbp_operator(order, 1001, 0.01)
+    tracemalloc.start()
+    try:
+        build_sbp_operator(order, 1001, 0.01)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20, peak / 2**20
+
+
+@pytest.mark.parametrize("n", [13, 51, 61])
+def test_small_builds_no_slower_than_dense_oracle(n):
+    """At the spectra and desk sizes the banded build takes no longer than
+    the dense builder: the best of 20 interleaved rounds of 20 builds."""
+    best = {build_sbp_operator: float("inf"), dense_sbp_operator: float("inf")}
+    for _ in range(20):
+        for build in best:
+            t0 = time.perf_counter()
+            for _ in range(20):
+                build(6, n, 0.1)
+            best[build] = min(best[build], time.perf_counter() - t0)
+    assert best[build_sbp_operator] <= best[dense_sbp_operator], best

@@ -766,13 +766,14 @@ def test_cli_verify_names_the_failing_residual(corrupt, monkeypatch, capsys):
 
     def corrupted(order, n, h):
         op = sbp_core.build_sbp_operator(order, n, h)
+        q01 = (0, op.q_band.shape[1] // 2 + 1)  # the band's place of Q[0, 1] and D[0, 1]
         if corrupt == "q":
-            q_bad = op.q.copy()
-            q_bad[0, 1] += 1e-6
-            return dataclasses.replace(op, q=q_bad, d=q_bad / op.p_diag[:, None])
-        d_bad = op.d.copy()
-        d_bad[0, 1] += 1e-6
-        return dataclasses.replace(op, d=d_bad)
+            q_bad = op.q_band.copy()
+            q_bad[q01] += 1e-6
+            return dataclasses.replace(op, q_band=q_bad, d_band=q_bad / op.p_diag[:, None])
+        d_bad = op.d_band.copy()
+        d_bad[q01] += 1e-6
+        return dataclasses.replace(op, d_band=d_bad)
 
     monkeypatch.setattr(scenarios_cli, "build_sbp_operator", corrupted)
     rc = cli_entry(["verify", "--samples", "50"])
