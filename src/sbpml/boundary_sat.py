@@ -140,12 +140,10 @@ class WallTerms:
     its weight, -alpha or -theta times the wall's sign.  ``theta`` is the
     scatter of the modal theta term into the aux rates at the y-wall points
     of ``rows``, with those points' places and -P across the wall.  A
-    scatter's places in one state's rates are given twice: as flat indices,
-    for a state with a per-state flat view (``FieldState.flat``), and as
-    (field, i, j) index arrays, for any other.  The scatters index the last
-    axis of that view, or the last three of the array, so one index reaches
-    its place in every state of a stack.  ``data`` holds each wall's segment
-    and data.
+    scatter's places in one state's rates are flat indices into the last
+    axis of the per-state flat view (``FieldState.flat``), so one index
+    reaches its place in every state of a stack.  ``data`` holds each
+    wall's segment and data.
     """
 
     ops: OperatorPair
@@ -175,12 +173,9 @@ class WallTerms:
         weights = -np.array([per_direction(p.alpha_x, p.alpha_y), per_direction(p.theta_x, p.theta_y) * sign])
         place = np.arange(index.size)
 
-        def scatter(flat):
-            return flat, (flat // plane, flat % plane // ny, flat % ny)
-
         def sat(ez_on_y):
             # x then y, so that add.at sums a corner in that order.
-            return (*scatter(np.concatenate([index[x], tangent[x], ez_on_y, tangent[y]])),
+            return (np.concatenate([index[x], tangent[x], ez_on_y, tangent[y]]),
                     np.concatenate([place[x], place[x], place[y], place[y]]),
                     np.concatenate([weights[0, x], weights[1, x], weights[0, y], weights[1, y]]))
 
@@ -196,7 +191,7 @@ class WallTerms:
             ("p_normal", p_normal),
             ("bt", 2.0 * np.array([a, -sign * b, c]) * ops.wall_p_tangent),
             ("sat", {False: sat(index[y]), True: sat(index[y] + 3 * plane)}),
-            ("theta", (*scatter(index[points] + 3 * plane), points, -p_normal[points])),
+            ("theta", (index[points] + 3 * plane, points, -p_normal[points])),
             ("data", tuple((wall, g) for wall, g in data if g is not None)),
         ):
             object.__setattr__(self, name, value)
@@ -207,12 +202,11 @@ def wall_residuals(state: FieldState, walls: WallTerms, t: float, split: bool = 
     each wall's data at t subtracted on its segment.
 
     Ez (ez + aux with ``split``) and the tangential H come in one gather
-    from the per-state flat view (of a copy, for a strided array).  A stack
-    (..., nfields, nx, ny) of states gives a stack (..., npts) of boundary
+    from the per-state flat view of a C-contiguous state.  A stack (...,
+    nfields, nx, ny) of states gives a stack (..., npts) of boundary
     vectors.
     """
-    flat = state.flat if state.flat is not None else state.data.reshape(state.data.shape[:-3] + (-1,))
-    values = flat.take(walls.gather[split], axis=-1)
+    values = state.flat.take(walls.gather[split], axis=-1)
     if split:
         values[..., 0, :] += values[..., 2, :]
         values = values[..., :2, :]
@@ -230,35 +224,29 @@ def sat_y_field(r: np.ndarray, weight: float, walls: WallTerms, rates: FieldStat
     theta * alpha_y.  It is added as (weight r) / (-P), which has the bits
     of subtracting (weight r) / P.
     """
-    flat, fij, points, minus_p = walls.theta
+    flat, points, minus_p = walls.theta
     increments = weight * r.take(points, axis=-1)
     increments /= minus_p
-    if rates.flat is not None:
-        np.add.at(rates.flat, (..., flat), increments)
-    else:
-        np.add.at(rates.data, (..., *fij), increments)
+    np.add.at(rates.flat, (..., flat), increments)
 
 
 def sat_contributions(r: np.ndarray, walls: WallTerms, rates: FieldState, ez_y: bool = False):
     """Add the penalty terms of the Ez, Hy and Hx equations into ``rates``.
 
-    ``rates`` is the state of the rates (Ez, Hy, Hx, ...), one or a stack,
-    scattered into through its flat view when it has one, and ``r`` the
-    residuals of ``wall_residuals``.  One ``np.add.at``
-    scatters the increments of both directions, x then y: it adds repeated
-    indices in order, so a corner sums in that order.  For a stack of states
+    ``rates`` is the C-contiguous state of the rates (Ez, Hy, Hx, ...), one
+    or a stack, scattered into through its flat view, and ``r`` the
+    residuals of ``wall_residuals``.  One ``np.add.at`` scatters the
+    increments of both directions, x then y: it adds repeated indices in
+    order, so a corner sums in that order.  For a stack of states
     ``r`` and the increments are stacks (..., n) too, and the index
     ``(..., place)`` reaches its place in every state.  With ``ez_y`` the
     y-wall term of the Ez equation goes into the fourth field instead (the
     undamped component of the stable split field).
     """
-    flat, fij, places, weights = walls.sat[ez_y]
+    flat, places, weights = walls.sat[ez_y]
     increments = (r / walls.p_normal).take(places, axis=-1)
     increments *= weights
-    if rates.flat is not None:
-        np.add.at(rates.flat, (..., flat), increments)
-    else:
-        np.add.at(rates.data, (..., *fij), increments)
+    np.add.at(rates.flat, (..., flat), increments)
 
 
 def boundary_dissipation(state: FieldState, walls: WallTerms) -> float:

@@ -30,6 +30,10 @@ from sbpml.pml_models import DampingProfile, ModelSpec, SemiDiscrete, evaluate_r
 
 CSV_HEADER = "t,ez_norm,hy_norm,hx_norm,aux_norm,energy"
 
+# The most unknowns a dense assembly takes: its matrix is then at most
+# 200 MB in float64.
+MAX_DENSE_UNKNOWNS = 5000
+
 # Unit states per evaluate_rhs call of the dense assembly.  The stack
 # (ASSEMBLY_CHUNK, nfields, nx, ny) bounds the assembly's memory beside the
 # matrix itself.
@@ -161,7 +165,7 @@ def growth_bound_check(times, energies, sigma_inf: float, tol: float = None) -> 
     return GrowthCheck(ok=bool(worst <= 1.0 + tol), max_ratio=float(worst), worst_index=worst_idx)
 
 
-def assemble_system_matrix(system: SemiDiscrete, dtype=np.float64, max_unknowns: int = 5000) -> np.ndarray:
+def assemble_system_matrix(system: SemiDiscrete, dtype=np.float64) -> np.ndarray:
     """Dense matrix, of ``dtype``, of the linear map u -> RHS(u) of ``system.data_free()``.
 
     Unknowns are ordered [ez, hy, hx, aux], each block stacked y-fastest,
@@ -172,13 +176,14 @@ def assemble_system_matrix(system: SemiDiscrete, dtype=np.float64, max_unknowns:
     call takes a stack of ``ASSEMBLY_CHUNK`` unit states and writes their
     rates straight into that many rows.  Each state of a stack gets the
     bits of its own rate, so the matrix does not depend on the chunk.
+    Systems of more than ``MAX_DENSE_UNKNOWNS`` unknowns are refused.
     """
     system = system.data_free()
     model = system.model
     shape = (nfields(model), system.ops.x.n, system.ops.y.n)
     m = math.prod(shape)
-    if m > max_unknowns:
-        raise ValueError(f"{m} unknowns exceed the dense-assembly guard of {max_unknowns}")
+    if m > MAX_DENSE_UNKNOWNS:
+        raise ValueError(f"{m} unknowns exceed the dense-assembly guard of {MAX_DENSE_UNKNOWNS}")
 
     # evaluate_rhs overwrites every entry of its output, so the rows start
     # uninitialized.  The chunk from column `start` is the unit states
@@ -203,10 +208,9 @@ def assemble_semidiscrete_matrix(
     bc: BoundaryConfig,
     penalties: PenaltyParams,
     ops: OperatorPair,
-    max_unknowns: int = 5000,
 ) -> np.ndarray:
     """``assemble_system_matrix`` of the system (spec, prof, bc, penalties,
     ops) in float64; ``grid`` must be the grid of ``ops``."""
     if (grid.nx, grid.ny) != (ops.x.n, ops.y.n):
         raise ValueError(f"grid {grid.nx}x{grid.ny} does not match operators {ops.x.n}x{ops.y.n}")
-    return assemble_system_matrix(SemiDiscrete(spec, prof, bc, penalties, ops), max_unknowns=max_unknowns)
+    return assemble_system_matrix(SemiDiscrete(spec, prof, bc, penalties, ops))

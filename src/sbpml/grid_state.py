@@ -51,7 +51,7 @@ class Grid2D:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OperatorPair:
     """The two 1D SBP operators acting along x and y.
 
@@ -59,13 +59,14 @@ class OperatorPair:
     points, left, right, bottom and top, form one boundary vector:
     ``wall_index`` holds their flat indices in an (nx, ny) field and
     ``wall_p_tangent`` P of the axis along their wall.  All are built once.
+    Pairs compare by identity.
     """
 
     x: SbpOperator1D
     y: SbpOperator1D
-    weight: np.ndarray = field(init=False, repr=False, compare=False)
-    wall_index: np.ndarray = field(init=False, repr=False, compare=False)
-    wall_p_tangent: np.ndarray = field(init=False, repr=False, compare=False)
+    weight: np.ndarray = field(init=False, repr=False)
+    wall_index: np.ndarray = field(init=False, repr=False)
+    wall_p_tangent: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         px, py = self.x.p_diag, self.y.p_diag
@@ -116,9 +117,6 @@ class OperatorPair:
         """The (Px kron Py)-weighted inner product on (nx, ny) fields."""
         return float(np.sum(self.weight * u * v))
 
-    def norm(self, u: np.ndarray) -> float:
-        return float(np.sqrt(self.inner(u, u)))
-
 
 def nfields(model: str) -> int:
     """The fields of a ``model`` state: 3 for Interior, 4 (with aux) for the others."""
@@ -136,10 +134,10 @@ class FieldState:
     which for one state is the array itself, and the properties of those
     names are views of it.  ``flat`` is the per-state flat view (...,
     nfields * nx * ny) of a C-contiguous ``data``, also made once, and None
-    for any other.  ``aux`` is the
-    model-specific extra unknown: the auxiliary variable driven by
-    sigma * dHx/dy for ModalUnsplit, the recursive ODE variable for
-    PhysicallyMotivated, and the second split component of Ez for
+    for any other; ``evaluate_rhs`` takes C-contiguous states only.
+    ``aux`` is the model-specific extra unknown: the auxiliary variable
+    driven by sigma * dHx/dy for ModalUnsplit, the recursive ODE variable
+    for PhysicallyMotivated, and the second split component of Ez for
     SplitField (in which case ``ez`` holds the x-split component); an
     Interior state has no ``aux``.  The state wraps the given array
     without copying it.

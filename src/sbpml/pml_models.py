@@ -60,7 +60,7 @@ class ModelSpec:
             raise ValueError(f"unknown model kind {self.kind!r}; expected one of {MODEL_KINDS}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DampingProfile:
     """Monomial-ramp damping profile, precomputed at the grid points.
 
@@ -70,14 +70,15 @@ class DampingProfile:
     damped, the last rows for a layer at one end, the whole axis for
     layers at both ends.  ``sigma`` is sigma on those rows repeated along
     y: a product with a broadcast column would make numpy allocate a
-    buffer of up to 8192 entries, a whole field at desk size.
+    buffer of up to 8192 entries, a whole field at desk size.  Profiles
+    compare by identity.
     """
 
     d0: float
     sigma_values: np.ndarray
     ny: int
-    rows: slice = field(init=False, repr=False, compare=False)
-    sigma: np.ndarray = field(init=False, repr=False, compare=False)
+    rows: slice = field(init=False, repr=False)
+    sigma: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         damped = np.flatnonzero(self.sigma_values)
@@ -160,7 +161,9 @@ def evaluate_rhs(system: SemiDiscrete, state: FieldState, t: float, out: Optiona
 
     The derivative is written into ``out``, a state of the same model,
     shape and dtype that shares no memory with ``state`` (a new state if
-    None), and returned; every entry of ``out.data`` is overwritten.
+    None), and returned; every entry of ``out.data`` is overwritten.  Both
+    arrays must be C-contiguous, as the wall terms gather and scatter
+    through their flat views (``FieldState.flat``).
     ``state`` may be one state or a stack (..., nfields, nx, ny) of states,
     each of which gets the bits of its own rate: the body runs on the
     states' fields-first views ``FieldState.fields``, which for one state
@@ -187,6 +190,9 @@ def evaluate_rhs(system: SemiDiscrete, state: FieldState, t: float, out: Optiona
             f"output {out.model} {out.data.shape} {out.data.dtype} does not match "
             f"state {state.model} {state.data.shape} {state.data.dtype}"
         )
+    if state.flat is None or out.flat is None:
+        named = "state" if state.flat is None else "output"
+        raise ValueError(f"the {named} array is not C-contiguous")
 
     # Fields first, for one state or a stack: data[k] is field k, and
     # data_r[k] its damped rows.  Ufuncs take their output positionally,

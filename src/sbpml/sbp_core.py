@@ -20,7 +20,6 @@ built and kept as bands, in O(n) memory and time.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 from fractions import Fraction
 
 import numpy as np
@@ -160,13 +159,7 @@ def _sheared(band: np.ndarray) -> np.ndarray:
     return buffer[: m * cols].reshape(m, cols)
 
 
-def _dense(band: np.ndarray) -> np.ndarray:
-    """The n x n matrix M with band[i, w + j - i] = M[i, j]."""
-    n, w = band.shape[0], band.shape[1] // 2
-    return _sheared(band)[:, w : w + n]
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SbpOperator1D:
     """A 1D diagonal-norm SBP first-derivative operator.
 
@@ -174,11 +167,10 @@ class SbpOperator1D:
     so P-weighted sums are quadrature rules directly.  Q and D = P^{-1} Q
     are kept by their bands: ``q_band[i, w + j - i]`` is Q[i, j], with
     w = ``q_band.shape[1] // 2``, and likewise ``d_band``; entries that
-    fall outside the matrix are zero.  ``q`` and ``d`` are the dense n x n
-    matrices, made on first use, for checks only.  ``blocks`` holds D by
-    runs of rows (``BLOCK_ROWS``) as ``(rows, cols, D[rows, cols].T)``,
-    with ``cols`` the run's nonzero columns and the transposed block
-    C-contiguous.
+    fall outside the matrix are zero.  ``blocks`` holds D by runs of rows
+    (``BLOCK_ROWS``) as ``(rows, cols, D[rows, cols].T)``, with ``cols``
+    the run's nonzero columns and the transposed block C-contiguous.
+    Operators compare by identity.
     """
 
     interior_order: int
@@ -194,20 +186,6 @@ class SbpOperator1D:
     def boundary_accuracy(self) -> int:
         """Order of accuracy of the boundary rows (half the interior order)."""
         return self.interior_order // 2
-
-    @cached_property
-    def q(self) -> np.ndarray:
-        """Q as a dense n x n array."""
-        return _dense(self.q_band)
-
-    @cached_property
-    def d(self) -> np.ndarray:
-        """D = P^{-1} Q as a dense n x n array."""
-        return _dense(self.d_band)
-
-    def norm(self, u: np.ndarray) -> float:
-        """P-weighted l2 norm sqrt(u^T P u) of a 1D sequence."""
-        return float(np.sqrt(np.sum(self.p_diag * np.asarray(u) ** 2)))
 
 
 def build_sbp_operator(interior_order: int, n: int, h: float) -> SbpOperator1D:
@@ -287,12 +265,22 @@ def operator_verification_report(op: SbpOperator1D) -> VerificationReport:
     Interior rows must differentiate monomials x^k exactly up to the
     interior order; boundary rows up to half that.  Residuals are reported
     per degree, normalized by the magnitude of the exact derivative values.
+    Both checks run on the bands, over their entries inside the matrix:
+    entry (i, i + k) of Q + Q^T is q_band[i, w + k] + q_band[i + k, w - k],
+    and row i of D x^k sums d_band[i, w + k] x^k[i + k].
     """
     n, h = op.n, op.h
-    e = np.zeros((n, n))
-    e[0, 0] = -1.0
-    e[-1, -1] = 1.0
-    sbp_res = float(np.max(np.abs(op.q + op.q.T - e)))
+    width = op.q_band.shape[1]
+    w = width // 2
+    # Band entry (i, c) is matrix entry (i, j) with j = i + c - w.
+    cols = np.arange(width)
+    j = np.arange(n)[:, None] + cols - w
+    inside = (j >= 0) & (j < n)
+    j[~inside] = 0
+    sym = op.q_band + op.q_band[j, width - 1 - cols]
+    sym[0, w] -= -1.0
+    sym[-1, w] -= 1.0
+    sbp_res = float(np.max(np.abs(sym[inside])))
 
     x = np.arange(n) * h
     bw = op.boundary_width
@@ -301,7 +289,8 @@ def operator_verification_report(op: SbpOperator1D) -> VerificationReport:
     for k in range(op.interior_order + 1):
         exact = k * x ** (k - 1) if k > 0 else np.zeros(n)
         scale = max(1.0, float(np.max(np.abs(exact))))
-        err = np.abs(op.d @ x**k - exact) / scale
+        dx_k = np.sum(op.d_band * np.where(inside, (x**k)[j], 0.0), axis=1)
+        err = np.abs(dx_k - exact) / scale
         residuals[f"interior_deg{k}"] = float(np.max(err[interior], initial=0.0))
         if k <= op.boundary_accuracy:
             residuals[f"boundary_deg{k}"] = float(max(np.max(err[:bw]), np.max(err[n - bw :])))

@@ -219,13 +219,6 @@ def write_snapshot(path: str, grid: Grid2D, values: np.ndarray):
             f.write(f"{v:.17g}\n")
 
 
-def read_snapshot(path: str):
-    with open(path) as f:
-        nx, ny, hx, hy = f.readline().split()
-        values = np.array([float(line) for line in f])
-    return values.reshape(int(nx), int(ny)), float(hx), float(hy)
-
-
 def _echo_config(path: str, cfg: ScenarioConfig, setup: ScenarioSetup, diverged: bool, last_step: int):
     with open(path, "w") as f:
         for k, v in asdict(cfg).items():

@@ -3,9 +3,11 @@
 Everything here is built from explicit Kronecker-product matrices so that
 the production code's matrix-free evaluations can be checked term by term
 on small grids.  The SBP operators' oracle is their old dense builder,
-which made U, Q and D as n x n arrays.  The dense assembly's oracle is
-its old column loop, one unit state per RHS.  The root-scan oracle at the end evaluates one complex
-number at a time, with Python loops over the grid and the contour.
+which made U, Q and D as n x n arrays, and their verification report's
+oracle is the old report on those dense matrices.  The dense assembly's
+oracle is its old column loop, one unit state per RHS.  The root-scan
+oracle at the end evaluates one complex number at a time, with Python
+loops over the grid and the contour.
 """
 
 import cmath
@@ -64,6 +66,53 @@ def dense_sbp_operator(interior_order, n, h):
     return p, q, d, tuple(blocks)
 
 
+def dense_from_band(band):
+    """The n x n matrix M of a band: M[i, j] = band[i, w + j - i] for every
+    |j - i| <= w, with w = band.shape[1] // 2, and +0.0 elsewhere."""
+    n, width = band.shape
+    m = np.zeros((n, n))
+    for c in range(width):
+        i = np.arange(max(0, width // 2 - c), min(n, n + width // 2 - c))
+        m[i, i + c - width // 2] = band[i, c]
+    return m
+
+
+def dense_verification_report(op):
+    """``operator_verification_report`` as it was on the dense Q and D."""
+    q, d = dense_from_band(op.q_band), dense_from_band(op.d_band)
+    n, h = op.n, op.h
+    e = np.zeros((n, n))
+    e[0, 0] = -1.0
+    e[-1, -1] = 1.0
+    sbp_res = float(np.max(np.abs(q + q.T - e)))
+
+    x = np.arange(n) * h
+    bw = op.boundary_width
+    interior = slice(bw, n - bw)
+    residuals = {}
+    for k in range(op.interior_order + 1):
+        exact = k * x ** (k - 1) if k > 0 else np.zeros(n)
+        scale = max(1.0, float(np.max(np.abs(exact))))
+        err = np.abs(d @ x**k - exact) / scale
+        residuals[f"interior_deg{k}"] = float(np.max(err[interior], initial=0.0))
+        if k <= op.boundary_accuracy:
+            residuals[f"boundary_deg{k}"] = float(max(np.max(err[:bw]), np.max(err[n - bw :])))
+    return sbp_core.VerificationReport(
+        interior_order=op.interior_order,
+        n=n,
+        sbp_residual=sbp_res,
+        accuracy_residuals=residuals,
+    )
+
+
+def read_snapshot(path):
+    """The (nx, ny) values and hx, hy of a file of ``write_snapshot``."""
+    with open(path) as f:
+        nx, ny, hx, hy = f.readline().split()
+        values = np.array([float(line) for line in f])
+    return values.reshape(int(nx), int(ny)), float(hx), float(hy)
+
+
 def selectors(n):
     """E_L = e_1 e_1^T and E_R = e_n e_n^T."""
     el = np.zeros((n, n))
@@ -73,10 +122,15 @@ def selectors(n):
     return el, er
 
 
+def dense_d(op):
+    """D of an operator's order, size and spacing, from the dense builder."""
+    return dense_sbp_operator(op.interior_order, op.n, op.h)[2]
+
+
 def dense_operators(grid, ops):
     """Dense (Dx kron Iy) and (Ix kron Dy) for a grid's operator pair."""
-    dx = np.kron(ops.x.d, np.eye(grid.ny))
-    dy = np.kron(np.eye(grid.nx), ops.y.d)
+    dx = np.kron(dense_d(ops.x), np.eye(grid.ny))
+    dy = np.kron(np.eye(grid.nx), dense_d(ops.y))
     return dx, dy
 
 
@@ -255,7 +309,7 @@ def penalty_matrix_eigenvalues(gamma, theta_bar):
 def sat_by_direction(r, walls, rates, ez_y=False):
     """``sat_contributions`` as one take, += and put of the rates per
     direction, x then y, the scatter it replaced."""
-    flat, _, places, weights = walls.sat[ez_y]
+    flat, places, weights = walls.sat[ez_y]
     q = r / walls.p_normal
     x_entries = 4 * walls.ops.y.n  # Ez and tangential H on the 2 ny x-wall points
     for part in (slice(0, x_entries), slice(x_entries, None)):
@@ -266,7 +320,7 @@ def sat_by_direction(r, walls, rates, ez_y=False):
 
 def theta_term_by_take_put(r, weight, walls, rates):
     """``sat_y_field`` as a take, -= and put of the aux rates, the scatter it replaced."""
-    flat, _, points, minus_p = walls.theta
+    flat, points, minus_p = walls.theta
     lines = rates.take(flat)
     lines -= weight * r.take(points) / -minus_p
     rates.put(flat, lines)

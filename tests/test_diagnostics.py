@@ -423,11 +423,13 @@ def test_assembly_ignores_wall_data():
 
 
 def test_assembly_guard():
-    g, ops, prof, bc, p = small_problem(order=2, nx=7, ny=6)
-    with pytest.raises(ValueError):
-        assemble_semidiscrete_matrix(
-            ModelSpec("ModalUnsplit"), g, prof, bc, p, ops, max_unknowns=10
-        )
+    """A 36x36 ModalUnsplit system, 5,184 unknowns, is over the guard of
+    ``MAX_DENSE_UNKNOWNS`` and refused with its count named; a grid that
+    is not the operators' is refused too."""
+    assert diagnostics.MAX_DENSE_UNKNOWNS == 5000
+    g, ops, prof, bc, p = small_problem(order=2, nx=36, ny=36)
+    with pytest.raises(ValueError, match="5184 unknowns exceed the dense-assembly guard of 5000"):
+        assemble_semidiscrete_matrix(ModelSpec("ModalUnsplit"), g, prof, bc, p, ops)
     other = Grid2D(g.x_min, g.x_max, g.y_min, g.y_max, g.nx + 1, g.ny)
     with pytest.raises(ValueError, match="does not match operators"):
         assemble_semidiscrete_matrix(ModelSpec("ModalUnsplit"), other, prof, bc, p, ops)

@@ -237,8 +237,8 @@ def test_boundary_vector_matches_dense_oracle(
     corners matter.  Every model kind matches the dense oracle with
     top-wall data; the gather covers each wall point once per direction
     (each corner twice in all); each direction's scatter indices are
-    distinct; and both energy integrands equal their wall-by-wall
-    formulas."""
+    distinct; both energy integrands equal their wall-by-wall formulas;
+    and evaluate_rhs rejects a strided output or state."""
     n_min = {2: 3, 4: 8, 6: 12}[order]
     g = Grid2D(-3.0, 3.0, -1.0, 1.0, n_min + nx_extra, n_min + ny_extra)
     with patch.object(sbp_core, "BLOCK_ROWS", 4 if small_blocks else sbp_core.BLOCK_ROWS):
@@ -266,47 +266,48 @@ def test_boundary_vector_matches_dense_oracle(
     assert np.array_equal(walls.gather[True], [index, tangent, index + 3 * plane])
     assert np.array_equal(walls.gather[False], [index, tangent])
     # One scatter of both directions, x walls first: each direction's
-    # indices are distinct, and the (field, i, j) form names the same places.
+    # indices, flat in one state's rates, are distinct.
     n_x = 2 * ny
     place = np.arange(index.size)
     for ez_y in (False, True):
-        scatter, fij, places, weights = walls.sat[ez_y]
+        scatter, places, weights = walls.sat[ez_y]
         for part in (scatter[: 2 * n_x], scatter[2 * n_x :]):
             assert np.unique(part).size == part.size
         assert scatter.size == 2 * index.size
-        assert np.array_equal(np.ravel_multi_index(fij, (4, nx, ny)), scatter)
         assert np.array_equal(places, np.concatenate([place[:n_x], place[:n_x], place[n_x:], place[n_x:]]))
         assert weights.shape == scatter.shape
-    theta_index, theta_fij, theta_points, minus_p = walls.theta
+    theta_index, theta_points, minus_p = walls.theta
     assert np.unique(theta_index).size == theta_index.size == 2 * len(range(nx)[prof.rows])
     assert np.array_equal(theta_index, index[theta_points] + 3 * plane) and np.all(theta_points >= 2 * ny)
-    assert np.array_equal(np.ravel_multi_index(theta_fij, (4, nx, ny)), theta_index)
     assert np.array_equal(minus_p, -walls.p_normal[theta_points])
     # The scatters add what one take, += and put per direction added, bit
-    # for bit, a corner x first, into contiguous and strided rates alike.
+    # for bit, a corner x first, into the rates' flat view.
     scatter_rng = np.random.default_rng(seed)
     r = scatter_rng.standard_normal(index.size)
     for ez_y in (False, True):
         want = scatter_rng.standard_normal((4, nx, ny))
-        strided = np.empty(want.shape[::-1]).T
-        strided[...] = got = want.copy()
+        got = want.copy()
         sat_by_direction(r, walls, want, ez_y)
         theta_term_by_take_put(r, 0.7, walls, want)
-        for rates in (got, strided):
-            sat_contributions(r, walls, FieldState("ModalUnsplit", rates), ez_y)
-            sat_y_field(r, 0.7, walls, FieldState("ModalUnsplit", rates))
-            assert np.array_equal(rates, want)
+        sat_contributions(r, walls, FieldState("ModalUnsplit", got), ez_y)
+        sat_y_field(r, 0.7, walls, FieldState("ModalUnsplit", got))
+        assert np.array_equal(got, want)
 
     rng = np.random.default_rng(seed)
     for kind in MODEL_KINDS:
         s = random_state(g, STATE_MODEL[kind], rng)
-        # The gathers and scatters work on any layout: a strided output gets
-        # the same rates, up to the derivative products' summation order.
+        # The gathers and scatters need the flat views: evaluate_rhs
+        # rejects a strided output or state, naming it, before it writes.
         system = SemiDiscrete(ModelSpec(kind, theta=theta), prof, bc, p, ops)
-        strided = np.empty(s.data.shape[::-1]).T
-        got = evaluate_rhs(system, s, t, FieldState(s.model, strided)).data
-        want = evaluate_rhs(system, s, t).data
-        assert np.max(np.abs(got - want)) <= 1e-12 * (1.0 + np.max(np.abs(want)))
+        strided = np.full(s.data.shape[::-1], np.nan).T
+        with pytest.raises(ValueError, match="the output array is not C-contiguous"):
+            evaluate_rhs(system, s, t, FieldState(s.model, strided))
+        assert np.all(np.isnan(strided))
+        strided[...] = s.data
+        out = np.full_like(s.data, np.nan)
+        with pytest.raises(ValueError, match="the state array is not C-contiguous"):
+            evaluate_rhs(system, FieldState(s.model, strided), t, FieldState(s.model, out))
+        assert np.all(np.isnan(out))
         bt, scale = bt_of_wall_residuals(s, bc, p, ops)
         assert abs(boundary_dissipation(s, walls) - bt) <= 1e-13 * scale
         rate = s.ez
@@ -457,10 +458,8 @@ def test_rhs_output_of_another_dtype_or_stack_rejected():
 def test_stacked_states_get_the_bits_of_their_own_rates(batch, layer, order, theta, penalties, t, seed):
     """A stack of B states gives each state the bits of its own RHS, for
     every model kind and layer geometry, with wall data at t != 0, into a
-    C-contiguous output and into a strided one (the batch axis last in
-    memory).  A strided stack is compared with one state into the same
-    kind of strided output, since a strided output may sum the derivative
-    products in another order."""
+    C-contiguous output.  A strided output (the batch axis last in memory)
+    is rejected and left as it was."""
     x_min, x_max, x0, delta, d0 = LAYERS[layer]
     g = Grid2D(x_min, x_max, -1.0, 1.0, *{2: (8, 7), 4: (10, 8), 6: (13, 12)}[order])
     ops = g.operators(order)
@@ -477,12 +476,12 @@ def test_stacked_states_get_the_bits_of_their_own_rates(batch, layer, order, the
         assert contiguous.flags.c_contiguous
         strided = FieldState(system.model, np.full(states.shape[::-1], np.nan).T)
         assert not strided.data.flags.c_contiguous
-        assert evaluate_rhs(system, stack, t, strided) is strided
+        with pytest.raises(ValueError, match="the output array is not C-contiguous"):
+            evaluate_rhs(system, stack, t, strided)
+        assert np.all(np.isnan(strided.data))
         for b in range(batch):
             one = FieldState(system.model, states[b])
             assert np.array_equal(contiguous[b], evaluate_rhs(system, one, t).data)
-            out = FieldState(system.model, np.full(one.data.shape[::-1], np.nan).T)
-            assert np.array_equal(strided.data[b], evaluate_rhs(system, one, t, out).data)
 
 
 @pytest.mark.parametrize("kind", MODEL_KINDS)
@@ -507,6 +506,21 @@ def test_model_spec_validation():
     ModelSpec("Interior")
     with pytest.raises(ValueError):
         ModelSpec("Berenger")
+
+
+def test_operators_and_profiles_compare_by_identity():
+    """SbpOperator1D, OperatorPair and DampingProfile hold numpy arrays, so
+    they compare by identity and hash as objects: == neither raises nor
+    holds for two builds of the same values, and each can key a dict."""
+    g = Grid2D(-3.0, 3.0, -1.0, 1.0, 10, 9)
+    for make in (
+        lambda: sbp_core.build_sbp_operator(4, 20, 0.1),
+        lambda: g.operators(4),
+        lambda: make_damping_profile(g, 1.0, 2.0, 3.0),
+    ):
+        a, b = make(), make()
+        assert a == a and not a == b and a != b
+        assert hash(a) == hash(a) and {a: 1, b: 2}[a] == 1
 
 
 @pytest.mark.parametrize("kind", MODEL_KINDS)

@@ -35,7 +35,6 @@ from sbpml.scenarios_cli import (
     config_from_file,
     parse_config_text,
     preset_config,
-    read_snapshot,
     reference_config,
     run_scenario,
     waveguide_config,
@@ -45,6 +44,8 @@ from sbpml.scenarios_cli import (
     write_snapshot,
 )
 from sbpml.grid_state import FieldState, Grid2D
+
+from _oracles import read_snapshot
 
 
 def tiny_cavity(**kw):
