@@ -20,6 +20,9 @@ import numpy as np
 # below which a refined point counts as a root.
 CANDIDATE_THRESHOLD = 1e-6
 ROOT_TOLERANCE = 1e-9
+NEWTON_STEPS = 50  # the most steps of one Newton refinement
+NEWTON_DIFF_STEP = 1e-7  # its central-difference spacing
+WINDING_POINTS_PER_EDGE = 64  # contour points per edge of a winding count's rectangle
 
 
 @dataclass(frozen=True)
@@ -127,22 +130,25 @@ def dispersion_F2(s, ky: float, gamma_x: float):
     return (principal_sqrt(s**2 + ky**2) + gamma_x * s) / s
 
 
-def _winding_number(f, corners, n_per_edge: int = 64) -> int:
+def _winding_number(f, corners) -> int:
     """Winding number of f around a rectangle, by summing phase increments."""
+    n = WINDING_POINTS_PER_EDGE
     a = np.asarray(corners, dtype=complex)
-    pts = (a[:, None] + (np.roll(a, -1) - a)[:, None] * np.arange(n_per_edge) / n_per_edge).ravel()
+    pts = (a[:, None] + (np.roll(a, -1) - a)[:, None] * np.arange(n) / n).ravel()
     vals = np.broadcast_to(f(pts), pts.shape)
     if np.any(vals == 0) or not np.all(np.isfinite(vals)):
-        return -1  # boundary hits a zero/pole; treat the cell as suspicious
+        # The contour hits a zero or pole.  The scan counts -1 as no winding,
+        # so only Newton's |f| < ROOT_TOLERANCE can keep the candidate.
+        return -1
     phases = np.angle(vals)
     dphi = np.diff(np.concatenate([phases, phases[:1]]))
     dphi = (dphi + np.pi) % (2 * np.pi) - np.pi
     return int(round(np.sum(dphi) / (2 * np.pi)))
 
 
-def _newton_refine(f, z0: complex, steps: int = 50, h: float = 1e-7) -> complex:
-    z = complex(z0)
-    for _ in range(steps):
+def _newton_refine(f, z0: complex) -> complex:
+    z, h = complex(z0), NEWTON_DIFF_STEP
+    for _ in range(NEWTON_STEPS):
         fz = f(z)
         if abs(fz) < 1e-14:
             break

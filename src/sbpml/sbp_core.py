@@ -82,10 +82,10 @@ _Q_BLOCK_UPPER = {
     },
 }
 
-# Number of boundary rows with one-sided stencils at each end.
-_BOUNDARY_WIDTH = {2: 1, 4: 4, 6: 6}
+# Number of boundary rows with one-sided stencils at each end: 1, 4 and 6.
+_BOUNDARY_WIDTH = {order: len(norms) for order, norms in _NORM_BOUNDARY.items()}
 
-SUPPORTED_ORDERS = (2, 4, 6)
+SUPPORTED_ORDERS = tuple(_INTERIOR)
 
 # Residual bounds of ``VerificationReport.ok``: the SBP identity to
 # round-off, polynomial exactness to 1e-8 of the derivative's scale.
@@ -99,50 +99,47 @@ ACCURACY_TOL = 1e-8
 # from 138 to 50 us and dx from 98 to 63 us at 221x101.
 BLOCK_ROWS = 32
 
-
-def _band_writes(order: int):
-    """Q's band for one order: its interior row, and the writes that make
-    the closures and the ends.
-
-    The half-width w is the widest offset j - i of a nonzero entry Q[i, j]:
-    of the interior stencil, the zeroed closure block or the table.  The
-    closure entries of U are resolved in the order of the dense
-    assembly: the bw-by-bw block zeroed, then the table.  Each entry u at
-    (i, j), i < j, gives u above the diagonal and 0.0 - u at (j, i) below it
-    (0.0 - 0.0 is +0.0, as in U - U^T), and the mirrored right closure the
-    same pair at (n-1-j, n-1-i) and (n-1-i, n-1-j).  Then Q[0, 0] = -1/2,
-    Q[n-1, n-1] = 1/2, and the band's entries outside the matrix are zero.
-
-    Returns (row, index, values, on_right): the band is ``row`` on every
-    row, then band.flat[index + n * width * on_right] = values, with
-    ``on_right`` 1 for a write of the right end, whose rows count from n.
-    Writes that meet on the smallest grids carry equal values (the tables
-    are mirror-consistent).
-    """
-    bw, table = _BOUNDARY_WIDTH[order], _Q_BLOCK_UPPER[order]
-    w = max(len(_INTERIOR[order]), bw - 1, *(j - i for i, j in table))
-    width = 2 * w + 1
-    row = np.zeros(width)
-    for k, c in enumerate(_INTERIOR[order], start=1):
-        row[w + k], row[w - k] = float(c), 0.0 - float(c)
-    closure = {(i, j): 0.0 for i in range(bw) for j in range(i + 1, bw)}
-    closure.update((ij, float(v)) for ij, v in table.items())
-    # (row, band column, value); rows of the right end count from n.
-    left, right = [(0, w, -0.5)], [(-1, w, 0.5)]
-    for (i, j), u in closure.items():
-        left += [(i, w + j - i, u), (j, w - j + i, 0.0 - u)]
-        right += [(-1 - j, w + j - i, u), (-1 - i, w - j + i, 0.0 - u)]
-    for i in range(w):
-        for k in range(i + 1, w + 1):
-            left.append((i, w - k, 0.0))
-            right.append((-1 - i, w + k, 0.0))
-    writes = [(r * width + c, v, end) for end, part in enumerate((left, right)) for r, c, v in part]
-    index, values, on_right = (np.array(a) for a in zip(*writes))
-    return row, index, values, on_right
-
-
-_BAND_WRITES = {order: _band_writes(order) for order in SUPPORTED_ORDERS}
 _NORM_FLOATS = {order: np.array([float(v) for v in _NORM_BOUNDARY[order]]) for order in SUPPORTED_ORDERS}
+_Q_FLOATS = {
+    order: ([float(c) for c in _INTERIOR[order]], {ij: float(v) for ij, v in _Q_BLOCK_UPPER[order].items()})
+    for order in SUPPORTED_ORDERS
+}
+
+
+def _q_band(order: int, n: int) -> np.ndarray:
+    """Q's n x (2w + 1) band, by the dense recipe Q = U - U^T on the
+    m = min(n, 2r) points, r = bw + w, that hold both closures whole.
+
+    U has the interior stencil above the diagonal, the bw-by-bw block at
+    each end zeroed, then the ``_Q_BLOCK_UPPER`` entries, mirrored at the
+    right end; Q[0, 0] = -1/2 and Q[m-1, m-1] = 1/2.  The half-width w is
+    the widest offset j - i of a nonzero U[i, j].  Q's rows are sheared
+    into the band (the inverse of ``_sheared``); for n > 2r the rows from
+    r to n - r are the pure stencil row r.
+    """
+    (stencil, table), bw = _Q_FLOATS[order], _BOUNDARY_WIDTH[order]
+    w = max(len(stencil), bw - 1, *(j - i for i, j in table))
+    m, width = min(n, 2 * (bw + w)), 2 * w + 1
+    upper = np.zeros((m, m))
+    idx = np.arange(m)
+    for k, c in enumerate(stencil, start=1):
+        upper[idx[:-k], idx[k:]] = c  # index pairs: a flat-stride write would wrap below the diagonal
+    upper[:bw, :bw] = upper[m - bw :, m - bw :] = 0.0
+    for (i, j), v in table.items():
+        upper[i, j] = upper[m - 1 - j, m - 1 - i] = v
+    q = upper - upper.T
+    q[0, 0], q[-1, -1] = -0.5, 0.5
+
+    # Q padded by w zero columns a side, in rows of m + 2w, read back in rows
+    # of m + 2w + 1: row i then starts at its column i - w.
+    buffer = np.zeros(m * (m + width))
+    buffer[: m * (m + width - 1)].reshape(m, m + width - 1)[:, w : w + m] = q
+    small = buffer.reshape(m, m + width)[:, :width]
+    half = m // 2
+    band = np.empty((n, width))
+    band[:half], band[n - half :] = small[:half], small[m - half :]
+    band[half : n - half] = small[half]
+    return band
 
 
 def _sheared(band: np.ndarray) -> np.ndarray:
@@ -207,13 +204,7 @@ def build_sbp_operator(interior_order: int, n: int, h: float) -> SbpOperator1D:
     if not h > 0:
         raise ValueError(f"grid spacing must be positive, got {h}")
 
-    # The interior stencil on every row, then the closures and ends on
-    # top (``_band_writes``): the bits of the dense Q = U - U^T.
-    row, index, values, on_right = _BAND_WRITES[interior_order]
-    band = np.empty((n, row.size))
-    band[...] = row
-    band.reshape(-1)[index + n * row.size * on_right] = values
-
+    band = _q_band(interior_order, n)
     norms = _NORM_FLOATS[interior_order] * h
     p = np.full(n, h)
     p[: norms.size] = norms

@@ -332,9 +332,9 @@ def preset_config(name: str, **kw) -> ScenarioConfig:
     return ScenarioConfig(**fields)
 
 
-def waveguide_config(h: float, order: int, theta: float = 1.0, **kw) -> ScenarioConfig:
+def waveguide_config(h: float, order: int, **kw) -> ScenarioConfig:
     """The waveguide preset at spacing h; keyword arguments replace preset values."""
-    return preset_config("waveguide", h=h, order=order, theta=theta, **kw)
+    return preset_config("waveguide", h=h, order=order, **kw)
 
 
 def reference_config(h: float, order: int, **kw) -> ScenarioConfig:
@@ -342,10 +342,10 @@ def reference_config(h: float, order: int, **kw) -> ScenarioConfig:
     return preset_config("reference", h=h, order=order, **kw)
 
 
-def cavity_config(h: float = 1.0, order: int = 4, theta: float = 1.0, desk: bool = False, **kw) -> ScenarioConfig:
+def cavity_config(desk: bool = False, **kw) -> ScenarioConfig:
     """The full-size cavity (desk-size with ``desk``), with no label; keyword arguments replace preset values."""
     kw.setdefault("label", "")
-    return preset_config("cavity-desk-theta1" if desk else "cavity-theta1", h=h, order=order, theta=theta, **kw)
+    return preset_config("cavity-desk-theta1" if desk else "cavity-theta1", **kw)
 
 
 def study_processes(n_cells: int) -> int:
@@ -365,7 +365,7 @@ def _layer_error(cfg: ScenarioConfig, ref_cfg: ScenarioConfig) -> float:
     return float(np.max(np.abs(ez_p - ez_r)))
 
 
-def waveguide_error_study(h_list, order_list, output_dir: str = "out", theta: float = 1.0):
+def waveguide_error_study(h_list, order_list, output_dir: str = "out"):
     """Layer error against the enlarged reference, per resolution and order.
 
     Error is the max-norm of the electric-field difference over the region
@@ -386,7 +386,7 @@ def waveguide_error_study(h_list, order_list, output_dir: str = "out", theta: fl
         raise ValueError(f"each order may appear once, got {list(order_list)}")
     # The finest cells take the longest, so they start first.
     cells = sorted(((order, h) for order in order_list for h in h_list), key=lambda cell: cell[1])
-    layer = [waveguide_config(h, order, theta=theta, output_dir=output_dir) for order, h in cells]
+    layer = [waveguide_config(h, order, output_dir=output_dir) for order, h in cells]
     reference = [reference_config(h, order, output_dir=output_dir) for order, h in cells]
     n_proc = study_processes(len(cells))
     if n_proc == 1:

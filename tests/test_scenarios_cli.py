@@ -535,6 +535,16 @@ def test_error_study_on_one_cpu_starts_no_pool(tmp_path, monkeypatch):
     assert [r[2] for r in rows] == errors
 
 
+def test_error_study_runs_the_stable_layer_against_a_layer_free_reference(tmp_path, monkeypatch):
+    """The study's layer runs are the stable theta = 1 layer and its
+    references run at theta = 0: every config echo says so."""
+    usable_cpus(monkeypatch, 1)
+    waveguide_error_study([0.2, 0.1], [4], output_dir=str(tmp_path))
+    echoes = [echo.read_text().splitlines() for echo in tmp_path.glob("*_config.txt")]
+    thetas = sorted((lines[0], next(x for x in lines if x.startswith("theta = "))) for lines in echoes)
+    assert thetas == [("scenario = Reference", "theta = 0.0")] * 2 + [("scenario = Waveguide", "theta = 1.0")] * 2
+
+
 def test_worker_error_reaches_the_caller(tmp_path, monkeypatch, capsys):
     """Order 6 at h = 0.2 gives ny = 11, under the 12 points order 6 needs;
     the worker's ValueError is raised here with its message."""
