@@ -15,11 +15,11 @@ The per-wall boundary-condition residuals used throughout are
     top    (y = y_max): (1-Ry)/2 * Ez + (1+Ry)/2 * Hx - g
 
 The four walls' points, left, right, bottom and top, form one boundary
-vector (``OperatorPair.wall_index``).  ``WallTerms`` builds once what of
-the wall terms does not depend on the state, so a right-hand side gathers
-the wall values once and scatters the SAT penalties of both directions
-once, and the modal theta term once, for one state or for a stack of
-states alike.
+vector.  ``WallTerms`` builds that vector, and for one model kind all of
+the wall terms that does not depend on the state, once per system, so a
+right-hand side gathers the wall values once and scatters the SAT
+penalties of both directions once, and the modal theta term once, for one
+state or for a stack of states alike.
 
 A penalty set is admissible when the boundary term of the energy estimate,
 on each wall a quadratic a e^2 + b e m + c m^2 in Ez and the tangential
@@ -125,89 +125,99 @@ def penalties_admissible(bc: BoundaryConfig, p: PenaltyParams) -> bool:
 
 @dataclass(frozen=True, eq=False)
 class WallTerms:
-    """The part of the wall terms that does not depend on the state, built once.
+    """The wall terms of one model kind, all that does not depend on the state, built once.
 
-    Built from the operators, walls, penalties and ``rows``, the damped x
-    rows that carry the modal theta term.  Per point of the boundary
-    vector (``OperatorPair.wall_index``), ``gather[split]`` holds the flat
-    indices in an (nfields, nx, ny) array of Ez and the tangential magnetic
-    field, and with ``split`` of aux as well; ``residual`` the residual's
-    weights on Ez and on that field; ``p_normal`` P across the wall; ``bt``
+    Built from the operators, walls, penalties, the model ``kind`` with its
+    ``theta``, and ``rows``, the damped x rows that carry the modal theta
+    term.  The boundary vector is the wall points, left, right, bottom and
+    top, each corner on two walls; ``p_tangent`` holds P along each point's
+    wall and ``p_normal`` P across it.  Per point, ``gather`` holds the
+    flat indices in an (nfields, nx, ny) array of Ez and the tangential
+    magnetic field, and for the two SplitField kinds of aux as well;
+    ``residual`` the residual's weights on Ez and on that field; ``bt``
     BT's wall coefficients a, -sign b and c times 2 and P along the wall.
-    ``sat[ez_y]`` is the one scatter of the SAT penalties: the x walls'
-    then the y walls' rates of Ez (or, with ``ez_y``, aux on the y walls)
-    and of the tangential H, each entry's place in the boundary vector and
-    its weight, -alpha or -theta times the wall's sign.  ``theta`` is the
+    ``sat`` is the one scatter of the SAT penalties: the x walls' then the
+    y walls' rates of Ez (aux on the y walls for SplitFieldStable) and of
+    the tangential H, each entry's place in the boundary vector and its
+    weight, -alpha or -theta times the wall's sign.  ``theta_term`` is the
     scatter of the modal theta term into the aux rates at the y-wall points
-    of ``rows``, with those points' places and -P across the wall.  A
-    scatter's places in one state's rates are flat indices into the last
-    axis of the per-state flat view (``FieldState.flat``), so one index
-    reaches its place in every state of a stack.  ``data`` holds each
-    wall's segment and data.
+    of ``rows``: those points' flat indices and places, the weight
+    theta * alpha_y and -P across the wall.  A scatter's places in one
+    state's rates are flat indices into the last axis of the per-state flat
+    view (``FieldState.flat``), so one index reaches its place in every
+    state of a stack.  ``data`` holds each wall's segment and data.
     """
 
     ops: OperatorPair
     bc: BoundaryConfig
     penalties: PenaltyParams
+    kind: str
+    theta: float = 0.0
     rows: slice = field(default_factory=lambda: slice(0, 0))
-    gather: dict = field(init=False, repr=False)
+    gather: np.ndarray = field(init=False, repr=False)
     residual: np.ndarray = field(init=False, repr=False)
     p_normal: np.ndarray = field(init=False, repr=False)
+    p_tangent: np.ndarray = field(init=False, repr=False)
     bt: np.ndarray = field(init=False, repr=False)
-    sat: dict = field(init=False, repr=False)
-    theta: tuple = field(init=False, repr=False)
+    sat: tuple = field(init=False, repr=False)
+    theta_term: tuple = field(init=False, repr=False)
     data: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
         ops, bc, p = self.ops, self.bc, self.penalties
-        nx, ny = ops.x.n, ops.y.n
-        plane, n, index = nx * ny, 2 * ny, ops.wall_index
+        nx, ny, px, py = ops.x.n, ops.y.n, ops.x.p_diag, ops.y.p_diag
+        i, j = np.arange(nx) * ny, np.arange(ny)
+        index = np.concatenate((j, i[-1] + j, i, i + j[-1]))
+        plane, n = nx * ny, 2 * ny
         x, y = slice(0, n), slice(n, None)
         sign = np.repeat(WALL_SIGNS, (ny, ny, nx, nx))
-        p_normal = np.repeat(np.concatenate((ops.x.p_diag[[0, -1]], ops.y.p_diag[[0, -1]])), (ny, ny, nx, nx))
+        p_normal = np.repeat(np.concatenate((px[[0, -1]], py[[0, -1]])), (ny, ny, nx, nx))
+        p_tangent = np.concatenate((py, py, px, px))
 
         def per_direction(on_x, on_y):
             return np.concatenate((np.full(n, on_x), np.full(2 * nx, on_y)))
 
         tangent = np.concatenate((index[x] + plane, index[y] + 2 * plane))
+        gather = np.array([index, tangent, index + 3 * plane])
         weights = -np.array([per_direction(p.alpha_x, p.alpha_y), per_direction(p.theta_x, p.theta_y) * sign])
         place = np.arange(index.size)
-
-        def sat(ez_on_y):
-            # x then y, so that add.at sums a corner in that order.
-            return (np.concatenate([index[x], tangent[x], ez_on_y, tangent[y]]),
-                    np.concatenate([place[x], place[x], place[y], place[y]]),
-                    np.concatenate([weights[0, x], weights[1, x], weights[0, y], weights[1, y]]))
-
+        # In SplitFieldStable the y-wall penalty of the Ez equation moves to
+        # the undamped component, aux; this is what makes the scheme
+        # conjugate to the stabilized modal one.  SplitFieldNaive keeps both
+        # Ez penalties on the damped x-component.
+        ez_y = gather[2, y] if self.kind == "SplitFieldStable" else index[y]
         a, b, c = map(per_direction, *_wall_coefficients(bc, p))
         points = np.concatenate([np.arange(nx)[self.rows] + k for k in (n, n + nx)])
         walls = (slice(0, ny), slice(ny, n), slice(n, n + nx), slice(n + nx, None))
         data = zip(walls, (bc.g_left, bc.g_right, bc.g_bottom, bc.g_top))
-        gather = np.array([index, tangent, index + 3 * plane])
         for name, value in (
-            ("gather", {False: gather[:2], True: gather}),
+            ("gather", gather if self.kind in ("SplitFieldNaive", "SplitFieldStable") else gather[:2]),
             ("residual", np.array([per_direction(0.5 * (1.0 - bc.r_x), 0.5 * (1.0 - bc.r_y)),
                                    per_direction(0.5 * (1.0 + bc.r_x), 0.5 * (1.0 + bc.r_y)) * sign])),
             ("p_normal", p_normal),
-            ("bt", 2.0 * np.array([a, -sign * b, c]) * ops.wall_p_tangent),
-            ("sat", {False: sat(index[y]), True: sat(index[y] + 3 * plane)}),
-            ("theta", (index[points] + 3 * plane, points, -p_normal[points])),
+            ("p_tangent", p_tangent),
+            ("bt", 2.0 * np.array([a, -sign * b, c]) * p_tangent),
+            # x then y, so that add.at sums a corner in that order.
+            ("sat", (np.concatenate([index[x], tangent[x], ez_y, tangent[y]]),
+                     np.concatenate([place[x], place[x], place[y], place[y]]),
+                     np.concatenate([weights[0, x], weights[1, x], weights[0, y], weights[1, y]]))),
+            ("theta_term", (gather[2, points], points, self.theta * p.alpha_y, -p_normal[points])),
             ("data", tuple((wall, g) for wall, g in data if g is not None)),
         ):
             object.__setattr__(self, name, value)
 
 
-def wall_residuals(state: FieldState, walls: WallTerms, t: float, split: bool = False) -> np.ndarray:
+def wall_residuals(state: FieldState, walls: WallTerms, t: float) -> np.ndarray:
     """Boundary-condition residuals on the boundary vector of a state,
     each wall's data at t subtracted on its segment.
 
-    Ez (ez + aux with ``split``) and the tangential H come in one gather
-    from the per-state flat view of a C-contiguous state.  A stack (...,
-    nfields, nx, ny) of states gives a stack (..., npts) of boundary
-    vectors.
+    Ez and the tangential H come in one gather from the per-state flat view
+    of a C-contiguous state; a split state's gather holds aux as a third
+    row, and its Ez is ez + aux.  A stack (..., nfields, nx, ny) of states
+    gives a stack (..., npts) of boundary vectors.
     """
-    values = state.flat.take(walls.gather[split], axis=-1)
-    if split:
+    values = state.flat.take(walls.gather, axis=-1)
+    if len(walls.gather) == 3:
         values[..., 0, :] += values[..., 2, :]
         values = values[..., :2, :]
     values *= walls.residual
@@ -217,20 +227,20 @@ def wall_residuals(state: FieldState, walls: WallTerms, t: float, split: bool = 
     return r
 
 
-def sat_y_field(r: np.ndarray, weight: float, walls: WallTerms, rates: FieldState):
-    """Add the y-wall penalty -weight * Py^{-1} r on ``walls.rows`` into the aux rate of ``rates``.
+def sat_y_field(r: np.ndarray, walls: WallTerms, rates: FieldState):
+    """Add the modal theta term -theta alpha_y Py^{-1} r on ``walls.rows`` into the aux rate of ``rates``.
 
-    The stabilized auxiliary equation carries this term with weight
-    theta * alpha_y.  It is added as (weight r) / (-P), which has the bits
-    of subtracting (weight r) / P.
+    This is the weak y-wall treatment extended into the auxiliary equation.
+    It is added as (theta alpha_y r) / (-P), which has the bits of
+    subtracting (theta alpha_y r) / P.
     """
-    flat, points, minus_p = walls.theta
+    flat, points, weight, minus_p = walls.theta_term
     increments = weight * r.take(points, axis=-1)
     increments /= minus_p
     np.add.at(rates.flat, (..., flat), increments)
 
 
-def sat_contributions(r: np.ndarray, walls: WallTerms, rates: FieldState, ez_y: bool = False):
+def sat_contributions(r: np.ndarray, walls: WallTerms, rates: FieldState):
     """Add the penalty terms of the Ez, Hy and Hx equations into ``rates``.
 
     ``rates`` is the C-contiguous state of the rates (Ez, Hy, Hx, ...), one
@@ -239,11 +249,9 @@ def sat_contributions(r: np.ndarray, walls: WallTerms, rates: FieldState, ez_y: 
     increments of both directions, x then y: it adds repeated indices in
     order, so a corner sums in that order.  For a stack of states
     ``r`` and the increments are stacks (..., n) too, and the index
-    ``(..., place)`` reaches its place in every state.  With ``ez_y`` the
-    y-wall term of the Ez equation goes into the fourth field instead (the
-    undamped component of the stable split field).
+    ``(..., place)`` reaches its place in every state.
     """
-    flat, places, weights = walls.sat[ez_y]
+    flat, places, weights = walls.sat
     increments = (r / walls.p_normal).take(places, axis=-1)
     increments *= weights
     np.add.at(rates.flat, (..., flat), increments)
@@ -267,9 +275,8 @@ def boundary_dissipation(state: FieldState, walls: WallTerms) -> float:
     values with ``WallTerms.bt``: the e m terms of the SBP and SAT parts
     cancel in the coefficient b, not in rounded wall values.
     """
-    split = state.model == "SplitField"
-    e, m, *aux = state.data.take(walls.gather[split])
-    if split:
+    e, m, *aux = state.data.take(walls.gather)
+    if aux:
         e += aux[0]
     on_ee, on_em, on_mm = walls.bt
     return float(on_ee @ (e * e) + on_em @ (e * m) + on_mm @ (m * m))

@@ -24,7 +24,7 @@ from typing import Optional
 
 import numpy as np
 
-from sbpml.boundary_sat import BoundaryConfig, PenaltyParams
+from sbpml.boundary_sat import BoundaryConfig, PenaltyParams, WallTerms
 from sbpml.grid_state import FieldState, Grid2D, OperatorPair, nfields
 from sbpml.pml_models import DampingProfile, ModelSpec, SemiDiscrete, evaluate_rhs
 
@@ -80,16 +80,16 @@ def discrete_l2_norms(squares: tuple) -> dict:
     return dict(zip(("ez_norm", "hy_norm", "hx_norm", "aux_norm"), map(math.sqrt, squares)))
 
 
-def modal_bt_integrand(rhs_ez: np.ndarray, ops: OperatorPair) -> float:
+def modal_bt_integrand(rhs_ez: np.ndarray, walls: WallTerms) -> float:
     """Integrand of the boundary time-integral in the modal energy.
 
     Equals 2 * (dEz/dt)^T ((E_R+E_L) kron Py + Px kron (E_R+E_L)) (dEz/dt):
     the squares of dEz/dt on the boundary vector, gathered in one take,
     against P of the axis along each wall.
     """
-    rate = rhs_ez.take(ops.wall_index)
+    rate = rhs_ez.take(walls.gather[0])
     rate *= rate
-    return 2.0 * float(rate @ ops.wall_p_tangent)
+    return 2.0 * float(rate @ walls.p_tangent)
 
 
 def modal_energy(state: FieldState, rhs_ez: np.ndarray, system: SemiDiscrete, bt_integral: float) -> float:

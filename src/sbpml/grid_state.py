@@ -55,40 +55,26 @@ class Grid2D:
 class OperatorPair:
     """The two 1D SBP operators acting along x and y.
 
-    ``weight`` is the (Px kron Py) diagonal as an (nx, ny) array.  The wall
-    points, left, right, bottom and top, form one boundary vector:
-    ``wall_index`` holds their flat indices in an (nx, ny) field and
-    ``wall_p_tangent`` P of the axis along their wall.  All are built once.
-    Pairs compare by identity.
+    ``weight`` is the (Px kron Py) diagonal as an (nx, ny) array, built
+    once.  Pairs compare by identity.
     """
 
     x: SbpOperator1D
     y: SbpOperator1D
     weight: np.ndarray = field(init=False, repr=False)
-    wall_index: np.ndarray = field(init=False, repr=False)
-    wall_p_tangent: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        px, py = self.x.p_diag, self.y.p_diag
-        i, j = np.arange(self.x.n) * self.y.n, np.arange(self.y.n)
-        object.__setattr__(self, "weight", px[:, None] * py[None, :])
-        object.__setattr__(self, "wall_index", np.concatenate((j, i[-1] + j, i, i + j[-1])))
-        object.__setattr__(self, "wall_p_tangent", np.concatenate((py, py, px, px)))
+        object.__setattr__(self, "weight", self.x.p_diag[:, None] * self.y.p_diag[None, :])
 
     def dx(self, u: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
         """Apply (Dx kron Iy) to an (nx, ny) field, or to each field of a
         stack (..., nx, ny), into ``out`` if given.
 
-        The blocked apply of ``dy`` on the fields and outputs with their
-        last two axes swapped.
+        The blocked apply that ``dy`` makes, on the fields and outputs
+        with their last two axes swapped.
         """
         out = np.empty_like(u) if out is None else out
-        u_t, out_t, blocks = u.swapaxes(-1, -2), out.swapaxes(-1, -2), self.x.blocks
-        if len(blocks) == 1:
-            np.matmul(u_t, blocks[0][2], out_t)
-        else:
-            for rows, cols, block_t in blocks:
-                np.matmul(u_t[..., cols], block_t, out_t[..., rows])
+        _blocked_apply(u.swapaxes(-1, -2), self.x.blocks, out.swapaxes(-1, -2))
         return out
 
     def dy(self, u: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
@@ -105,17 +91,21 @@ class OperatorPair:
         the bits of its own apply.
         """
         out = np.empty_like(u) if out is None else out
-        blocks = self.y.blocks
-        if len(blocks) == 1:
-            np.matmul(u, blocks[0][2], out)
-        else:
-            for rows, cols, block_t in blocks:
-                np.matmul(u[..., cols], block_t, out[..., rows])
+        _blocked_apply(u, self.y.blocks, out)
         return out
 
     def inner(self, u: np.ndarray, v: np.ndarray) -> float:
         """The (Px kron Py)-weighted inner product on (nx, ny) fields."""
         return float(np.sum(self.weight * u * v))
+
+
+def _blocked_apply(u: np.ndarray, blocks: tuple, out: np.ndarray):
+    """out[..., rows] = u[..., cols] @ block_t for each block of an operator's rows."""
+    if len(blocks) == 1:
+        np.matmul(u, blocks[0][2], out)
+    else:
+        for rows, cols, block_t in blocks:
+            np.matmul(u[..., cols], block_t, out[..., rows])
 
 
 def nfields(model: str) -> int:

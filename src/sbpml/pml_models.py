@@ -128,8 +128,9 @@ class SemiDiscrete:
 
     Built once per scenario or assembly: ``__post_init__`` checks the
     damping profile against the operators and builds ``walls``, the
-    ``WallTerms`` of (ops, bc, penalties, prof.rows), and ``model``, the
-    ``FieldState.model`` this system advances.
+    ``WallTerms`` of (ops, bc, penalties, spec.kind, spec.theta,
+    prof.rows), and ``model``, the ``FieldState.model`` this system
+    advances.
     """
 
     spec: ModelSpec
@@ -144,7 +145,8 @@ class SemiDiscrete:
         got, shape = (self.prof.sigma_values.size, self.prof.ny), (self.ops.x.n, self.ops.y.n)
         if got != shape:
             raise ValueError(f"damping profile shape {got} does not match operators {shape}")
-        object.__setattr__(self, "walls", WallTerms(self.ops, self.bc, self.penalties, self.prof.rows))
+        walls = WallTerms(self.ops, self.bc, self.penalties, self.spec.kind, self.spec.theta, self.prof.rows)
+        object.__setattr__(self, "walls", walls)
         object.__setattr__(self, "model", STATE_MODEL[self.spec.kind])
 
     def data_free(self) -> "SemiDiscrete":
@@ -200,6 +202,7 @@ def evaluate_rhs(system: SemiDiscrete, state: FieldState, t: float, out: Optiona
     kind, data, d = spec.kind, state.fields, out.fields
     d_ez, d_hy, d_hx = d[0], d[1], d[2]
     rows, sigma = prof.rows, prof.sigma
+    residuals = wall_residuals(state, walls, t)
 
     if kind in ("SplitFieldNaive", "SplitFieldStable"):
         # The total Ez lives in d_aux until Dy Hx is written there.
@@ -207,7 +210,6 @@ def evaluate_rhs(system: SemiDiscrete, state: FieldState, t: float, out: Optiona
         # Ez_x), d_ez_y = Dy Hx; each sigma term formed in a later rate.
         data_r, d_r = data[:, ..., rows, :], d[:, ..., rows, :]
         ez_tot = np.add(data[0], data[3], d[3])
-        residuals = wall_residuals(state, walls, t, True)
         ops.dx(ez_tot, out=d_hy)
         v = d_r[1]
         np.add(v, np.multiply(sigma, data_r[1], d_r[0]), v)
@@ -222,7 +224,6 @@ def evaluate_rhs(system: SemiDiscrete, state: FieldState, t: float, out: Optiona
         # d_ez = Dy Hx - Dx Hy (+ aux) (- sigma Ez), d_hy = -(Dx Ez + sigma
         # Hy), with no sigma in Interior, and d_hx = Dy Ez.  Dx Hy and Dx Ez
         # are one stacked apply into d_ez and d_hy.
-        residuals = wall_residuals(state, walls, t)
         ops.dx(data[1::-1], out=d[0:2])
         if kind == "PhysicallyMotivated":
             # Dy Ez and Dy Hx are one stacked apply into d_hx and d_aux.
@@ -253,16 +254,14 @@ def evaluate_rhs(system: SemiDiscrete, state: FieldState, t: float, out: Optiona
         else:
             ops.dy(data[0], out=d_hx)
 
-    # In SplitFieldStable the y-wall penalty moves to the undamped
-    # component; this is what makes the scheme conjugate to the stabilized
-    # modal one.  SplitFieldNaive keeps both Ez penalties on the damped
-    # x-component.
-    sat_contributions(residuals, walls, out, kind == "SplitFieldStable")
+    sat_contributions(residuals, walls, out)
 
     if kind == "ModalUnsplit":
-        # Auxiliary update with the weak y-wall treatment extended into it.
+        # Auxiliary update with the weak y-wall treatment extended into it,
+        # skipped at theta = 0, where its zero increments could turn a -0.0
+        # rate into +0.0.
         if spec.theta != 0.0:
-            sat_y_field(residuals, spec.theta * system.penalties.alpha_y, walls, out)
+            sat_y_field(residuals, walls, out)
         v = d_r[3]
         np.multiply(v, sigma, v)
     if kind in ("ModalUnsplit", "PhysicallyMotivated"):

@@ -14,7 +14,8 @@ Three scenario families are provided:
   interest within the simulated time; used to measure layer errors.
 
 Configs are plain key=value text files; every run echoes its fully
-resolved configuration so results can be reproduced bit-for-bit.
+resolved configuration, which ``sbpml run --config`` reads back, so
+results can be reproduced bit-for-bit.
 """
 
 from __future__ import annotations
@@ -42,7 +43,9 @@ from sbpml.diagnostics import (
     assemble_semidiscrete_matrix,
 )
 from sbpml.grid_state import FieldState, Grid2D
-from sbpml.modal_analysis import ComplexParamRegion, dispersion_F1, dispersion_F2, scan_unstable_roots
+from sbpml.modal_analysis import (
+    ComplexParamRegion, dispersion_F1, dispersion_F2, kappa_left, kappa_lower, scan_unstable_roots, sx_identities
+)
 from sbpml.pml_models import (
     MODEL_KINDS,
     STATE_MODEL,
@@ -53,7 +56,6 @@ from sbpml.pml_models import (
     make_damping_profile,
 )
 from sbpml.sbp_core import SUPPORTED_ORDERS, build_sbp_operator, operator_verification_report
-from sbpml.time_integration import rk4_step
 
 SCENARIOS = ("Cavity", "Waveguide", "Reference")
 PENALTY_PRESETS = ("estimate_matching", "universal")
@@ -219,18 +221,53 @@ def write_snapshot(path: str, grid: Grid2D, values: np.ndarray):
             f.write(f"{v:.17g}\n")
 
 
+# The keys the config echo writes after the config's fields: what the run
+# resolved and how it ended.  ``config_from_file`` skips them, so an echo
+# reads back as the config of its run.
+ECHO_RESULT_KEYS = ("resolved_dt", "resolved_n_steps", "resolved_nx", "resolved_ny", "resolved_d0",
+                    "penalties_admissible", "diverged", "last_completed_step")
+
+
 def _echo_config(path: str, cfg: ScenarioConfig, setup: ScenarioSetup, diverged: bool, last_step: int):
+    results = (f"{setup.dt:.17g}", setup.n_steps, setup.grid.nx, setup.grid.ny, f"{setup.prof.d0:.17g}",
+               penalties_admissible(setup.system.bc, setup.system.penalties), diverged, last_step)
     with open(path, "w") as f:
-        for k, v in asdict(cfg).items():
+        for k, v in [*asdict(cfg).items(), *zip(ECHO_RESULT_KEYS, results)]:
             f.write(f"{k} = {v}\n")
-        f.write(f"resolved_dt = {setup.dt:.17g}\n")
-        f.write(f"resolved_n_steps = {setup.n_steps}\n")
-        f.write(f"resolved_nx = {setup.grid.nx}\n")
-        f.write(f"resolved_ny = {setup.grid.ny}\n")
-        f.write(f"resolved_d0 = {setup.prof.d0:.17g}\n")
-        f.write(f"penalties_admissible = {penalties_admissible(setup.system.bc, setup.system.penalties)}\n")
-        f.write(f"diverged = {diverged}\n")
-        f.write(f"last_completed_step = {last_step}\n")
+
+
+def rk4_step(rhs, u: np.ndarray, t: float, dt: float, k1: np.ndarray, q1: float, work) -> float:
+    """Advance the array ``u`` in place by one classical four-stage Runge-Kutta step.
+
+    ``rhs(v, s, out)`` writes dv/dt at time s into ``out`` and returns the
+    integrand q of a scalar integrated beside the state (the boundary
+    integral of the energies; 0.0 if there is none).  ``k1`` must hold
+    rhs(u, t) and ``q1`` its integrand: ``march``, the one caller, has
+    them from the end of the previous step.  ``work`` is four arrays
+    shaped like ``u``, overwritten as the stage buffers; ``k1`` is left as
+    is.
+    Returns the scalar's increment dt/6 (q1 + 2 q2 + 2 q3 + q4), the same
+    weights as the fields'.  Exactly linear in u when rhs is linear.
+    """
+    k2, k3, k4, v = work
+    np.multiply(k1, 0.5 * dt, out=v)
+    v += u
+    q2 = rhs(v, t + 0.5 * dt, k2)
+    np.multiply(k2, 0.5 * dt, out=v)
+    v += u
+    q3 = rhs(v, t + 0.5 * dt, k3)
+    np.multiply(k3, dt, out=v)
+    v += u
+    q4 = rhs(v, t + dt, k4)
+    # u += dt/6 (k1 + 2 k2 + 2 k3 + k4), summed left to right.
+    np.multiply(k2, 2.0, out=v)
+    v += k1
+    k3 *= 2.0
+    v += k3
+    v += k4
+    v *= dt / 6.0
+    u += v
+    return (dt / 6.0) * (q1 + 2.0 * q2 + 2.0 * q3 + q4)
 
 
 def march(system: SemiDiscrete, u: FieldState, dt: float, n_steps: int):
@@ -243,13 +280,13 @@ def march(system: SemiDiscrete, u: FieldState, dt: float, n_steps: int):
     ``modal_bt_integrand`` for ModalUnsplit, ``boundary_dissipation``
     otherwise.  The RHS is evaluated 4 times a step plus once at t = 0.
     """
-    ops, walls, model = system.ops, system.walls, u.model
+    walls, model = system.walls, u.model
     modal = system.spec.kind == "ModalUnsplit"
 
     def rhs(v, t, out):
         state, d = states[id(v)], states[id(out)]
         evaluate_rhs(system, state, t, d)
-        return modal_bt_integrand(d.ez, ops) if modal else boundary_dissipation(state, walls)
+        return modal_bt_integrand(d.ez, walls) if modal else boundary_dissipation(state, walls)
 
     du = FieldState(model, np.empty_like(u.data))
     work = [np.empty_like(u.data) for _ in range(4)]
@@ -465,8 +502,10 @@ def _field_value(key: str, text: str, kind):
 
 
 def config_from_file(path: str) -> ScenarioConfig:
+    """The config of a key = value file, such as a run's config echo, whose
+    ``ECHO_RESULT_KEYS`` are skipped; any other key must be a field."""
     with open(path) as f:
-        raw = parse_config_text(f.read())
+        raw = {k: v for k, v in parse_config_text(f.read()).items() if k not in ECHO_RESULT_KEYS}
     kinds = get_type_hints(ScenarioConfig)
     unknown = set(raw) - set(kinds)
     if unknown:
@@ -509,8 +548,6 @@ def _cmd_verify(args) -> int:
 
     # Sign lemmas, Monte-Carlo.
     rng = np.random.default_rng(0)
-    from sbpml.modal_analysis import kappa_left, kappa_lower, sx_identities
-
     worst = 0.0
     for _ in range(args.samples):
         s = complex(rng.uniform(1e-6, 5.0), rng.uniform(-20, 20))

@@ -306,10 +306,10 @@ def penalty_matrix_eigenvalues(gamma, theta_bar):
     return (gamma + theta_bar - root) / 2.0, (gamma + theta_bar + root) / 2.0
 
 
-def sat_by_direction(r, walls, rates, ez_y=False):
+def sat_by_direction(r, walls, rates):
     """``sat_contributions`` as one take, += and put of the rates per
     direction, x then y, the scatter it replaced."""
-    flat, places, weights = walls.sat[ez_y]
+    flat, places, weights = walls.sat
     q = r / walls.p_normal
     x_entries = 4 * walls.ops.y.n  # Ez and tangential H on the 2 ny x-wall points
     for part in (slice(0, x_entries), slice(x_entries, None)):
@@ -318,9 +318,9 @@ def sat_by_direction(r, walls, rates, ez_y=False):
         rates.put(flat[part], lines)
 
 
-def theta_term_by_take_put(r, weight, walls, rates):
+def theta_term_by_take_put(r, walls, rates):
     """``sat_y_field`` as a take, -= and put of the aux rates, the scatter it replaced."""
-    flat, points, minus_p = walls.theta
+    flat, points, weight, minus_p = walls.theta_term
     lines = rates.take(flat)
     lines -= weight * r.take(points) / -minus_p
     rates.put(flat, lines)

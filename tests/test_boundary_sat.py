@@ -32,14 +32,14 @@ def random_interior_state(grid, rng):
 def sat_of(s, bc, p, t, grid, ops):
     """The SAT fields (ez, hy, hx) of a state, from its wall residuals at time t, added into zero fields."""
     fields = np.zeros((3, grid.nx, grid.ny))
-    walls = WallTerms(ops, bc, p)
+    walls = WallTerms(ops, bc, p, "Interior")
     sat_contributions(wall_residuals(s, walls, t), walls, FieldState("Interior", fields))
     return tuple(fields)
 
 
 def residuals_by_wall(s, bc, t, grid):
     """The wall residuals of a state at time t as its (left, right, bottom, top) segments."""
-    walls = WallTerms(grid.operators(2), bc, PenaltyParams.universal())
+    walls = WallTerms(grid.operators(2), bc, PenaltyParams.universal(), "Interior")
     r = wall_residuals(s, walls, t)
     assert r.shape == (2 * grid.ny + 2 * grid.nx,)
     return np.split(r, np.cumsum([grid.ny, grid.ny, grid.nx]))
@@ -146,7 +146,7 @@ def test_admissibility_is_the_sign_of_the_wall_form(r_x, r_y, weights):
     Weights in [-1, 4] make both outcomes common."""
     bc, p = BoundaryConfig(r_x=r_x, r_y=r_y), PenaltyParams(*weights)
     g = Grid2D(0.0, 2.0, 0.0, 1.5, 7, 6)
-    walls = WallTerms(g.operators(2), bc, p)
+    walls = WallTerms(g.operators(2), bc, p, "Interior")
 
     def bt(point, field, e, m):
         """BT of the state that is e in Ez and m in ``field`` at ``point``, zero elsewhere."""

@@ -102,14 +102,15 @@ def test_energy_history_append_and_csv(tmp_path):
 
 
 def test_modal_bt_integrand_against_dense():
-    g, ops, _, _, _ = small_problem()
+    g, ops, prof, bc, p = small_problem()
+    walls = SemiDiscrete(ModelSpec("ModalUnsplit", theta=1.0), prof, bc, p, ops).walls
     rng = np.random.default_rng(5)
     rate = rng.standard_normal((g.nx, g.ny))
     ex_l, ex_r = selectors(g.nx)
     ey_l, ey_r = selectors(g.ny)
     m = np.kron(ex_l + ex_r, np.diag(ops.y.p_diag)) + np.kron(np.diag(ops.x.p_diag), ey_l + ey_r)
     flat = rate.reshape(-1)
-    assert modal_bt_integrand(rate, ops) == pytest.approx(2.0 * flat @ m @ flat, rel=1e-12)
+    assert modal_bt_integrand(rate, walls) == pytest.approx(2.0 * flat @ m @ flat, rel=1e-12)
 
 
 def test_modal_energy_dense_oracle_and_positivity():

@@ -235,9 +235,11 @@ def test_boundary_vector_matches_dense_oracle(
     """The boundary vector of ``WallTerms``, on grids down to twice the
     boundary width, where the closures of the two walls meet and the
     corners matter.  Every model kind matches the dense oracle with
-    top-wall data; the gather covers each wall point once per direction
-    (each corner twice in all); each direction's scatter indices are
-    distinct; both energy integrands equal their wall-by-wall formulas;
+    top-wall data; the gather of each kind's walls covers each wall point
+    once per direction (each corner twice in all), and aux for the split
+    kinds only; each direction's scatter indices are distinct, and only
+    SplitFieldStable scatters the y walls' Ez term into aux; both energy
+    integrands equal their wall-by-wall formulas;
     and evaluate_rhs rejects a strided output or state."""
     n_min = {2: 3, 4: 8, 6: 12}[order]
     g = Grid2D(-3.0, 3.0, -1.0, 1.0, n_min + nx_extra, n_min + ny_extra)
@@ -249,48 +251,50 @@ def test_boundary_vector_matches_dense_oracle(
 
     nx, ny = g.nx, g.ny
     plane = nx * ny
-    index = ops.wall_index
-    i, j = np.divmod(index, ny)
-    assert np.array_equal(np.sort(index[: 2 * ny]), np.flatnonzero((np.arange(plane) // ny) % (nx - 1) == 0))
-    assert np.array_equal(np.sort(index[2 * ny :]), np.flatnonzero((np.arange(plane) % ny) % (ny - 1) == 0))
-    on_x = np.arange(index.size) < 2 * ny
-    assert np.array_equal(ops.wall_p_tangent, np.where(on_x, ops.y.p_diag[j], ops.x.p_diag[i]))
-    corners = [0, ny - 1, (nx - 1) * ny, plane - 1]
-    assert all(np.count_nonzero(index == c) == 2 for c in corners)
-
     bc = BoundaryConfig(r_x=r_x, r_y=r_y)
     p = PenaltyParams.universal() if penalties == "universal" else PenaltyParams.estimate_matching(r_x, r_y)
-    walls = WallTerms(ops, bc, p, prof.rows)
-    assert np.array_equal(walls.p_normal, np.where(on_x, ops.x.p_diag[i], ops.y.p_diag[j]))
-    tangent = np.concatenate((index[: 2 * ny] + plane, index[2 * ny :] + 2 * plane))
-    assert np.array_equal(walls.gather[True], [index, tangent, index + 3 * plane])
-    assert np.array_equal(walls.gather[False], [index, tangent])
-    # One scatter of both directions, x walls first: each direction's
-    # indices, flat in one state's rates, are distinct.
     n_x = 2 * ny
-    place = np.arange(index.size)
-    for ez_y in (False, True):
-        scatter, places, weights = walls.sat[ez_y]
+    place = np.arange(n_x + 2 * nx)
+    on_x = place < n_x
+    corners = [0, ny - 1, (nx - 1) * ny, plane - 1]
+    scatter_rng = np.random.default_rng(seed)
+    r = scatter_rng.standard_normal(place.size)
+    for kind in MODEL_KINDS:
+        walls = WallTerms(ops, bc, p, kind, 0.7, prof.rows)
+        index = walls.gather[0]
+        i, j = np.divmod(index, ny)
+        assert np.array_equal(np.sort(index[:n_x]), np.flatnonzero((np.arange(plane) // ny) % (nx - 1) == 0))
+        assert np.array_equal(np.sort(index[n_x:]), np.flatnonzero((np.arange(plane) % ny) % (ny - 1) == 0))
+        assert np.array_equal(walls.p_tangent, np.where(on_x, ops.y.p_diag[j], ops.x.p_diag[i]))
+        assert all(np.count_nonzero(index == c) == 2 for c in corners)
+        assert np.array_equal(walls.p_normal, np.where(on_x, ops.x.p_diag[i], ops.y.p_diag[j]))
+        tangent = np.concatenate((index[:n_x] + plane, index[n_x:] + 2 * plane))
+        split = kind in ("SplitFieldNaive", "SplitFieldStable")
+        assert np.array_equal(walls.gather, [index, tangent, index + 3 * plane] if split else [index, tangent])
+        # One scatter of both directions, x walls first: each direction's
+        # indices, flat in one state's rates, are distinct.  Only
+        # SplitFieldStable puts the y walls' Ez term into aux.
+        scatter, places, weights = walls.sat
         for part in (scatter[: 2 * n_x], scatter[2 * n_x :]):
             assert np.unique(part).size == part.size
         assert scatter.size == 2 * index.size
+        ez_y = index[n_x:] + (3 * plane if kind == "SplitFieldStable" else 0)
+        assert np.array_equal(scatter[2 * n_x : 2 * n_x + 2 * nx], ez_y)
         assert np.array_equal(places, np.concatenate([place[:n_x], place[:n_x], place[n_x:], place[n_x:]]))
         assert weights.shape == scatter.shape
-    theta_index, theta_points, minus_p = walls.theta
-    assert np.unique(theta_index).size == theta_index.size == 2 * len(range(nx)[prof.rows])
-    assert np.array_equal(theta_index, index[theta_points] + 3 * plane) and np.all(theta_points >= 2 * ny)
-    assert np.array_equal(minus_p, -walls.p_normal[theta_points])
-    # The scatters add what one take, += and put per direction added, bit
-    # for bit, a corner x first, into the rates' flat view.
-    scatter_rng = np.random.default_rng(seed)
-    r = scatter_rng.standard_normal(index.size)
-    for ez_y in (False, True):
+        theta_index, theta_points, weight, minus_p = walls.theta_term
+        assert np.unique(theta_index).size == theta_index.size == 2 * len(range(nx)[prof.rows])
+        assert np.array_equal(theta_index, index[theta_points] + 3 * plane) and np.all(theta_points >= n_x)
+        assert weight == 0.7 * p.alpha_y
+        assert np.array_equal(minus_p, -walls.p_normal[theta_points])
+        # The scatters add what one take, += and put per direction added, bit
+        # for bit, a corner x first, into the rates' flat view.
         want = scatter_rng.standard_normal((4, nx, ny))
         got = want.copy()
-        sat_by_direction(r, walls, want, ez_y)
-        theta_term_by_take_put(r, 0.7, walls, want)
-        sat_contributions(r, walls, FieldState("ModalUnsplit", got), ez_y)
-        sat_y_field(r, 0.7, walls, FieldState("ModalUnsplit", got))
+        sat_by_direction(r, walls, want)
+        theta_term_by_take_put(r, walls, want)
+        sat_contributions(r, walls, FieldState("ModalUnsplit", got))
+        sat_y_field(r, walls, FieldState("ModalUnsplit", got))
         assert np.array_equal(got, want)
 
     rng = np.random.default_rng(seed)
@@ -309,9 +313,9 @@ def test_boundary_vector_matches_dense_oracle(
             evaluate_rhs(system, FieldState(s.model, strided), t, FieldState(s.model, out))
         assert np.all(np.isnan(out))
         bt, scale = bt_of_wall_residuals(s, bc, p, ops)
-        assert abs(boundary_dissipation(s, walls) - bt) <= 1e-13 * scale
+        assert abs(boundary_dissipation(s, system.walls) - bt) <= 1e-13 * scale
         rate = s.ez
-        assert modal_bt_integrand(rate, ops) == pytest.approx(modal_bt_of_walls(rate, ops), rel=1e-13)
+        assert modal_bt_integrand(rate, system.walls) == pytest.approx(modal_bt_of_walls(rate, ops), rel=1e-13)
 
 
 # Layer geometries as (x_min, x_max, x0, delta, d0) of the ramp sigma_at:

@@ -26,6 +26,7 @@ from sbpml.diagnostics import (
 )
 from sbpml.pml_models import evaluate_rhs
 from sbpml.scenarios_cli import (
+    ECHO_RESULT_KEYS,
     PRESETS,
     ScenarioConfig,
     build_scenario,
@@ -331,6 +332,36 @@ def test_run_scenario_artifacts_and_determinism(tmp_path):
     assert Path(art.snapshot_path).read_bytes() == Path(art2.snapshot_path).read_bytes()
 
 
+@pytest.mark.parametrize("name", sorted(PRESETS))
+def test_config_echo_reads_back_and_reruns_the_run(tmp_path, capsys, name):
+    """A run's config echo reads back as the run's config, and ``sbpml run
+    --config`` on it writes the same history and snapshot, byte for byte,
+    and the same echo but for ``output_dir``.  Each preset runs 5 steps."""
+    base = preset_config(name)
+    a, b = tmp_path / "a", tmp_path / "b"
+    cfg = preset_config(name, t_final=5 * base.dt_factor * base.h, stride=2, output_dir=str(a))
+    art = run_scenario(cfg)
+    assert config_from_file(art.config_echo_path) == cfg
+    assert cli_entry(["run", "--config", art.config_echo_path, "--out", str(b)]) == 0
+    for path in (art.history_csv, art.snapshot_path):
+        assert (b / Path(path).name).read_bytes() == Path(path).read_bytes()
+    echo = Path(art.config_echo_path).read_text()
+    assert (b / Path(art.config_echo_path).name).read_text() == echo.replace(f"= {a}\n", f"= {b}\n")
+
+
+def test_config_echo_skips_only_its_result_keys(tmp_path):
+    """The echo ends with the ``ECHO_RESULT_KEYS``, which reading it skips;
+    a misspelled result key or field is still an unknown key."""
+    art = run_scenario(tiny_cavity(output_dir=str(tmp_path), label="tiny"))
+    echo = Path(art.config_echo_path).read_text()
+    assert [line.partition(" = ")[0] for line in echo.splitlines()[-8:]] == list(ECHO_RESULT_KEYS)
+    bad = tmp_path / "bad.cfg"
+    for key in ("resolved_dtt", "thetaa"):
+        bad.write_text(f"{echo}{key} = 1\n")
+        with pytest.raises(ValueError, match=re.escape(f"unknown config keys: ['{key}']")):
+            config_from_file(bad)
+
+
 def test_run_scenario_energy_column_finite_and_decaying(tmp_path):
     cfg = tiny_cavity(output_dir=str(tmp_path), t_final=8.0, stride=4)
     art = run_scenario(cfg)
@@ -351,7 +382,7 @@ def reference_history(cfg):
         u = FieldState(model, data)
         r = evaluate_rhs(system, u, t)
         if spec.kind == "ModalUnsplit":
-            return r.data, modal_bt_integrand(r.ez, ops)
+            return r.data, modal_bt_integrand(r.ez, system.walls)
         return r.data, boundary_dissipation(u, system.walls)
 
     def record(data, bt, t):

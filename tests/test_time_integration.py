@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from sbpml.time_integration import rk4_step
+from sbpml.scenarios_cli import rk4_step
 
 
 def step(rhs, u, t, dt):
