@@ -142,10 +142,10 @@ class WallTerms:
     weight, -alpha or -theta times the wall's sign.  ``theta_term`` is the
     scatter of the modal theta term into the aux rates at the y-wall points
     of ``rows``: those points' flat indices and places, the weight
-    theta * alpha_y and -P across the wall.  A scatter's places in one
-    state's rates are flat indices into the last axis of the per-state flat
-    view (``FieldState.flat``), so one index reaches its place in every
-    state of a stack.  ``data`` holds each wall's segment and data.
+    theta * alpha_y and -P across the wall.  The indices of a gather or a
+    scatter are flat indices into one state, which ``FieldState.places``
+    maps to their places in every state of a stack.  ``data`` holds each
+    wall's segment and data.
     """
 
     ops: OperatorPair
@@ -211,12 +211,13 @@ def wall_residuals(state: FieldState, walls: WallTerms, t: float) -> np.ndarray:
     """Boundary-condition residuals on the boundary vector of a state,
     each wall's data at t subtracted on its segment.
 
-    Ez and the tangential H come in one gather from the per-state flat view
-    of a C-contiguous state; a split state's gather holds aux as a third
-    row, and its Ez is ez + aux.  A stack (..., nfields, nx, ny) of states
-    gives a stack (..., npts) of boundary vectors.
+    Ez and the tangential H come in one gather from the flat view of a
+    C-contiguous state, through ``FieldState.places``; a split state's
+    gather holds aux as a third row, and its Ez is ez + aux.  A stack
+    (nfields, ..., nx, ny) of states gives a stack (..., npts) of boundary
+    vectors.
     """
-    values = state.flat.take(walls.gather, axis=-1)
+    values = state.flat.take(state.places(walls.gather))
     if len(walls.gather) == 3:
         values[..., 0, :] += values[..., 2, :]
         values = values[..., :2, :]
@@ -232,12 +233,12 @@ def sat_y_field(r: np.ndarray, walls: WallTerms, rates: FieldState):
 
     This is the weak y-wall treatment extended into the auxiliary equation.
     It is added as (theta alpha_y r) / (-P), which has the bits of
-    subtracting (theta alpha_y r) / P.
+    subtracting (theta alpha_y r) / P, in one ``FieldState.add_at``.
     """
     flat, points, weight, minus_p = walls.theta_term
     increments = weight * r.take(points, axis=-1)
     increments /= minus_p
-    np.add.at(rates.flat, (..., flat), increments)
+    rates.add_at(flat, increments)
 
 
 def sat_contributions(r: np.ndarray, walls: WallTerms, rates: FieldState):
@@ -245,16 +246,16 @@ def sat_contributions(r: np.ndarray, walls: WallTerms, rates: FieldState):
 
     ``rates`` is the C-contiguous state of the rates (Ez, Hy, Hx, ...), one
     or a stack, scattered into through its flat view, and ``r`` the
-    residuals of ``wall_residuals``.  One ``np.add.at`` scatters the
-    increments of both directions, x then y: it adds repeated indices in
-    order, so a corner sums in that order.  For a stack of states
-    ``r`` and the increments are stacks (..., n) too, and the index
-    ``(..., place)`` reaches its place in every state.
+    residuals of ``wall_residuals``.  One 1-D ``np.add.at``
+    (``FieldState.add_at``) scatters the increments of both directions,
+    x then y: it adds a state's repeated indices in order, so a corner
+    sums in that order.  For a stack of states ``r`` and the increments
+    are stacks (..., n) too.
     """
     flat, places, weights = walls.sat
     increments = (r / walls.p_normal).take(places, axis=-1)
     increments *= weights
-    np.add.at(rates.flat, (..., flat), increments)
+    rates.add_at(flat, increments)
 
 
 def boundary_dissipation(state: FieldState, walls: WallTerms) -> float:
@@ -273,8 +274,11 @@ def boundary_dissipation(state: FieldState, walls: WallTerms) -> float:
     the tangential magnetic field, with the wall's sign in ``WALL_SIGNS``,
     which is what is evaluated, as three dot products on the gathered wall
     values with ``WallTerms.bt``: the e m terms of the SBP and SAT parts
-    cancel in the coefficient b, not in rounded wall values.
+    cancel in the coefficient b, not in rounded wall values.  It takes one
+    state, not a stack.
     """
+    if state.data.ndim != 3:
+        raise ValueError(f"boundary_dissipation takes one state, got a stack of shape {state.data.shape}")
     e, m, *aux = state.data.take(walls.gather)
     if aux:
         e += aux[0]

@@ -34,9 +34,9 @@ CSV_HEADER = "t,ez_norm,hy_norm,hx_norm,aux_norm,energy"
 # 200 MB in float64.
 MAX_DENSE_UNKNOWNS = 5000
 
-# Unit states per evaluate_rhs call of the dense assembly.  The stack
-# (ASSEMBLY_CHUNK, nfields, nx, ny) bounds the assembly's memory beside the
-# matrix itself.
+# Unit states per evaluate_rhs call of the dense assembly.  The stacks
+# (nfields, ASSEMBLY_CHUNK, nx, ny) of unit states and of their rates bound
+# the assembly's memory beside the matrix itself.
 ASSEMBLY_CHUNK = 64
 
 
@@ -85,8 +85,11 @@ def modal_bt_integrand(rhs_ez: np.ndarray, walls: WallTerms) -> float:
 
     Equals 2 * (dEz/dt)^T ((E_R+E_L) kron Py + Px kron (E_R+E_L)) (dEz/dt):
     the squares of dEz/dt on the boundary vector, gathered in one take,
-    against P of the axis along each wall.
+    against P of the axis along each wall.  It takes one state's (nx, ny)
+    rate, not a stack's.
     """
+    if rhs_ez.ndim != 2:
+        raise ValueError(f"modal_bt_integrand takes one state's (nx, ny) rate, got shape {rhs_ez.shape}")
     rate = rhs_ez.take(walls.gather[0])
     rate *= rate
     return 2.0 * float(rate @ walls.p_tangent)
@@ -173,9 +176,10 @@ def assemble_system_matrix(system: SemiDiscrete, dtype=np.float64) -> np.ndarray
     coefficients but not their data, so column j is L e_j and not
     L e_j + RHS(0).  Column j is the RHS of the j-th unit state, written
     as row j of the transpose, which is contiguous: one ``evaluate_rhs``
-    call takes a stack of ``ASSEMBLY_CHUNK`` unit states and writes their
-    rates straight into that many rows.  Each state of a stack gets the
-    bits of its own rate, so the matrix does not depend on the chunk.
+    call takes a fields-first stack of ``ASSEMBLY_CHUNK`` unit states, and
+    their rates are copied into that many rows.  The unit and rate buffers
+    are made once per call.  Each state of a stack gets the bits of its own
+    rate, so the matrix does not depend on the chunk.
     Systems of more than ``MAX_DENSE_UNKNOWNS`` unknowns are refused.
     """
     system = system.data_free()
@@ -185,19 +189,27 @@ def assemble_system_matrix(system: SemiDiscrete, dtype=np.float64) -> np.ndarray
     if m > MAX_DENSE_UNKNOWNS:
         raise ValueError(f"{m} unknowns exceed the dense-assembly guard of {MAX_DENSE_UNKNOWNS}")
 
-    # evaluate_rhs overwrites every entry of its output, so the rows start
-    # uninitialized.  The chunk from column `start` is the unit states
-    # e_start, ..., e_(start+n-1): their ones lie on the diagonal of the
-    # (n, n) block of `units` that starts at that column.
+    # The chunk from column `start` is the fields-first stack (nfields, n,
+    # nx, ny) of e_start, ..., e_(start+n-1) on the first n m entries of
+    # `units`: state b has its one at flat index start + b = f P + p, so at
+    # f n P + b P + p.  Its rates are copied into rows start, ..., start +
+    # n - 1 of `at`.  evaluate_rhs overwrites every entry of its output, so
+    # `rates` and `at` start uninitialized.
+    plane = shape[1] * shape[2]
+    chunk = min(ASSEMBLY_CHUNK, m)
     at = np.empty((m, m), dtype)
-    units = np.zeros((min(ASSEMBLY_CHUNK, m), m), dtype)
-    for start in range(0, m, ASSEMBLY_CHUNK):
-        n = min(ASSEMBLY_CHUNK, m - start)
-        ones = units[:n, start : start + n]
-        np.fill_diagonal(ones, 1)
-        stack = FieldState(model, units[:n].reshape((n,) + shape))
-        evaluate_rhs(system, stack, 0.0, FieldState(model, at[start : start + n].reshape((n,) + shape)))
-        np.fill_diagonal(ones, 0)
+    units, rates = np.zeros(chunk * m, dtype), np.empty(chunk * m, dtype)
+    for start in range(0, m, chunk):
+        n = min(chunk, m - start)
+        stack = (shape[0], n) + shape[1:]
+        b = np.arange(n)
+        f, p = np.divmod(start + b, plane)
+        ones = f * (n * plane) + b * plane + p
+        units[ones] = 1
+        rate = rates[: n * m].reshape(stack)
+        evaluate_rhs(system, FieldState(model, units[: n * m].reshape(stack)), 0.0, FieldState(model, rate))
+        units[ones] = 0
+        at[start : start + n].reshape(n, shape[0], plane)[...] = rate.reshape(shape[0], n, plane).swapaxes(0, 1)
     return at.T
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -117,14 +118,15 @@ def nfields(model: str) -> int:
 
 class FieldState:
     """The unknowns of one semi-discrete model: one (nfields, nx, ny) array,
-    or a stack (..., nfields, nx, ny) of such states.
+    or a stack (nfields, ..., nx, ny) of such states, fields first.
 
-    ``data`` holds the fields in the order ez, hy, hx, aux on its axis -3,
-    ``fields`` is its view with that axis moved to the front, made once,
-    which for one state is the array itself, and the properties of those
-    names are views of it.  ``flat`` is the per-state flat view (...,
-    nfields * nx * ny) of a C-contiguous ``data``, also made once, and None
-    for any other; ``evaluate_rhs`` takes C-contiguous states only.
+    ``data`` holds the fields in the order ez, hy, hx, aux on its axis 0,
+    so ``data[k]`` is field k of one state and of a stack alike, one
+    contiguous block per field, and the properties of those names are
+    views of it.  ``flat`` is the 1-D view of a C-contiguous ``data``, made
+    once, and None for any other; ``evaluate_rhs`` takes C-contiguous
+    states only.  ``places`` maps one state's flat indices into ``flat``,
+    and ``add_at`` scatters through that map.
     ``aux`` is the model-specific extra unknown: the auxiliary variable
     driven by sigma * dHx/dy for ModalUnsplit, the recursive ODE variable
     for PhysicallyMotivated, and the second split component of Ez for
@@ -134,26 +136,56 @@ class FieldState:
     """
 
     def __init__(self, model: str, data: np.ndarray):
-        if data.ndim < 3 or data.shape[-3] != nfields(model):
-            raise ValueError(f"a {model} state needs an (..., {nfields(model)}, nx, ny) array, got {data.shape}")
-        self.model, self.data, self.fields = model, data, np.moveaxis(data, -3, 0)
-        self.flat = data.reshape(data.shape[:-3] + (-1,)) if data.flags.c_contiguous else None
+        if data.ndim < 3 or data.shape[0] != nfields(model):
+            raise ValueError(f"a {model} state needs an ({nfields(model)}, ..., nx, ny) array, got {data.shape}")
+        self.model, self.data = model, data
+        self.flat = data.reshape(-1) if data.flags.c_contiguous else None
+
+    def places(self, index: np.ndarray) -> np.ndarray:
+        """The places in ``flat`` of one state's flat indices ``index``, in every state.
+
+        A state's flat index f P + p, with P = nx ny, lies at f B P + b P + p
+        in state b of a stack of B states; the result has the stack's axes
+        then the axes of ``index``.  For one state it is ``index`` itself.
+        """
+        if self.data.ndim == 3:
+            return index
+        batch, plane = self.data.shape[1:-2], self.data.shape[-2] * self.data.shape[-1]
+        count = math.prod(batch)
+        f, p = np.divmod(index, plane)
+        f *= count * plane
+        f += p
+        return f + (np.arange(count) * plane).reshape(batch + (1,) * index.ndim)
+
+    def add_at(self, index: np.ndarray, values: np.ndarray):
+        """Add ``values`` into ``flat`` at one state's flat indices ``index``, in every state.
+
+        ``values`` has the stack's axes then those of ``index``.  One 1-D
+        ``np.add.at``, numpy's fast path, of the ``places`` and the values
+        raveled alike, one state after another, so the repeated indices of
+        a state add in their order in ``index``.  One state's index and
+        values go in as they are, with no view made per call.
+        """
+        if self.data.ndim == 3:
+            np.add.at(self.flat, index, values)
+        else:
+            np.add.at(self.flat, self.places(index).ravel(), values.ravel())
 
     @property
     def ez(self) -> np.ndarray:
-        return self.fields[0]
+        return self.data[0]
 
     @property
     def hy(self) -> np.ndarray:
-        return self.fields[1]
+        return self.data[1]
 
     @property
     def hx(self) -> np.ndarray:
-        return self.fields[2]
+        return self.data[2]
 
     @property
     def aux(self) -> Optional[np.ndarray]:
-        return self.fields[3] if len(self.fields) == 4 else None
+        return self.data[3] if len(self.data) == 4 else None
 
     @property
     def ez_total(self) -> np.ndarray:

@@ -166,13 +166,13 @@ def evaluate_rhs(system: SemiDiscrete, state: FieldState, t: float, out: Optiona
     None), and returned; every entry of ``out.data`` is overwritten.  Both
     arrays must be C-contiguous, as the wall terms gather and scatter
     through their flat views (``FieldState.flat``).
-    ``state`` may be one state or a stack (..., nfields, nx, ny) of states,
-    each of which gets the bits of its own rate: the body runs on the
-    states' fields-first views ``FieldState.fields``, which for one state
-    are the arrays themselves, and every apply, product and scatter acts
-    on each state of a stack as on one state.  The wall residuals (and so
-    any wall data) are evaluated once, on the boundary vector, and shared
-    by the SAT terms, the theta term and the split y-wall penalty.
+    ``state`` may be one state or a stack (nfields, ..., nx, ny) of states,
+    each of which gets the bits of its own rate: ``data[k]`` is field k of
+    every state, one contiguous block, and every apply, product and
+    scatter acts on each state of a stack as on one state.  The wall
+    residuals (and so any wall data) are evaluated once, on the boundary
+    vector, and shared by the SAT terms, the theta term and the split
+    y-wall penalty.
     Derivatives of two fields along one axis are one stacked apply where
     the outputs allow it.  The damping terms are applied on ``prof.rows``
     only, with a rate written later as their scratch, so no full-size
@@ -199,7 +199,7 @@ def evaluate_rhs(system: SemiDiscrete, state: FieldState, t: float, out: Optiona
     # Fields first, for one state or a stack: data[k] is field k, and
     # data_r[k] its damped rows.  Ufuncs take their output positionally,
     # which skips keyword parsing on every call.
-    kind, data, d = spec.kind, state.fields, out.fields
+    kind, data, d = spec.kind, state.data, out.data
     d_ez, d_hy, d_hx = d[0], d[1], d[2]
     rows, sigma = prof.rows, prof.sigma
     residuals = wall_residuals(state, walls, t)

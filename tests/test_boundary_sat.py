@@ -384,3 +384,20 @@ def test_boundary_dissipation_identity(order, kind, r_x, r_y, family, weights, f
     assert abs(de_dt + bt) <= 1e-12 * scale
     if penalties_admissible(bc, p):
         assert bt >= -1e-12
+
+
+@pytest.mark.parametrize("kind", ["Interior", "SplitFieldStable"])
+def test_boundary_dissipation_refuses_a_stack(kind):
+    """``boundary_dissipation`` takes one state's flat indices, so a stack
+    of states, even of one, is refused with its shape named rather than
+    read as entries of several states; one state still gives its BT."""
+    g = Grid2D(0.0, 2.0, 0.0, 1.5, 9, 8)
+    system = SemiDiscrete(ModelSpec(kind), zero_damping(g), BoundaryConfig(), PenaltyParams.universal(), g.operators(4))
+    s = FieldState.zeros(g, system.model)
+    s.data[:] = np.random.default_rng(3).standard_normal(s.data.shape)
+    one = boundary_dissipation(s, system.walls)
+    for batch in (1, 2):
+        stack = FieldState(s.model, np.stack([s.data] * batch, axis=1))
+        with pytest.raises(ValueError, match=r"takes one state, got a stack of shape \(%d, %d" % (len(s.data), batch)):
+            boundary_dissipation(stack, system.walls)
+    assert boundary_dissipation(s, system.walls) == one

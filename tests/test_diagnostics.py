@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
-from sbpml import diagnostics
+from sbpml import diagnostics, sbp_core
 from sbpml.boundary_sat import BoundaryConfig, PenaltyParams
 from sbpml.diagnostics import (
     CSV_HEADER,
@@ -111,6 +111,19 @@ def test_modal_bt_integrand_against_dense():
     m = np.kron(ex_l + ex_r, np.diag(ops.y.p_diag)) + np.kron(np.diag(ops.x.p_diag), ey_l + ey_r)
     flat = rate.reshape(-1)
     assert modal_bt_integrand(rate, walls) == pytest.approx(2.0 * flat @ m @ flat, rel=1e-12)
+
+
+def test_modal_bt_integrand_refuses_a_stack():
+    """``modal_bt_integrand`` takes one state's flat indices, so the dEz/dt
+    of a stack of states, even of one, is refused with its shape named
+    rather than read as entries of several states."""
+    g, ops, prof, bc, p = small_problem()
+    walls = SemiDiscrete(ModelSpec("ModalUnsplit", theta=1.0), prof, bc, p, ops).walls
+    rate = np.random.default_rng(5).standard_normal((g.nx, g.ny))
+    for batch in (1, 3):
+        with pytest.raises(ValueError, match=r"one state's \(nx, ny\) rate, got shape \(%d, " % batch):
+            modal_bt_integrand(np.stack([rate] * batch), walls)
+    assert modal_bt_integrand(rate, walls) > 0.0
 
 
 def test_modal_energy_dense_oracle_and_positivity():
@@ -321,7 +334,7 @@ def test_assembly_calls_rhs_once_per_chunk(monkeypatch):
     original = diagnostics.evaluate_rhs
 
     def counting(system, state, *args, **kw):
-        stacks.append(state.data.shape[0])
+        stacks.append(state.data.shape[1])
         return original(system, state, *args, **kw)
 
     monkeypatch.setattr(diagnostics, "evaluate_rhs", counting)
@@ -375,6 +388,25 @@ def test_chunked_assembly_on_any_unknown_count(nx, ny):
     ops = g.operators(2)
     prof = make_damping_profile(g, 0.5, 1.5, 2.0)
     forced = BoundaryConfig(r_x=0.3, r_y=1.0, g_top=lambda t: np.sin(g.x) + 1.0, g_left=lambda t: np.cos(g.y))
+    for kind, theta, p in SPECTRA_CASES:
+        system = SemiDiscrete(ModelSpec(kind, theta=theta), prof, forced, p, ops)
+        a = assemble_system_matrix(system)
+        assert np.array_equal(a, assemble_by_columns(system)), (kind, theta)
+
+
+@pytest.mark.parametrize("order", [2, 4, 6])
+@pytest.mark.parametrize("nx,ny", [(70, 12), (12, 70)], ids=["multi-block-x", "multi-block-y"])
+def test_chunked_assembly_on_multi_block_grids(nx, ny, order):
+    """On grids with an axis of at least 2 * ``BLOCK_ROWS`` points, where
+    that axis's operator is applied in several blocks to every stack, the
+    chunked assembly of every model kind, with forced walls, equals the
+    column oracle bit for bit."""
+    assert max(nx, ny) >= 2 * sbp_core.BLOCK_ROWS
+    g = Grid2D(-2.0, 2.0, -1.0, 1.0, nx, ny)
+    ops = g.operators(order)
+    prof = make_damping_profile(g, 0.5, 1.5, 2.0)
+    forced = BoundaryConfig(r_x=0.3, r_y=1.0, g_top=lambda t: np.sin(g.x) + 1.0, g_left=lambda t: np.cos(g.y))
+    assert len((ops.x if nx > ny else ops.y).blocks) > 1
     for kind, theta, p in SPECTRA_CASES:
         system = SemiDiscrete(ModelSpec(kind, theta=theta), prof, forced, p, ops)
         a = assemble_system_matrix(system)

@@ -56,8 +56,9 @@ def test_operator_pair_matches_dense_kronecker(order):
 
 
 def test_field_state_invariants():
-    """The constructor takes one (nfields, nx, ny) array, or a stack of
-    them: three fields for Interior, four (with aux) for the other models."""
+    """The constructor takes one (nfields, nx, ny) array, or a fields-first
+    stack (nfields, ..., nx, ny) of them: three fields for Interior, four
+    (with aux) for the other models."""
     g = Grid2D(0.0, 1.0, 0.0, 1.0, 4, 4)
     FieldState.zeros(g, "Interior")
     for model in ("ModalUnsplit", "PhysicallyMotivated", "SplitField"):
@@ -72,26 +73,65 @@ def test_field_state_invariants():
     with pytest.raises(ValueError):
         FieldState("Interior", np.zeros((3, 4)))  # not one array of fields
     with pytest.raises(ValueError):
-        FieldState("Interior", np.zeros((3, 1, 4, 4)))  # a stack whose states are not Interior states
-    # A (1, 3, 4, 4) array is a stack of one Interior state.
-    assert FieldState("Interior", np.zeros((1, 3, 4, 4))).ez.shape == (1, 4, 4)
+        FieldState("Interior", np.zeros((1, 3, 4, 4)))  # a stack whose states are not Interior states
+    # A (3, 1, 4, 4) array is a stack of one Interior state, fields first.
+    assert FieldState("Interior", np.zeros((3, 1, 4, 4))).ez.shape == (1, 4, 4)
 
 
-def test_stacked_state_fields_index_axis_minus_3():
-    """A FieldState may hold a stack (..., nfields, nx, ny) of states; its
-    field properties are views along axis -3."""
-    data = np.arange(2 * 3 * 4 * 5 * 6, dtype=float).reshape(2, 3, 4, 5, 6)
+def test_stacked_state_fields_index_axis_0():
+    """A FieldState may hold a stack (nfields, ..., nx, ny) of states; its
+    field properties are views along axis 0, one contiguous block each."""
+    data = np.arange(4 * 2 * 3 * 5 * 6, dtype=float).reshape(4, 2, 3, 5, 6)
     s = FieldState("SplitField", data)
     for k, name in enumerate(("ez", "hy", "hx", "aux")):
         view = getattr(s, name)
         assert view.shape == (2, 3, 5, 6) and np.shares_memory(view, data)
-        assert np.array_equal(view, data[:, :, k])
-    # The per-state flat view of a C-contiguous array is made once and
-    # writes through; a strided array has none.
-    assert s.flat.shape == (2, 3, 4 * 5 * 6) and np.shares_memory(s.flat, data)
+        assert np.array_equal(view, data[k]) and view.flags.c_contiguous
+    # The flat view of a C-contiguous array is made once and writes
+    # through; a strided array has none.
+    assert s.flat.shape == (4 * 2 * 3 * 5 * 6,) and np.shares_memory(s.flat, data)
     assert FieldState("SplitField", np.moveaxis(data, -1, -2)).flat is None
-    assert np.array_equal(s.ez_total, data[:, :, 0] + data[:, :, 3])
-    assert FieldState("Interior", data[..., :3, :, :]).aux is None
+    assert np.array_equal(s.ez_total, data[0] + data[3])
+    assert FieldState("Interior", data[:3]).aux is None
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    batch=st.lists(st.integers(1, 4), min_size=0, max_size=2).map(tuple),
+    nfields=st.sampled_from([3, 4]),
+    nx=st.integers(3, 6),
+    ny=st.integers(3, 6),
+    picks=st.lists(st.integers(0, 10**6), min_size=0, max_size=12),
+    seed=st.integers(0, 2**31),
+)
+def test_places_map_one_states_indices_into_every_state(batch, nfields, nx, ny, picks, seed):
+    """``FieldState.places`` maps flat indices of one state, repeats
+    included, into the flat view of a stack with 0, 1 or 2 batch axes:
+    reading through it gives each state's own entries, and
+    ``FieldState.add_at``, one ``np.add.at`` through it, touches exactly
+    the entries that the per-state index touches in each state on its own,
+    adding repeats in order.  For one state the map is the index itself."""
+    model = "Interior" if nfields == 3 else "ModalUnsplit"
+    size = nfields * nx * ny
+    index = np.array([k % size for k in picks], dtype=np.intp)
+    rng = np.random.default_rng(seed)
+    data = rng.standard_normal((nfields,) + batch + (nx, ny))
+    s = FieldState(model, data)
+    places = s.places(index)
+    assert places.shape == batch + index.shape
+    if not batch:
+        assert places is index
+    values = rng.standard_normal(batch + index.shape)
+    want = data.copy()
+    scattered = FieldState(model, data.copy())
+    scattered.add_at(index, values)
+    for b in np.ndindex(batch):
+        one = np.ascontiguousarray(data[(slice(None),) + b])
+        assert np.array_equal(s.flat[places[b]], one.reshape(-1)[index])
+        state = want[(slice(None),) + b].reshape(-1)
+        np.add.at(state, index, values[b])
+        want[(slice(None),) + b] = state.reshape(one.shape)
+    assert np.array_equal(scattered.data, want)
 
 
 def test_ez_total_sums_split_components():

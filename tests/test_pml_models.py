@@ -436,11 +436,11 @@ def test_rhs_output_of_another_dtype_or_stack_rejected():
     system = SemiDiscrete(ModelSpec("ModalUnsplit", theta=1.0), prof, bc, p, ops)
     s = random_state(g, "ModalUnsplit", np.random.default_rng(4))
     z = FieldState(s.model, s.data + 1j * s.data)
-    stack = FieldState(s.model, np.stack([s.data] * 3))
+    stack = FieldState(s.model, np.stack([s.data] * 3, axis=1))
     for state, out in (
         (z, np.full(s.data.shape, np.nan)),
         (s, np.full(s.data.shape, np.nan, dtype=np.float32)),
-        (stack, np.full((2,) + s.data.shape, np.nan)),
+        (stack, np.full((len(s.data), 2) + s.data.shape[1:], np.nan)),
     ):
         with pytest.raises(ValueError) as err:
             evaluate_rhs(system, state, 0.0, FieldState(s.model, out))
@@ -462,7 +462,7 @@ def test_rhs_output_of_another_dtype_or_stack_rejected():
 def test_stacked_states_get_the_bits_of_their_own_rates(batch, layer, order, theta, penalties, t, seed):
     """A stack of B states gives each state the bits of its own RHS, for
     every model kind and layer geometry, with wall data at t != 0, into a
-    C-contiguous output.  A strided output (the batch axis last in memory)
+    C-contiguous output.  A strided output (the fields axis last in memory)
     is rejected and left as it was."""
     x_min, x_max, x0, delta, d0 = LAYERS[layer]
     g = Grid2D(x_min, x_max, -1.0, 1.0, *{2: (8, 7), 4: (10, 8), 6: (13, 12)}[order])
@@ -474,7 +474,7 @@ def test_stacked_states_get_the_bits_of_their_own_rates(batch, layer, order, the
     rng = np.random.default_rng(seed)
     for kind in MODEL_KINDS:
         system = SemiDiscrete(ModelSpec(kind, theta=theta), prof, bc, p, ops)
-        states = np.stack([random_state(g, system.model, rng).data for _ in range(batch)])
+        states = np.stack([random_state(g, system.model, rng).data for _ in range(batch)], axis=1)
         stack = FieldState(system.model, states)
         contiguous = evaluate_rhs(system, stack, t).data
         assert contiguous.flags.c_contiguous
@@ -484,8 +484,8 @@ def test_stacked_states_get_the_bits_of_their_own_rates(batch, layer, order, the
             evaluate_rhs(system, stack, t, strided)
         assert np.all(np.isnan(strided.data))
         for b in range(batch):
-            one = FieldState(system.model, states[b])
-            assert np.array_equal(contiguous[b], evaluate_rhs(system, one, t).data)
+            one = FieldState(system.model, np.ascontiguousarray(states[:, b]))
+            assert np.array_equal(contiguous[:, b], evaluate_rhs(system, one, t).data)
 
 
 @pytest.mark.parametrize("kind", MODEL_KINDS)
