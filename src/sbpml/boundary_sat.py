@@ -29,6 +29,7 @@ magnetic field, is nonnegative for every wall state; see
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -143,9 +144,8 @@ class WallTerms:
     scatter of the modal theta term into the aux rates at the y-wall points
     of ``rows``: those points' flat indices and places, the weight
     theta * alpha_y and -P across the wall.  The indices of a gather or a
-    scatter are flat indices into one state, which ``FieldState.places``
-    maps to their places in every state of a stack.  ``data`` holds each
-    wall's segment and data.
+    scatter are flat indices into one state; ``on`` maps them into a stack.
+    ``data`` holds each wall's segment and data.
     """
 
     ops: OperatorPair
@@ -206,19 +206,31 @@ class WallTerms:
         ):
             object.__setattr__(self, name, value)
 
+    def on(self, state: FieldState) -> "WallTerms":
+        """These wall terms for ``state``: themselves for one state, and for
+        a stack a copy whose gather and scatter indices are their places in
+        every state (``FieldState.places``), those of a scatter raveled one
+        state after another.  ``evaluate_rhs`` makes this once per plan."""
+        if state.data.ndim == 3:
+            return self
+        placed, (flat, *sat), (index, *theta) = copy.copy(self), self.sat, self.theta_term
+        object.__setattr__(placed, "gather", state.places(self.gather))
+        object.__setattr__(placed, "sat", (state.places(flat).ravel(), *sat))
+        object.__setattr__(placed, "theta_term", (state.places(index).ravel(), *theta))
+        return placed
+
 
 def wall_residuals(state: FieldState, walls: WallTerms, t: float) -> np.ndarray:
     """Boundary-condition residuals on the boundary vector of a state,
     each wall's data at t subtracted on its segment.
 
     Ez and the tangential H come in one gather from the flat view of a
-    C-contiguous state, through ``FieldState.places``; a split state's
-    gather holds aux as a third row, and its Ez is ez + aux.  A stack
-    (nfields, ..., nx, ny) of states gives a stack (..., npts) of boundary
-    vectors.
+    C-contiguous state; a split state's gather holds aux as a third row,
+    and its Ez is ez + aux.  A stack (nfields, ..., nx, ny) of states, with
+    the walls ``on`` it, gives a stack (..., npts) of boundary vectors.
     """
-    values = state.flat.take(state.places(walls.gather))
-    if len(walls.gather) == 3:
+    values = state.flat.take(walls.gather)
+    if values.shape[-2] == 3:
         values[..., 0, :] += values[..., 2, :]
         values = values[..., :2, :]
     values *= walls.residual
@@ -233,29 +245,29 @@ def sat_y_field(r: np.ndarray, walls: WallTerms, rates: FieldState):
 
     This is the weak y-wall treatment extended into the auxiliary equation.
     It is added as (theta alpha_y r) / (-P), which has the bits of
-    subtracting (theta alpha_y r) / P, in one ``FieldState.add_at``.
+    subtracting (theta alpha_y r) / P, in one 1-D ``np.add.at``.
     """
     flat, points, weight, minus_p = walls.theta_term
     increments = weight * r.take(points, axis=-1)
     increments /= minus_p
-    rates.add_at(flat, increments)
+    np.add.at(rates.flat, flat, increments.reshape(-1))
 
 
 def sat_contributions(r: np.ndarray, walls: WallTerms, rates: FieldState):
     """Add the penalty terms of the Ez, Hy and Hx equations into ``rates``.
 
     ``rates`` is the C-contiguous state of the rates (Ez, Hy, Hx, ...), one
-    or a stack, scattered into through its flat view, and ``r`` the
-    residuals of ``wall_residuals``.  One 1-D ``np.add.at``
-    (``FieldState.add_at``) scatters the increments of both directions,
-    x then y: it adds a state's repeated indices in order, so a corner
-    sums in that order.  For a stack of states ``r`` and the increments
-    are stacks (..., n) too.
+    or a stack with the walls ``on`` it, scattered into through its flat
+    view, and ``r`` the residuals of ``wall_residuals``.  One 1-D
+    ``np.add.at``, numpy's fast path, scatters the increments of both
+    directions, x then y: it adds a state's repeated indices in order, so a
+    corner sums in that order.  For a stack of states ``r`` and the
+    increments are stacks (..., n) too, raveled one state after another.
     """
     flat, places, weights = walls.sat
     increments = (r / walls.p_normal).take(places, axis=-1)
     increments *= weights
-    rates.add_at(flat, increments)
+    np.add.at(rates.flat, flat, increments.reshape(-1))
 
 
 def boundary_dissipation(state: FieldState, walls: WallTerms) -> float:

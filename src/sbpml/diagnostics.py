@@ -194,22 +194,25 @@ def assemble_system_matrix(system: SemiDiscrete, dtype=np.float64) -> np.ndarray
     # `units`: state b has its one at flat index start + b = f P + p, so at
     # f n P + b P + p.  Its rates are copied into rows start, ..., start +
     # n - 1 of `at`.  evaluate_rhs overwrites every entry of its output, so
-    # `rates` and `at` start uninitialized.
+    # `rates` and `at` start uninitialized.  One state pair per chunk size
+    # wraps the buffers, so the RHS plan kept on the rates is made once.
     plane = shape[1] * shape[2]
     chunk = min(ASSEMBLY_CHUNK, m)
     at = np.empty((m, m), dtype)
     units, rates = np.zeros(chunk * m, dtype), np.empty(chunk * m, dtype)
+    unit = None
     for start in range(0, m, chunk):
         n = min(chunk, m - start)
-        stack = (shape[0], n) + shape[1:]
+        if unit is None or unit.data.shape[1] != n:
+            stack = (shape[0], n) + shape[1:]
+            unit, rate = (FieldState(model, buffer[: n * m].reshape(stack)) for buffer in (units, rates))
         b = np.arange(n)
         f, p = np.divmod(start + b, plane)
         ones = f * (n * plane) + b * plane + p
         units[ones] = 1
-        rate = rates[: n * m].reshape(stack)
-        evaluate_rhs(system, FieldState(model, units[: n * m].reshape(stack)), 0.0, FieldState(model, rate))
+        evaluate_rhs(system, unit, 0.0, rate)
         units[ones] = 0
-        at[start : start + n].reshape(n, shape[0], plane)[...] = rate.reshape(shape[0], n, plane).swapaxes(0, 1)
+        at[start : start + n].reshape(n, shape[0], plane)[...] = rate.data.reshape(shape[0], n, plane).swapaxes(0, 1)
     return at.T
 
 

@@ -69,44 +69,41 @@ class OperatorPair:
 
     def dx(self, u: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
         """Apply (Dx kron Iy) to an (nx, ny) field, or to each field of a
-        stack (..., nx, ny), into ``out`` if given.
-
-        The blocked apply that ``dy`` makes, on the fields and outputs
-        with their last two axes swapped.
-        """
+        stack (..., nx, ny), into ``out`` if given: the ``calls`` of axis 0."""
         out = np.empty_like(u) if out is None else out
-        _blocked_apply(u.swapaxes(-1, -2), self.x.blocks, out.swapaxes(-1, -2))
+        for f, args in self.calls(0, u, out):
+            f(*args)
         return out
 
     def dy(self, u: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
         """Apply (Ix kron Dy) to an (nx, ny) field, or to each field of a
-        stack (..., nx, ny), into ``out`` if given.
+        stack (..., nx, ny), into ``out`` if given: the ``calls`` of axis 1."""
+        out = np.empty_like(u) if out is None else out
+        for f, args in self.calls(1, u, out):
+            f(*args)
+        return out
+
+    def calls(self, axis: int, u: np.ndarray, out: np.ndarray) -> list:
+        """The (function, args) pairs, every view made, that apply D of
+        ``axis`` (0 for Dx, 1 for Dy) to ``u`` into ``out`` when called.
 
         One product out[..., rows] = u[..., cols] @ D[rows, cols].T per
-        block of Dy's rows (``SbpOperator1D.blocks``), with only the
-        columns where the block is nonzero: O(nx ny) work where the dense
-        product is O(nx ny^2), and that dense product on axes of fewer than
-        2 * ``BLOCK_ROWS`` points, where the one block is applied to the
-        whole field without slicing it.  numpy's matmul computes each field
-        of a stack as its own product, so a stacked apply gives each field
-        the bits of its own apply.
+        block of D's rows (``SbpOperator1D.blocks``), only on the block's
+        nonzero columns: O(nx ny) work, and the dense product on axes under
+        2 * ``BLOCK_ROWS`` points, one block on the whole field.  Dx swaps
+        the last two axes of the fields and outputs.  numpy's matmul gives
+        each field of a stack the bits of its own product.
         """
-        out = np.empty_like(u) if out is None else out
-        _blocked_apply(u, self.y.blocks, out)
-        return out
+        blocks = (self.x if axis == 0 else self.y).blocks
+        if axis == 0:
+            u, out = u.swapaxes(-1, -2), out.swapaxes(-1, -2)
+        if len(blocks) == 1:
+            return [(np.matmul, (u, blocks[0][2], out))]
+        return [(np.matmul, (u[..., cols], block_t, out[..., rows])) for rows, cols, block_t in blocks]
 
     def inner(self, u: np.ndarray, v: np.ndarray) -> float:
         """The (Px kron Py)-weighted inner product on (nx, ny) fields."""
         return float(np.sum(self.weight * u * v))
-
-
-def _blocked_apply(u: np.ndarray, blocks: tuple, out: np.ndarray):
-    """out[..., rows] = u[..., cols] @ block_t for each block of an operator's rows."""
-    if len(blocks) == 1:
-        np.matmul(u, blocks[0][2], out)
-    else:
-        for rows, cols, block_t in blocks:
-            np.matmul(u[..., cols], block_t, out[..., rows])
 
 
 def nfields(model: str) -> int:
@@ -125,8 +122,8 @@ class FieldState:
     contiguous block per field, and the properties of those names are
     views of it.  ``flat`` is the 1-D view of a C-contiguous ``data``, made
     once, and None for any other; ``evaluate_rhs`` takes C-contiguous
-    states only.  ``places`` maps one state's flat indices into ``flat``,
-    and ``add_at`` scatters through that map.
+    states only, and keeps in ``plan`` the plan of its last call into this
+    state.  ``places`` maps one state's flat indices into ``flat``.
     ``aux`` is the model-specific extra unknown: the auxiliary variable
     driven by sigma * dHx/dy for ModalUnsplit, the recursive ODE variable
     for PhysicallyMotivated, and the second split component of Ez for
@@ -140,6 +137,7 @@ class FieldState:
             raise ValueError(f"a {model} state needs an ({nfields(model)}, ..., nx, ny) array, got {data.shape}")
         self.model, self.data = model, data
         self.flat = data.reshape(-1) if data.flags.c_contiguous else None
+        self.plan = None
 
     def places(self, index: np.ndarray) -> np.ndarray:
         """The places in ``flat`` of one state's flat indices ``index``, in every state.
@@ -156,20 +154,6 @@ class FieldState:
         f *= count * plane
         f += p
         return f + (np.arange(count) * plane).reshape(batch + (1,) * index.ndim)
-
-    def add_at(self, index: np.ndarray, values: np.ndarray):
-        """Add ``values`` into ``flat`` at one state's flat indices ``index``, in every state.
-
-        ``values`` has the stack's axes then those of ``index``.  One 1-D
-        ``np.add.at``, numpy's fast path, of the ``places`` and the values
-        raveled alike, one state after another, so the repeated indices of
-        a state add in their order in ``index``.  One state's index and
-        values go in as they are, with no view made per call.
-        """
-        if self.data.ndim == 3:
-            np.add.at(self.flat, index, values)
-        else:
-            np.add.at(self.flat, self.places(index).ravel(), values.ravel())
 
     @property
     def ez(self) -> np.ndarray:

@@ -165,12 +165,14 @@ def _newton_refine(f, z0: complex) -> complex:
 def scan_unstable_roots(f, region: ComplexParamRegion):
     """Search for zeros of f in the right-half-plane rectangle.
 
-    Strategy: evaluate |f| on an n_re-by-n_im grid; local minima (the 50
-    smallest, plus anything below ``CANDIDATE_THRESHOLD``) get an
+    Strategy: evaluate |f| on an n_re-by-n_im grid; local minima (the 3
+    smallest, those of the 50 smallest under max(``CANDIDATE_THRESHOLD``,
+    0.25 median |f|), and any under ``CANDIDATE_THRESHOLD``) get an
     argument-principle winding count on the surrounding cell and Newton
-    refinement; only refined points with |f| < ``ROOT_TOLERANCE`` inside
-    the region are returned, sorted and deduplicated, as Python complex
-    numbers.  An empty list means no unstable mode was found.
+    refinement.  A refined point with Re >= 0 in the region, widened by a
+    grid step, is returned, sorted and deduplicated as a Python complex, if
+    |f| < ``ROOT_TOLERANCE`` there or its cell's winding count is positive.
+    An empty list means no unstable mode was found.
 
     ``f`` must work elementwise on complex arrays: the grid is evaluated in
     one call, and so is each winding contour.  Newton refinement calls it on

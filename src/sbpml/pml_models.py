@@ -161,33 +161,48 @@ class SemiDiscrete:
 def evaluate_rhs(system: SemiDiscrete, state: FieldState, t: float, out: Optional[FieldState] = None) -> FieldState:
     """Time derivative of the state under the system's semi-discrete model.
 
-    The derivative is written into ``out``, a state of the same model,
-    shape and dtype that shares no memory with ``state`` (a new state if
-    None), and returned; every entry of ``out.data`` is overwritten.  Both
-    arrays must be C-contiguous, as the wall terms gather and scatter
-    through their flat views (``FieldState.flat``).
-    ``state`` may be one state or a stack (nfields, ..., nx, ny) of states,
-    each of which gets the bits of its own rate: ``data[k]`` is field k of
-    every state, one contiguous block, and every apply, product and
-    scatter acts on each state of a stack as on one state.  The wall
-    residuals (and so any wall data) are evaluated once, on the boundary
-    vector, and shared by the SAT terms, the theta term and the split
-    y-wall penalty.
-    Derivatives of two fields along one axis are one stacked apply where
-    the outputs allow it.  The damping terms are applied on ``prof.rows``
-    only, with a rate written later as their scratch, so no full-size
-    temporary is made; an auxiliary rate that carries sigma is exactly
-    zero outside those rows.
+    The derivative is written into ``out`` (a new state if None) and
+    returned; every entry of ``out.data`` is overwritten.  The work is the
+    ``rhs_plan`` of (system, state, out), which ``out.plan`` keeps with the
+    system and the two arrays it was made for: a call that repeats that
+    triple, as every RK4 stage and assembly chunk does, runs only the
+    plan's numpy calls, and any other triple makes a new plan.
     """
-    spec, prof, ops, walls = system.spec, system.prof, system.ops, system.walls
+    if out is None:
+        out = FieldState(state.model, np.empty_like(state.data))
+        rhs_plan(system, state, out)(t)
+        return out
+    plan = out.plan
+    if plan is None or plan[0] is not system or plan[1] is not state.data or plan[2] is not out.data:
+        plan = out.plan = (system, state.data, out.data, rhs_plan(system, state, out))
+    plan[3](t)
+    return out
+
+
+def rhs_plan(system: SemiDiscrete, state: FieldState, out: FieldState):
+    """The RHS of ``system`` from ``state``'s array into ``out``'s, as a function of t.
+
+    ``out`` must match the state's model, shape and dtype and share no
+    memory with it, and both must be C-contiguous for the walls' flat
+    gathers and scatters.  That is checked here, once, where every view,
+    operator product (``OperatorPair.calls``) and the walls ``on`` a stack
+    are made, so a call runs only its model kind's numpy calls.  The plan
+    holds the arrays and fresh wrappers of them, never ``state`` or
+    ``out``, so a plan kept on ``out`` makes no reference cycle.  ``state``
+    may be one state or a fields-first stack (nfields, ..., nx, ny), each
+    state with the bits of its own rate.  The wall residuals (and data) are
+    evaluated once per call and shared by every wall term, through this
+    module's names, looked up when called.  The damping terms act on
+    ``prof.rows`` only, with a rate written later as their scratch, so an
+    auxiliary rate that carries sigma is exactly zero outside those rows.
+    """
+    spec, prof, ops = system.spec, system.prof, system.ops
     if state.model != system.model:
         raise ValueError(f"state model {state.model!r} does not match spec kind {spec.kind!r}")
     shape = (ops.x.n, ops.y.n)
     if state.data.shape[-2:] != shape:
         raise ValueError(f"state shape {state.data.shape[-2:]} does not match operators {shape}")
-    if out is None:
-        out = FieldState(state.model, np.empty_like(state.data))
-    elif out.model != state.model or out.data.shape != state.data.shape or out.data.dtype != state.data.dtype:
+    if out.model != state.model or out.data.shape != state.data.shape or out.data.dtype != state.data.dtype:
         raise ValueError(
             f"output {out.model} {out.data.shape} {out.data.dtype} does not match "
             f"state {state.model} {state.data.shape} {state.data.dtype}"
@@ -196,78 +211,66 @@ def evaluate_rhs(system: SemiDiscrete, state: FieldState, t: float, out: Optiona
         named = "state" if state.flat is None else "output"
         raise ValueError(f"the {named} array is not C-contiguous")
 
-    # Fields first, for one state or a stack: data[k] is field k, and
-    # data_r[k] its damped rows.  Ufuncs take their output positionally,
-    # which skips keyword parsing on every call.
+    # data[k] is field k of one state or a stack, data_r[k] its damped rows.
     kind, data, d = spec.kind, state.data, out.data
-    d_ez, d_hy, d_hx = d[0], d[1], d[2]
+    source, rates = FieldState(state.model, data), FieldState(out.model, d)
+    walls = system.walls.on(source)
     rows, sigma = prof.rows, prof.sigma
-    residuals = wall_residuals(state, walls, t)
-
+    data_r, d_r = data[:, ..., rows, :], d[:, ..., rows, :]
+    add, subtract, multiply, negative = np.add, np.subtract, np.multiply, np.negative
     if kind in ("SplitFieldNaive", "SplitFieldStable"):
         # The total Ez lives in d_aux until Dy Hx is written there.
         # d_hy = -(Dx Ez + sigma Hy), d_hx = Dy Ez, d_ez_x = -(Dx Hy + sigma
         # Ez_x), d_ez_y = Dy Hx; each sigma term formed in a later rate.
-        data_r, d_r = data[:, ..., rows, :], d[:, ..., rows, :]
-        ez_tot = np.add(data[0], data[3], d[3])
-        ops.dx(ez_tot, out=d_hy)
-        v = d_r[1]
-        np.add(v, np.multiply(sigma, data_r[1], d_r[0]), v)
-        np.negative(d_hy, d_hy)
-        ops.dy(ez_tot, out=d_hx)
-        ops.dx(data[1], out=d_ez)
-        v = d_r[0]
-        np.add(v, np.multiply(sigma, data_r[0], d_r[3]), v)
-        np.negative(d_ez, d_ez)
-        ops.dy(data[2], out=d[3])
+        calls = [(add, (data[0], data[3], d[3])), *ops.calls(0, d[3], d[1]),
+                 (multiply, (sigma, data_r[1], d_r[0])), (add, (d_r[1], d_r[0], d_r[1])), (negative, (d[1], d[1])),
+                 *ops.calls(1, d[3], d[2]), *ops.calls(0, data[1], d[0]),
+                 (multiply, (sigma, data_r[0], d_r[3])), (add, (d_r[0], d_r[3], d_r[0])), (negative, (d[0], d[0])),
+                 *ops.calls(1, data[2], d[3])]
     else:
         # d_ez = Dy Hx - Dx Hy (+ aux) (- sigma Ez), d_hy = -(Dx Ez + sigma
         # Hy), with no sigma in Interior, and d_hx = Dy Ez.  Dx Hy and Dx Ez
-        # are one stacked apply into d_ez and d_hy.
-        ops.dx(data[1::-1], out=d[0:2])
-        if kind == "PhysicallyMotivated":
-            # Dy Ez and Dy Hx are one stacked apply into d_hx and d_aux.
-            dy_hx = ops.dy(data[0:3:2], out=d[2:4])[1]
-        else:
-            # ModalUnsplit keeps Dy Hx in d_aux as the start of its
-            # auxiliary bracket.
-            dy_hx = ops.dy(data[2], out=d[3] if kind == "ModalUnsplit" else d_hx)
-        np.subtract(dy_hx, d_ez, d_ez)
+        # are one stacked apply, as are PhysicallyMotivated's Dy Ez and Dy
+        # Hx; ModalUnsplit keeps Dy Hx in d_aux to start its aux bracket.
+        dy_hx = d[2] if kind == "Interior" else d[3]
+        calls = ops.calls(0, data[1::-1], d[0:2])
+        calls += ops.calls(1, data[0:3:2], d[2:4]) if kind == "PhysicallyMotivated" else ops.calls(1, data[2], dy_hx)
+        calls.append((subtract, (dy_hx, d[0], d[0])))
         if kind == "ModalUnsplit":
-            np.add(d_ez, data[3], d_ez)
+            calls.append((add, (d[0], data[3], d[0])))
         if kind != "Interior":
             # The sigma terms are formed in a rate written after them: d_hx
             # before Dy Ez, or PhysicallyMotivated's d_aux once Dy Hx is used.
-            data_r, d_r = data[:, ..., rows, :], d[:, ..., rows, :]
             scratch = d_r[3] if kind == "PhysicallyMotivated" else d_r[2]
-            v = d_r[0]
-            np.subtract(v, np.multiply(sigma, data_r[0], scratch), v)
-            v = d_r[1]
-            np.add(v, np.multiply(sigma, data_r[1], scratch), v)
-        np.negative(d_hy, d_hy)
+            calls += [(multiply, (sigma, data_r[0], scratch)), (subtract, (d_r[0], scratch, d_r[0])),
+                      (multiply, (sigma, data_r[1], scratch)), (add, (d_r[1], scratch, d_r[1]))]
+        calls.append((negative, (d[1], d[1])))
         if kind == "PhysicallyMotivated":
             # The relaxation sigma (Hx - P) drives P and forces Hx.
-            relax = np.subtract(data_r[2], data_r[3], scratch)
-            relax *= sigma
-            v = d_r[2]
-            np.add(v, relax, v)
+            calls += [(subtract, (data_r[2], data_r[3], scratch)), (multiply, (scratch, sigma, scratch)),
+                      (add, (d_r[2], scratch, d_r[2]))]
         else:
-            ops.dy(data[0], out=d_hx)
+            calls += ops.calls(1, data[0], d[2])
 
-    sat_contributions(residuals, walls, out)
-
-    if kind == "ModalUnsplit":
-        # Auxiliary update with the weak y-wall treatment extended into it,
-        # skipped at theta = 0, where its zero increments could turn a -0.0
-        # rate into +0.0.
-        if spec.theta != 0.0:
-            sat_y_field(residuals, walls, out)
-        v = d_r[3]
-        np.multiply(v, sigma, v)
+    # ModalUnsplit's auxiliary update with the weak y-wall treatment
+    # extended into it, skipped at theta = 0, where its zero increments
+    # could turn a -0.0 rate into +0.0.
+    theta_term = kind == "ModalUnsplit" and spec.theta != 0.0
+    tail = [(multiply, (d_r[3], sigma, d_r[3]))] if kind == "ModalUnsplit" else []
     if kind in ("ModalUnsplit", "PhysicallyMotivated"):
         if rows.start:
-            d[3, ..., : rows.start, :] = 0.0
+            tail.append((np.ndarray.fill, (d[3, ..., : rows.start, :], 0.0)))
         if rows.stop < shape[0]:
-            d[3, ..., rows.stop :, :] = 0.0
+            tail.append((np.ndarray.fill, (d[3, ..., rows.stop :, :], 0.0)))
 
-    return out
+    def rhs(t):
+        residuals = wall_residuals(source, walls, t)
+        for f, args in calls:
+            f(*args)
+        sat_contributions(residuals, walls, rates)
+        if theta_term:
+            sat_y_field(residuals, walls, rates)
+        for f, args in tail:
+            f(*args)
+
+    return rhs

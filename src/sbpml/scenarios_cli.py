@@ -250,17 +250,17 @@ def rk4_step(rhs, u: np.ndarray, t: float, dt: float, k1: np.ndarray, q1: float,
     weights as the fields'.  Exactly linear in u when rhs is linear.
     """
     k2, k3, k4, v = work
-    np.multiply(k1, 0.5 * dt, out=v)
+    np.multiply(k1, 0.5 * dt, v)
     v += u
     q2 = rhs(v, t + 0.5 * dt, k2)
-    np.multiply(k2, 0.5 * dt, out=v)
+    np.multiply(k2, 0.5 * dt, v)
     v += u
     q3 = rhs(v, t + 0.5 * dt, k3)
-    np.multiply(k3, dt, out=v)
+    np.multiply(k3, dt, v)
     v += u
     q4 = rhs(v, t + dt, k4)
     # u += dt/6 (k1 + 2 k2 + 2 k3 + k4), summed left to right.
-    np.multiply(k2, 2.0, out=v)
+    np.multiply(k2, 2.0, v)
     v += k1
     k3 *= 2.0
     v += k3
@@ -284,14 +284,15 @@ def march(system: SemiDiscrete, u: FieldState, dt: float, n_steps: int):
     modal = system.spec.kind == "ModalUnsplit"
 
     def rhs(v, t, out):
-        state, d = states[id(v)], states[id(out)]
+        state, (d, ez) = states[id(v)][0], states[id(out)]
         evaluate_rhs(system, state, t, d)
-        return modal_bt_integrand(d.ez, walls) if modal else boundary_dissipation(state, walls)
+        return modal_bt_integrand(ez, walls) if modal else boundary_dissipation(state, walls)
 
     du = FieldState(model, np.empty_like(u.data))
     work = [np.empty_like(u.data) for _ in range(4)]
-    # rk4_step hands rhs only these arrays, so each is wrapped once.
-    states = {id(s.data): s for s in [u, du, *(FieldState(model, w) for w in work)]}
+    # rk4_step hands rhs only these arrays, so each is wrapped once, with its
+    # Ez view, and each output, always fed one state, keeps its RHS plan.
+    states = {id(s.data): (s, s.ez) for s in [u, du, *(FieldState(model, w) for w in work)]}
     q, bt = rhs(u.data, 0.0, du.data), 0.0
     yield 0, du, bt
     for k in range(n_steps):

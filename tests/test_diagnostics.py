@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
-from sbpml import diagnostics, sbp_core
+from sbpml import diagnostics, pml_models, sbp_core
 from sbpml.boundary_sat import BoundaryConfig, PenaltyParams
 from sbpml.diagnostics import (
     CSV_HEADER,
@@ -350,6 +350,25 @@ def spectra_cavity(order):
     g = Grid2D(-60.0, 60.0, -50.0, 50.0, 13, 13)
     prof = make_damping_profile(g, 50.0, 10.0, damping_coefficient(10.0, 1e-4))
     return g, g.operators(order), prof, BoundaryConfig(r_x=0.0, r_y=0.0)
+
+
+def test_assembly_makes_one_plan_per_chunk_size(monkeypatch):
+    """The assembly wraps its buffers in one state pair per chunk size, so
+    the RHS plan is made once for the full chunks and once for the last:
+    twice for the 676 unknowns of the 13x13 spectra cavity, 10 chunks of
+    ``ASSEMBLY_CHUNK`` states and one of 36."""
+    g, ops, prof, bc = spectra_cavity(4)
+    shapes = []
+    original = pml_models.rhs_plan
+
+    def counting(system, state, out):
+        shapes.append(state.data.shape)
+        return original(system, state, out)
+
+    monkeypatch.setattr(pml_models, "rhs_plan", counting)
+    a = assemble_semidiscrete_matrix(ModelSpec("ModalUnsplit", theta=1.0), g, prof, bc, PenaltyParams.universal(), ops)
+    assert a.shape == (676, 676) and diagnostics.ASSEMBLY_CHUNK == 64
+    assert shapes == [(4, 64, 13, 13), (4, 36, 13, 13)]
 
 
 # Every model kind, ModalUnsplit at theta = 0 and 1, with its penalties.

@@ -107,10 +107,11 @@ def test_stacked_state_fields_index_axis_0():
 def test_places_map_one_states_indices_into_every_state(batch, nfields, nx, ny, picks, seed):
     """``FieldState.places`` maps flat indices of one state, repeats
     included, into the flat view of a stack with 0, 1 or 2 batch axes:
-    reading through it gives each state's own entries, and
-    ``FieldState.add_at``, one ``np.add.at`` through it, touches exactly
-    the entries that the per-state index touches in each state on its own,
-    adding repeats in order.  For one state the map is the index itself."""
+    reading through it gives each state's own entries, and one 1-D
+    ``np.add.at`` through it, raveled as ``WallTerms.on`` ravels a
+    scatter's places, touches exactly the entries that the per-state index
+    touches in each state on its own, adding repeats in order.  For one
+    state the map is the index itself."""
     model = "Interior" if nfields == 3 else "ModalUnsplit"
     size = nfields * nx * ny
     index = np.array([k % size for k in picks], dtype=np.intp)
@@ -124,7 +125,7 @@ def test_places_map_one_states_indices_into_every_state(batch, nfields, nx, ny, 
     values = rng.standard_normal(batch + index.shape)
     want = data.copy()
     scattered = FieldState(model, data.copy())
-    scattered.add_at(index, values)
+    np.add.at(scattered.flat, places.ravel(), values.ravel())
     for b in np.ndindex(batch):
         one = np.ascontiguousarray(data[(slice(None),) + b])
         assert np.array_equal(s.flat[places[b]], one.reshape(-1)[index])

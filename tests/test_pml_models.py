@@ -1,8 +1,10 @@
 """Tests for the damping profile and the five semi-discrete model systems."""
 
+import gc
 import math
 import tracemalloc
 import warnings
+import weakref
 from unittest.mock import patch
 
 import numpy as np
@@ -20,7 +22,7 @@ from sbpml.boundary_sat import (
     sat_y_field,
 )
 from sbpml.diagnostics import modal_bt_integrand
-from sbpml.grid_state import FieldState, Grid2D
+from sbpml.grid_state import FieldState, Grid2D, nfields
 from sbpml.pml_models import (
     MODEL_KINDS,
     STATE_MODEL,
@@ -486,6 +488,77 @@ def test_stacked_states_get_the_bits_of_their_own_rates(batch, layer, order, the
         for b in range(batch):
             one = FieldState(system.model, np.ascontiguousarray(states[:, b]))
             assert np.array_equal(contiguous[:, b], evaluate_rhs(system, one, t).data)
+
+
+def forced_system(kind, theta, order):
+    """A small grid with its layer at one x end and wall data on the left
+    and top walls, nonzero at every t, for ``kind`` at ``theta``."""
+    g = Grid2D(-1.0, 3.0, -1.0, 1.0, *{2: (8, 7), 4: (10, 8), 6: (13, 12)}[order])
+    ops = g.operators(order)
+    prof = make_damping_profile(g, 1.0, 2.0, 3.0)
+    bc = BoundaryConfig(r_x=0.2, r_y=0.5, g_left=lambda t: np.cos(3.0 * t) + g.y, g_top=lambda t: np.sin(t) * g.x)
+    return SemiDiscrete(ModelSpec(kind, theta=theta), prof, bc, PenaltyParams.universal(), ops)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    batch=st.lists(st.integers(1, 3), min_size=0, max_size=2).map(tuple),
+    order=st.sampled_from([2, 4, 6]),
+    theta=st.floats(0.0, 2.0),
+    t=st.floats(0.0, 2.0),
+    seed=st.integers(0, 2**31),
+)
+def test_kept_plan_gives_the_bits_of_a_new_one(batch, order, theta, t, seed):
+    """The plan that ``evaluate_rhs`` keeps on its output gives the bits
+    of a plan made for one call (``out=None``), for every model kind, on
+    one state and on stacks with 1 or 2 batch axes, with wall data at
+    random t, while the state's contents change between calls.  The same
+    output paired with another state, or with another system, gets a new
+    plan, and that pair's own rate."""
+    rng = np.random.default_rng(seed)
+    for kind in MODEL_KINDS:
+        system = forced_system(kind, theta, order)
+        shape = (nfields(system.model),) + batch + (system.ops.x.n, system.ops.y.n)
+        state = FieldState(system.model, rng.standard_normal(shape))
+        out = FieldState(system.model, np.full(shape, np.nan))
+        for k in range(3):
+            assert evaluate_rhs(system, state, t + k, out) is out
+            if k == 0:
+                plan = out.plan
+            assert out.plan is plan
+            assert out.data.tobytes() == evaluate_rhs(system, state, t + k).data.tobytes()
+            state.data[...] = rng.standard_normal(shape)
+        other = FieldState(system.model, rng.standard_normal(shape))
+        twin = forced_system(kind, theta + 1.0, order)
+        for source, paired in ((other, system), (other, twin), (state, twin)):
+            evaluate_rhs(paired, source, t, out)
+            assert out.plan is not plan
+            assert all(a is b for a, b in zip(out.plan, (paired, source.data, out.data)))
+            assert out.data.tobytes() == evaluate_rhs(paired, source, t).data.tobytes()
+            plan = out.plan
+
+
+@pytest.mark.parametrize("batch", [(), (3,)])
+def test_kept_plan_makes_no_reference_cycle(batch):
+    """A plan kept on its output holds arrays and wrappers of its own, not
+    the states it was made for, so with the cyclic collector off the
+    arrays of a state and its rate die with the two states, for every
+    model kind, on one state and on a stack."""
+    rng = np.random.default_rng(5)
+    gc.disable()
+    try:
+        for kind in MODEL_KINDS:
+            system = forced_system(kind, 1.0, 4)
+            shape = (nfields(system.model),) + batch + (system.ops.x.n, system.ops.y.n)
+            state = FieldState(system.model, rng.standard_normal(shape))
+            out = FieldState(system.model, np.empty(shape))
+            evaluate_rhs(system, state, 0.5, out)
+            assert out.plan is not None
+            arrays = [weakref.ref(state.data), weakref.ref(out.data)]
+            del state, out
+            assert [a() for a in arrays] == [None, None]
+    finally:
+        gc.enable()
 
 
 @pytest.mark.parametrize("kind", MODEL_KINDS)
