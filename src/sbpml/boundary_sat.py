@@ -30,7 +30,7 @@ magnetic field, is nonnegative for every wall state; see
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
@@ -61,7 +61,7 @@ class BoundaryConfig:
     g_top: WallData = None
 
     def __post_init__(self):
-        if abs(self.r_x) > 1 or abs(self.r_y) > 1:
+        if not (abs(self.r_x) <= 1 and abs(self.r_y) <= 1):
             raise ValueError(f"reflection coefficients must lie in [-1, 1]: {self.r_x}, {self.r_y}")
 
 
@@ -73,6 +73,10 @@ class PenaltyParams:
     alpha_y: float
     theta_x: float
     theta_y: float
+
+    def __post_init__(self):
+        if not np.all(np.isfinite(astuple(self))):
+            raise ValueError(f"penalty weights must be finite: {self}")
 
     @classmethod
     def universal(cls) -> "PenaltyParams":
@@ -114,12 +118,12 @@ def penalties_admissible(bc: BoundaryConfig, p: PenaltyParams) -> bool:
 
     True iff on both directions a >= 0, c >= 0 and b^2 <= 4 a c, each to
     1e-12 relative to the largest coefficient: the 2x2 form is then
-    positive semidefinite, whichever sign b has on a given wall.
+    positive semidefinite, whichever sign b has on a given wall; NaN fails.
     """
     tol = 1e-12
     for a, b, c in _wall_coefficients(bc, p):
         scale = max(abs(a), abs(b), abs(c))
-        if a < -tol * scale or c < -tol * scale or b * b - 4.0 * a * c > tol * scale**2:
+        if not (a >= -tol * scale and c >= -tol * scale and b * b - 4.0 * a * c <= tol * scale**2):
             return False
     return True
 
@@ -207,12 +211,10 @@ class WallTerms:
             object.__setattr__(self, name, value)
 
     def on(self, state: FieldState) -> "WallTerms":
-        """These wall terms for ``state``: themselves for one state, and for
-        a stack a copy whose gather and scatter indices are their places in
-        every state (``FieldState.places``), those of a scatter raveled one
-        state after another.  ``evaluate_rhs`` makes this once per plan."""
-        if state.data.ndim == 3:
-            return self
+        """A copy of these wall terms for ``state``, one state or a stack,
+        whose gather and scatter indices are their places in every state
+        (``FieldState.places``), those of a scatter raveled one state after
+        another.  ``evaluate_rhs`` makes this once per plan."""
         placed, (flat, *sat), (index, *theta) = copy.copy(self), self.sat, self.theta_term
         object.__setattr__(placed, "gather", state.places(self.gather))
         object.__setattr__(placed, "sat", (state.places(flat).ravel(), *sat))
@@ -220,16 +222,16 @@ class WallTerms:
         return placed
 
 
-def wall_residuals(state: FieldState, walls: WallTerms, t: float) -> np.ndarray:
+def wall_residuals(state: np.ndarray, walls: WallTerms, t: float) -> np.ndarray:
     """Boundary-condition residuals on the boundary vector of a state,
     each wall's data at t subtracted on its segment.
 
-    Ez and the tangential H come in one gather from the flat view of a
-    C-contiguous state; a split state's gather holds aux as a third row,
-    and its Ez is ez + aux.  A stack (nfields, ..., nx, ny) of states, with
-    the walls ``on`` it, gives a stack (..., npts) of boundary vectors.
+    Ez and the tangential H come in one gather from ``state``, the flat
+    view of a C-contiguous state; a split state's gather holds aux as a
+    third row, and its Ez is ez + aux.  A stack of states, with the walls
+    ``on`` it, gives a stack (..., npts) of boundary vectors.
     """
-    values = state.flat.take(walls.gather)
+    values = state.take(walls.gather)
     if values.shape[-2] == 3:
         values[..., 0, :] += values[..., 2, :]
         values = values[..., :2, :]
@@ -240,8 +242,8 @@ def wall_residuals(state: FieldState, walls: WallTerms, t: float) -> np.ndarray:
     return r
 
 
-def sat_y_field(r: np.ndarray, walls: WallTerms, rates: FieldState):
-    """Add the modal theta term -theta alpha_y Py^{-1} r on ``walls.rows`` into the aux rate of ``rates``.
+def sat_y_field(r: np.ndarray, walls: WallTerms, rates: np.ndarray):
+    """Add the modal theta term -theta alpha_y Py^{-1} r on ``walls.rows`` into the aux rate in ``rates``.
 
     This is the weak y-wall treatment extended into the auxiliary equation.
     It is added as (theta alpha_y r) / (-P), which has the bits of
@@ -250,24 +252,24 @@ def sat_y_field(r: np.ndarray, walls: WallTerms, rates: FieldState):
     flat, points, weight, minus_p = walls.theta_term
     increments = weight * r.take(points, axis=-1)
     increments /= minus_p
-    np.add.at(rates.flat, flat, increments.reshape(-1))
+    np.add.at(rates, flat, increments.reshape(-1))
 
 
-def sat_contributions(r: np.ndarray, walls: WallTerms, rates: FieldState):
+def sat_contributions(r: np.ndarray, walls: WallTerms, rates: np.ndarray):
     """Add the penalty terms of the Ez, Hy and Hx equations into ``rates``.
 
-    ``rates`` is the C-contiguous state of the rates (Ez, Hy, Hx, ...), one
-    or a stack with the walls ``on`` it, scattered into through its flat
-    view, and ``r`` the residuals of ``wall_residuals``.  One 1-D
-    ``np.add.at``, numpy's fast path, scatters the increments of both
-    directions, x then y: it adds a state's repeated indices in order, so a
-    corner sums in that order.  For a stack of states ``r`` and the
-    increments are stacks (..., n) too, raveled one state after another.
+    ``rates`` is the 1-D flat view of the C-contiguous rates (Ez, Hy, Hx,
+    ...) of one state or a stack, with the walls ``on`` it, and ``r`` the
+    residuals of ``wall_residuals``.  One 1-D ``np.add.at``, numpy's fast
+    path, scatters the increments of both directions, x then y: it adds a
+    state's repeated indices in order, so a corner sums in that order.  For
+    a stack of states ``r`` and the increments are stacks (..., n) too,
+    raveled one state after another.
     """
     flat, places, weights = walls.sat
     increments = (r / walls.p_normal).take(places, axis=-1)
     increments *= weights
-    np.add.at(rates.flat, flat, increments.reshape(-1))
+    np.add.at(rates, flat, increments.reshape(-1))
 
 
 def boundary_dissipation(state: FieldState, walls: WallTerms) -> float:

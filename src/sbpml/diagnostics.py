@@ -192,10 +192,10 @@ def assemble_system_matrix(system: SemiDiscrete, dtype=np.float64) -> np.ndarray
     # The chunk from column `start` is the fields-first stack (nfields, n,
     # nx, ny) of e_start, ..., e_(start+n-1) on the first n m entries of
     # `units`: state b has its one at flat index start + b = f P + p, so at
-    # f n P + b P + p.  Its rates are copied into rows start, ..., start +
-    # n - 1 of `at`.  evaluate_rhs overwrites every entry of its output, so
-    # `rates` and `at` start uninitialized.  One state pair per chunk size
-    # wraps the buffers, so the RHS plan kept on the rates is made once.
+    # [f, b, p] of its (nfields, n, P) view.  Its rates are copied into rows
+    # start, ..., start + n - 1 of `at`.  evaluate_rhs overwrites all of its
+    # output, so `rates` and `at` start uninitialized.  One state pair per
+    # chunk size wraps the buffers, so one RHS plan serves its chunks.
     plane = shape[1] * shape[2]
     chunk = min(ASSEMBLY_CHUNK, m)
     at = np.empty((m, m), dtype)
@@ -206,12 +206,12 @@ def assemble_system_matrix(system: SemiDiscrete, dtype=np.float64) -> np.ndarray
         if unit is None or unit.data.shape[1] != n:
             stack = (shape[0], n) + shape[1:]
             unit, rate = (FieldState(model, buffer[: n * m].reshape(stack)) for buffer in (units, rates))
+            view = unit.data.reshape(shape[0], n, plane)
         b = np.arange(n)
         f, p = np.divmod(start + b, plane)
-        ones = f * (n * plane) + b * plane + p
-        units[ones] = 1
+        view[f, b, p] = 1
         evaluate_rhs(system, unit, 0.0, rate)
-        units[ones] = 0
+        view[f, b, p] = 0
         at[start : start + n].reshape(n, shape[0], plane)[...] = rate.data.reshape(shape[0], n, plane).swapaxes(0, 1)
     return at.T
 

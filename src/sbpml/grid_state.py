@@ -97,8 +97,6 @@ class OperatorPair:
         blocks = (self.x if axis == 0 else self.y).blocks
         if axis == 0:
             u, out = u.swapaxes(-1, -2), out.swapaxes(-1, -2)
-        if len(blocks) == 1:
-            return [(np.matmul, (u, blocks[0][2], out))]
         return [(np.matmul, (u[..., cols], block_t, out[..., rows])) for rows, cols, block_t in blocks]
 
     def inner(self, u: np.ndarray, v: np.ndarray) -> float:
@@ -120,10 +118,10 @@ class FieldState:
     ``data`` holds the fields in the order ez, hy, hx, aux on its axis 0,
     so ``data[k]`` is field k of one state and of a stack alike, one
     contiguous block per field, and the properties of those names are
-    views of it.  ``flat`` is the 1-D view of a C-contiguous ``data``, made
-    once, and None for any other; ``evaluate_rhs`` takes C-contiguous
-    states only, and keeps in ``plan`` the plan of its last call into this
-    state.  ``places`` maps one state's flat indices into ``flat``.
+    views of it.  ``places`` maps one state's flat indices into the flat
+    order of ``data``, one state being a stack of one; ``evaluate_rhs``
+    takes C-contiguous states only, and keeps in ``plan`` the plan of its
+    last call into this state.
     ``aux`` is the model-specific extra unknown: the auxiliary variable
     driven by sigma * dHx/dy for ModalUnsplit, the recursive ODE variable
     for PhysicallyMotivated, and the second split component of Ez for
@@ -136,18 +134,15 @@ class FieldState:
         if data.ndim < 3 or data.shape[0] != nfields(model):
             raise ValueError(f"a {model} state needs an ({nfields(model)}, ..., nx, ny) array, got {data.shape}")
         self.model, self.data = model, data
-        self.flat = data.reshape(-1) if data.flags.c_contiguous else None
         self.plan = None
 
     def places(self, index: np.ndarray) -> np.ndarray:
-        """The places in ``flat`` of one state's flat indices ``index``, in every state.
+        """The places in ``data``'s flat order of one state's flat indices ``index``, in every state.
 
         A state's flat index f P + p, with P = nx ny, lies at f B P + b P + p
         in state b of a stack of B states; the result has the stack's axes
-        then the axes of ``index``.  For one state it is ``index`` itself.
+        then the axes of ``index``.  For one state, B = 1, it equals ``index``.
         """
-        if self.data.ndim == 3:
-            return index
         batch, plane = self.data.shape[1:-2], self.data.shape[-2] * self.data.shape[-1]
         count = math.prod(batch)
         f, p = np.divmod(index, plane)

@@ -184,10 +184,10 @@ def rhs_plan(system: SemiDiscrete, state: FieldState, out: FieldState):
 
     ``out`` must match the state's model, shape and dtype and share no
     memory with it, and both must be C-contiguous for the walls' flat
-    gathers and scatters.  That is checked here, once, where every view,
-    operator product (``OperatorPair.calls``) and the walls ``on`` a stack
-    are made, so a call runs only its model kind's numpy calls.  The plan
-    holds the arrays and fresh wrappers of them, never ``state`` or
+    gathers and scatters.  That is checked here, once and before any write,
+    where every view, operator product (``OperatorPair.calls``) and the
+    walls ``on`` the state are made, so a call runs only its model kind's
+    numpy calls.  The plan holds arrays and those walls, never ``state`` or
     ``out``, so a plan kept on ``out`` makes no reference cycle.  ``state``
     may be one state or a fields-first stack (nfields, ..., nx, ny), each
     state with the bits of its own rate.  The wall residuals (and data) are
@@ -207,14 +207,15 @@ def rhs_plan(system: SemiDiscrete, state: FieldState, out: FieldState):
             f"output {out.model} {out.data.shape} {out.data.dtype} does not match "
             f"state {state.model} {state.data.shape} {state.data.dtype}"
         )
-    if state.flat is None or out.flat is None:
-        named = "state" if state.flat is None else "output"
+    if not (state.data.flags.c_contiguous and out.data.flags.c_contiguous):
+        named = "output" if state.data.flags.c_contiguous else "state"
         raise ValueError(f"the {named} array is not C-contiguous")
+    if np.may_share_memory(state.data, out.data):
+        raise ValueError("the output array shares memory with the state array")
 
     # data[k] is field k of one state or a stack, data_r[k] its damped rows.
     kind, data, d = spec.kind, state.data, out.data
-    source, rates = FieldState(state.model, data), FieldState(out.model, d)
-    walls = system.walls.on(source)
+    source, rates, walls = data.reshape(-1), d.reshape(-1), system.walls.on(state)
     rows, sigma = prof.rows, prof.sigma
     data_r, d_r = data[:, ..., rows, :], d[:, ..., rows, :]
     add, subtract, multiply, negative = np.add, np.subtract, np.multiply, np.negative

@@ -474,16 +474,18 @@ _BEFORE_COMMENT = re.compile(r"""(?:[^#"']|"[^"]*"|'[^']*'|["'])*""")
 
 
 def parse_config_text(text: str) -> dict:
-    """Parse flat 'key = value' lines into raw value strings; '#' outside quotes starts a comment."""
-    out = {}
+    """Parse flat 'key = value' lines, each key on one line, into raw strings; '#' outside quotes starts a comment."""
+    out, lines = {}, {}
     for ln, raw in enumerate(text.splitlines(), start=1):
         line = _BEFORE_COMMENT.match(raw).group().strip()
         if not line:
             continue
         if "=" not in line:
             raise ValueError(f"line {ln}: expected 'key = value', got {raw!r}")
-        key, _, val = line.partition("=")
-        out[key.strip()] = val.strip().strip('"').strip("'")
+        key, _, val = (part.strip() for part in line.partition("="))
+        if key in lines:
+            raise ValueError(f"lines {lines[key]} and {ln} both set config key {key!r}")
+        out[key], lines[key] = val.strip('"').strip("'"), ln
     return out
 
 

@@ -21,6 +21,17 @@ from sbpml.modal_analysis import CANDIDATE_THRESHOLD, ROOT_TOLERANCE
 from sbpml.pml_models import DampingProfile, evaluate_rhs
 
 
+def random_state(grid, model, rng):
+    """A ``model`` state on ``grid`` of standard normal fields, drawn in the order ez, hy, hx, aux."""
+    s = FieldState.zeros(grid, model)
+    s.ez[:] = rng.standard_normal(s.ez.shape)
+    s.hy[:] = rng.standard_normal(s.ez.shape)
+    s.hx[:] = rng.standard_normal(s.ez.shape)
+    if s.aux is not None:
+        s.aux[:] = rng.standard_normal(s.ez.shape)
+    return s
+
+
 def dense_sbp_operator(interior_order, n, h):
     """``build_sbp_operator`` as the dense builder it replaced: p_diag, Q,
     D = Q / P and the blocks cut from D, with U, Q and D made as n x n

@@ -1,6 +1,8 @@
 """Tests for the weak wall enforcement: penalty algebra, SAT assembly, and
 the boundary dissipation identity."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -18,29 +20,21 @@ from sbpml.boundary_sat import (
 from sbpml.grid_state import FieldState, Grid2D
 from sbpml.pml_models import ModelSpec, SemiDiscrete, evaluate_rhs
 
-from _oracles import dense_sat_oracle, penalty_matrix_eigenvalues, zero_damping
-
-
-def random_interior_state(grid, rng):
-    s = FieldState.zeros(grid, "Interior")
-    s.ez[:] = rng.standard_normal(s.ez.shape)
-    s.hy[:] = rng.standard_normal(s.ez.shape)
-    s.hx[:] = rng.standard_normal(s.ez.shape)
-    return s
+from _oracles import dense_sat_oracle, penalty_matrix_eigenvalues, random_state, zero_damping
 
 
 def sat_of(s, bc, p, t, grid, ops):
     """The SAT fields (ez, hy, hx) of a state, from its wall residuals at time t, added into zero fields."""
     fields = np.zeros((3, grid.nx, grid.ny))
     walls = WallTerms(ops, bc, p, "Interior")
-    sat_contributions(wall_residuals(s, walls, t), walls, FieldState("Interior", fields))
+    sat_contributions(wall_residuals(s.data.reshape(-1), walls, t), walls, fields.reshape(-1))
     return tuple(fields)
 
 
 def residuals_by_wall(s, bc, t, grid):
     """The wall residuals of a state at time t as its (left, right, bottom, top) segments."""
     walls = WallTerms(grid.operators(2), bc, PenaltyParams.universal(), "Interior")
-    r = wall_residuals(s, walls, t)
+    r = wall_residuals(s.data.reshape(-1), walls, t)
     assert r.shape == (2 * grid.ny + 2 * grid.nx,)
     return np.split(r, np.cumsum([grid.ny, grid.ny, grid.nx]))
 
@@ -111,6 +105,24 @@ def test_penalties_admissible_classification():
         assert penalties_admissible(BoundaryConfig(r_x=r, r_y=-r), PenaltyParams.universal()), r
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_wall_inputs_rejected(bad):
+    """A reflection coefficient of NaN lies in no range and a penalty weight
+    must be finite: both are refused when built.  The admissibility test
+    reads a NaN weight, from penalties that skipped that check, as
+    inadmissible, in place of passing every comparison that NaN fails."""
+    names = ("alpha_x", "alpha_y", "theta_x", "theta_y")
+    for field in ("r_x", "r_y"):
+        with pytest.raises(ValueError, match="reflection coefficients must lie in"):
+            BoundaryConfig(**{field: bad})
+    for name in names:
+        weights = {other: 1.0 for other in names} | {name: bad}
+        with pytest.raises(ValueError, match="penalty weights must be finite"):
+            PenaltyParams(**weights)
+        if np.isnan(bad):
+            assert not penalties_admissible(BoundaryConfig(), SimpleNamespace(**weights))
+
+
 @settings(max_examples=200, deadline=None)
 @given(r=st.floats(-0.99, 1.0), fraction=st.floats(0.0, 1.3))
 def test_admissibility_matches_eigenvalue_lemma(r, fraction):
@@ -176,7 +188,7 @@ def test_admissibility_is_the_sign_of_the_wall_form(r_x, r_y, weights):
 def test_wall_residuals_characteristic_walls():
     g = Grid2D(0.0, 1.0, 0.0, 1.0, 5, 4)
     rng = np.random.default_rng(3)
-    s = random_interior_state(g, rng)
+    s = random_state(g, "Interior", rng)
     bc = BoundaryConfig(r_x=0.0, r_y=0.0)
     rl, rr, rb, rt = residuals_by_wall(s, bc, 0.0, g)
     assert np.allclose(rl, 0.5 * (s.ez[0, :] + s.hy[0, :]))
@@ -188,7 +200,7 @@ def test_wall_residuals_characteristic_walls():
 def test_wall_residuals_insulating_and_pec():
     g = Grid2D(0.0, 1.0, 0.0, 1.0, 5, 4)
     rng = np.random.default_rng(4)
-    s = random_interior_state(g, rng)
+    s = random_state(g, "Interior", rng)
     # R = 1: only the magnetic field enters; R = -1: only the electric field.
     bc = BoundaryConfig(r_x=1.0, r_y=-1.0)
     rl, rr, rb, rt = residuals_by_wall(s, bc, 0.0, g)
@@ -210,7 +222,7 @@ def test_wall_residuals_data_on_every_wall():
     """Distinct data on each wall lands on that wall's row, beside its own sign of H."""
     g = Grid2D(0.0, 1.0, 0.0, 1.0, 5, 4)
     rng = np.random.default_rng(6)
-    s = random_interior_state(g, rng)
+    s = random_state(g, "Interior", rng)
     x, y = g.x, g.y
     bc = BoundaryConfig(
         r_x=0.3,
@@ -238,7 +250,7 @@ def test_sat_contributions_match_dense_oracle(r_x, r_y, penalties):
     g = Grid2D(0.0, 1.0, 0.0, 1.2, 6, 6)
     ops = g.operators(2)
     rng = np.random.default_rng(11)
-    s = random_interior_state(g, rng)
+    s = random_state(g, "Interior", rng)
     bc = BoundaryConfig(r_x=r_x, r_y=r_y)
     if penalties == "universal":
         p = PenaltyParams.universal()
@@ -257,7 +269,7 @@ def test_sat_supported_on_walls_only():
     g = Grid2D(0.0, 1.0, 0.0, 1.0, 7, 7)
     ops = g.operators(2)
     rng = np.random.default_rng(5)
-    s = random_interior_state(g, rng)
+    s = random_state(g, "Interior", rng)
     bc = BoundaryConfig(r_x=0.3, r_y=-0.3)
     sat_ez, sat_hy, sat_hx = sat_of(s, bc, PenaltyParams.universal(), 0.0, g, ops)
     assert np.all(sat_ez[1:-1, 1:-1] == 0.0)
@@ -269,8 +281,8 @@ def test_sat_linear_in_state_and_affine_in_data():
     g = Grid2D(0.0, 1.0, 0.0, 1.0, 6, 5)
     ops = g.operators(2)
     rng = np.random.default_rng(9)
-    u = random_interior_state(g, rng)
-    v = random_interior_state(g, rng)
+    u = random_state(g, "Interior", rng)
+    v = random_state(g, "Interior", rng)
     p = PenaltyParams.universal()
     bc0 = BoundaryConfig(r_x=0.2, r_y=0.4)
     bc_g = BoundaryConfig(
@@ -330,7 +342,7 @@ def test_energy_identity_interior(r_x, r_y, preset, theta_bars):
         p = PenaltyParams.estimate_matching(r_x, r_y, *theta_bars)
     system = SemiDiscrete(ModelSpec("Interior"), zero_damping(g), bc, p, ops)
     for _ in range(5):
-        s = random_interior_state(g, rng)
+        s = random_state(g, "Interior", rng)
         rhs = evaluate_rhs(system, s, 0.0)
         de_dt = 2.0 * (
             ops.inner(s.ez, rhs.ez) + ops.inner(s.hy, rhs.hy) + ops.inner(s.hx, rhs.hx)

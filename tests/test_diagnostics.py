@@ -34,17 +34,7 @@ from sbpml.pml_models import (
 )
 from sbpml.scenarios_cli import build_scenario, cavity_config, march, waveguide_forcing
 
-from _oracles import assemble_by_columns, selectors, zero_damping
-
-
-def random_state(grid, model, rng):
-    s = FieldState.zeros(grid, model)
-    s.ez[:] = rng.standard_normal(s.ez.shape)
-    s.hy[:] = rng.standard_normal(s.ez.shape)
-    s.hx[:] = rng.standard_normal(s.ez.shape)
-    if s.aux is not None:
-        s.aux[:] = rng.standard_normal(s.ez.shape)
-    return s
+from _oracles import assemble_by_columns, random_state, selectors, zero_damping
 
 
 def small_problem(order=4, nx=10, ny=9, d0=2.0):

@@ -87,10 +87,6 @@ def test_stacked_state_fields_index_axis_0():
         view = getattr(s, name)
         assert view.shape == (2, 3, 5, 6) and np.shares_memory(view, data)
         assert np.array_equal(view, data[k]) and view.flags.c_contiguous
-    # The flat view of a C-contiguous array is made once and writes
-    # through; a strided array has none.
-    assert s.flat.shape == (4 * 2 * 3 * 5 * 6,) and np.shares_memory(s.flat, data)
-    assert FieldState("SplitField", np.moveaxis(data, -1, -2)).flat is None
     assert np.array_equal(s.ez_total, data[0] + data[3])
     assert FieldState("Interior", data[:3]).aux is None
 
@@ -106,12 +102,12 @@ def test_stacked_state_fields_index_axis_0():
 )
 def test_places_map_one_states_indices_into_every_state(batch, nfields, nx, ny, picks, seed):
     """``FieldState.places`` maps flat indices of one state, repeats
-    included, into the flat view of a stack with 0, 1 or 2 batch axes:
+    included, into the flat order of a stack with 0, 1 or 2 batch axes:
     reading through it gives each state's own entries, and one 1-D
     ``np.add.at`` through it, raveled as ``WallTerms.on`` ravels a
     scatter's places, touches exactly the entries that the per-state index
     touches in each state on its own, adding repeats in order.  For one
-    state the map is the index itself."""
+    state the map equals the index."""
     model = "Interior" if nfields == 3 else "ModalUnsplit"
     size = nfields * nx * ny
     index = np.array([k % size for k in picks], dtype=np.intp)
@@ -121,14 +117,14 @@ def test_places_map_one_states_indices_into_every_state(batch, nfields, nx, ny, 
     places = s.places(index)
     assert places.shape == batch + index.shape
     if not batch:
-        assert places is index
+        assert np.array_equal(places, index)
     values = rng.standard_normal(batch + index.shape)
     want = data.copy()
     scattered = FieldState(model, data.copy())
-    np.add.at(scattered.flat, places.ravel(), values.ravel())
+    np.add.at(scattered.data.reshape(-1), places.ravel(), values.ravel())
     for b in np.ndindex(batch):
         one = np.ascontiguousarray(data[(slice(None),) + b])
-        assert np.array_equal(s.flat[places[b]], one.reshape(-1)[index])
+        assert np.array_equal(data.reshape(-1)[places[b]], one.reshape(-1)[index])
         state = want[(slice(None),) + b].reshape(-1)
         np.add.at(state, index, values[b])
         want[(slice(None),) + b] = state.reshape(one.shape)

@@ -37,21 +37,12 @@ from sbpml.scenarios_cli import build_scenario, cavity_config, march
 
 from _oracles import (
     dense_rhs_oracle,
+    random_state,
     reduce_splitfield_to_modal,
     sat_by_direction,
     theta_term_by_take_put,
     zero_damping,
 )
-
-
-def random_state(grid, model, rng):
-    s = FieldState.zeros(grid, model)
-    s.ez[:] = rng.standard_normal(s.ez.shape)
-    s.hy[:] = rng.standard_normal(s.ez.shape)
-    s.hx[:] = rng.standard_normal(s.ez.shape)
-    if s.aux is not None:
-        s.aux[:] = rng.standard_normal(s.ez.shape)
-    return s
 
 
 # ---------------------------------------------------------------------------
@@ -295,8 +286,8 @@ def test_boundary_vector_matches_dense_oracle(
         got = want.copy()
         sat_by_direction(r, walls, want)
         theta_term_by_take_put(r, walls, want)
-        sat_contributions(r, walls, FieldState("ModalUnsplit", got))
-        sat_y_field(r, walls, FieldState("ModalUnsplit", got))
+        sat_contributions(r, walls, got.reshape(-1))
+        sat_y_field(r, walls, got.reshape(-1))
         assert np.array_equal(got, want)
 
     rng = np.random.default_rng(seed)
@@ -451,6 +442,25 @@ def test_rhs_output_of_another_dtype_or_stack_rejected():
         assert np.all(np.isnan(out))
 
 
+@pytest.mark.parametrize("kind", MODEL_KINDS)
+@pytest.mark.parametrize("batch", [(), (3,)])
+def test_rhs_output_sharing_memory_with_the_state_rejected(kind, batch):
+    """An output that shares memory with its state, the same array or an
+    overlapping C-contiguous one, would be read after it is written.  It is
+    rejected before any write, for every model kind, on one state and on a
+    stack, and the state is left as it was."""
+    system = forced_system(kind, 1.0, 4)
+    shape = (nfields(system.model),) + batch + (system.ops.x.n, system.ops.y.n)
+    size, plane = math.prod(shape), shape[-2] * shape[-1]
+    buffer = np.random.default_rng(6).standard_normal(size + plane)
+    state = FieldState(system.model, buffer[:size].reshape(shape))
+    before = buffer.copy()
+    for out in (state, FieldState(system.model, state.data), FieldState(system.model, buffer[plane:].reshape(shape))):
+        with pytest.raises(ValueError, match="the output array shares memory with the state array"):
+            evaluate_rhs(system, state, 0.5, out)
+        assert np.array_equal(buffer, before)
+
+
 @settings(max_examples=30, deadline=None)
 @given(
     batch=st.integers(1, 9),
@@ -540,8 +550,8 @@ def test_kept_plan_gives_the_bits_of_a_new_one(batch, order, theta, t, seed):
 
 @pytest.mark.parametrize("batch", [(), (3,)])
 def test_kept_plan_makes_no_reference_cycle(batch):
-    """A plan kept on its output holds arrays and wrappers of its own, not
-    the states it was made for, so with the cyclic collector off the
+    """A plan kept on its output holds arrays and its walls, not the
+    states it was made for, so with the cyclic collector off the
     arrays of a state and its rate die with the two states, for every
     model kind, on one state and on a stack."""
     rng = np.random.default_rng(5)

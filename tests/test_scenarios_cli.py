@@ -271,6 +271,9 @@ def test_parse_config_text():
     assert parse_config_text("label = 'run#1'  # note\n") == {"label": "run#1"}
     with pytest.raises(ValueError, match="expected 'key = value'"):
         parse_config_text("just words\n")
+    # A key set twice is refused, with both lines named, not read as its last value.
+    with pytest.raises(ValueError, match="lines 2 and 4 both set config key 'theta'"):
+        parse_config_text("order = 4\ntheta = 0\n# again\n theta=1\n")
 
 
 def test_config_from_file(tmp_path):
@@ -696,6 +699,15 @@ def test_cli_rejects_stride_below_one(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_cli_rejects_a_repeated_config_key(tmp_path, capsys):
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text("scenario = Cavity\nx0 = 4\ny0 = 4\ndelta = 2\nh = 1\nt_final = 4\ntheta = 0\ntheta = 1\n")
+    rc = cli_entry(["run", "--config", str(cfg_path), "--out", str(tmp_path / "out")])
+    assert rc == 1
+    assert "lines 7 and 8 both set config key 'theta'" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_cli_rejects_tol_none_without_d0(tmp_path, capsys):
     cfg_path = tmp_path / "run.cfg"
     cfg_path.write_text("scenario = Cavity\nx0 = 4\ny0 = 4\ndelta = 2\nh = 1\nt_final = 4\ntol = none\n")
@@ -714,9 +726,14 @@ def test_cli_rejects_tol_none_without_d0(tmp_path, capsys):
     ],
 )
 def test_cli_rejects_values_of_the_wrong_type(tmp_path, capsys, line, message):
-    """A value that is not of its field's declared type exits 1 with a message."""
+    """A value that is not of its field's declared type exits 1 with a
+    message.  ``line`` takes the place of the base line of its key, since a
+    key may be set once only."""
+    fields = {"scenario": "Cavity", "x0": "4", "y0": "4", "delta": "2", "h": "1", "t_final": "4"}
+    key, _, value = (part.strip() for part in line.partition("="))
+    fields[key] = value
     cfg_path = tmp_path / "run.cfg"
-    cfg_path.write_text(f"scenario = Cavity\nx0 = 4\ny0 = 4\ndelta = 2\nh = 1\nt_final = 4\n{line}\n")
+    cfg_path.write_text("".join(f"{k} = {v}\n" for k, v in fields.items()))
     rc = cli_entry(["run", "--config", str(cfg_path), "--out", str(tmp_path / "out")])
     assert rc == 1
     assert message in capsys.readouterr().err
