@@ -15,7 +15,7 @@ The per-wall boundary-condition residuals used throughout are
     top    (y = y_max): (1-Ry)/2 * Ez + (1+Ry)/2 * Hx - g
 
 The four walls' points, left, right, bottom and top, form one boundary
-vector.  ``WallTerms`` builds that vector, and for one model kind all of
+vector.  ``wall_terms`` builds that vector, and for one model kind all of
 the wall terms that does not depend on the state, once per system, so a
 right-hand side gathers the wall values once and scatters the SAT
 penalties of both directions once, and the modal theta term once, for one
@@ -29,8 +29,7 @@ magnetic field, is nonnegative for every wall state; see
 
 from __future__ import annotations
 
-import copy
-from dataclasses import astuple, dataclass, field
+from dataclasses import astuple, dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -117,25 +116,25 @@ def penalties_admissible(bc: BoundaryConfig, p: PenaltyParams) -> bool:
     """Whether the wall term BT is nonnegative for every wall state.
 
     True iff on both directions a >= 0, c >= 0 and b^2 <= 4 a c, each to
-    1e-12 relative to the largest coefficient: the 2x2 form is then
-    positive semidefinite, whichever sign b has on a given wall; NaN fails.
+    1e-12 on the coefficients divided by the largest of them in magnitude,
+    so that no square overflows: the 2x2 form is then positive
+    semidefinite, whichever sign b has on a given wall; NaN fails.
     """
     tol = 1e-12
     for a, b, c in _wall_coefficients(bc, p):
-        scale = max(abs(a), abs(b), abs(c))
-        if not (a >= -tol * scale and c >= -tol * scale and b * b - 4.0 * a * c <= tol * scale**2):
+        scale = max(abs(a), abs(b), abs(c)) or 1.0
+        a, b, c = a / scale, b / scale, c / scale
+        if not (a >= -tol and c >= -tol and b * b - 4.0 * a * c <= tol):
             return False
     return True
 
 
 @dataclass(frozen=True, eq=False)
 class WallTerms:
-    """The wall terms of one model kind, all that does not depend on the state, built once.
+    """The wall terms of one model kind, all that does not depend on the state, built once by ``wall_terms``.
 
-    Built from the operators, walls, penalties, the model ``kind`` with its
-    ``theta``, and ``rows``, the damped x rows that carry the modal theta
-    term.  The boundary vector is the wall points, left, right, bottom and
-    top, each corner on two walls; ``p_tangent`` holds P along each point's
+    The boundary vector is the wall points, left, right, bottom and top,
+    each corner on two walls; ``p_tangent`` holds P along each point's
     wall and ``p_normal`` P across it.  Per point, ``gather`` holds the
     flat indices in an (nfields, nx, ny) array of Ez and the tangential
     magnetic field, and for the two SplitField kinds of aux as well;
@@ -146,80 +145,76 @@ class WallTerms:
     the tangential H, each entry's place in the boundary vector and its
     weight, -alpha or -theta times the wall's sign.  ``theta_term`` is the
     scatter of the modal theta term into the aux rates at the y-wall points
-    of ``rows``: those points' flat indices and places, the weight
+    of the damped x rows: those points' flat indices and places, the weight
     theta * alpha_y and -P across the wall.  The indices of a gather or a
     scatter are flat indices into one state; ``on`` maps them into a stack.
     ``data`` holds each wall's segment and data.
     """
 
-    ops: OperatorPair
-    bc: BoundaryConfig
-    penalties: PenaltyParams
-    kind: str
-    theta: float = 0.0
-    rows: slice = field(default_factory=lambda: slice(0, 0))
-    gather: np.ndarray = field(init=False, repr=False)
-    residual: np.ndarray = field(init=False, repr=False)
-    p_normal: np.ndarray = field(init=False, repr=False)
-    p_tangent: np.ndarray = field(init=False, repr=False)
-    bt: np.ndarray = field(init=False, repr=False)
-    sat: tuple = field(init=False, repr=False)
-    theta_term: tuple = field(init=False, repr=False)
-    data: tuple = field(init=False, repr=False)
-
-    def __post_init__(self):
-        ops, bc, p = self.ops, self.bc, self.penalties
-        nx, ny, px, py = ops.x.n, ops.y.n, ops.x.p_diag, ops.y.p_diag
-        i, j = np.arange(nx) * ny, np.arange(ny)
-        index = np.concatenate((j, i[-1] + j, i, i + j[-1]))
-        plane, n = nx * ny, 2 * ny
-        x, y = slice(0, n), slice(n, None)
-        sign = np.repeat(WALL_SIGNS, (ny, ny, nx, nx))
-        p_normal = np.repeat(np.concatenate((px[[0, -1]], py[[0, -1]])), (ny, ny, nx, nx))
-        p_tangent = np.concatenate((py, py, px, px))
-
-        def per_direction(on_x, on_y):
-            return np.concatenate((np.full(n, on_x), np.full(2 * nx, on_y)))
-
-        tangent = np.concatenate((index[x] + plane, index[y] + 2 * plane))
-        gather = np.array([index, tangent, index + 3 * plane])
-        weights = -np.array([per_direction(p.alpha_x, p.alpha_y), per_direction(p.theta_x, p.theta_y) * sign])
-        place = np.arange(index.size)
-        # In SplitFieldStable the y-wall penalty of the Ez equation moves to
-        # the undamped component, aux; this is what makes the scheme
-        # conjugate to the stabilized modal one.  SplitFieldNaive keeps both
-        # Ez penalties on the damped x-component.
-        ez_y = gather[2, y] if self.kind == "SplitFieldStable" else index[y]
-        a, b, c = map(per_direction, *_wall_coefficients(bc, p))
-        points = np.concatenate([np.arange(nx)[self.rows] + k for k in (n, n + nx)])
-        walls = (slice(0, ny), slice(ny, n), slice(n, n + nx), slice(n + nx, None))
-        data = zip(walls, (bc.g_left, bc.g_right, bc.g_bottom, bc.g_top))
-        for name, value in (
-            ("gather", gather if self.kind in ("SplitFieldNaive", "SplitFieldStable") else gather[:2]),
-            ("residual", np.array([per_direction(0.5 * (1.0 - bc.r_x), 0.5 * (1.0 - bc.r_y)),
-                                   per_direction(0.5 * (1.0 + bc.r_x), 0.5 * (1.0 + bc.r_y)) * sign])),
-            ("p_normal", p_normal),
-            ("p_tangent", p_tangent),
-            ("bt", 2.0 * np.array([a, -sign * b, c]) * p_tangent),
-            # x then y, so that add.at sums a corner in that order.
-            ("sat", (np.concatenate([index[x], tangent[x], ez_y, tangent[y]]),
-                     np.concatenate([place[x], place[x], place[y], place[y]]),
-                     np.concatenate([weights[0, x], weights[1, x], weights[0, y], weights[1, y]]))),
-            ("theta_term", (gather[2, points], points, self.theta * p.alpha_y, -p_normal[points])),
-            ("data", tuple((wall, g) for wall, g in data if g is not None)),
-        ):
-            object.__setattr__(self, name, value)
+    gather: np.ndarray
+    residual: np.ndarray
+    p_normal: np.ndarray
+    p_tangent: np.ndarray
+    bt: np.ndarray
+    sat: tuple
+    theta_term: tuple
+    data: tuple
 
     def on(self, state: FieldState) -> "WallTerms":
         """A copy of these wall terms for ``state``, one state or a stack,
         whose gather and scatter indices are their places in every state
         (``FieldState.places``), those of a scatter raveled one state after
         another.  ``evaluate_rhs`` makes this once per plan."""
-        placed, (flat, *sat), (index, *theta) = copy.copy(self), self.sat, self.theta_term
-        object.__setattr__(placed, "gather", state.places(self.gather))
-        object.__setattr__(placed, "sat", (state.places(flat).ravel(), *sat))
-        object.__setattr__(placed, "theta_term", (state.places(index).ravel(), *theta))
-        return placed
+        (flat, *sat), (index, *theta) = self.sat, self.theta_term
+        return replace(self, gather=state.places(self.gather), sat=(state.places(flat).ravel(), *sat),
+                       theta_term=(state.places(index).ravel(), *theta))
+
+
+def wall_terms(ops: OperatorPair, bc: BoundaryConfig, penalties: PenaltyParams, kind: str, theta: float = 0.0,
+               rows: slice = slice(0, 0)) -> WallTerms:
+    """The ``WallTerms`` of the operators, walls and penalties for the model
+    ``kind`` with its ``theta``; ``rows``, the damped x rows, carry the
+    modal theta term."""
+    p = penalties
+    nx, ny, px, py = ops.x.n, ops.y.n, ops.x.p_diag, ops.y.p_diag
+    i, j = np.arange(nx) * ny, np.arange(ny)
+    index = np.concatenate((j, i[-1] + j, i, i + j[-1]))
+    plane, n = nx * ny, 2 * ny
+    x, y = slice(0, n), slice(n, None)
+    sign = np.repeat(WALL_SIGNS, (ny, ny, nx, nx))
+    p_normal = np.repeat(np.concatenate((px[[0, -1]], py[[0, -1]])), (ny, ny, nx, nx))
+    p_tangent = np.concatenate((py, py, px, px))
+
+    def per_direction(on_x, on_y):
+        return np.concatenate((np.full(n, on_x), np.full(2 * nx, on_y)))
+
+    tangent = np.concatenate((index[x] + plane, index[y] + 2 * plane))
+    gather = np.array([index, tangent, index + 3 * plane])
+    weights = -np.array([per_direction(p.alpha_x, p.alpha_y), per_direction(p.theta_x, p.theta_y) * sign])
+    place = np.arange(index.size)
+    # In SplitFieldStable the y-wall penalty of the Ez equation moves to
+    # the undamped component, aux; this is what makes the scheme
+    # conjugate to the stabilized modal one.  SplitFieldNaive keeps both
+    # Ez penalties on the damped x-component.
+    ez_y = gather[2, y] if kind == "SplitFieldStable" else index[y]
+    a, b, c = map(per_direction, *_wall_coefficients(bc, p))
+    points = np.concatenate([np.arange(nx)[rows] + k for k in (n, n + nx)])
+    walls = (slice(0, ny), slice(ny, n), slice(n, n + nx), slice(n + nx, None))
+    data = zip(walls, (bc.g_left, bc.g_right, bc.g_bottom, bc.g_top))
+    return WallTerms(
+        gather=gather if kind in ("SplitFieldNaive", "SplitFieldStable") else gather[:2],
+        residual=np.array([per_direction(0.5 * (1.0 - bc.r_x), 0.5 * (1.0 - bc.r_y)),
+                           per_direction(0.5 * (1.0 + bc.r_x), 0.5 * (1.0 + bc.r_y)) * sign]),
+        p_normal=p_normal,
+        p_tangent=p_tangent,
+        bt=2.0 * np.array([a, -sign * b, c]) * p_tangent,
+        # x then y, so that add.at sums a corner in that order.
+        sat=(np.concatenate([index[x], tangent[x], ez_y, tangent[y]]),
+             np.concatenate([place[x], place[x], place[y], place[y]]),
+             np.concatenate([weights[0, x], weights[1, x], weights[0, y], weights[1, y]])),
+        theta_term=(gather[2, points], points, theta * p.alpha_y, -p_normal[points]),
+        data=tuple((wall, g) for wall, g in data if g is not None),
+    )
 
 
 def wall_residuals(state: np.ndarray, walls: WallTerms, t: float) -> np.ndarray:
@@ -243,7 +238,7 @@ def wall_residuals(state: np.ndarray, walls: WallTerms, t: float) -> np.ndarray:
 
 
 def sat_y_field(r: np.ndarray, walls: WallTerms, rates: np.ndarray):
-    """Add the modal theta term -theta alpha_y Py^{-1} r on ``walls.rows`` into the aux rate in ``rates``.
+    """Add the modal theta term -theta alpha_y Py^{-1} r on the damped rows into the aux rate in ``rates``.
 
     This is the weak y-wall treatment extended into the auxiliary equation.
     It is added as (theta alpha_y r) / (-P), which has the bits of

@@ -30,7 +30,9 @@ from typing import Optional
 
 import numpy as np
 
-from sbpml.boundary_sat import BoundaryConfig, PenaltyParams, WallTerms, sat_contributions, sat_y_field, wall_residuals
+from sbpml.boundary_sat import (
+    BoundaryConfig, PenaltyParams, WallTerms, sat_contributions, sat_y_field, wall_residuals, wall_terms
+)
 from sbpml.grid_state import FieldState, Grid2D, OperatorPair
 
 # Which FieldState.model each model kind advances.
@@ -128,7 +130,7 @@ class SemiDiscrete:
 
     Built once per scenario or assembly: ``__post_init__`` checks the
     damping profile against the operators and builds ``walls``, the
-    ``WallTerms`` of (ops, bc, penalties, spec.kind, spec.theta,
+    ``wall_terms`` of (ops, bc, penalties, spec.kind, spec.theta,
     prof.rows), and ``model``, the ``FieldState.model`` this system
     advances.
     """
@@ -145,7 +147,7 @@ class SemiDiscrete:
         got, shape = (self.prof.sigma_values.size, self.prof.ny), (self.ops.x.n, self.ops.y.n)
         if got != shape:
             raise ValueError(f"damping profile shape {got} does not match operators {shape}")
-        walls = WallTerms(self.ops, self.bc, self.penalties, self.spec.kind, self.spec.theta, self.prof.rows)
+        walls = wall_terms(self.ops, self.bc, self.penalties, self.spec.kind, self.spec.theta, self.prof.rows)
         object.__setattr__(self, "walls", walls)
         object.__setattr__(self, "model", STATE_MODEL[self.spec.kind])
 

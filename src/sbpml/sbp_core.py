@@ -107,39 +107,28 @@ _Q_FLOATS = {
 
 
 def _q_band(order: int, n: int) -> np.ndarray:
-    """Q's n x (2w + 1) band, by the dense recipe Q = U - U^T on the
-    m = min(n, 2r) points, r = bw + w, that hold both closures whole.
+    """Q's n x (2w + 1) band, Q = U - U^T built on the bands.
 
     U has the interior stencil above the diagonal, the bw-by-bw block at
     each end zeroed, then the ``_Q_BLOCK_UPPER`` entries, mirrored at the
-    right end; Q[0, 0] = -1/2 and Q[m-1, m-1] = 1/2.  The half-width w is
-    the widest offset j - i of a nonzero U[i, j].  Q's rows are sheared
-    into the band (the inverse of ``_sheared``); for n > 2r the rows from
-    r to n - r are the pure stencil row r.
+    right end; Q[0, 0] = -1/2 and Q[n-1, n-1] = 1/2.  The half-width w is
+    the widest offset j - i of a nonzero U[i, j]; U[i, i + k] is
+    upper[i, w + k], and U^T's band holds it at lower[i + k, w - k].
     """
     (stencil, table), bw = _Q_FLOATS[order], _BOUNDARY_WIDTH[order]
     w = max(len(stencil), bw - 1, *(j - i for i, j in table))
-    m, width = min(n, 2 * (bw + w)), 2 * w + 1
-    upper = np.zeros((m, m))
-    idx = np.arange(m)
+    upper, lower = np.zeros((n, 2 * w + 1)), np.zeros((n, 2 * w + 1))
     for k, c in enumerate(stencil, start=1):
-        upper[idx[:-k], idx[k:]] = c  # index pairs: a flat-stride write would wrap below the diagonal
-    upper[:bw, :bw] = upper[m - bw :, m - bw :] = 0.0
+        upper[: n - k, w + k] = c
+    for k in range(1, bw):
+        upper[: bw - k, w + k] = upper[n - bw : n - k, w + k] = 0.0
     for (i, j), v in table.items():
-        upper[i, j] = upper[m - 1 - j, m - 1 - i] = v
-    q = upper - upper.T
-    q[0, 0], q[-1, -1] = -0.5, 0.5
-
-    # Q padded by w zero columns a side, in rows of m + 2w, read back in rows
-    # of m + 2w + 1: row i then starts at its column i - w.
-    buffer = np.zeros(m * (m + width))
-    buffer[: m * (m + width - 1)].reshape(m, m + width - 1)[:, w : w + m] = q
-    small = buffer.reshape(m, m + width)[:, :width]
-    half = m // 2
-    band = np.empty((n, width))
-    band[:half], band[n - half :] = small[:half], small[m - half :]
-    band[half : n - half] = small[half]
-    return band
+        upper[i, w + j - i] = upper[n - 1 - j, w + j - i] = v
+    for k in range(1, w + 1):
+        lower[k:, w - k] = upper[: n - k, w + k]
+    q = upper - lower
+    q[0, w], q[-1, w] = -0.5, 0.5
+    return q
 
 
 def _sheared(band: np.ndarray) -> np.ndarray:

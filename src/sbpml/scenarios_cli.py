@@ -100,6 +100,10 @@ class ScenarioConfig:
             raise ValueError(
                 f"unknown penalty preset {self.penalties!r}; expected one of {PENALTY_PRESETS}"
             )
+        for name in ("order", "stride"):
+            v = getattr(self, name)
+            if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {v!r}")
         if self.order not in SUPPORTED_ORDERS:
             raise ValueError(f"unsupported order {self.order}; expected one of {SUPPORTED_ORDERS}")
         if self.model_kind not in MODEL_KINDS:
@@ -540,6 +544,8 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    if args.samples < 1:
+        raise ValueError(f"--samples must be at least 1, got {args.samples}")
     failures = []
     # SBP operator checks.
     for order in (2, 4, 6):
@@ -605,6 +611,8 @@ def _cmd_converge(args) -> int:
 
 
 def _cmd_modal(args) -> int:
+    if args.nk < 1:
+        raise ValueError(f"--nk must be at least 1, got {args.nk}")
     gammas = [float(v) for v in args.gammas.split(",")]
     sigmas = [float(v) for v in args.sigmas.split(",")]
     ks = np.linspace(-10.0, 10.0, args.nk)

@@ -317,12 +317,12 @@ def penalty_matrix_eigenvalues(gamma, theta_bar):
     return (gamma + theta_bar - root) / 2.0, (gamma + theta_bar + root) / 2.0
 
 
-def sat_by_direction(r, walls, rates):
+def sat_by_direction(r, walls, rates, ny):
     """``sat_contributions`` as one take, += and put of the rates per
-    direction, x then y, the scatter it replaced."""
+    direction, x then y, the scatter it replaced, on a grid of ``ny`` y points."""
     flat, places, weights = walls.sat
     q = r / walls.p_normal
-    x_entries = 4 * walls.ops.y.n  # Ez and tangential H on the 2 ny x-wall points
+    x_entries = 4 * ny  # Ez and tangential H on the 2 ny x-wall points
     for part in (slice(0, x_entries), slice(x_entries, None)):
         lines = rates.take(flat[part])
         lines += weights[part] * q.take(places[part])

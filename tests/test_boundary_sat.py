@@ -11,11 +11,11 @@ from hypothesis import strategies as st
 from sbpml.boundary_sat import (
     BoundaryConfig,
     PenaltyParams,
-    WallTerms,
     boundary_dissipation,
     penalties_admissible,
     sat_contributions,
     wall_residuals,
+    wall_terms,
 )
 from sbpml.grid_state import FieldState, Grid2D
 from sbpml.pml_models import ModelSpec, SemiDiscrete, evaluate_rhs
@@ -26,14 +26,14 @@ from _oracles import dense_sat_oracle, penalty_matrix_eigenvalues, random_state,
 def sat_of(s, bc, p, t, grid, ops):
     """The SAT fields (ez, hy, hx) of a state, from its wall residuals at time t, added into zero fields."""
     fields = np.zeros((3, grid.nx, grid.ny))
-    walls = WallTerms(ops, bc, p, "Interior")
+    walls = wall_terms(ops, bc, p, "Interior")
     sat_contributions(wall_residuals(s.data.reshape(-1), walls, t), walls, fields.reshape(-1))
     return tuple(fields)
 
 
 def residuals_by_wall(s, bc, t, grid):
     """The wall residuals of a state at time t as its (left, right, bottom, top) segments."""
-    walls = WallTerms(grid.operators(2), bc, PenaltyParams.universal(), "Interior")
+    walls = wall_terms(grid.operators(2), bc, PenaltyParams.universal(), "Interior")
     r = wall_residuals(s.data.reshape(-1), walls, t)
     assert r.shape == (2 * grid.ny + 2 * grid.nx,)
     return np.split(r, np.cumsum([grid.ny, grid.ny, grid.nx]))
@@ -105,6 +105,17 @@ def test_penalties_admissible_classification():
         assert penalties_admissible(BoundaryConfig(r_x=r, r_y=-r), PenaltyParams.universal()), r
 
 
+def test_admissibility_of_huge_weights():
+    """Weights near the float range are classified, not overflowed: with
+    alpha_x = 1e160 the x quadratic is a = 5e159, b = -5e159, c = 1/2,
+    indefinite, and alpha = theta = 1e200 at R = 0 is a multiple of the
+    marginal form e^2 - 2 e m + m^2, admissible.  The all-zero quadratic
+    of R = 1, alpha = 1, theta = 0 is admissible."""
+    assert not penalties_admissible(BoundaryConfig(), PenaltyParams(1e160, 1.0, 1.0, 1.0))
+    assert penalties_admissible(BoundaryConfig(), PenaltyParams(1e200, 1e200, 1e200, 1e200))
+    assert penalties_admissible(BoundaryConfig(r_x=1.0, r_y=1.0), PenaltyParams(1.0, 1.0, 0.0, 0.0))
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_non_finite_wall_inputs_rejected(bad):
     """A reflection coefficient of NaN lies in no range and a penalty weight
@@ -158,7 +169,7 @@ def test_admissibility_is_the_sign_of_the_wall_form(r_x, r_y, weights):
     Weights in [-1, 4] make both outcomes common."""
     bc, p = BoundaryConfig(r_x=r_x, r_y=r_y), PenaltyParams(*weights)
     g = Grid2D(0.0, 2.0, 0.0, 1.5, 7, 6)
-    walls = WallTerms(g.operators(2), bc, p, "Interior")
+    walls = wall_terms(g.operators(2), bc, p, "Interior")
 
     def bt(point, field, e, m):
         """BT of the state that is e in Ez and m in ``field`` at ``point``, zero elsewhere."""

@@ -16,10 +16,10 @@ from sbpml import sbp_core
 from sbpml.boundary_sat import (
     BoundaryConfig,
     PenaltyParams,
-    WallTerms,
     boundary_dissipation,
     sat_contributions,
     sat_y_field,
+    wall_terms,
 )
 from sbpml.diagnostics import modal_bt_integrand
 from sbpml.grid_state import FieldState, Grid2D, nfields
@@ -253,7 +253,7 @@ def test_boundary_vector_matches_dense_oracle(
     scatter_rng = np.random.default_rng(seed)
     r = scatter_rng.standard_normal(place.size)
     for kind in MODEL_KINDS:
-        walls = WallTerms(ops, bc, p, kind, 0.7, prof.rows)
+        walls = wall_terms(ops, bc, p, kind, 0.7, prof.rows)
         index = walls.gather[0]
         i, j = np.divmod(index, ny)
         assert np.array_equal(np.sort(index[:n_x]), np.flatnonzero((np.arange(plane) // ny) % (nx - 1) == 0))
@@ -284,7 +284,7 @@ def test_boundary_vector_matches_dense_oracle(
         # for bit, a corner x first, into the rates' flat view.
         want = scatter_rng.standard_normal((4, nx, ny))
         got = want.copy()
-        sat_by_direction(r, walls, want)
+        sat_by_direction(r, walls, want, ny)
         theta_term_by_take_put(r, walls, want)
         sat_contributions(r, walls, got.reshape(-1))
         sat_y_field(r, walls, got.reshape(-1))

@@ -133,6 +133,17 @@ def test_config_validation():
     assert reference_config(0.04, 4, tol=None).tol is None  # no layer, so no d0 to derive
 
 
+@pytest.mark.parametrize("name,value", [("order", 4.0), ("order", True), ("stride", 2.5), ("stride", True)])
+def test_config_refuses_non_integer_order_and_stride(tmp_path, name, value):
+    """A float or bool order or stride is refused when built: it would run
+    and echo a value that ``config_from_file`` refuses, so the run could not
+    be reproduced from its echo.  An int, 2, reads back from the echo."""
+    with pytest.raises(ValueError, match=re.escape(f"{name} must be an integer, got {value!r}")):
+        preset_config("cavity-desk-theta1", **{name: value})
+    cfg = tiny_cavity(output_dir=str(tmp_path), **{name: 2})
+    assert config_from_file(run_scenario(cfg).config_echo_path) == cfg
+
+
 def test_build_cavity_geometry():
     setup = build_scenario(tiny_cavity())
     g = setup.grid
@@ -789,6 +800,20 @@ def test_cli_modal_rejects_single_point_axis(tmp_path, capsys):
         rc = cli_entry(["modal", flag, "1", "--nk", "1", "--out", str(tmp_path / "out")])
         assert rc == 1
         assert f"{name} must be at least 2, got 1" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("count", ["0", "-3"])
+def test_cli_rejects_counts_that_check_nothing(tmp_path, capsys, count):
+    """``verify`` with no Monte-Carlo samples and ``modal`` with no
+    wavenumbers would check nothing and pass; both exit 1 naming the flag,
+    before any check runs or any file is written."""
+    assert cli_entry(["verify", "--samples", count]) == 1
+    out, err = capsys.readouterr()
+    assert not out and f"--samples must be at least 1, got {count}" in err
+    assert cli_entry(["modal", "--nk", count, "--out", str(tmp_path / "out")]) == 1
+    out, err = capsys.readouterr()
+    assert not out and f"--nk must be at least 1, got {count}" in err
     assert not (tmp_path / "out").exists()
 
 
