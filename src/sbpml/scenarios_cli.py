@@ -108,6 +108,9 @@ class ScenarioConfig:
             raise ValueError(f"unsupported order {self.order}; expected one of {SUPPORTED_ORDERS}")
         if self.model_kind not in MODEL_KINDS:
             raise ValueError(f"unknown model kind {self.model_kind!r}; expected one of {MODEL_KINDS}")
+        for name in ("x0", "y0", "delta", "h", "dt_factor", "t_final", "theta", "tol", "d0"):
+            if isinstance(getattr(self, name), bool):
+                raise ValueError(f"{name} must be a number, got {getattr(self, name)!r}")
         for name in ("x0", "y0", "delta", "h", "dt_factor", "t_final"):
             v = getattr(self, name)
             if not (math.isfinite(v) and v > 0):
@@ -247,30 +250,30 @@ def rk4_step(rhs, u: np.ndarray, t: float, dt: float, k1: np.ndarray, q1: float,
     integrand q of a scalar integrated beside the state (the boundary
     integral of the energies; 0.0 if there is none).  ``k1`` must hold
     rhs(u, t) and ``q1`` its integrand: ``march``, the one caller, has
-    them from the end of the previous step.  ``work`` is four arrays
-    shaped like ``u``, overwritten as the stage buffers; ``k1`` is left as
-    is.
+    them from the end of the previous step.  ``work`` is three arrays
+    ``(k, v, acc)`` shaped like ``u``, overwritten: the rate of stages 2-4 in
+    turn, the stage state and the sum of the rates; ``k1`` is left as is.
     Returns the scalar's increment dt/6 (q1 + 2 q2 + 2 q3 + q4), the same
     weights as the fields'.  Exactly linear in u when rhs is linear.
     """
-    k2, k3, k4, v = work
+    k, v, acc = work
     np.multiply(k1, 0.5 * dt, v)
     v += u
-    q2 = rhs(v, t + 0.5 * dt, k2)
-    np.multiply(k2, 0.5 * dt, v)
-    v += u
-    q3 = rhs(v, t + 0.5 * dt, k3)
-    np.multiply(k3, dt, v)
-    v += u
-    q4 = rhs(v, t + dt, k4)
+    q2 = rhs(v, t + 0.5 * dt, k)
     # u += dt/6 (k1 + 2 k2 + 2 k3 + k4), summed left to right.
-    np.multiply(k2, 2.0, v)
-    v += k1
-    k3 *= 2.0
-    v += k3
-    v += k4
-    v *= dt / 6.0
-    u += v
+    np.multiply(k, 2.0, acc)
+    acc += k1
+    np.multiply(k, 0.5 * dt, v)
+    v += u
+    q3 = rhs(v, t + 0.5 * dt, k)
+    np.multiply(k, dt, v)
+    v += u
+    k *= 2.0
+    acc += k
+    q4 = rhs(v, t + dt, k)
+    acc += k
+    acc *= dt / 6.0
+    u += acc
     return (dt / 6.0) * (q1 + 2.0 * q2 + 2.0 * q3 + q4)
 
 
@@ -288,15 +291,15 @@ def march(system: SemiDiscrete, u: FieldState, dt: float, n_steps: int):
     modal = system.spec.kind == "ModalUnsplit"
 
     def rhs(v, t, out):
-        state, (d, ez) = states[id(v)][0], states[id(out)]
+        state, d, ez = states[id(v), id(out)]
         evaluate_rhs(system, state, t, d)
         return modal_bt_integrand(ez, walls) if modal else boundary_dissipation(state, walls)
 
-    du = FieldState(model, np.empty_like(u.data))
-    work = [np.empty_like(u.data) for _ in range(4)]
-    # rk4_step hands rhs only these arrays, so each is wrapped once, with its
-    # Ez view, and each output, always fed one state, keeps its RHS plan.
-    states = {id(s.data): (s, s.ez) for s in [u, du, *(FieldState(model, w) for w in work)]}
+    du, rate, stage = (FieldState(model, np.empty_like(u.data)) for _ in range(3))
+    work = rate.data, stage.data, np.empty_like(u.data)
+    # rk4_step feeds rhs only the pairs u -> du and v -> k, so each pair is wrapped once, with
+    # the output's Ez view, and each output, always fed one state, keeps its RHS plan: two a run.
+    states = {(id(s.data), id(d.data)): (s, d, d.ez) for s, d in ((u, du), (stage, rate))}
     q, bt = rhs(u.data, 0.0, du.data), 0.0
     yield 0, du, bt
     for k in range(n_steps):

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sbpml import sbp_core, scenarios_cli
+from sbpml import pml_models, sbp_core, scenarios_cli
 from sbpml.boundary_sat import boundary_dissipation
 from sbpml.diagnostics import (
     CSV_HEADER,
@@ -142,6 +142,16 @@ def test_config_refuses_non_integer_order_and_stride(tmp_path, name, value):
         preset_config("cavity-desk-theta1", **{name: value})
     cfg = tiny_cavity(output_dir=str(tmp_path), **{name: 2})
     assert config_from_file(run_scenario(cfg).config_echo_path) == cfg
+
+
+@pytest.mark.parametrize("value", [True, False])
+@pytest.mark.parametrize("name", ["x0", "y0", "delta", "h", "dt_factor", "t_final", "theta", "tol", "d0"])
+def test_config_refuses_a_bool_in_a_float_field(name, value):
+    """A bool in a float field is refused when built: it would run and echo
+    ``True`` or ``False``, which ``config_from_file`` refuses, so the run
+    could not be reproduced from its echo."""
+    with pytest.raises(ValueError, match=re.escape(f"{name} must be a number, got {value!r}")):
+        preset_config("cavity-desk-theta1", **{name: value})
 
 
 def test_build_cavity_geometry():
@@ -470,15 +480,19 @@ def test_run_scenario_matches_out_of_place_loop(tmp_path, monkeypatch, kind, pen
     assert Path(art.history_csv).read_bytes() == Path(again.history_csv).read_bytes()
 
 
+def march_setup(scenario):
+    """A few steps of the desk cavity (ModalUnsplit) or of a coarse waveguide."""
+    if scenario == "Cavity":
+        return build_scenario(preset_config("cavity-desk-theta1", t_final=4.0))
+    return build_scenario(waveguide_config(0.1, 4, t_final=0.3))
+
+
 @pytest.mark.parametrize("scenario", ["Cavity", "Waveguide"])
 def test_march_yields_every_step_with_its_derivative(monkeypatch, scenario):
     """``march`` yields k = 0, 1, ..., n in order, with du bit for bit the
     derivative at t = k dt, and evaluates the RHS 4 n + 1 times.  The
     waveguide's top-wall data depend on t, so a wrong time would show."""
-    if scenario == "Cavity":
-        setup = build_scenario(preset_config("cavity-desk-theta1", t_final=4.0))
-    else:
-        setup = build_scenario(waveguide_config(0.1, 4, t_final=0.3))
+    setup = march_setup(scenario)
     calls = []
     original = scenarios_cli.evaluate_rhs
 
@@ -493,6 +507,25 @@ def test_march_yields_every_step_with_its_derivative(monkeypatch, scenario):
         assert np.array_equal(du.data, evaluate_rhs(setup.system, u, k * setup.dt).data), k
     assert steps == list(range(setup.n_steps + 1))
     assert len(calls) == 4 * setup.n_steps + 1
+
+
+@pytest.mark.parametrize("scenario", ["Cavity", "Waveguide"])
+def test_march_makes_two_rhs_plans(monkeypatch, scenario):
+    """A march feeds the RHS two input-output pairs only, u -> du and the
+    stage state -> the stage rate, so over many steps it makes two plans."""
+    setup = march_setup(scenario)
+    plans = []
+    original = pml_models.rhs_plan
+
+    def counting(*args):
+        plans.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(pml_models, "rhs_plan", counting)
+    for _ in scenarios_cli.march(setup.system, setup.state0, setup.dt, setup.n_steps):
+        pass
+    assert setup.n_steps >= 3
+    assert len(plans) == 2
 
 
 def test_non_finite_first_record_is_a_divergence(tmp_path):
