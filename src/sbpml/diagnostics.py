@@ -146,10 +146,12 @@ def growth_bound_check(times, energies, sigma_inf: float, tol: float = None) -> 
 
     ``max_ratio`` is the worst observed ratio of the left to the right side;
     values <= 1 + tol pass.  A non-finite energy fails the check with ratio
-    inf at the first such sample.
+    inf at the first such sample.  Unequal lengths are refused.
     """
     times = np.asarray(times, dtype=float)
     energies = np.asarray(energies, dtype=float)
+    if len(times) != len(energies):
+        raise ValueError(f"growth_bound_check needs an energy per time: {len(times)} times, {len(energies)} energies")
     bad = np.flatnonzero(~np.isfinite(energies))
     if bad.size:
         return GrowthCheck(ok=False, max_ratio=float("inf"), worst_index=int(bad[0]))
@@ -177,9 +179,10 @@ def assemble_system_matrix(system: SemiDiscrete, dtype=np.float64) -> np.ndarray
     L e_j + RHS(0).  Column j is the RHS of the j-th unit state, written
     as row j of the transpose, which is contiguous: one ``evaluate_rhs``
     call takes a fields-first stack of ``ASSEMBLY_CHUNK`` unit states, and
-    their rates are copied into that many rows.  The unit and rate buffers
-    are made once per call.  Each state of a stack gets the bits of its own
-    rate, so the matrix does not depend on the chunk.
+    their rates are copied into that many rows.  The unit and rate stacks
+    are made once per call, so one RHS plan serves every chunk.  Each state
+    of a stack gets the bits of its own rate, so the matrix does not depend
+    on the chunk, nor on the zero states that pad a short last chunk.
     Systems of more than ``MAX_DENSE_UNKNOWNS`` unknowns are refused.
     """
     system = system.data_free()
@@ -189,30 +192,26 @@ def assemble_system_matrix(system: SemiDiscrete, dtype=np.float64) -> np.ndarray
     if m > MAX_DENSE_UNKNOWNS:
         raise ValueError(f"{m} unknowns exceed the dense-assembly guard of {MAX_DENSE_UNKNOWNS}")
 
-    # The chunk from column `start` is the fields-first stack (nfields, n,
-    # nx, ny) of e_start, ..., e_(start+n-1) on the first n m entries of
-    # `units`: state b has its one at flat index start + b = f P + p, so at
-    # [f, b, p] of its (nfields, n, P) view.  Its rates are copied into rows
-    # start, ..., start + n - 1 of `at`.  evaluate_rhs overwrites all of its
-    # output, so `rates` and `at` start uninitialized.  One state pair per
-    # chunk size wraps the buffers, so one RHS plan serves its chunks.
+    # `unit` and `rate` are one pair of fields-first stacks (nfields, chunk,
+    # nx, ny).  The chunk from column `start` puts e_(start+b) in state b < n,
+    # at flat index start + b = f P + p, so at [f, b, p] of its (nfields,
+    # chunk, P) view; a short last chunk leaves its other states zero.  Its n
+    # rates go to rows start, ..., start + n - 1 of `at`.  evaluate_rhs
+    # overwrites all of its output, so `rate` and `at` start uninitialized.
     plane = shape[1] * shape[2]
     chunk = min(ASSEMBLY_CHUNK, m)
     at = np.empty((m, m), dtype)
-    units, rates = np.zeros(chunk * m, dtype), np.empty(chunk * m, dtype)
-    unit = None
+    stack = (shape[0], chunk) + shape[1:]
+    unit, rate = FieldState(model, np.zeros(stack, dtype)), FieldState(model, np.empty(stack, dtype))
+    view, rates = (state.data.reshape(shape[0], chunk, plane) for state in (unit, rate))
     for start in range(0, m, chunk):
         n = min(chunk, m - start)
-        if unit is None or unit.data.shape[1] != n:
-            stack = (shape[0], n) + shape[1:]
-            unit, rate = (FieldState(model, buffer[: n * m].reshape(stack)) for buffer in (units, rates))
-            view = unit.data.reshape(shape[0], n, plane)
         b = np.arange(n)
         f, p = np.divmod(start + b, plane)
         view[f, b, p] = 1
         evaluate_rhs(system, unit, 0.0, rate)
         view[f, b, p] = 0
-        at[start : start + n].reshape(n, shape[0], plane)[...] = rate.data.reshape(shape[0], n, plane).swapaxes(0, 1)
+        at[start : start + n].reshape(n, shape[0], plane)[...] = rates[:, :n].swapaxes(0, 1)
     return at.T
 
 

@@ -172,7 +172,11 @@ def scan_unstable_roots(f, region: ComplexParamRegion):
     refinement.  A refined point with Re >= 0 in the region, widened by a
     grid step, is returned, sorted and deduplicated as a Python complex, if
     |f| < ``ROOT_TOLERANCE`` there or its cell's winding count is positive.
-    An empty list means no unstable mode was found.
+    An empty list means no unstable mode was found.  It is a search, not a
+    count: only the 3 deepest minima and those under the thresholds are
+    refined, so with many roots it returns a subset, and a count of its
+    roots is a lower bound.  F1 and F2 are root-free, so their scans are
+    unaffected.
 
     ``f`` must work elementwise on complex arrays: the grid is evaluated in
     one call, and so is each winding contour.  Newton refinement calls it on

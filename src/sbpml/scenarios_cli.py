@@ -26,7 +26,7 @@ import os
 import re
 import sys
 import time
-from dataclasses import dataclass, asdict
+from dataclasses import asdict, dataclass, replace
 from typing import Optional, get_type_hints
 
 import numpy as np
@@ -121,6 +121,11 @@ class ScenarioConfig:
             raise ValueError(f"d0 must be finite and nonnegative, got {self.d0}")
         if self.stride < 1:
             raise ValueError(f"stride must be at least 1, got {self.stride}")
+        # The config echo quotes a value with '#' or outer spaces, and can carry no quote or line break.
+        for name in ("label", "output_dir"):
+            v = str(getattr(self, name))
+            if '"' in v or "'" in v or "".join(v.splitlines()) != v:
+                raise ValueError(f"{name} must hold no quote or line break, got {v!r}")
         if self.scenario != "Reference" and self.tol is None and self.d0 is None:
             raise ValueError("tol = none needs an explicit d0: give tol in (0, 1) or d0")
         # Layer edges must sit on grid points.
@@ -240,7 +245,10 @@ def _echo_config(path: str, cfg: ScenarioConfig, setup: ScenarioSetup, diverged:
                penalties_admissible(setup.system.bc, setup.system.penalties), diverged, last_step)
     with open(path, "w") as f:
         for k, v in [*asdict(cfg).items(), *zip(ECHO_RESULT_KEYS, results)]:
-            f.write(f"{k} = {v}\n")
+            # parse_config_text cuts a line at '#' and strips its ends, unless the value is quoted.
+            v = str(v)
+            quote = '"' if "#" in v or v != v.strip() else ""
+            f.write(f"{k} = {quote}{v}{quote}\n")
 
 
 def rk4_step(rhs, u: np.ndarray, t: float, dt: float, k1: np.ndarray, q1: float, work) -> float:
@@ -536,7 +544,7 @@ def _cmd_run(args) -> int:
         print("run: provide --config FILE or --preset NAME", file=sys.stderr)
         return 2
     if args.out:
-        cfg.output_dir = args.out
+        cfg = replace(cfg, output_dir=args.out)
     art = run_scenario(cfg)
     print(f"history: {art.history_csv}")
     print(f"snapshot: {art.snapshot_path}")

@@ -232,6 +232,15 @@ def test_growth_bound_check_non_finite_energy():
     assert chk.worst_index == 15
 
 
+def test_growth_bound_check_refuses_unequal_lengths():
+    """One energy per time: more energies, which the check would ignore, or
+    more times, which it would index past, are refused, naming both counts."""
+    with pytest.raises(ValueError, match="3 times, 5 energies"):
+        growth_bound_check([0.0, 1.0, 2.0], [1.0, 1.0, 1.0, 1e9, 1e12], 0.1)
+    with pytest.raises(ValueError, match="4 times, 2 energies"):
+        growth_bound_check([0.0, 1.0, 2.0, 3.0], [1.0, 1.0], 0.1)
+
+
 def test_growth_bound_check_zero_start():
     # A signal appearing out of exact zero violates any bound.
     chk = growth_bound_check([0.0, 1.0], [0.0, 1.0], 1.0)
@@ -318,7 +327,8 @@ def test_assembly_calls_rhs_once_per_chunk(monkeypatch):
     the benchmark's tracer wraps (``perfbench/spans.py``), exactly once per
     chunk of ``ASSEMBLY_CHUNK`` unit states, so that the traced RHS count
     of a spectrum stays right: ceil(m / ASSEMBLY_CHUNK) calls for m
-    unknowns, each on a stack of at most that many states."""
+    unknowns, each on a stack of that many states, since a short last
+    chunk runs the same stack with zero states in its tail."""
     g, ops, prof, bc, p = small_problem(order=2, nx=7, ny=6)
     stacks = []
     original = diagnostics.evaluate_rhs
@@ -330,9 +340,9 @@ def test_assembly_calls_rhs_once_per_chunk(monkeypatch):
     monkeypatch.setattr(diagnostics, "evaluate_rhs", counting)
     a = assemble_semidiscrete_matrix(ModelSpec("ModalUnsplit", theta=1.0), g, prof, bc, p, ops)
     m = 4 * g.nx * g.ny
-    assert a.shape[1] == m and m > diagnostics.ASSEMBLY_CHUNK
+    assert a.shape[1] == m and m > diagnostics.ASSEMBLY_CHUNK and m % diagnostics.ASSEMBLY_CHUNK != 0
     assert len(stacks) == math.ceil(m / diagnostics.ASSEMBLY_CHUNK)
-    assert sum(stacks) == m and max(stacks) == diagnostics.ASSEMBLY_CHUNK
+    assert stacks == [diagnostics.ASSEMBLY_CHUNK] * len(stacks)
 
 
 def spectra_cavity(order):
@@ -342,12 +352,12 @@ def spectra_cavity(order):
     return g, g.operators(order), prof, BoundaryConfig(r_x=0.0, r_y=0.0)
 
 
-def test_assembly_makes_one_plan_per_chunk_size(monkeypatch):
-    """The assembly wraps its buffers in one state pair per chunk size, so
-    the RHS plan is made once for the full chunks and once for the last:
-    twice for the 676 unknowns of the 13x13 spectra cavity, 10 chunks of
-    ``ASSEMBLY_CHUNK`` states and one of 36."""
-    g, ops, prof, bc = spectra_cavity(4)
+def test_assembly_makes_one_rhs_plan(monkeypatch):
+    """The assembly wraps its buffers in one state pair, so the RHS plan is
+    made once: for the 676 unknowns of the 13x13 spectra cavity, 10 chunks
+    of ``ASSEMBLY_CHUNK`` states and a short one, on a stack of that many
+    states; and for the 27 unknowns of a 3x3 Interior grid, fewer than a
+    chunk, on a stack of all of them."""
     shapes = []
     original = pml_models.rhs_plan
 
@@ -356,9 +366,16 @@ def test_assembly_makes_one_plan_per_chunk_size(monkeypatch):
         return original(system, state, out)
 
     monkeypatch.setattr(pml_models, "rhs_plan", counting)
+    g, ops, prof, bc = spectra_cavity(4)
     a = assemble_semidiscrete_matrix(ModelSpec("ModalUnsplit", theta=1.0), g, prof, bc, PenaltyParams.universal(), ops)
     assert a.shape == (676, 676) and diagnostics.ASSEMBLY_CHUNK == 64
-    assert shapes == [(4, 64, 13, 13), (4, 36, 13, 13)]
+    assert shapes == [(4, 64, 13, 13)]
+    shapes.clear()
+    g = Grid2D(-2.0, 2.0, -1.0, 1.0, 3, 3)
+    prof = make_damping_profile(g, 0.5, 1.5, 2.0)
+    a = assemble_semidiscrete_matrix(ModelSpec("Interior", theta=0.0), g, prof, bc, PenaltyParams.universal(), g.operators(2))
+    assert a.shape == (27, 27)
+    assert shapes == [(3, 27, 3, 3)]
 
 
 # Every model kind, ModalUnsplit at theta = 0 and 1, with its penalties.

@@ -373,6 +373,38 @@ def test_config_echo_reads_back_and_reruns_the_run(tmp_path, capsys, name):
     assert (b / Path(art.config_echo_path).name).read_text() == echo.replace(f"= {a}\n", f"= {b}\n")
 
 
+@pytest.mark.parametrize("label,out", [("run#1", "out #1"), (" spaced ", "out")], ids=["hash", "outer-spaces"])
+def test_config_echo_quotes_what_reading_would_cut(tmp_path, capsys, label, out):
+    """A label or output_dir with a '#' or outer spaces is echoed in quotes,
+    so ``sbpml run --config`` on the echo reads the same config back and
+    writes the same files, byte for byte, at the same paths."""
+    cfg = preset_config("cavity-desk-theta1", t_final=2.0, label=label, output_dir=str(tmp_path / out))
+    art = run_scenario(cfg)
+    assert config_from_file(art.config_echo_path) == cfg
+    written = {path: Path(path).read_bytes() for path in (art.history_csv, art.snapshot_path, art.config_echo_path)}
+    echo = tmp_path / "echo.txt"
+    echo.write_bytes(written[art.config_echo_path])
+    for path in written:
+        os.remove(path)
+    assert cli_entry(["run", "--config", str(echo)]) == 0
+    assert {path: Path(path).read_bytes() for path in written} == written
+    assert sorted(os.listdir(cfg.output_dir)) == sorted(os.path.basename(path) for path in written)
+
+
+@pytest.mark.parametrize("name", ["label", "output_dir"])
+@pytest.mark.parametrize("value", ['run"1', "run'1", "run\n1", "run\r", "\nrun"])
+def test_config_refuses_what_its_echo_cannot_carry(tmp_path, capsys, name, value):
+    """A quote or a line break in a label or output_dir is refused when the
+    config is built, and so is such an ``sbpml run --out``, before anything
+    is written: no echo line could carry it back."""
+    with pytest.raises(ValueError, match=f"{name} must hold no quote or line break"):
+        preset_config("cavity-desk-theta1", **{name: value})
+    if name == "output_dir":
+        assert cli_entry(["run", "--preset", "cavity-desk-theta1", "--out", str(tmp_path / value)]) == 1
+        assert "output_dir must hold no quote or line break" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == []
+
+
 def test_config_echo_skips_only_its_result_keys(tmp_path):
     """The echo ends with the ``ECHO_RESULT_KEYS``, which reading it skips;
     a misspelled result key or field is still an unknown key."""
