@@ -258,30 +258,31 @@ def rk4_step(rhs, u: np.ndarray, t: float, dt: float, k1: np.ndarray, q1: float,
     integrand q of a scalar integrated beside the state (the boundary
     integral of the energies; 0.0 if there is none).  ``k1`` must hold
     rhs(u, t) and ``q1`` its integrand: ``march``, the one caller, has
-    them from the end of the previous step.  ``work`` is three arrays
-    ``(k, v, acc)`` shaped like ``u``, overwritten: the rate of stages 2-4 in
-    turn, the stage state and the sum of the rates; ``k1`` is left as is.
-    Returns the scalar's increment dt/6 (q1 + 2 q2 + 2 q3 + q4), the same
-    weights as the fields'.  Exactly linear in u when rhs is linear.
+    them from the end of the previous step.  ``work`` is two arrays
+    ``(k, v)`` shaped like ``u``, overwritten: the rate of stages 2-4 in
+    turn and the stage state.  ``k1`` is consumed: it sums the rates and
+    comes back holding the increment dt/6 (k1 + 2 k2 + 2 k3 + k4).  Returns
+    the scalar's increment dt/6 (q1 + 2 q2 + 2 q3 + q4), the same weights
+    as the fields'.  Exactly linear in u when rhs is linear.
     """
-    k, v, acc = work
+    k, v = work
     np.multiply(k1, 0.5 * dt, v)
     v += u
     q2 = rhs(v, t + 0.5 * dt, k)
-    # u += dt/6 (k1 + 2 k2 + 2 k3 + k4), summed left to right.
-    np.multiply(k, 2.0, acc)
-    acc += k1
+    # u += dt/6 (k1 + 2 k2 + 2 k3 + k4), summed left to right in k1.
     np.multiply(k, 0.5 * dt, v)
     v += u
+    k *= 2.0
+    k1 += k
     q3 = rhs(v, t + 0.5 * dt, k)
     np.multiply(k, dt, v)
     v += u
     k *= 2.0
-    acc += k
+    k1 += k
     q4 = rhs(v, t + dt, k)
-    acc += k
-    acc *= dt / 6.0
-    u += acc
+    k1 += k
+    k1 *= dt / 6.0
+    u += k1
     return (dt / 6.0) * (q1 + 2.0 * q2 + 2.0 * q3 + q4)
 
 
@@ -304,14 +305,13 @@ def march(system: SemiDiscrete, u: FieldState, dt: float, n_steps: int):
         return modal_bt_integrand(ez, walls) if modal else boundary_dissipation(state, walls)
 
     du, rate, stage = (FieldState(model, np.empty_like(u.data)) for _ in range(3))
-    work = rate.data, stage.data, np.empty_like(u.data)
     # rk4_step feeds rhs only the pairs u -> du and v -> k, so each pair is wrapped once, with
     # the output's Ez view, and each output, always fed one state, keeps its RHS plan: two a run.
     states = {(id(s.data), id(d.data)): (s, d, d.ez) for s, d in ((u, du), (stage, rate))}
     q, bt = rhs(u.data, 0.0, du.data), 0.0
     yield 0, du, bt
     for k in range(n_steps):
-        bt += rk4_step(rhs, u.data, k * dt, dt, du.data, q, work)
+        bt += rk4_step(rhs, u.data, k * dt, dt, du.data, q, (rate.data, stage.data))
         q = rhs(u.data, (k + 1) * dt, du.data)
         yield k + 1, du, bt
 
@@ -484,15 +484,18 @@ def write_error_table(path: str, rows):
 # Config files
 
 
-# The part of a line before its comment: a '#' inside quotes is text.
-_BEFORE_COMMENT = re.compile(r"""(?:[^#"']|"[^"]*"|'[^']*'|["'])*""")
+# The part of a line before its comment or an unpaired quote: a '#' inside quotes is text.
+_BEFORE_COMMENT = re.compile(r"""(?:[^#"']|"[^"]*"|'[^']*')*""")
 
 
 def parse_config_text(text: str) -> dict:
     """Parse flat 'key = value' lines, each key on one line, into raw strings; '#' outside quotes starts a comment."""
     out, lines = {}, {}
     for ln, raw in enumerate(text.splitlines(), start=1):
-        line = _BEFORE_COMMENT.match(raw).group().strip()
+        line = _BEFORE_COMMENT.match(raw).group()
+        if raw[len(line):][:1] in ('"', "'"):
+            raise ValueError(f"line {ln}: unpaired quote in {raw!r}")
+        line = line.strip()
         if not line:
             continue
         if "=" not in line:

@@ -8,6 +8,7 @@ import signal
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -290,6 +291,10 @@ def test_parse_config_text():
         "output_dir": "run#1",
     }
     assert parse_config_text("label = 'run#1'  # note\n") == {"label": "run#1"}
+    # An unpaired quote is refused, with its line named, not read as a value cut at the '#'.
+    for line in ['label = "run#1', 'label = run"#x', "label = 'a#b"]:
+        with pytest.raises(ValueError, match="line 2: unpaired quote"):
+            parse_config_text(f"order = 4\n{line}\n")
     with pytest.raises(ValueError, match="expected 'key = value'"):
         parse_config_text("just words\n")
     # A key set twice is refused, with both lines named, not read as its last value.
@@ -558,6 +563,22 @@ def test_march_makes_two_rhs_plans(monkeypatch, scenario):
         pass
     assert setup.n_steps >= 3
     assert len(plans) == 2
+
+
+def test_march_keeps_three_state_arrays():
+    """A march allocates three state-sized arrays, du, the stage rate and the
+    stage state, and no fourth: over 50 desk steps the traced peak, RHS
+    plans included, stays below four states."""
+    setup = build_scenario(preset_config("cavity-desk-theta1"))
+    u = FieldState(setup.state0.model, setup.state0.data.copy())
+    tracemalloc.start()
+    try:
+        for _ in scenarios_cli.march(setup.system, u, setup.dt, 50):
+            pass
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * u.data.nbytes, (peak, u.data.nbytes)
 
 
 def test_non_finite_first_record_is_a_divergence(tmp_path):
