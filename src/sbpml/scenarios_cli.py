@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import numbers
 import os
 import re
 import sys
@@ -48,7 +49,6 @@ from sbpml.modal_analysis import (
 )
 from sbpml.pml_models import (
     MODEL_KINDS,
-    STATE_MODEL,
     ModelSpec,
     SemiDiscrete,
     damping_coefficient,
@@ -109,8 +109,9 @@ class ScenarioConfig:
         if self.model_kind not in MODEL_KINDS:
             raise ValueError(f"unknown model kind {self.model_kind!r}; expected one of {MODEL_KINDS}")
         for name in ("x0", "y0", "delta", "h", "dt_factor", "t_final", "theta", "tol", "d0"):
-            if isinstance(getattr(self, name), bool):
-                raise ValueError(f"{name} must be a number, got {getattr(self, name)!r}")
+            v = getattr(self, name)
+            if isinstance(v, bool) or not (isinstance(v, numbers.Real) or v is None and name in ("tol", "d0")):
+                raise ValueError(f"{name} must be a number, got {v!r}")
         for name in ("x0", "y0", "delta", "h", "dt_factor", "t_final"):
             v = getattr(self, name)
             if not (math.isfinite(v) and v > 0):
@@ -190,39 +191,31 @@ def _grid_points(length: float, h: float) -> int:
 
 def build_scenario(cfg: ScenarioConfig) -> ScenarioSetup:
     """Resolve a config into its grid, its semi-discrete system, and the initial state."""
-    spec = ModelSpec(kind=cfg.model_kind, theta=cfg.theta)
-    model = STATE_MODEL[cfg.model_kind]
-
     if cfg.scenario == "Cavity":
         half = cfg.x0 + cfg.delta
         grid = Grid2D(-half, half, -cfg.y0, cfg.y0, _grid_points(2 * half, cfg.h), _grid_points(2 * cfg.y0, cfg.h))
-        bc = BoundaryConfig(r_x=0.0, r_y=0.0)
-        d0 = cfg.d0 if cfg.d0 is not None else damping_coefficient(cfg.delta, cfg.tol)
-        prof = make_damping_profile(grid, cfg.x0, cfg.delta, d0)
-        state0 = cavity_initial_state(grid, model)
+        bc, power, initial_state = BoundaryConfig(r_x=0.0, r_y=0.0), 3, cavity_initial_state
     else:
-        y0 = cfg.y0
+        # The reference is the waveguide without its layer, ending at x0.
         x_right = cfg.x0 + cfg.delta if cfg.scenario == "Waveguide" else cfg.x0
         grid = Grid2D(
-            -2.0, x_right, -y0, y0, _grid_points(x_right + 2.0, cfg.h), _grid_points(2 * y0, cfg.h)
+            -2.0, x_right, -cfg.y0, cfg.y0, _grid_points(x_right + 2.0, cfg.h), _grid_points(2 * cfg.y0, cfg.h)
         )
-        bc = BoundaryConfig(r_x=0.0, r_y=1.0, g_top=waveguide_forcing(grid.x, y0))
-        if cfg.scenario == "Waveguide":
-            p = WAVEGUIDE_RAMP_POWER
-            d0 = cfg.d0 if cfg.d0 is not None else damping_coefficient(cfg.delta, cfg.tol, p)
-            prof = make_damping_profile(grid, cfg.x0, cfg.delta, d0, p)
-        else:
-            prof = make_damping_profile(grid, x_right, cfg.delta, 0.0)
-        state0 = FieldState.zeros(grid, model=model)
+        bc = BoundaryConfig(r_x=0.0, r_y=1.0, g_top=waveguide_forcing(grid.x, cfg.y0))
+        power, initial_state = WAVEGUIDE_RAMP_POWER, FieldState.zeros
 
+    d0 = 0.0 if cfg.scenario == "Reference" else cfg.d0
+    if d0 is None:
+        d0 = damping_coefficient(cfg.delta, cfg.tol, power)
+    prof = make_damping_profile(grid, cfg.x0, cfg.delta, d0, power)
     if cfg.penalties == "universal":
         penalties = PenaltyParams.universal()
     else:
         penalties = PenaltyParams.estimate_matching(bc.r_x, bc.r_y)
     dt = cfg.dt_factor * cfg.h
     n_steps = max(1, math.ceil(cfg.t_final / dt - 1e-12))
-    system = SemiDiscrete(spec, prof, bc, penalties, grid.operators(cfg.order))
-    return ScenarioSetup(grid, system, state0, cfg.t_final / n_steps, n_steps)
+    system = SemiDiscrete(ModelSpec(cfg.model_kind, cfg.theta), prof, bc, penalties, grid.operators(cfg.order))
+    return ScenarioSetup(grid, system, initial_state(grid, system.model), cfg.t_final / n_steps, n_steps)
 
 
 def write_snapshot(path: str, grid: Grid2D, values: np.ndarray):
@@ -428,8 +421,10 @@ def waveguide_error_study(h_list, order_list, output_dir: str = "out"):
 
     The (order, h) cells share nothing, so they run in ``study_processes``
     worker processes, finest h first; with one usable CPU they run here,
-    one after another.  Every config is built, and so checked, before any
-    run starts.
+    one after another.  Every cell's ``ScenarioConfig`` fields are checked
+    before any run starts; a config that passes them can still fail when
+    its cell builds it (order 6 at h = 0.2 gives ny = 11, under the 12
+    points order 6 needs), and that error is raised from its cell.
     """
     for coarse, fine in zip(h_list, h_list[1:]):
         if abs(coarse / fine - 2.0) > 1e-9:
@@ -539,13 +534,7 @@ def config_from_file(path: str) -> ScenarioConfig:
 
 
 def _cmd_run(args) -> int:
-    if args.config:
-        cfg = config_from_file(args.config)
-    elif args.preset:
-        cfg = preset_config(args.preset)
-    else:
-        print("run: provide --config FILE or --preset NAME", file=sys.stderr)
-        return 2
+    cfg = config_from_file(args.config) if args.preset is None else preset_config(args.preset)
     if args.out:
         cfg = replace(cfg, output_dir=args.out)
     art = run_scenario(cfg)
@@ -658,8 +647,9 @@ def cli_entry(argv=None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_run = sub.add_parser("run", help="run a scenario from a config file or preset")
-    p_run.add_argument("--config", help="path to a key=value config file")
-    p_run.add_argument("--preset", help="built-in scenario preset name")
+    source = p_run.add_mutually_exclusive_group(required=True)
+    source.add_argument("--config", help="path to a key=value config file")
+    source.add_argument("--preset", help="built-in scenario preset name")
     p_run.add_argument("--out", help="output directory override")
     p_run.set_defaults(func=_cmd_run)
 

@@ -145,12 +145,19 @@ def test_config_refuses_non_integer_order_and_stride(tmp_path, name, value):
     assert config_from_file(run_scenario(cfg).config_echo_path) == cfg
 
 
-@pytest.mark.parametrize("value", [True, False])
-@pytest.mark.parametrize("name", ["x0", "y0", "delta", "h", "dt_factor", "t_final", "theta", "tol", "d0"])
+_FLOAT_FIELDS = ("x0", "y0", "delta", "h", "dt_factor", "t_final", "theta", "tol", "d0")
+
+
+@pytest.mark.parametrize(
+    "name,value",
+    [(name, value) for name in _FLOAT_FIELDS for value in (True, False, "1")]
+    + [(name, None) for name in _FLOAT_FIELDS if name not in ("tol", "d0")],
+)
 def test_config_refuses_a_bool_in_a_float_field(name, value):
     """A bool in a float field is refused when built: it would run and echo
     ``True`` or ``False``, which ``config_from_file`` refuses, so the run
-    could not be reproduced from its echo."""
+    could not be reproduced from its echo.  A string is refused too, and
+    None in every field but ``tol`` and ``d0``, where it means "not given"."""
     with pytest.raises(ValueError, match=re.escape(f"{name} must be a number, got {value!r}")):
         preset_config("cavity-desk-theta1", **{name: value})
 
@@ -212,9 +219,12 @@ def test_build_reference_geometry():
     setup = build_scenario(reference_config(0.1, 4))
     g = setup.grid
     assert (g.x_min, g.x_max) == (-2.0, 8.0)
-    assert setup.prof.d0 == 0.0
-    assert np.all(setup.prof.sigma_values == 0.0)
-    assert setup.prof.rows == slice(0, 0)
+    # The reference is undamped whatever its d0 and tol.
+    for cfg in (reference_config(0.1, 4), reference_config(0.1, 4, d0=5.0), reference_config(0.1, 4, tol=None)):
+        prof = build_scenario(cfg).prof
+        assert prof.d0 == 0.0
+        assert np.all(prof.sigma_values == 0.0)
+        assert prof.rows == slice(0, 0)
 
 
 def test_cavity_presets():
@@ -778,9 +788,17 @@ def test_cli_run_with_config(tmp_path, capsys):
     assert len(hist.read_text().strip().splitlines()) == 12  # header + 11 samples
 
 
-def test_cli_run_requires_source(capsys):
+def test_cli_run_requires_source(tmp_path, capsys):
     rc = cli_entry(["run"])
     assert rc == 2
+    # Exactly one source: a config file and a preset together are refused, and nothing runs.
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text("scenario = Cavity\nx0 = 4\ny0 = 4\ndelta = 2\nh = 1\nt_final = 4\n")
+    out = tmp_path / "out"
+    rc = cli_entry(["run", "--config", str(cfg_path), "--preset", "cavity-desk-theta1", "--out", str(out)])
+    assert rc == 2
+    assert "not allowed with" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_rejects_unknown_command():
