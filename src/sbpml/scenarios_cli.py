@@ -118,15 +118,23 @@ class ScenarioConfig:
                 raise ValueError(f"{name} must be finite and positive, got {v}")
         if not math.isfinite(self.theta):
             raise ValueError(f"theta must be finite, got {self.theta}")
+        if self.tol is not None and not 0 < self.tol < 1:
+            raise ValueError(f"tol must lie in (0, 1), got {self.tol}")
         if self.d0 is not None and not (math.isfinite(self.d0) and self.d0 >= 0):
             raise ValueError(f"d0 must be finite and nonnegative, got {self.d0}")
         if self.stride < 1:
             raise ValueError(f"stride must be at least 1, got {self.stride}")
-        # The config echo quotes a value with '#' or outer spaces, and can carry no quote or line break.
-        for name in ("label", "output_dir"):
-            v = str(getattr(self, name))
+        # The config echo quotes a value with '#' or outer spaces, and can carry no quote or line break;
+        # config_from_file reads the text none as None.
+        for name, kinds, what in (("label", str, "a string"), ("output_dir", (str, os.PathLike), "a string or a path")):
+            v = getattr(self, name)
+            if not isinstance(v, kinds):
+                raise ValueError(f"{name} must be {what}, got {v!r}")
+            v = str(v)
             if '"' in v or "'" in v or "".join(v.splitlines()) != v:
                 raise ValueError(f"{name} must hold no quote or line break, got {v!r}")
+            if v.lower() == "none":
+                raise ValueError(f"{name} cannot be {v!r}, which a config file reads as None")
         if self.scenario != "Reference" and self.tol is None and self.d0 is None:
             raise ValueError("tol = none needs an explicit d0: give tol in (0, 1) or d0")
         # Layer edges must sit on grid points.
@@ -372,10 +380,10 @@ def preset_config(name: str, **kw) -> ScenarioConfig:
     """The named preset; keyword arguments replace preset values or set further fields."""
     if name not in PRESETS:
         raise ValueError(f"unknown preset {name!r}; choose from {sorted(PRESETS)}")
-    fields = {**PRESETS[name], **kw}
+    cfg = ScenarioConfig(**{**PRESETS[name], **kw})
     if name == "waveguide" and "tol" not in kw:
-        fields["tol"] = (1e-4 * fields["h"]) ** 2
-    return ScenarioConfig(**fields)
+        cfg = replace(cfg, tol=(1e-4 * cfg.h) ** 2)
+    return cfg
 
 
 def waveguide_config(h: float, order: int, **kw) -> ScenarioConfig:

@@ -1,10 +1,11 @@
 """Tests for branch conventions, sign identities, and root scans."""
 
 import cmath
+import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import _oracles
@@ -235,6 +236,7 @@ def test_scan_returns_python_complex_for_numpy_scalar_f():
 
 
 @settings(max_examples=40, deadline=None)
+@example(re_min=0.0, width=1.0, im_min=0.0, height=3.0, n_re=36, n_im=6, planted=[(0.5, 0.5), (0.5, 0.5)])
 @given(
     re_min=st.floats(0.0, 2.0),
     width=st.floats(0.5, 4.0),
@@ -245,7 +247,14 @@ def test_scan_returns_python_complex_for_numpy_scalar_f():
     planted=st.lists(st.tuples(st.floats(0.05, 0.95), st.floats(0.05, 0.95)), min_size=1, max_size=3),
 )
 def test_scan_matches_pointwise_oracle(re_min, width, im_min, height, n_re, n_im, planted):
-    """The array scan returns the roots of the pointwise scan, 1-3 planted roots."""
+    """The array scan returns the roots of the pointwise scan, 1-3 planted roots.
+
+    Newton stops at |f| < 1e-14, which puts it within about 1e-7 of a double
+    root and 1e-5 of a triple one, at a point that depends on its start.  The
+    two scans' grid moduli can differ in the last bit (numpy's array complex
+    arithmetic against Python's scalar one), so at coincident roots they may
+    start from mirror-image candidates: there both must find as many roots,
+    each within 1e-4 of a planted one."""
     region = ComplexParamRegion(re_min, re_min + width, im_min, im_min + height, n_re, n_im)
     targets = [complex(re_min + a * width, im_min + b * height) for a, b in planted]
 
@@ -258,7 +267,10 @@ def test_scan_matches_pointwise_oracle(re_min, width, im_min, height, n_re, n_im
     got = scan_unstable_roots(f, region)
     want = pointwise_scan(f, region)
     assert len(got) == len(want)
-    assert all(abs(g - w) <= 1e-12 for g, w in zip(got, want))
+    if all(abs(s - t) > 1e-3 for s, t in itertools.combinations(targets, 2)):
+        assert all(abs(g - w) <= 1e-12 for g, w in zip(got, want))
+    else:
+        assert all(min(abs(r - t) for t in targets) <= 1e-4 for r in got + want)
     assert all(type(g) is complex for g in got)
 
 

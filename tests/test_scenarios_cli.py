@@ -132,6 +132,12 @@ def test_config_validation():
         with pytest.raises(ValueError, match="theta must be finite"):
             tiny_cavity(theta=bad)
     assert reference_config(0.04, 4, tol=None).tol is None  # no layer, so no d0 to derive
+    # A reflection tolerance outside (0, 1) is refused with the config, not at build.
+    for bad in (2.0, 1.0, 0.0, -1.0, math.nan):
+        with pytest.raises(ValueError, match=re.escape(f"tol must lie in (0, 1), got {bad}")):
+            tiny_cavity(tol=bad)
+    with pytest.raises(ValueError, match=r"tol must lie in \(0, 1\)"):
+        reference_config(0.04, 4, tol=2.0)
 
 
 @pytest.mark.parametrize("name,value", [("order", 4.0), ("order", True), ("stride", 2.5), ("stride", True)])
@@ -149,17 +155,23 @@ _FLOAT_FIELDS = ("x0", "y0", "delta", "h", "dt_factor", "t_final", "theta", "tol
 
 
 @pytest.mark.parametrize(
-    "name,value",
-    [(name, value) for name in _FLOAT_FIELDS for value in (True, False, "1")]
-    + [(name, None) for name in _FLOAT_FIELDS if name not in ("tol", "d0")],
+    "preset,name,value",
+    [
+        pytest.param("cavity-desk-theta1", name, value, id=f"{name}-{value}")
+        for name in _FLOAT_FIELDS
+        for value in (True, False, "1", None)
+        if value is not None or name not in ("tol", "d0")
+    ]
+    # The waveguide preset derives its tol from h, after h is checked.
+    + [pytest.param("waveguide", "h", value, id=f"waveguide-h-{value}") for value in ("0.04", None)],
 )
-def test_config_refuses_a_bool_in_a_float_field(name, value):
+def test_config_refuses_a_bool_in_a_float_field(preset, name, value):
     """A bool in a float field is refused when built: it would run and echo
     ``True`` or ``False``, which ``config_from_file`` refuses, so the run
     could not be reproduced from its echo.  A string is refused too, and
     None in every field but ``tol`` and ``d0``, where it means "not given"."""
     with pytest.raises(ValueError, match=re.escape(f"{name} must be a number, got {value!r}")):
-        preset_config("cavity-desk-theta1", **{name: value})
+        preset_config(preset, **{name: value})
 
 
 def test_build_cavity_geometry():
@@ -388,14 +400,18 @@ def test_config_echo_reads_back_and_reruns_the_run(tmp_path, capsys, name):
     assert (b / Path(art.config_echo_path).name).read_text() == echo.replace(f"= {a}\n", f"= {b}\n")
 
 
-@pytest.mark.parametrize("label,out", [("run#1", "out #1"), (" spaced ", "out")], ids=["hash", "outer-spaces"])
+@pytest.mark.parametrize(
+    "label,out", [("run#1", "out #1"), (" spaced ", "out"), ("run", Path("out"))], ids=["hash", "outer-spaces", "path"]
+)
 def test_config_echo_quotes_what_reading_would_cut(tmp_path, capsys, label, out):
     """A label or output_dir with a '#' or outer spaces is echoed in quotes,
     so ``sbpml run --config`` on the echo reads the same config back and
-    writes the same files, byte for byte, at the same paths."""
-    cfg = preset_config("cavity-desk-theta1", t_final=2.0, label=label, output_dir=str(tmp_path / out))
+    writes the same files, byte for byte, at the same paths.  An output_dir
+    may be a ``pathlib.Path``, which reads back as its text."""
+    output_dir = tmp_path / out if isinstance(out, Path) else str(tmp_path / out)
+    cfg = preset_config("cavity-desk-theta1", t_final=2.0, label=label, output_dir=output_dir)
     art = run_scenario(cfg)
-    assert config_from_file(art.config_echo_path) == cfg
+    assert config_from_file(art.config_echo_path) == dataclasses.replace(cfg, output_dir=str(cfg.output_dir))
     written = {path: Path(path).read_bytes() for path in (art.history_csv, art.snapshot_path, art.config_echo_path)}
     echo = tmp_path / "echo.txt"
     echo.write_bytes(written[art.config_echo_path])
@@ -417,6 +433,24 @@ def test_config_refuses_what_its_echo_cannot_carry(tmp_path, capsys, name, value
     if name == "output_dir":
         assert cli_entry(["run", "--preset", "cavity-desk-theta1", "--out", str(tmp_path / value)]) == 1
         assert "output_dir must hold no quote or line break" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("name", ["label", "output_dir"])
+@pytest.mark.parametrize("value", [None, 0, b"run", "none", "None", "NONE"], ids=repr)
+def test_config_refuses_what_its_echo_reads_back_otherwise(tmp_path, monkeypatch, capsys, name, value):
+    """A label or output_dir that is not a string (an output_dir may be a
+    path) is refused when the config is built, and so is the text none in
+    any case, and such an ``sbpml run --out``, before anything is written:
+    its echo would read back as another value, or as None, which a label or
+    output_dir cannot be."""
+    message = f"{name} cannot be {value!r}" if isinstance(value, str) else f"{name} must be a string"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        preset_config("cavity-desk-theta1", **{name: value})
+    if name == "output_dir" and isinstance(value, str):
+        monkeypatch.chdir(tmp_path)
+        assert cli_entry(["run", "--preset", "cavity-desk-theta1", "--out", value]) == 1
+        assert message in capsys.readouterr().err
         assert os.listdir(tmp_path) == []
 
 
