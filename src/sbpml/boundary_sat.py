@@ -18,8 +18,8 @@ The four walls' points, left, right, bottom and top, form one boundary
 vector.  ``wall_terms`` builds that vector, and for one model kind all of
 the wall terms that does not depend on the state, once per system, so a
 right-hand side gathers the wall values once and scatters the SAT
-penalties of both directions once, and the modal theta term once, for one
-state or for a stack of states alike.
+penalties of both directions and the modal theta term once, for one state
+or for a stack of states alike.
 
 A penalty set is admissible when the boundary term of the energy estimate,
 on each wall a quadratic a e^2 + b e m + c m^2 in Ez and the tangential
@@ -135,46 +135,48 @@ class WallTerms:
 
     The boundary vector is the wall points, left, right, bottom and top,
     each corner on two walls; ``p_tangent`` holds P along each point's
-    wall and ``p_normal`` P across it.  Per point, ``gather`` holds the
-    flat indices in an (nfields, nx, ny) array of Ez and the tangential
-    magnetic field, and for the two SplitField kinds of aux as well;
-    ``residual`` the residual's weights on Ez and on that field; ``bt``
-    BT's wall coefficients a, -sign b and c times 2 and P along the wall.
-    ``sat`` is the one scatter of the SAT penalties: the x walls' then the
-    y walls' rates of Ez (aux on the y walls for SplitFieldStable) and of
-    the tangential H, each entry's place in the boundary vector and its
-    weight, -alpha or -theta times the wall's sign.  ``theta_term`` is the
-    scatter of the modal theta term into the aux rates at the y-wall points
-    of the damped x rows: those points' flat indices and places, the weight
-    theta * alpha_y and -P across the wall.  The indices of a gather or a
-    scatter are flat indices into one state; ``on`` maps them into a stack.
-    ``data`` holds each wall's segment and data.
+    wall.  Per point, ``gather`` holds the flat indices in an (nfields,
+    nx, ny) array of Ez and the tangential magnetic field, and for the two
+    SplitField kinds of aux as well; ``residual`` the residual's weights on
+    Ez and on that field; ``bt`` BT's wall coefficients a, -sign b and c
+    times 2 and P along the wall.  ``sat`` is the one scatter of the wall
+    terms: the SAT penalties into the x walls' then the y walls' rates of
+    Ez (aux on the y walls for SplitFieldStable) and of the tangential H,
+    then for ModalUnsplit at theta != 0 the theta term into the aux rates
+    at the y-wall points of the damped x rows.  It holds the entries' flat
+    indices and places in the boundary vector, the SAT weights, -alpha or
+    -theta times the wall's sign, the theta weight theta * alpha_y, each
+    entry's divisor, P across its wall or -P for the theta term, and the
+    increments' buffer that ``on`` makes.  The indices of a gather or a
+    scatter are flat indices into one state; ``on`` maps them into a
+    stack.  ``data`` holds each wall's segment and data.
     """
 
     gather: np.ndarray
     residual: np.ndarray
-    p_normal: np.ndarray
     p_tangent: np.ndarray
     bt: np.ndarray
     sat: tuple
-    theta_term: tuple
     data: tuple
 
     def on(self, state: FieldState) -> "WallTerms":
         """A copy of these wall terms for ``state``, one state or a stack,
         whose gather and scatter indices are their places in every state
-        (``FieldState.places``), those of a scatter raveled one state after
-        another.  ``evaluate_rhs`` makes this once per plan."""
-        (flat, *sat), (index, *theta) = self.sat, self.theta_term
-        return replace(self, gather=state.places(self.gather), sat=(state.places(flat).ravel(), *sat),
-                       theta_term=(state.places(index).ravel(), *theta))
+        (``FieldState.places``), those of the scatter raveled one state
+        after another, with a buffer for its increments.  ``evaluate_rhs``
+        makes this once per plan."""
+        flat, places, *factors, _ = self.sat
+        increments = np.empty(state.data.shape[1:-2] + places.shape, state.data.dtype)
+        return replace(self, gather=state.places(self.gather),
+                       sat=(state.places(flat).ravel(), places, *factors, increments))
 
 
 def wall_terms(ops: OperatorPair, bc: BoundaryConfig, penalties: PenaltyParams, kind: str, theta: float = 0.0,
                rows: slice = slice(0, 0)) -> WallTerms:
     """The ``WallTerms`` of the operators, walls and penalties for the model
     ``kind`` with its ``theta``; ``rows``, the damped x rows, carry the
-    modal theta term."""
+    modal theta term, whose entries are absent at theta = 0, where their
+    zero increments could turn a -0.0 rate into +0.0."""
     p = penalties
     nx, ny, px, py = ops.x.n, ops.y.n, ops.x.p_diag, ops.y.p_diag
     i, j = np.arange(nx) * ny, np.arange(ny)
@@ -198,21 +200,25 @@ def wall_terms(ops: OperatorPair, bc: BoundaryConfig, penalties: PenaltyParams, 
     # Ez penalties on the damped x-component.
     ez_y = gather[2, y] if kind == "SplitFieldStable" else index[y]
     a, b, c = map(per_direction, *_wall_coefficients(bc, p))
-    points = np.concatenate([np.arange(nx)[rows] + k for k in (n, n + nx)])
+    # x then y, so that add.at sums a corner in that order, then the theta term.
+    flat, places = [index[x], tangent[x], ez_y, tangent[y]], [place[x], place[x], place[y], place[y]]
+    weights = np.concatenate((weights[:, x], weights[:, y]), axis=None)
+    if kind == "ModalUnsplit" and theta != 0.0:
+        points = np.concatenate([np.arange(nx)[rows] + k for k in (n, n + nx)])
+        flat.append(gather[2, points])
+        places.append(points)
+    places = np.concatenate(places)
+    divisors = p_normal[places]
+    divisors[weights.size :] *= -1.0
     walls = (slice(0, ny), slice(ny, n), slice(n, n + nx), slice(n + nx, None))
     data = zip(walls, (bc.g_left, bc.g_right, bc.g_bottom, bc.g_top))
     return WallTerms(
         gather=gather if kind in ("SplitFieldNaive", "SplitFieldStable") else gather[:2],
         residual=np.array([per_direction(0.5 * (1.0 - bc.r_x), 0.5 * (1.0 - bc.r_y)),
                            per_direction(0.5 * (1.0 + bc.r_x), 0.5 * (1.0 + bc.r_y)) * sign]),
-        p_normal=p_normal,
         p_tangent=p_tangent,
         bt=2.0 * np.array([a, -sign * b, c]) * p_tangent,
-        # x then y, so that add.at sums a corner in that order.
-        sat=(np.concatenate([index[x], tangent[x], ez_y, tangent[y]]),
-             np.concatenate([place[x], place[x], place[y], place[y]]),
-             np.concatenate([weights[0, x], weights[1, x], weights[0, y], weights[1, y]])),
-        theta_term=(gather[2, points], points, theta * p.alpha_y, -p_normal[points]),
+        sat=(np.concatenate(flat), places, weights, divisors, theta * p.alpha_y, None),
         data=tuple((wall, g) for wall, g in data if g is not None),
     )
 
@@ -237,33 +243,27 @@ def wall_residuals(state: np.ndarray, walls: WallTerms, t: float) -> np.ndarray:
     return r
 
 
-def sat_y_field(r: np.ndarray, walls: WallTerms, rates: np.ndarray):
-    """Add the modal theta term -theta alpha_y Py^{-1} r on the damped rows into the aux rate in ``rates``.
-
-    This is the weak y-wall treatment extended into the auxiliary equation.
-    It is added as (theta alpha_y r) / (-P), which has the bits of
-    subtracting (theta alpha_y r) / P, in one 1-D ``np.add.at``.
-    """
-    flat, points, weight, minus_p = walls.theta_term
-    increments = weight * r.take(points, axis=-1)
-    increments /= minus_p
-    np.add.at(rates, flat, increments.reshape(-1))
-
-
 def sat_contributions(r: np.ndarray, walls: WallTerms, rates: np.ndarray):
-    """Add the penalty terms of the Ez, Hy and Hx equations into ``rates``.
+    """Add the wall terms of ``walls.sat`` into ``rates``: the penalties of
+    the Ez, Hy and Hx equations and ModalUnsplit's theta term
+    -theta alpha_y Py^{-1} r, the weak y-wall treatment extended into the
+    auxiliary equation.
 
     ``rates`` is the 1-D flat view of the C-contiguous rates (Ez, Hy, Hx,
     ...) of one state or a stack, with the walls ``on`` it, and ``r`` the
-    residuals of ``wall_residuals``.  One 1-D ``np.add.at``, numpy's fast
-    path, scatters the increments of both directions, x then y: it adds a
-    state's repeated indices in order, so a corner sums in that order.  For
-    a stack of states ``r`` and the increments are stacks (..., n) too,
-    raveled one state after another.
+    residuals of ``wall_residuals``.  Each step is on a slice: a SAT entry
+    adds (r / P) * weight, a theta entry (theta alpha_y r) / (-P).  One
+    1-D ``np.add.at``, numpy's fast path, adds them all, a state's
+    repeated indices in order, so a corner sums x before y.  For a stack
+    of states ``r`` and the increments are stacks (..., n) too.
     """
-    flat, places, weights = walls.sat
-    increments = (r / walls.p_normal).take(places, axis=-1)
-    increments *= weights
+    flat, places, weights, divisors, theta_weight, increments = walls.sat
+    # mode="clip" takes straight into the buffer; "raise" copies through a temporary.
+    increments = r.take(places, axis=-1, out=increments, mode="clip")
+    n = weights.size
+    increments[..., n:] *= theta_weight
+    increments /= divisors
+    increments[..., :n] *= weights
     np.add.at(rates, flat, increments.reshape(-1))
 
 

@@ -30,9 +30,7 @@ from typing import Optional
 
 import numpy as np
 
-from sbpml.boundary_sat import (
-    BoundaryConfig, PenaltyParams, WallTerms, sat_contributions, sat_y_field, wall_residuals, wall_terms
-)
+from sbpml.boundary_sat import BoundaryConfig, PenaltyParams, WallTerms, sat_contributions, wall_residuals, wall_terms
 from sbpml.grid_state import FieldState, Grid2D, OperatorPair
 
 # Which FieldState.model each model kind advances.
@@ -255,10 +253,7 @@ def rhs_plan(system: SemiDiscrete, state: FieldState, out: FieldState):
         else:
             calls += ops.calls(1, data[0], d[2])
 
-    # ModalUnsplit's auxiliary update with the weak y-wall treatment
-    # extended into it, skipped at theta = 0, where its zero increments
-    # could turn a -0.0 rate into +0.0.
-    theta_term = kind == "ModalUnsplit" and spec.theta != 0.0
+    # ModalUnsplit's aux rate, the theta term included, times sigma; zero off the damped rows.
     tail = [(multiply, (d_r[3], sigma, d_r[3]))] if kind == "ModalUnsplit" else []
     if kind in ("ModalUnsplit", "PhysicallyMotivated"):
         if rows.start:
@@ -271,8 +266,6 @@ def rhs_plan(system: SemiDiscrete, state: FieldState, out: FieldState):
         for f, args in calls:
             f(*args)
         sat_contributions(residuals, walls, rates)
-        if theta_term:
-            sat_y_field(residuals, walls, rates)
         for f, args in tail:
             f(*args)
 

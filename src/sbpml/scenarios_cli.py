@@ -135,6 +135,9 @@ class ScenarioConfig:
                 raise ValueError(f"{name} must hold no quote or line break, got {v!r}")
             if v.lower() == "none":
                 raise ValueError(f"{name} cannot be {v!r}, which a config file reads as None")
+        # The label is part of each output's file name, which must stay in output_dir.
+        if any(sep in self.label for sep in (os.sep, os.altsep) if sep):
+            raise ValueError(f"label must hold no path separator, got {self.label!r}")
         if self.scenario != "Reference" and self.tol is None and self.d0 is None:
             raise ValueError("tol = none needs an explicit d0: give tol in (0, 1) or d0")
         # Layer edges must sit on grid points.

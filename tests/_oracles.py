@@ -317,23 +317,49 @@ def penalty_matrix_eigenvalues(gamma, theta_bar):
     return (gamma + theta_bar - root) / 2.0, (gamma + theta_bar + root) / 2.0
 
 
-def sat_by_direction(r, walls, rates, ny):
-    """``sat_contributions`` as one take, += and put of the rates per
-    direction, x then y, the scatter it replaced, on a grid of ``ny`` y points."""
-    flat, places, weights = walls.sat
-    q = r / walls.p_normal
-    x_entries = 4 * ny  # Ez and tangential H on the 2 ny x-wall points
-    for part in (slice(0, x_entries), slice(x_entries, None)):
-        lines = rates.take(flat[part])
-        lines += weights[part] * q.take(places[part])
-        rates.put(flat[part], lines)
+def _wall_points(ops):
+    """The flat indices of the boundary vector's points, left, right, bottom
+    and top, in one (nfields, nx, ny) state, and P across each point's wall."""
+    nx, ny, px, py = ops.x.n, ops.y.n, ops.x.p_diag, ops.y.p_diag
+    i, j = np.arange(nx) * ny, np.arange(ny)
+    index = np.concatenate((j, (nx - 1) * ny + j, i, i + ny - 1))
+    return index, np.repeat([px[0], px[-1], py[0], py[-1]], (ny, ny, nx, nx))
 
 
-def theta_term_by_take_put(r, walls, rates):
-    """``sat_y_field`` as a take, -= and put of the aux rates, the scatter it replaced."""
-    flat, points, weight, minus_p = walls.theta_term
+def sat_by_direction(r, rates, ops, p, kind):
+    """``sat_contributions``' SAT penalties as one take, += and put of one
+    state's flat ``rates`` per direction, x then y, the scatter they
+    replaced: the residuals divided by P across the wall, then times the
+    weight -alpha on Ez, and -theta times the wall's sign on the tangential
+    H, the y walls' Ez term going to aux for SplitFieldStable."""
+    nx, ny = ops.x.n, ops.y.n
+    plane = nx * ny
+    index, p_normal = _wall_points(ops)
+    sign = np.repeat([1.0, -1.0, -1.0, 1.0], (ny, ny, nx, nx))
+    q = r / p_normal
+    x, y = slice(0, 2 * ny), slice(2 * ny, None)
+    ez_y = index[y] + (3 * plane if kind == "SplitFieldStable" else 0)
+    for part, ez, h, alpha, theta in (
+        (x, index[x], index[x] + plane, p.alpha_x, p.theta_x),
+        (y, ez_y, index[y] + 2 * plane, p.alpha_y, p.theta_y),
+    ):
+        flat = np.concatenate((ez, h))
+        weights = np.concatenate((np.full(ez.size, -alpha), -(theta * sign[part])))
+        lines = rates.take(flat)
+        lines += weights * np.concatenate((q[part], q[part]))
+        rates.put(flat, lines)
+
+
+def theta_term_by_take_put(r, rates, ops, p, theta, rows):
+    """The modal theta term -theta alpha_y Py^{-1} r at the y-wall points of
+    the damped x ``rows``, as a take, -= and put of one state's flat aux
+    ``rates``, the scatter it replaced."""
+    nx, ny = ops.x.n, ops.y.n
+    index, p_normal = _wall_points(ops)
+    points = np.concatenate([np.arange(nx)[rows] + k for k in (2 * ny, 2 * ny + nx)])
+    flat = index[points] + 3 * nx * ny
     lines = rates.take(flat)
-    lines -= weight * r.take(points) / -minus_p
+    lines -= theta * p.alpha_y * r.take(points) / p_normal[points]
     rates.put(flat, lines)
 
 

@@ -1,6 +1,7 @@
 """Tests for the damping profile and the five semi-discrete model systems."""
 
 import gc
+import itertools
 import math
 import tracemalloc
 import warnings
@@ -18,7 +19,6 @@ from sbpml.boundary_sat import (
     PenaltyParams,
     boundary_dissipation,
     sat_contributions,
-    sat_y_field,
     wall_terms,
 )
 from sbpml.diagnostics import modal_bt_integrand
@@ -231,9 +231,11 @@ def test_boundary_vector_matches_dense_oracle(
     top-wall data; the gather of each kind's walls covers each wall point
     once per direction (each corner twice in all), and aux for the split
     kinds only; each direction's scatter indices are distinct, and only
-    SplitFieldStable scatters the y walls' Ez term into aux; both energy
-    integrands equal their wall-by-wall formulas;
-    and evaluate_rhs rejects a strided output or state."""
+    SplitFieldStable scatters the y walls' Ez term into aux; the modal
+    theta term's entries follow in the same scatter, for ModalUnsplit at
+    theta != 0 only, which adds the bits of the scatters it replaced; both
+    energy integrands equal their wall-by-wall formulas; and evaluate_rhs
+    rejects a strided output or state."""
     n_min = {2: 3, 4: 8, 6: 12}[order]
     g = Grid2D(-3.0, 3.0, -1.0, 1.0, n_min + nx_extra, n_min + ny_extra)
     with patch.object(sbp_core, "BLOCK_ROWS", 4 if small_blocks else sbp_core.BLOCK_ROWS):
@@ -251,44 +253,61 @@ def test_boundary_vector_matches_dense_oracle(
     on_x = place < n_x
     corners = [0, ny - 1, (nx - 1) * ny, plane - 1]
     scatter_rng = np.random.default_rng(seed)
-    r = scatter_rng.standard_normal(place.size)
-    for kind in MODEL_KINDS:
-        walls = wall_terms(ops, bc, p, kind, 0.7, prof.rows)
+    for kind, wall_theta in itertools.product(MODEL_KINDS, (0.0, 0.7)):
+        walls = wall_terms(ops, bc, p, kind, wall_theta, prof.rows)
         index = walls.gather[0]
         i, j = np.divmod(index, ny)
         assert np.array_equal(np.sort(index[:n_x]), np.flatnonzero((np.arange(plane) // ny) % (nx - 1) == 0))
         assert np.array_equal(np.sort(index[n_x:]), np.flatnonzero((np.arange(plane) % ny) % (ny - 1) == 0))
         assert np.array_equal(walls.p_tangent, np.where(on_x, ops.y.p_diag[j], ops.x.p_diag[i]))
         assert all(np.count_nonzero(index == c) == 2 for c in corners)
-        assert np.array_equal(walls.p_normal, np.where(on_x, ops.x.p_diag[i], ops.y.p_diag[j]))
+        p_normal = np.where(on_x, ops.x.p_diag[i], ops.y.p_diag[j])
         tangent = np.concatenate((index[:n_x] + plane, index[n_x:] + 2 * plane))
         split = kind in ("SplitFieldNaive", "SplitFieldStable")
         assert np.array_equal(walls.gather, [index, tangent, index + 3 * plane] if split else [index, tangent])
         # One scatter of both directions, x walls first: each direction's
         # indices, flat in one state's rates, are distinct.  Only
         # SplitFieldStable puts the y walls' Ez term into aux.
-        scatter, places, weights = walls.sat
-        for part in (scatter[: 2 * n_x], scatter[2 * n_x :]):
+        scatter, places, weights, divisors, theta_weight, increments = walls.sat
+        n_sat = 2 * index.size
+        assert weights.size == n_sat and increments is None
+        for part in (scatter[: 2 * n_x], scatter[2 * n_x : n_sat]):
             assert np.unique(part).size == part.size
-        assert scatter.size == 2 * index.size
         ez_y = index[n_x:] + (3 * plane if kind == "SplitFieldStable" else 0)
         assert np.array_equal(scatter[2 * n_x : 2 * n_x + 2 * nx], ez_y)
-        assert np.array_equal(places, np.concatenate([place[:n_x], place[:n_x], place[n_x:], place[n_x:]]))
-        assert weights.shape == scatter.shape
-        theta_index, theta_points, weight, minus_p = walls.theta_term
-        assert np.unique(theta_index).size == theta_index.size == 2 * len(range(nx)[prof.rows])
+        assert np.array_equal(places[:n_sat], np.concatenate([place[:n_x], place[:n_x], place[n_x:], place[n_x:]]))
+        # The modal theta term's entries follow, ModalUnsplit's at theta !=
+        # 0 only: the aux rates at the y-wall points of the damped rows.
+        theta_term = kind == "ModalUnsplit" and wall_theta != 0.0
+        theta_index, theta_points = scatter[n_sat:], places[n_sat:]
+        assert np.unique(theta_index).size == theta_index.size == 2 * len(range(nx)[prof.rows]) * theta_term
         assert np.array_equal(theta_index, index[theta_points] + 3 * plane) and np.all(theta_points >= n_x)
-        assert weight == 0.7 * p.alpha_y
-        assert np.array_equal(minus_p, -walls.p_normal[theta_points])
-        # The scatters add what one take, += and put per direction added, bit
-        # for bit, a corner x first, into the rates' flat view.
-        want = scatter_rng.standard_normal((4, nx, ny))
-        got = want.copy()
-        sat_by_direction(r, walls, want, ny)
-        theta_term_by_take_put(r, walls, want)
-        sat_contributions(r, walls, got.reshape(-1))
-        sat_y_field(r, walls, got.reshape(-1))
-        assert np.array_equal(got, want)
+        assert theta_weight == wall_theta * p.alpha_y
+        assert np.array_equal(divisors, np.concatenate((p_normal[places[:n_sat]], -p_normal[theta_points])))
+        # The scatter adds what one take, += and put per direction and one
+        # for the theta term added, bit for bit (-0.0 is not +0.0), a corner
+        # x first, into the rates' flat view: for one state and a stack of
+        # 3, real and complex, with the walls on them, and for one state
+        # with the walls as built, which take into a new buffer.
+        model = STATE_MODEL[kind]
+        for batch, dtype in itertools.product(((), (3,)), (np.float64, np.complex128)):
+            r = scatter_rng.standard_normal(batch + place.shape).astype(dtype)
+            want = scatter_rng.standard_normal((nfields(model),) + batch + (nx, ny)).astype(dtype)
+            if dtype == np.complex128:
+                r += 1j * scatter_rng.standard_normal(r.shape)
+                want += 1j * scatter_rng.standard_normal(want.shape)
+            got = want.copy()
+            for b in np.ndindex(batch):
+                one = np.ascontiguousarray(want[(slice(None),) + b])
+                sat_by_direction(r[b], one, ops, p, kind)
+                if theta_term:
+                    theta_term_by_take_put(r[b], one, ops, p, wall_theta, prof.rows)
+                want[(slice(None),) + b] = one
+            scattered = [got] if batch else [got, got.copy()]
+            sat_contributions(r, walls.on(FieldState(model, got)), got.reshape(-1))
+            if not batch:
+                sat_contributions(r, walls, scattered[1].reshape(-1))
+            assert all(a.tobytes() == want.tobytes() for a in scattered)
 
     rng = np.random.default_rng(seed)
     for kind in MODEL_KINDS:

@@ -454,6 +454,23 @@ def test_config_refuses_what_its_echo_reads_back_otherwise(tmp_path, monkeypatch
         assert os.listdir(tmp_path) == []
 
 
+def test_config_refuses_a_label_with_a_path_separator(tmp_path, capsys):
+    """A label names the run's files inside output_dir, so one with a path
+    separator is refused when the config is built, before anything runs:
+    from a preset, and from a config file that ``sbpml run`` reads, which
+    then writes no file, beside output_dir or anywhere else."""
+    with pytest.raises(ValueError, match="label must hold no path separator"):
+        preset_config("cavity-desk-theta1", label="a/b")
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text(
+        "scenario = Cavity\nx0 = 4\ny0 = 4\ndelta = 2\nh = 1\nt_final = 4\n"
+        "dt_factor = 0.2\ntol = 1e-2\norder = 4\nstride = 2\nlabel = ../esc\n"
+    )
+    assert cli_entry(["run", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 1
+    assert "label must hold no path separator, got '../esc'" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == ["run.cfg"]
+
+
 def test_config_echo_skips_only_its_result_keys(tmp_path):
     """The echo ends with the ``ECHO_RESULT_KEYS``, which reading it skips;
     a misspelled result key or field is still an unknown key."""
