@@ -1,13 +1,12 @@
 """Half-plane mode analysis: branch conventions, sign identities, and
-dispersion-relation root scans.
+dispersion-relation root counts.
 
 The continuous stability results reduce to two statements that can be
 checked numerically: certain complex square-root combinations have strictly
 positive real part whenever Re s > 0, and the boundary determinant
 functions F1/F2 have no zeros in the closed right half of the s-plane.
-``scan_unstable_roots`` performs a falsifiable search for such zeros by a
-coarse modulus scan, an argument-principle winding count on suspicious
-cells, and Newton refinement.
+``scan_unstable_roots`` counts the zeros in a rectangle by the argument
+principle, boxes each by bisection and polishes it with Newton.
 """
 
 from __future__ import annotations
@@ -16,18 +15,24 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# |f| below which a local minimum of the modulus scan is always refined, and
-# below which a refined point counts as a root.
-CANDIDATE_THRESHOLD = 1e-6
-ROOT_TOLERANCE = 1e-9
+PHASE_STEP = np.pi / 8  # the most a count lets f's phase turn, measured or predicted, between two points
+MAX_SEGMENTS = 100_000  # the most boundary segments one count halves in one pass
+SPLIT_AT = 0.487  # a box is cut at SPLIT_AT**k of its longer side, k = 1 first; off-centre, so round numbers miss it
+CUTS = 4  # the most cuts tried on one box
+INCONCLUSIVE = "inconclusive zero count on Re s in [{!r}, {!r}], Im s in [{!r}, {!r}]: "
+LEAF_SIDE = 1e-4  # boxes are split until no side is longer
 NEWTON_STEPS = 50  # the most steps of one Newton refinement
-NEWTON_DIFF_STEP = 1e-7  # its central-difference spacing
-WINDING_POINTS_PER_EDGE = 64  # contour points per edge of a winding count's rectangle
+NEWTON_DIFF_STEP = 1e-7  # its central-difference spacing, and a count's forward one
+
+
+class InconclusiveCount(ValueError):
+    """A zero count that cannot be trusted; the message names the rectangle."""
 
 
 @dataclass(frozen=True)
 class ComplexParamRegion:
-    """A rectangle in the s-plane plus parameter ranges for scans."""
+    """A finite rectangle in the s-plane, and a count's first boundary sampling
+    on it: n_re points on each horizontal edge and n_im on each vertical one."""
 
     re_min: float = 1e-9
     re_max: float = 3.0
@@ -37,13 +42,18 @@ class ComplexParamRegion:
     n_im: int = 200
 
     def __post_init__(self):
+        for name in ("re_min", "re_max", "im_min", "im_max"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.re_min < 0:
             raise ValueError("unstable-root scans require Re s >= 0")
         if not (self.re_max > self.re_min and self.im_max > self.im_min):
             raise ValueError("degenerate scan region")
-        for name in ("n_re", "n_im"):
-            if getattr(self, name) < 2:
-                raise ValueError(f"{name} must be at least 2, got {getattr(self, name)}")
+        for name, n in (("n_re", self.n_re), ("n_im", self.n_im)):
+            if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {n!r}")
+            if n < 2:
+                raise ValueError(f"{name} must be at least 2, got {n}")
 
 
 def principal_sqrt(z):
@@ -130,22 +140,6 @@ def dispersion_F2(s, ky: float, gamma_x: float):
     return (principal_sqrt(s**2 + ky**2) + gamma_x * s) / s
 
 
-def _winding_number(f, corners) -> int:
-    """Winding number of f around a rectangle, by summing phase increments."""
-    n = WINDING_POINTS_PER_EDGE
-    a = np.asarray(corners, dtype=complex)
-    pts = (a[:, None] + (np.roll(a, -1) - a)[:, None] * np.arange(n) / n).ravel()
-    vals = np.broadcast_to(f(pts), pts.shape)
-    if np.any(vals == 0) or not np.all(np.isfinite(vals)):
-        # The contour hits a zero or pole.  The scan counts -1 as no winding,
-        # so only Newton's |f| < ROOT_TOLERANCE can keep the candidate.
-        return -1
-    phases = np.angle(vals)
-    dphi = np.diff(np.concatenate([phases, phases[:1]]))
-    dphi = (dphi + np.pi) % (2 * np.pi) - np.pi
-    return int(round(np.sum(dphi) / (2 * np.pi)))
-
-
 def _newton_refine(f, z0: complex) -> complex:
     z, h = complex(z0), NEWTON_DIFF_STEP
     for _ in range(NEWTON_STEPS):
@@ -162,69 +156,74 @@ def _newton_refine(f, z0: complex) -> complex:
     return complex(z)
 
 
+def _count(f, rect, n_re: int, n_im: int) -> int:
+    """Zeros minus poles of f in rect = (re0, re1, im0, im1), with multiplicity:
+    f's winding number along the boundary, first sampled at n_re points per
+    horizontal edge and n_im per vertical one.  A segment is halved, one call
+    of f a pass, while its phase step or its length times |f'/f| at either end
+    exceeds ``PHASE_STEP``: no zero near it can wind the phase a whole turn."""
+    def sample(z):
+        v = np.empty((2, z.size), dtype=complex)
+        v[...] = f(z + np.array([[0.0], [NEWTON_DIFF_STEP]]))  # broadcast: a constant f works
+        if np.any(v == 0) or not np.all(np.isfinite(v)):
+            raise InconclusiveCount(INCONCLUSIVE.format(*rect) + "f is zero or not finite on its boundary")
+        return np.angle(v[0]), np.abs(v[1] / v[0] - 1) / NEWTON_DIFF_STEP
+
+    re0, re1, im0, im1 = rect
+    c = [complex(re0, im0), complex(re1, im0), complex(re1, im1), complex(re0, im1)]
+    za = np.concatenate([p + (q - p) * np.arange(n) / n for p, q, n in zip(c, c[1:] + c, (n_re, n_im) * 2)])
+    pa, ga = sample(za)
+    zb, pb, gb, total = np.roll(za, -1), np.roll(pa, -1), np.roll(ga, -1), 0.0
+    while True:
+        step = (pb - pa + np.pi) % (2 * np.pi) - np.pi
+        halve = np.maximum(np.abs(step), np.abs(zb - za) * np.maximum(ga, gb)) > PHASE_STEP
+        total += step[~halve].sum()
+        if not halve.any():
+            return int(np.rint(total / (2 * np.pi)))
+        za, zb, pa, pb, ga, gb = za[halve], zb[halve], pa[halve], pb[halve], ga[halve], gb[halve]
+        mid = (za + zb) / 2
+        if za.size > MAX_SEGMENTS or np.any((mid == za) | (mid == zb)):
+            raise InconclusiveCount(INCONCLUSIVE.format(*rect) + "its phase does not settle")
+        pm, gm = sample(mid)
+        za, zb, pa, pb = (np.concatenate(p) for p in ((za, mid), (mid, zb), (pa, pm), (pm, pb)))
+        ga, gb = np.concatenate((ga, gm)), np.concatenate((gm, gb))
+
+
 def scan_unstable_roots(f, region: ComplexParamRegion):
-    """Search for zeros of f in the right-half-plane rectangle.
+    """The zeros of f in the region's rectangle, by the argument principle.
 
-    Strategy: evaluate |f| on an n_re-by-n_im grid; local minima (the 3
-    smallest, those of the 50 smallest under max(``CANDIDATE_THRESHOLD``,
-    0.25 median |f|), and any under ``CANDIDATE_THRESHOLD``) get an
-    argument-principle winding count on the surrounding cell and Newton
-    refinement.  A refined point with Re >= 0 in the region, widened by a
-    grid step, is returned, sorted and deduplicated as a Python complex, if
-    |f| < ``ROOT_TOLERANCE`` there or its cell's winding count is positive.
-    An empty list means no unstable mode was found.  It is a search, not a
-    count: only the 3 deepest minima and those under the thresholds are
-    refined, so with many roots it returns a subset, and a count of its
-    roots is a lower bound.  F1 and F2 are root-free, so their scans are
-    unaffected.
-
-    ``f`` must work elementwise on complex arrays: the grid is evaluated in
-    one call, and so is each winding contour.  Newton refinement calls it on
-    single complex numbers.
+    A box of nonzero count is cut across its longer side and its halves are
+    counted (``SPLIT_AT``, ``CUTS``), down to ``LEAF_SIDE``; Newton polishes
+    each last box from its centre, kept if Newton leaves the box.  Returns
+    one complex per zero and unit of multiplicity, sorted: ``len`` is the
+    count.  An inconclusive count raises InconclusiveCount.  f must be
+    analytic on the rectangle (F1 and F2 are, in Re s > 0; a pole counts -1)
+    and elementwise on arrays; Newton calls it on single complex numbers.
     """
-    shape = (region.n_re, region.n_im)
-    re = np.linspace(region.re_min, region.re_max, region.n_re)
-    im = np.linspace(region.im_min, region.im_max, region.n_im)
-    mod = np.empty(shape)
-    mod[...] = np.abs(f(re[:, None] + 1j * im[None, :]))  # broadcast: a constant f works
-
-    # A local minimum is <= itself and its 8 neighbours, so a NaN in the
-    # window (the cell included) rules it out.  Sort by (value, i, j).
-    padded = np.pad(mod, 1, constant_values=np.inf)
-    is_min = np.ones(shape, dtype=bool)
-    for di in range(3):
-        for dj in range(3):
-            is_min &= mod <= padded[di : di + shape[0], dj : dj + shape[1]]
-    mi, mj = np.nonzero(is_min)
-    mv = mod[mi, mj]
-    order = np.lexsort((mj, mi, mv))
-    mi, mj, mv = mi[order], mj[order], mv[order]
-    # Refine the few deepest minima plus anything suspiciously small, both
-    # in absolute terms and relative to the typical modulus.
-    typical = float(np.median(mod))
-    cutoff = max(CANDIDATE_THRESHOLD, 0.25 * typical)
-    rank = np.arange(mv.size)
-    keep = (rank < 3) | ((rank < 50) & (mv < cutoff)) | (mv < CANDIDATE_THRESHOLD)
-    candidates = zip(mi[keep], mj[keep])
-
-    dre = re[1] - re[0]
-    dim = im[1] - im[0]
-    roots = []
-    for i, j in candidates:
-        z0 = complex(re[i], im[j])
-        corners = [z0 + complex(a * dre, b * dim) for a, b in ((-1, -1), (1, -1), (1, 1), (-1, 1))]
-        wind = _winding_number(f, corners)
-        z = _newton_refine(f, z0)
-        in_region = (
-            region.re_min - dre <= z.real <= region.re_max + dre
-            and region.im_min - dim <= z.imag <= region.im_max + dim
-        )
-        if in_region and z.real >= 0 and (abs(f(z)) < ROOT_TOLERANCE or wind > 0):
-            roots.append(z)
-
+    rect = tuple(float(v) for v in (region.re_min, region.re_max, region.im_min, region.im_max))
+    boxes, roots = [(rect, _count(f, rect, region.n_re, region.n_im))], []
+    while boxes:
+        box, count = boxes.pop()
+        re0, re1, im0, im1 = box
+        i = 0 if re1 - re0 >= im1 - im0 else 2  # box[i] and box[i + 1] bound its longer side
+        if count == 0:
+            continue
+        if box[i + 1] - box[i] <= LEAF_SIDE:
+            centre = complex(re0 + re1, im0 + im1) / 2
+            z = _newton_refine(f, centre)
+            roots += [z if abs(z - centre) <= LEAF_SIDE else centre] * max(count, 0)
+            continue
+        for k in range(1, CUTS + 1):  # a zero on a cut, or halves that do not add up: cut nearer the edge
+            cut = box[i] + SPLIT_AT**k * (box[i + 1] - box[i])
+            halves = [box[: i + 1] + (cut,) + box[i + 2 :], box[:i] + (cut,) + box[i + 1 :]]
+            try:
+                counts = [_count(f, h, region.n_re, region.n_im) for h in halves]
+            except InconclusiveCount:
+                continue
+            if sum(counts) == count:
+                break
+        else:
+            raise InconclusiveCount(INCONCLUSIVE.format(*box) + f"no cut gives halves whose counts add up to {count}")
+        boxes += zip(halves, counts)
     roots.sort(key=lambda z: (round(z.real, 6), round(z.imag, 6)))
-    dedup = []
-    for z in roots:
-        if not any(abs(z - w) < 0.5 * min(dre, dim) for w in dedup):
-            dedup.append(z)
-    return dedup
+    return roots

@@ -645,7 +645,7 @@ def _cmd_modal(args) -> int:
                 roots = scan_unstable_roots(lambda s: dispersion_F2(s, k, g), region)
                 total += len(roots)
                 f.write(f"F2,{k:.17g},{g:.17g},0,{len(roots)},\"{roots}\"\n")
-    print(f"scanned {len(ks)} wavenumbers x {len(gammas)} gammas; {total} candidate root(s)")
+    print(f"scanned {len(ks)} wavenumbers x {len(gammas)} gammas; {total} root(s) counted")
     print(f"report: {path}")
     return 0 if total == 0 else 1
 
@@ -678,8 +678,8 @@ def cli_entry(argv=None) -> int:
     p_mod.add_argument("--gammas", default="0.25,1,4", help="comma-separated wall parameters")
     p_mod.add_argument("--sigmas", default="0,1", help="comma-separated damping values")
     p_mod.add_argument("--nk", type=int, default=11, help="number of wavenumber samples")
-    p_mod.add_argument("--n-re", type=int, default=100, dest="n_re")
-    p_mod.add_argument("--n-im", type=int, default=200, dest="n_im")
+    p_mod.add_argument("--n-re", type=int, default=100, dest="n_re", help="first boundary sampling per horizontal edge")
+    p_mod.add_argument("--n-im", type=int, default=200, dest="n_im", help="first boundary sampling per vertical edge")
     p_mod.add_argument("--out", default="out", help="output directory")
     p_mod.set_defaults(func=_cmd_modal)
 

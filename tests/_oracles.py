@@ -5,9 +5,7 @@ the production code's matrix-free evaluations can be checked term by term
 on small grids.  The SBP operators' oracle is their old dense builder,
 which made U, Q and D as n x n arrays, and their verification report's
 oracle is the old report on those dense matrices.  The dense assembly's
-oracle is its old column loop, one unit state per RHS.  The root-scan
-oracle at the end evaluates one complex number at a time, with Python
-loops over the grid and the contour.
+oracle is its old column loop, one unit state per RHS.
 """
 
 import cmath
@@ -17,7 +15,6 @@ import numpy as np
 
 from sbpml import sbp_core
 from sbpml.grid_state import FieldState, nfields
-from sbpml.modal_analysis import CANDIDATE_THRESHOLD, ROOT_TOLERANCE
 from sbpml.pml_models import DampingProfile, evaluate_rhs
 
 
@@ -398,88 +395,3 @@ def scalar_dispersion_F1(s, kx, sigma, gamma_y):
 def scalar_dispersion_F2(s, ky, gamma_x):
     s = complex(s)
     return (scalar_principal_sqrt(s**2 + ky**2) + gamma_x * s) / s
-
-
-def _pointwise_winding_number(f, corners, n_per_edge=64):
-    pts = []
-    for k in range(4):
-        a, b = corners[k], corners[(k + 1) % 4]
-        for j in range(n_per_edge):
-            pts.append(a + (b - a) * j / n_per_edge)
-    vals = np.array([f(z) for z in pts])
-    if np.any(vals == 0) or not np.all(np.isfinite(vals)):
-        return -1
-    phases = np.angle(vals)
-    dphi = np.diff(np.concatenate([phases, phases[:1]]))
-    dphi = (dphi + np.pi) % (2 * np.pi) - np.pi
-    return int(round(np.sum(dphi) / (2 * np.pi)))
-
-
-def _pointwise_newton(f, z0, steps=50, h=1e-7):
-    z = complex(z0)
-    for _ in range(steps):
-        fz = f(z)
-        if abs(fz) < 1e-14:
-            break
-        df = (f(z + h) - f(z - h)) / (2 * h)
-        if df == 0:
-            break
-        step = fz / df
-        z = z - step
-        if abs(step) < 1e-15:
-            break
-    return z
-
-
-def pointwise_scan(f, region):
-    """``scan_unstable_roots`` with one call of f per grid and contour point.
-
-    Same candidate rules, winding count, Newton refinement and dedup; f only
-    needs to accept a Python complex.
-    """
-    re = np.linspace(region.re_min, region.re_max, region.n_re)
-    im = np.linspace(region.im_min, region.im_max, region.n_im)
-    mod = np.empty((region.n_re, region.n_im))
-    for i, a in enumerate(re):
-        for j, b in enumerate(im):
-            mod[i, j] = abs(f(complex(a, b)))
-
-    minima = []
-    for i in range(region.n_re):
-        for j in range(region.n_im):
-            window = mod[max(i - 1, 0) : i + 2, max(j - 1, 0) : j + 2]
-            if mod[i, j] <= window.min():
-                minima.append((mod[i, j], i, j))
-    minima.sort()
-    typical = float(np.median(mod))
-    cutoff = max(CANDIDATE_THRESHOLD, 0.25 * typical)
-    candidates = [(i, j) for v, i, j in minima[:3]]
-    candidates += [(i, j) for v, i, j in minima[3:50] if v < cutoff]
-    candidates += [(i, j) for v, i, j in minima[50:] if v < CANDIDATE_THRESHOLD]
-
-    dre = re[1] - re[0]
-    dim = im[1] - im[0]
-    roots = []
-    for i, j in candidates:
-        z0 = complex(re[i], im[j])
-        corners = [
-            z0 + complex(-dre, -dim),
-            z0 + complex(dre, -dim),
-            z0 + complex(dre, dim),
-            z0 + complex(-dre, dim),
-        ]
-        wind = _pointwise_winding_number(f, corners)
-        z = _pointwise_newton(f, z0)
-        in_region = (
-            region.re_min - dre <= z.real <= region.re_max + dre
-            and region.im_min - dim <= z.imag <= region.im_max + dim
-        )
-        if in_region and z.real >= 0 and (abs(f(z)) < ROOT_TOLERANCE or wind > 0):
-            roots.append(z)
-
-    roots.sort(key=lambda z: (round(z.real, 6), round(z.imag, 6)))
-    dedup = []
-    for z in roots:
-        if not any(abs(z - w) < 0.5 * min(dre, dim) for w in dedup):
-            dedup.append(z)
-    return dedup

@@ -1,16 +1,13 @@
 """Tests for branch conventions, sign identities, and root scans."""
 
 import cmath
-import itertools
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-import _oracles
 from _oracles import (
-    pointwise_scan,
     scalar_dispersion_F1,
     scalar_dispersion_F2,
     scalar_principal_sqrt,
@@ -175,11 +172,20 @@ def test_region_validation():
         ComplexParamRegion(re_min=-1.0)
     with pytest.raises(ValueError):
         ComplexParamRegion(re_min=1.0, re_max=0.5)
-    # A scan needs two points per axis for its cell size.
     with pytest.raises(ValueError, match="n_re must be at least 2"):
         ComplexParamRegion(n_re=1)
     with pytest.raises(ValueError, match="n_im must be at least 2"):
         ComplexParamRegion(n_im=0)
+    # An infinite rectangle has no boundary to count on: each bound is refused by name.
+    for name in ("re_min", "re_max", "im_min", "im_max"):
+        for value in (np.inf, -np.inf, np.nan):
+            with pytest.raises(ValueError, match=f"{name} must be finite, got {value}"):
+                ComplexParamRegion(**{name: value})
+    for name in ("n_re", "n_im"):
+        for value in (40.5, 40.0, True, "40"):
+            with pytest.raises(ValueError, match=f"{name} must be an integer, got {value!r}"):
+                ComplexParamRegion(**{name: value})
+    assert ComplexParamRegion(n_re=np.int64(40)).n_re == 40
 
 
 def test_planted_single_root_found():
@@ -235,8 +241,97 @@ def test_scan_returns_python_complex_for_numpy_scalar_f():
     assert scan_unstable_roots(lambda z: 1.0, small_region()) == []
 
 
+def _polynomial(roots):
+    def f(z):
+        out = z - roots[0]
+        for r in roots[1:]:
+            out = out * (z - r)
+        return out
+
+    return f
+
+
+def test_count_separates_close_pairs():
+    """Three clusters of two roots 1e-3 apart count 6, each root located to 1e-8."""
+    planted = [c + d for c in (0.5 + 1.0j, 1.5 - 2.0j, 2.5 + 4.0j) for d in (0.0, 1e-3 * (0.6 + 0.8j))]
+    roots = scan_unstable_roots(_polynomial(planted), small_region())
+    assert len(roots) == 6
+    assert all(min(abs(r - t) for r in roots) <= 1e-8 for t in planted)
+
+
+def test_count_double_root():
+    """A double root and a simple root count 3; the double root is returned twice."""
+    f = _polynomial([0.5 + 0.5j, 0.5 + 0.5j, 2.0 - 1.0j])
+    roots = scan_unstable_roots(f, small_region())
+    assert len(roots) == 3
+    assert all(abs(r - (0.5 + 0.5j)) <= 1e-4 for r in roots[:2])
+    assert abs(roots[2] - (2.0 - 1.0j)) <= 1e-8
+
+
+def test_count_root_just_inside_the_edge():
+    """A root 1e-6 inside the left edge is counted, with one more."""
+    region = small_region()
+    planted = [complex(region.re_min + 1e-6, 1.3), 1.7 - 2.2j]
+    roots = scan_unstable_roots(_polynomial(planted), region)
+    assert len(roots) == 2
+    assert all(min(abs(r - t) for r in roots) <= 1e-8 for t in planted)
+
+
+def test_count_roots_near_the_axis():
+    """Seven roots at Re s = 0.01 to 0.07, beside the left edge, count 7."""
+    planted = [complex(0.01 * j, j - 4.0) for j in range(1, 8)]
+    roots = scan_unstable_roots(_polynomial(planted), small_region())
+    assert len(roots) == 7
+    assert all(min(abs(r - t) for r in roots) <= 1e-8 for t in planted)
+
+
+def test_count_is_zeros_minus_poles():
+    """With multiplicity: a pole counts -1, a zero with a pole 0, a triple zero 3."""
+    rect, n = (1e-9, 3.0, -5.0, 5.0), 60
+    assert modal_analysis._count(lambda z: 1.0 / (z - 1.0 - 1.0j), rect, n, n) == -1
+    assert modal_analysis._count(lambda z: (z - 2.0) / (z - 1.0 - 1.0j), rect, n, n) == 0
+    assert modal_analysis._count(lambda z: (z - 2.0) ** 3, rect, n, n) == 3
+    assert modal_analysis._count(lambda z: z - 4.0, rect, n, n) == 0
+    assert modal_analysis._count(lambda z: 1.0, rect, n, n) == 0
+
+
+@pytest.mark.parametrize(
+    "f",
+    [
+        pytest.param(lambda z: z - (1e-9 - 5.0j), id="zero-at-a-corner"),
+        pytest.param(lambda z: z - (1.2345 - 5.0j), id="zero-between-points"),
+        pytest.param(lambda z: np.where(np.real(z) > 2.0, np.nan, z - 1.0), id="nan-on-an-edge"),
+        pytest.param(lambda z: np.where(np.imag(z) > 4.0, np.inf, z - 1.0), id="inf-on-an-edge"),
+    ],
+)
+def test_inconclusive_count_raises_naming_the_rectangle(f):
+    """A zero or a non-finite value on the boundary makes the count
+    inconclusive: an error that names the rectangle, never an empty list."""
+    with pytest.raises(ValueError, match=r"inconclusive zero count on Re s in \[1e-09, 3.0\], Im s in \[-5.0, 5.0\]"):
+        scan_unstable_roots(f, small_region())
+
+
+def test_zero_on_a_cut_moves_the_cut(monkeypatch):
+    """A zero on the first cut of a box makes a half inconclusive, so the
+    box is cut nearer its edge; halves whose counts never add up to their
+    box's make the scan inconclusive, naming the box."""
+    region = ComplexParamRegion(0.0, 1.0, 0.0, 1.0, 8, 8)
+    planted = [complex(0.3, 0.487), complex(0.487, 0.7)]
+    roots = scan_unstable_roots(_polynomial(planted), region)
+    assert len(roots) == 2 and all(min(abs(r - t) for r in roots) <= 1e-8 for t in planted)
+    count = modal_analysis._count
+    monkeypatch.setattr(modal_analysis, "_count", lambda f, rect, *n: count(f, rect, *n) + (rect[3] < 1.0))
+    with pytest.raises(ValueError, match=r"Im s in \[0.0, 1.0\]: no cut gives halves whose counts add up to 2"):
+        scan_unstable_roots(_polynomial(planted), region)
+
+
+# Fractions of the rectangle's sides: inside, 0.002 from the boundary is at
+# least 1e-3 there, since no side is shorter than 0.5.
+inner = st.floats(0.002, 0.998)
+
+
 @settings(max_examples=40, deadline=None)
-@example(re_min=0.0, width=1.0, im_min=0.0, height=3.0, n_re=36, n_im=6, planted=[(0.5, 0.5), (0.5, 0.5)])
+@example(re_min=0.0, width=1.0, im_min=0.0, height=3.0, n_re=36, n_im=6, planted=[(0.5, 0.5), (0.5, 0.5)], outside=[])
 @given(
     re_min=st.floats(0.0, 2.0),
     width=st.floats(0.5, 4.0),
@@ -244,73 +339,23 @@ def test_scan_returns_python_complex_for_numpy_scalar_f():
     height=st.floats(0.5, 20.0),
     n_re=st.integers(2, 60),
     n_im=st.integers(2, 60),
-    planted=st.lists(st.tuples(st.floats(0.05, 0.95), st.floats(0.05, 0.95)), min_size=1, max_size=3),
+    planted=st.lists(st.tuples(inner, inner), min_size=1, max_size=3),
+    outside=st.lists(st.tuples(st.floats(-1.0, 2.0), st.floats(-1.0, 2.0)), max_size=2),
 )
-def test_scan_matches_pointwise_oracle(re_min, width, im_min, height, n_re, n_im, planted):
-    """The array scan returns the roots of the pointwise scan, 1-3 planted roots.
-
-    Newton stops at |f| < 1e-14, which puts it within about 1e-7 of a double
-    root and 1e-5 of a triple one, at a point that depends on its start.  The
-    two scans' grid moduli can differ in the last bit (numpy's array complex
-    arithmetic against Python's scalar one), so at coincident roots they may
-    start from mirror-image candidates: there both must find as many roots,
-    each within 1e-4 of a planted one."""
+def test_count_matches_the_planted_roots(re_min, width, im_min, height, n_re, n_im, planted, outside):
+    """1-3 planted roots (coincident ones allowed) and 0-2 outside the
+    rectangle, none within 1e-3 of its boundary: the scan returns as many
+    roots as are planted inside, each a plain complex, each within 1e-8 of a
+    planted root, or 1e-4 where another planted root lies within 1e-3."""
+    # An outside draw that lands within 0.002 of the rectangle moves right, past it.
+    outside = [(a + 1.004 if -0.002 <= min(a, b) and max(a, b) <= 1.002 else a, b) for a, b in outside]
+    inside = [complex(re_min + a * width, im_min + b * height) for a, b in planted]
+    others = [complex(re_min + a * width, im_min + b * height) for a, b in outside]
     region = ComplexParamRegion(re_min, re_min + width, im_min, im_min + height, n_re, n_im)
-    targets = [complex(re_min + a * width, im_min + b * height) for a, b in planted]
-
-    def f(z):
-        out = z - targets[0]
-        for t in targets[1:]:
-            out = out * (z - t)
-        return out
-
-    got = scan_unstable_roots(f, region)
-    want = pointwise_scan(f, region)
-    assert len(got) == len(want)
-    if all(abs(s - t) > 1e-3 for s, t in itertools.combinations(targets, 2)):
-        assert all(abs(g - w) <= 1e-12 for g, w in zip(got, want))
-    else:
-        assert all(min(abs(r - t) for t in targets) <= 1e-4 for r in got + want)
-    assert all(type(g) is complex for g in got)
-
-
-def test_scan_refines_the_oracle_candidates_in_order(monkeypatch):
-    """Newton starts from the oracle's candidates in the oracle's order: ties
-    in |f| go by (i, j), the rank cutoffs at 3 and 50 hold, and a cell next
-    to a NaN is no minimum."""
-    starts = {"scan": [], "oracle": []}
-
-    def recording(side, newton):
-        def wrapped(f, z0, *args):
-            starts[side].append(z0)
-            return newton(f, z0, *args)
-
-        return wrapped
-
-    monkeypatch.setattr(modal_analysis, "_newton_refine", recording("scan", modal_analysis._newton_refine))
-    monkeypatch.setattr(_oracles, "_pointwise_newton", recording("oracle", _oracles._pointwise_newton))
-    region = small_region(n_re=30, n_im=50)
-    functions = (
-        lambda z: 1.0,
-        lambda z: np.cos(4.0 * z) + 0.3,
-        lambda z: np.sin(3.0 * z) * np.cos(2.0 * z),
-        # |f| falls towards the NaN columns, so the last finite column has minima only if NaN is ignored.
-        lambda z: np.where(np.real(z) > 1.0, np.nan, np.cos(4.0 * z)),
-    )
-    for f in functions:
-        starts["scan"].clear()
-        starts["oracle"].clear()
-        assert scan_unstable_roots(f, region) == pointwise_scan(f, region)
-        assert starts["scan"] == starts["oracle"] != []
-
-
-def test_winding_number_counts_zeros_and_poles():
-    corners = [0.0, 2.0, 2.0 + 2.0j, 2.0j]
-    wind = modal_analysis._winding_number
-    near_corner = 1.95 + 1.95j  # outside the chord between two mid-edges
-    assert wind(lambda z: z - near_corner, corners) == 1
-    assert wind(lambda z: (z - 0.05 - 1.0j) ** 2, corners) == 2
-    assert wind(lambda z: 1.0 / (z - 1.0 - 1.0j), corners) == -1
-    assert wind(lambda z: z - 3.0, corners) == 0
-    assert wind(lambda z: z - 1.0, corners) == -1  # zero on the contour
-    assert wind(lambda z: 1.0, corners) == 0
+    roots = scan_unstable_roots(_polynomial(inside + others), region)
+    assert len(roots) == len(inside)
+    assert all(type(r) is complex for r in roots)
+    for r in roots:
+        t = min(inside, key=lambda t: abs(r - t))
+        coincident = sum(abs(t - u) <= 1e-3 for u in inside) > 1
+        assert abs(r - t) <= (1e-4 if coincident else 1e-8)

@@ -958,6 +958,17 @@ def test_cli_modal_rejects_single_point_axis(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_cli_modal_inconclusive_count_exits_1(tmp_path, monkeypatch, capsys):
+    """A scan whose count is inconclusive (here F1 is NaN everywhere) exits
+    1 through the CLI's error path, naming the rectangle, and never reports
+    a clean "0 root(s) counted"."""
+    monkeypatch.setattr(scenarios_cli, "dispersion_F1", lambda s, *args: np.full(np.shape(s), np.nan, dtype=complex))
+    assert cli_entry(["modal", "--nk", "1", "--out", str(tmp_path / "out")]) == 1
+    out, err = capsys.readouterr()
+    assert "inconclusive zero count on Re s in [1e-09, 3.0], Im s in [-20.0, 20.0]" in err
+    assert "root(s) counted" not in out
+
+
 @pytest.mark.parametrize("count", ["0", "-3"])
 def test_cli_rejects_counts_that_check_nothing(tmp_path, capsys, count):
     """``verify`` with no Monte-Carlo samples and ``modal`` with no
