@@ -13,8 +13,8 @@ Three scenario families are provided:
   enough to the right that no reflection can re-enter the region of
   interest within the simulated time; used to measure layer errors.
 
-Configs are plain key=value text files; every run echoes its fully
-resolved configuration, which ``sbpml run --config`` reads back, so
+Configs are TOML files; every run echoes its fully resolved
+configuration as TOML, which ``sbpml run --config`` reads back, so
 results can be reproduced bit-for-bit.
 """
 
@@ -24,11 +24,10 @@ import argparse
 import math
 import numbers
 import os
-import re
 import sys
 import time
-from dataclasses import asdict, dataclass, replace
-from typing import Optional, get_type_hints
+from dataclasses import asdict, dataclass, fields, replace
+from typing import Optional
 
 import numpy as np
 
@@ -87,7 +86,7 @@ class ScenarioConfig:
     model_kind: str = "ModalUnsplit"
     theta: float = 1.0
     penalties: str = "estimate_matching"
-    tol: Optional[float] = 1e-4
+    tol: float = 1e-4
     d0: Optional[float] = None
     output_dir: str = "out"
     stride: int = 10
@@ -110,7 +109,7 @@ class ScenarioConfig:
             raise ValueError(f"unknown model kind {self.model_kind!r}; expected one of {MODEL_KINDS}")
         for name in ("x0", "y0", "delta", "h", "dt_factor", "t_final", "theta", "tol", "d0"):
             v = getattr(self, name)
-            if isinstance(v, bool) or not (isinstance(v, numbers.Real) or v is None and name in ("tol", "d0")):
+            if isinstance(v, bool) or not (isinstance(v, numbers.Real) or v is None and name == "d0"):
                 raise ValueError(f"{name} must be a number, got {v!r}")
         for name in ("x0", "y0", "delta", "h", "dt_factor", "t_final"):
             v = getattr(self, name)
@@ -118,28 +117,22 @@ class ScenarioConfig:
                 raise ValueError(f"{name} must be finite and positive, got {v}")
         if not math.isfinite(self.theta):
             raise ValueError(f"theta must be finite, got {self.theta}")
-        if self.tol is not None and not 0 < self.tol < 1:
+        if not 0 < self.tol < 1:
             raise ValueError(f"tol must lie in (0, 1), got {self.tol}")
         if self.d0 is not None and not (math.isfinite(self.d0) and self.d0 >= 0):
             raise ValueError(f"d0 must be finite and nonnegative, got {self.d0}")
         if self.stride < 1:
             raise ValueError(f"stride must be at least 1, got {self.stride}")
-        # The config echo quotes a value with '#' or outer spaces, and can carry no quote or line break;
-        # config_from_file reads the text none as None.
         for name, kinds, what in (("label", str, "a string"), ("output_dir", (str, os.PathLike), "a string or a path")):
             v = getattr(self, name)
             if not isinstance(v, kinds):
                 raise ValueError(f"{name} must be {what}, got {v!r}")
-            v = str(v)
-            if '"' in v or "'" in v or "".join(v.splitlines()) != v:
-                raise ValueError(f"{name} must hold no quote or line break, got {v!r}")
-            if v.lower() == "none":
-                raise ValueError(f"{name} cannot be {v!r}, which a config file reads as None")
+            # The config echo is UTF-8 text, which cannot carry a surrogate code point.
+            if any("\ud800" <= c <= "\udfff" for c in str(v)):
+                raise ValueError(f"{name} must encode as UTF-8, got {v!r}")
         # The label is part of each output's file name, which must stay in output_dir.
         if any(sep in self.label for sep in (os.sep, os.altsep) if sep):
             raise ValueError(f"label must hold no path separator, got {self.label!r}")
-        if self.scenario != "Reference" and self.tol is None and self.d0 is None:
-            raise ValueError("tol = none needs an explicit d0: give tol in (0, 1) or d0")
         # Layer edges must sit on grid points.
         for name in ("x0", "delta"):
             v = getattr(self, name)
@@ -245,14 +238,33 @@ ECHO_RESULT_KEYS = ("resolved_dt", "resolved_n_steps", "resolved_nx", "resolved_
 
 
 def _echo_config(path: str, cfg: ScenarioConfig, setup: ScenarioSetup, diverged: bool, last_step: int):
-    results = (f"{setup.dt:.17g}", setup.n_steps, setup.grid.nx, setup.grid.ny, f"{setup.prof.d0:.17g}",
+    import json
+
+    results = (setup.dt, setup.n_steps, setup.grid.nx, setup.grid.ny, setup.prof.d0,
                penalties_admissible(setup.system.bc, setup.system.penalties), diverged, last_step)
-    with open(path, "w") as f:
+    with open(path, "w", encoding="utf-8") as f:
         for k, v in [*asdict(cfg).items(), *zip(ECHO_RESULT_KEYS, results)]:
-            # parse_config_text cuts a line at '#' and strips its ends, unless the value is quoted.
-            v = str(v)
-            quote = '"' if "#" in v or v != v.strip() else ""
-            f.write(f"{k} = {quote}{v}{quote}\n")
+            if v is not None:  # TOML has no null; a None d0 is the field's default.
+                v = v.item() if isinstance(v, np.generic) else str(v) if isinstance(v, os.PathLike) else v
+                # JSON's strings, numbers and booleans are TOML's, but TOML takes no raw DEL in a string.
+                text = json.dumps(v, ensure_ascii=False).replace("\x7f", r"\u007f")
+                f.write(f"{k} = {text}\n")
+
+
+def config_from_file(path: str) -> ScenarioConfig:
+    """The config of a TOML file, such as a run's config echo, whose
+    ``ECHO_RESULT_KEYS`` are skipped; any other key must be a field."""
+    import tomllib
+
+    try:
+        with open(path, "rb") as f:
+            table = {k: v for k, v in tomllib.load(f).items() if k not in ECHO_RESULT_KEYS}
+    except ValueError as err:  # a TOMLDecodeError, or text that is not UTF-8
+        raise ValueError(f"config file {path} is not valid TOML: {err}") from err
+    unknown = set(table) - {field.name for field in fields(ScenarioConfig)}
+    if unknown:
+        raise ValueError(f"unknown config keys: {sorted(unknown)}")
+    return ScenarioConfig(**table)
 
 
 def rk4_step(rhs, u: np.ndarray, t: float, dt: float, k1: np.ndarray, q1: float, work) -> float:
@@ -487,60 +499,6 @@ def write_error_table(path: str, rows):
 
 
 # ---------------------------------------------------------------------------
-# Config files
-
-
-# The part of a line before its comment or an unpaired quote: a '#' inside quotes is text.
-_BEFORE_COMMENT = re.compile(r"""(?:[^#"']|"[^"]*"|'[^']*')*""")
-
-
-def parse_config_text(text: str) -> dict:
-    """Parse flat 'key = value' lines, each key on one line, into raw strings; '#' outside quotes starts a comment."""
-    out, lines = {}, {}
-    for ln, raw in enumerate(text.splitlines(), start=1):
-        line = _BEFORE_COMMENT.match(raw).group()
-        if raw[len(line):][:1] in ('"', "'"):
-            raise ValueError(f"line {ln}: unpaired quote in {raw!r}")
-        line = line.strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ValueError(f"line {ln}: expected 'key = value', got {raw!r}")
-        key, _, val = (part.strip() for part in line.partition("="))
-        if key in lines:
-            raise ValueError(f"lines {lines[key]} and {ln} both set config key {key!r}")
-        out[key], lines[key] = val.strip('"').strip("'"), ln
-    return out
-
-
-def _field_value(key: str, text: str, kind):
-    """The config text of field ``key`` as its declared type: str, int, float or Optional[float]."""
-    if text.lower() == "none":
-        if kind == Optional[float]:
-            return None
-        raise ValueError(f"config field {key!r} cannot be none")
-    if kind is str:
-        return text
-    try:
-        return int(text) if kind is int else float(text)
-    except ValueError:
-        need = "an integer" if kind is int else "numeric"
-        raise ValueError(f"config field {key!r} must be {need}, got {text!r}") from None
-
-
-def config_from_file(path: str) -> ScenarioConfig:
-    """The config of a key = value file, such as a run's config echo, whose
-    ``ECHO_RESULT_KEYS`` are skipped; any other key must be a field."""
-    with open(path) as f:
-        raw = {k: v for k, v in parse_config_text(f.read()).items() if k not in ECHO_RESULT_KEYS}
-    kinds = get_type_hints(ScenarioConfig)
-    unknown = set(raw) - set(kinds)
-    if unknown:
-        raise ValueError(f"unknown config keys: {sorted(unknown)}")
-    return ScenarioConfig(**{key: _field_value(key, text, kinds[key]) for key, text in raw.items()})
-
-
-# ---------------------------------------------------------------------------
 # CLI
 
 
@@ -631,20 +589,22 @@ def _cmd_modal(args) -> int:
     sigmas = [float(v) for v in args.sigmas.split(",")]
     ks = np.linspace(-10.0, 10.0, args.nk)
     region = ComplexParamRegion(n_re=args.n_re, n_im=args.n_im)
+    rows, total = ["relation,k,gamma,sigma,n_roots,roots\n"], 0
+    for k in ks:
+        for g in gammas:
+            f1 = [("F1", sig, lambda s, sig=sig: dispersion_F1(s, k, sig, g)) for sig in sigmas]
+            for relation, sig, fn in [*f1, ("F2", 0, lambda s: dispersion_F2(s, k, g))]:
+                try:
+                    roots = scan_unstable_roots(fn, region)
+                except ValueError as err:
+                    raise ValueError(f"the {relation} scan at k = {k}, gamma = {g}, sigma = {sig} failed: {err}") from err
+                total += len(roots)
+                rows.append(f"{relation},{k:.17g},{g:.17g},{sig:.17g},{len(roots)},\"{roots}\"\n")
+    # Written once every scan has returned, so a failed scan leaves no report.
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, "dispersion_scan.csv")
-    total = 0
     with open(path, "w") as f:
-        f.write("relation,k,gamma,sigma,n_roots,roots\n")
-        for k in ks:
-            for g in gammas:
-                for sig in sigmas:
-                    roots = scan_unstable_roots(lambda s: dispersion_F1(s, k, sig, g), region)
-                    total += len(roots)
-                    f.write(f"F1,{k:.17g},{g:.17g},{sig:.17g},{len(roots)},\"{roots}\"\n")
-                roots = scan_unstable_roots(lambda s: dispersion_F2(s, k, g), region)
-                total += len(roots)
-                f.write(f"F2,{k:.17g},{g:.17g},0,{len(roots)},\"{roots}\"\n")
+        f.writelines(rows)
     print(f"scanned {len(ks)} wavenumbers x {len(gammas)} gammas; {total} root(s) counted")
     print(f"report: {path}")
     return 0 if total == 0 else 1
@@ -659,7 +619,7 @@ def cli_entry(argv=None) -> int:
 
     p_run = sub.add_parser("run", help="run a scenario from a config file or preset")
     source = p_run.add_mutually_exclusive_group(required=True)
-    source.add_argument("--config", help="path to a key=value config file")
+    source.add_argument("--config", help="path to a TOML config file")
     source.add_argument("--preset", help="built-in scenario preset name")
     p_run.add_argument("--out", help="output directory override")
     p_run.set_defaults(func=_cmd_run)

@@ -1,6 +1,8 @@
 """Tests for scenario construction, run artifacts, config files, and the CLI."""
 
+import argparse
 import dataclasses
+import json
 import math
 import os
 import re
@@ -13,6 +15,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from sbpml import pml_models, sbp_core, scenarios_cli
 from sbpml.boundary_sat import boundary_dissipation
@@ -35,7 +39,6 @@ from sbpml.scenarios_cli import (
     cavity_initial_state,
     cli_entry,
     config_from_file,
-    parse_config_text,
     preset_config,
     reference_config,
     run_scenario,
@@ -46,6 +49,7 @@ from sbpml.scenarios_cli import (
     write_snapshot,
 )
 from sbpml.grid_state import FieldState, Grid2D
+from sbpml.modal_analysis import InconclusiveCount
 
 from _oracles import read_snapshot
 
@@ -69,6 +73,10 @@ def tiny_cavity(**kw):
     )
     cfg.update(kw)
     return ScenarioConfig(**cfg)
+
+
+# The tiny cavity's geometry as a TOML config file, to which a test adds lines.
+TINY_TOML = 'scenario = "Cavity"\nx0 = 4.0\ny0 = 4.0\ndelta = 2.0\nh = 1.0\nt_final = 4.0\n'
 
 
 # ---------------------------------------------------------------------------
@@ -113,9 +121,6 @@ def test_config_validation():
         tiny_cavity(order=5)
     with pytest.raises(ValueError, match="unknown model kind 'Bogus'; expected one of"):
         tiny_cavity(model_kind="Bogus")
-    with pytest.raises(ValueError, match="tol = none needs an explicit d0"):
-        tiny_cavity(tol=None)
-    assert tiny_cavity(tol=None, d0=1.0).d0 == 1.0
     # A step that is not finite and positive, or an amplifying layer.
     for bad in (-1.0, 0.0, math.inf, math.nan):
         with pytest.raises(ValueError, match="dt_factor must be finite and positive"):
@@ -131,7 +136,6 @@ def test_config_validation():
     for bad in (math.inf, -math.inf, math.nan):
         with pytest.raises(ValueError, match="theta must be finite"):
             tiny_cavity(theta=bad)
-    assert reference_config(0.04, 4, tol=None).tol is None  # no layer, so no d0 to derive
     # A reflection tolerance outside (0, 1) is refused with the config, not at build.
     for bad in (2.0, 1.0, 0.0, -1.0, math.nan):
         with pytest.raises(ValueError, match=re.escape(f"tol must lie in (0, 1), got {bad}")):
@@ -160,16 +164,15 @@ _FLOAT_FIELDS = ("x0", "y0", "delta", "h", "dt_factor", "t_final", "theta", "tol
         pytest.param("cavity-desk-theta1", name, value, id=f"{name}-{value}")
         for name in _FLOAT_FIELDS
         for value in (True, False, "1", None)
-        if value is not None or name not in ("tol", "d0")
+        if value is not None or name != "d0"
     ]
     # The waveguide preset derives its tol from h, after h is checked.
     + [pytest.param("waveguide", "h", value, id=f"waveguide-h-{value}") for value in ("0.04", None)],
 )
 def test_config_refuses_a_bool_in_a_float_field(preset, name, value):
-    """A bool in a float field is refused when built: it would run and echo
-    ``True`` or ``False``, which ``config_from_file`` refuses, so the run
-    could not be reproduced from its echo.  A string is refused too, and
-    None in every field but ``tol`` and ``d0``, where it means "not given"."""
+    """A bool in a float field is refused when built, though arithmetic
+    would take it as 0 or 1.  A string is refused too, and None in every
+    field but ``d0``, where it means "derived from tol"."""
     with pytest.raises(ValueError, match=re.escape(f"{name} must be a number, got {value!r}")):
         preset_config(preset, **{name: value})
 
@@ -232,7 +235,7 @@ def test_build_reference_geometry():
     g = setup.grid
     assert (g.x_min, g.x_max) == (-2.0, 8.0)
     # The reference is undamped whatever its d0 and tol.
-    for cfg in (reference_config(0.1, 4), reference_config(0.1, 4, d0=5.0), reference_config(0.1, 4, tol=None)):
+    for cfg in (reference_config(0.1, 4), reference_config(0.1, 4, d0=5.0), reference_config(0.1, 4, tol=0.5)):
         prof = build_scenario(cfg).prof
         assert prof.d0 == 0.0
         assert np.all(prof.sigma_values == 0.0)
@@ -290,74 +293,30 @@ def test_snapshot_round_trip(tmp_path):
     assert hx == g.hx and hy == g.hy
 
 
-def test_parse_config_text():
-    text = """
-    # a comment
-    scenario = Cavity
-    h = 0.5        # trailing comment
-    order = 4
-    theta = 1
-    d0 = none
-    label = "demo"
-    output_dir = "run#1"  # a '#' inside quotes is part of the value
-    """
-    out = parse_config_text(text)
-    # Raw strings: each field's declared type converts them in config_from_file.
-    assert out == {
-        "scenario": "Cavity",
-        "h": "0.5",
-        "order": "4",
-        "theta": "1",
-        "d0": "none",
-        "label": "demo",
-        "output_dir": "run#1",
-    }
-    assert parse_config_text("label = 'run#1'  # note\n") == {"label": "run#1"}
-    # An unpaired quote is refused, with its line named, not read as a value cut at the '#'.
-    for line in ['label = "run#1', 'label = run"#x', "label = 'a#b"]:
-        with pytest.raises(ValueError, match="line 2: unpaired quote"):
-            parse_config_text(f"order = 4\n{line}\n")
-    with pytest.raises(ValueError, match="expected 'key = value'"):
-        parse_config_text("just words\n")
-    # A key set twice is refused, with both lines named, not read as its last value.
-    with pytest.raises(ValueError, match="lines 2 and 4 both set config key 'theta'"):
-        parse_config_text("order = 4\ntheta = 0\n# again\n theta=1\n")
-
-
 def test_config_from_file(tmp_path):
-    path = tmp_path / "run.cfg"
-    path.write_text(
-        "scenario = Cavity\nx0 = 4\ny0 = 4\ndelta = 2\nh = 1\nt_final = 4\norder = 4\n"
-    )
+    path = tmp_path / "run.toml"
+    path.write_text(f"# a comment\n{TINY_TOML}order = 4  # a trailing comment\n")
     cfg = config_from_file(path)
     assert cfg.scenario == "Cavity" and cfg.x0 == 4.0 and cfg.order == 4
-    # Each value takes its field's declared type.
+    # Each value keeps its TOML type.
     assert type(cfg.x0) is float and type(cfg.order) is int
 
-    typed = tmp_path / "typed.cfg"
-    typed.write_text("scenario = Cavity\nd0 = None\ntol = 1e-3\nlabel = 7\n")
+    typed = tmp_path / "typed.toml"
+    typed.write_text('scenario = "Cavity"\ntol = 1e-3\nlabel = "run#1"  # a \'#\' inside quotes is text\n')
     cfg = config_from_file(typed)
-    assert cfg.d0 is None and cfg.tol == 1e-3 and cfg.label == "7"
+    assert cfg.d0 is None and cfg.tol == 1e-3 and cfg.label == "run#1"
 
-    bad = tmp_path / "bad.cfg"
-    bad.write_text("scenario = Cavity\nwidth = 3\n")
-    with pytest.raises(ValueError, match="unknown config keys"):
-        config_from_file(bad)
-
-    bad2 = tmp_path / "bad2.cfg"
-    bad2.write_text("scenario = Cavity\norder = four\n")
-    with pytest.raises(ValueError, match="must be an integer"):
-        config_from_file(bad2)
-
-    bad3 = tmp_path / "bad3.cfg"
-    bad3.write_text("scenario = Cavity\nh = fine\n")
-    with pytest.raises(ValueError, match="must be numeric"):
-        config_from_file(bad3)
-
-    bad4 = tmp_path / "bad4.cfg"
-    bad4.write_text("scenario = Cavity\norder = 4.0\n")
-    with pytest.raises(ValueError, match="must be an integer"):
-        config_from_file(bad4)
+    for i, (line, message) in enumerate([
+        ("width = 3", "unknown config keys: ['width']"),
+        ('order = "four"', "order must be an integer, got 'four'"),
+        ('h = "fine"', "h must be a number, got 'fine'"),
+        ("order = 4.0", "order must be an integer, got 4.0"),
+        ("label = 7", "label must be a string, got 7"),
+    ]):
+        bad = tmp_path / f"bad{i}.toml"
+        bad.write_text(f'scenario = "Cavity"\n{line}\n')
+        with pytest.raises(ValueError, match=re.escape(message)):
+            config_from_file(bad)
 
 
 # ---------------------------------------------------------------------------
@@ -374,8 +333,8 @@ def test_run_scenario_artifacts_and_determinism(tmp_path):
     # Samples at t = 0 plus every stride-th step: 20 steps, stride 2 -> 11 rows.
     assert len(art.history.times) == 11
     echo = Path(art.config_echo_path).read_text()
-    assert "diverged = False" in echo
-    assert "penalties_admissible = True" in echo
+    assert "diverged = false" in echo
+    assert "penalties_admissible = true" in echo
 
     # Bit-for-bit reproducibility.
     art2 = run_scenario(tiny_cavity(output_dir=str(tmp_path / "b"), label="tiny"))
@@ -397,17 +356,20 @@ def test_config_echo_reads_back_and_reruns_the_run(tmp_path, capsys, name):
     for path in (art.history_csv, art.snapshot_path):
         assert (b / Path(path).name).read_bytes() == Path(path).read_bytes()
     echo = Path(art.config_echo_path).read_text()
-    assert (b / Path(art.config_echo_path).name).read_text() == echo.replace(f"= {a}\n", f"= {b}\n")
+    assert (b / Path(art.config_echo_path).name).read_text() == echo.replace(
+        f"= {json.dumps(str(a))}\n", f"= {json.dumps(str(b))}\n"
+    )
 
 
 @pytest.mark.parametrize(
     "label,out", [("run#1", "out #1"), (" spaced ", "out"), ("run", Path("out"))], ids=["hash", "outer-spaces", "path"]
 )
 def test_config_echo_quotes_what_reading_would_cut(tmp_path, capsys, label, out):
-    """A label or output_dir with a '#' or outer spaces is echoed in quotes,
-    so ``sbpml run --config`` on the echo reads the same config back and
-    writes the same files, byte for byte, at the same paths.  An output_dir
-    may be a ``pathlib.Path``, which reads back as its text."""
+    """Every label and output_dir is echoed as a quoted TOML string, so one
+    with a '#' or outer spaces reads back whole: ``sbpml run --config`` on
+    the echo reads the same config back and writes the same files, byte for
+    byte, at the same paths.  An output_dir may be a ``pathlib.Path``, which
+    reads back as its text."""
     output_dir = tmp_path / out if isinstance(out, Path) else str(tmp_path / out)
     cfg = preset_config("cavity-desk-theta1", t_final=2.0, label=label, output_dir=output_dir)
     art = run_scenario(cfg)
@@ -422,36 +384,45 @@ def test_config_echo_quotes_what_reading_would_cut(tmp_path, capsys, label, out)
     assert sorted(os.listdir(cfg.output_dir)) == sorted(os.path.basename(path) for path in written)
 
 
+@settings(deadline=None)
+@given(label=st.text().filter(lambda text: not any(sep in text for sep in (os.sep, os.altsep) if sep)))
+@example("\x7f")
+@example("\x00")
+@example('a"b')
+@example("#")
+@example("\n")
+@example("none")
+def test_any_label_reads_back_from_its_echo(tmp_path_factory, label):
+    """Any text without a path separator is a label, and the config echo
+    writes it as a TOML string that reads back as the same label."""
+    cfg = tiny_cavity(label=label)
+    path = tmp_path_factory.getbasetemp() / "label_config.txt"
+    scenarios_cli._echo_config(path, cfg, build_scenario(cfg), False, 0)
+    assert config_from_file(path) == cfg
+
+
 @pytest.mark.parametrize("name", ["label", "output_dir"])
-@pytest.mark.parametrize("value", ['run"1', "run'1", "run\n1", "run\r", "\nrun"])
-def test_config_refuses_what_its_echo_cannot_carry(tmp_path, capsys, name, value):
-    """A quote or a line break in a label or output_dir is refused when the
-    config is built, and so is such an ``sbpml run --out``, before anything
-    is written: no echo line could carry it back."""
-    with pytest.raises(ValueError, match=f"{name} must hold no quote or line break"):
-        preset_config("cavity-desk-theta1", **{name: value})
+def test_config_refuses_text_that_utf8_cannot_carry(tmp_path, capsys, name):
+    """A lone surrogate, which a file name on Linux can carry but the UTF-8
+    config echo cannot, is refused in a label or output_dir when the config
+    is built, and so is such an ``sbpml run --out``, before anything is
+    written."""
+    with pytest.raises(ValueError, match=f"{name} must encode as UTF-8"):
+        preset_config("cavity-desk-theta1", **{name: "run\udc80"})
     if name == "output_dir":
-        assert cli_entry(["run", "--preset", "cavity-desk-theta1", "--out", str(tmp_path / value)]) == 1
-        assert "output_dir must hold no quote or line break" in capsys.readouterr().err
+        assert cli_entry(["run", "--preset", "cavity-desk-theta1", "--out", str(tmp_path / "run\udc80")]) == 1
+        assert "output_dir must encode as UTF-8" in capsys.readouterr().err
         assert os.listdir(tmp_path) == []
 
 
 @pytest.mark.parametrize("name", ["label", "output_dir"])
-@pytest.mark.parametrize("value", [None, 0, b"run", "none", "None", "NONE"], ids=repr)
-def test_config_refuses_what_its_echo_reads_back_otherwise(tmp_path, monkeypatch, capsys, name, value):
+@pytest.mark.parametrize("value", [None, 0, b"run"], ids=repr)
+def test_config_refuses_what_its_echo_reads_back_otherwise(name, value):
     """A label or output_dir that is not a string (an output_dir may be a
-    path) is refused when the config is built, and so is the text none in
-    any case, and such an ``sbpml run --out``, before anything is written:
-    its echo would read back as another value, or as None, which a label or
-    output_dir cannot be."""
-    message = f"{name} cannot be {value!r}" if isinstance(value, str) else f"{name} must be a string"
-    with pytest.raises(ValueError, match=re.escape(message)):
+    path) is refused when the config is built: its echo would read back as
+    another value, or not at all, since TOML has no null."""
+    with pytest.raises(ValueError, match=re.escape(f"{name} must be a string")):
         preset_config("cavity-desk-theta1", **{name: value})
-    if name == "output_dir" and isinstance(value, str):
-        monkeypatch.chdir(tmp_path)
-        assert cli_entry(["run", "--preset", "cavity-desk-theta1", "--out", value]) == 1
-        assert message in capsys.readouterr().err
-        assert os.listdir(tmp_path) == []
 
 
 def test_config_refuses_a_label_with_a_path_separator(tmp_path, capsys):
@@ -461,14 +432,11 @@ def test_config_refuses_a_label_with_a_path_separator(tmp_path, capsys):
     then writes no file, beside output_dir or anywhere else."""
     with pytest.raises(ValueError, match="label must hold no path separator"):
         preset_config("cavity-desk-theta1", label="a/b")
-    cfg_path = tmp_path / "run.cfg"
-    cfg_path.write_text(
-        "scenario = Cavity\nx0 = 4\ny0 = 4\ndelta = 2\nh = 1\nt_final = 4\n"
-        "dt_factor = 0.2\ntol = 1e-2\norder = 4\nstride = 2\nlabel = ../esc\n"
-    )
+    cfg_path = tmp_path / "run.toml"
+    cfg_path.write_text(f'{TINY_TOML}dt_factor = 0.2\ntol = 1e-2\norder = 4\nstride = 2\nlabel = "../esc"\n')
     assert cli_entry(["run", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 1
     assert "label must hold no path separator, got '../esc'" in capsys.readouterr().err
-    assert os.listdir(tmp_path) == ["run.cfg"]
+    assert os.listdir(tmp_path) == ["run.toml"]
 
 
 def test_config_echo_skips_only_its_result_keys(tmp_path):
@@ -477,7 +445,7 @@ def test_config_echo_skips_only_its_result_keys(tmp_path):
     art = run_scenario(tiny_cavity(output_dir=str(tmp_path), label="tiny"))
     echo = Path(art.config_echo_path).read_text()
     assert [line.partition(" = ")[0] for line in echo.splitlines()[-8:]] == list(ECHO_RESULT_KEYS)
-    bad = tmp_path / "bad.cfg"
+    bad = tmp_path / "bad.toml"
     for key in ("resolved_dtt", "thetaa"):
         bad.write_text(f"{echo}{key} = 1\n")
         with pytest.raises(ValueError, match=re.escape(f"unknown config keys: ['{key}']")):
@@ -649,7 +617,7 @@ def test_non_finite_first_record_is_a_divergence(tmp_path):
     art = run_scenario(cfg)
     assert art.diverged
     echo = Path(art.config_echo_path).read_text().splitlines()
-    assert "diverged = True" in echo and "last_completed_step = 0" in echo
+    assert "diverged = true" in echo and "last_completed_step = 0" in echo
     assert Path(art.history_csv).read_text().splitlines() == [CSV_HEADER]
 
 
@@ -734,7 +702,7 @@ def test_error_study_runs_the_stable_layer_against_a_layer_free_reference(tmp_pa
     waveguide_error_study([0.2, 0.1], [4], output_dir=str(tmp_path))
     echoes = [echo.read_text().splitlines() for echo in tmp_path.glob("*_config.txt")]
     thetas = sorted((lines[0], next(x for x in lines if x.startswith("theta = "))) for lines in echoes)
-    assert thetas == [("scenario = Reference", "theta = 0.0")] * 2 + [("scenario = Waveguide", "theta = 1.0")] * 2
+    assert thetas == [('scenario = "Reference"', "theta = 0.0")] * 2 + [('scenario = "Waveguide"', "theta = 1.0")] * 2
 
 
 def test_worker_error_reaches_the_caller(tmp_path, monkeypatch, capsys):
@@ -825,11 +793,8 @@ def test_cli_converge_reports_cells_processes_and_time(tmp_path, monkeypatch, ca
 
 
 def test_cli_run_with_config(tmp_path, capsys):
-    cfg_path = tmp_path / "run.cfg"
-    cfg_path.write_text(
-        "scenario = Cavity\nx0 = 4\ny0 = 4\ndelta = 2\nh = 1\nt_final = 4\n"
-        "dt_factor = 0.2\ntol = 1e-2\norder = 4\nstride = 2\nlabel = cli_tiny\n"
-    )
+    cfg_path = tmp_path / "run.toml"
+    cfg_path.write_text(f'{TINY_TOML}dt_factor = 0.2\ntol = 1e-2\norder = 4\nstride = 2\nlabel = "cli_tiny"\n')
     rc = cli_entry(["run", "--config", str(cfg_path), "--out", str(tmp_path / "out")])
     captured = capsys.readouterr()
     assert rc == 0
@@ -843,8 +808,8 @@ def test_cli_run_requires_source(tmp_path, capsys):
     rc = cli_entry(["run"])
     assert rc == 2
     # Exactly one source: a config file and a preset together are refused, and nothing runs.
-    cfg_path = tmp_path / "run.cfg"
-    cfg_path.write_text("scenario = Cavity\nx0 = 4\ny0 = 4\ndelta = 2\nh = 1\nt_final = 4\n")
+    cfg_path = tmp_path / "run.toml"
+    cfg_path.write_text(TINY_TOML)
     out = tmp_path / "out"
     rc = cli_entry(["run", "--config", str(cfg_path), "--preset", "cavity-desk-theta1", "--out", str(out)])
     assert rc == 2
@@ -857,8 +822,8 @@ def test_cli_rejects_unknown_command():
 
 
 def test_cli_rejects_stride_below_one(tmp_path, capsys):
-    cfg_path = tmp_path / "run.cfg"
-    cfg_path.write_text("scenario = Cavity\nx0 = 4\ny0 = 4\ndelta = 2\nh = 1\nt_final = 4\nstride = 0\n")
+    cfg_path = tmp_path / "run.toml"
+    cfg_path.write_text(f"{TINY_TOML}stride = 0\n")
     rc = cli_entry(["run", "--config", str(cfg_path), "--out", str(tmp_path / "out")])
     assert rc == 1
     assert "stride must be at least 1" in capsys.readouterr().err
@@ -866,40 +831,46 @@ def test_cli_rejects_stride_below_one(tmp_path, capsys):
 
 
 def test_cli_rejects_a_repeated_config_key(tmp_path, capsys):
-    cfg_path = tmp_path / "run.cfg"
-    cfg_path.write_text("scenario = Cavity\nx0 = 4\ny0 = 4\ndelta = 2\nh = 1\nt_final = 4\ntheta = 0\ntheta = 1\n")
+    cfg_path = tmp_path / "run.toml"
+    cfg_path.write_text(f"{TINY_TOML}theta = 0\ntheta = 1\n")
     rc = cli_entry(["run", "--config", str(cfg_path), "--out", str(tmp_path / "out")])
     assert rc == 1
-    assert "lines 7 and 8 both set config key 'theta'" in capsys.readouterr().err
+    assert f"config file {cfg_path} is not valid TOML: Cannot overwrite a value (at line 8" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 
-def test_cli_rejects_tol_none_without_d0(tmp_path, capsys):
-    cfg_path = tmp_path / "run.cfg"
-    cfg_path.write_text("scenario = Cavity\nx0 = 4\ny0 = 4\ndelta = 2\nh = 1\nt_final = 4\ntol = none\n")
-    rc = cli_entry(["run", "--config", str(cfg_path), "--out", str(tmp_path / "out")])
-    assert rc == 1
-    assert "tol = none needs an explicit d0" in capsys.readouterr().err
-    assert not (tmp_path / "out").exists()
+def test_cli_names_a_config_file_that_is_not_toml(tmp_path, capsys):
+    """A file in the key = value format that TOML replaced, whose strings
+    are unquoted, exits 1 with a message that names the file and the format,
+    and so does a file that is not UTF-8."""
+    for name, text, reason in [
+        ("old.cfg", b"scenario = Cavity\nx0 = 4\n", "Invalid value (at line 1"),
+        ("latin1.toml", b'label = "caf\xe9"\n', "'utf-8' codec can't decode byte 0xe9"),
+    ]:
+        cfg_path = tmp_path / name
+        cfg_path.write_bytes(text)
+        rc = cli_entry(["run", "--config", str(cfg_path), "--out", str(tmp_path / "out")])
+        assert rc == 1
+        assert f"config file {cfg_path} is not valid TOML: {reason}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize(
     "line,message",
     [
-        ("output_dir = none", "config field 'output_dir' cannot be none"),
-        ("stride = true", "config field 'stride' must be an integer, got 'true'"),
-        ("h = true", "config field 'h' must be numeric, got 'true'"),
+        ("output_dir = 0", "output_dir must be a string or a path, got 0"),
+        ("stride = true", "stride must be an integer, got True"),
+        ("h = true", "h must be a number, got True"),
     ],
 )
 def test_cli_rejects_values_of_the_wrong_type(tmp_path, capsys, line, message):
     """A value that is not of its field's declared type exits 1 with a
     message.  ``line`` takes the place of the base line of its key, since a
     key may be set once only."""
-    fields = {"scenario": "Cavity", "x0": "4", "y0": "4", "delta": "2", "h": "1", "t_final": "4"}
-    key, _, value = (part.strip() for part in line.partition("="))
-    fields[key] = value
-    cfg_path = tmp_path / "run.cfg"
-    cfg_path.write_text("".join(f"{k} = {v}\n" for k, v in fields.items()))
+    key = line.partition(" = ")[0]
+    base = [base_line for base_line in TINY_TOML.splitlines() if not base_line.startswith(f"{key} = ")]
+    cfg_path = tmp_path / "run.toml"
+    cfg_path.write_text("".join(f"{text}\n" for text in [*base, line]))
     rc = cli_entry(["run", "--config", str(cfg_path), "--out", str(tmp_path / "out")])
     assert rc == 1
     assert message in capsys.readouterr().err
@@ -909,8 +880,8 @@ def test_cli_rejects_values_of_the_wrong_type(tmp_path, capsys, line, message):
 @pytest.mark.parametrize("value", ["nan", "inf"])
 def test_cli_rejects_non_finite_theta(tmp_path, capsys, value):
     """theta = nan would run and read as a layer divergence; it is a bad input."""
-    cfg_path = tmp_path / "run.cfg"
-    cfg_path.write_text(f"scenario = Cavity\nx0 = 4\ny0 = 4\ndelta = 2\nh = 1\nt_final = 4\ntheta = {value}\n")
+    cfg_path = tmp_path / "run.toml"
+    cfg_path.write_text(f"{TINY_TOML}theta = {value}\n")
     rc = cli_entry(["run", "--config", str(cfg_path), "--out", str(tmp_path / "out")])
     assert rc == 1
     assert f"theta must be finite, got {value}" in capsys.readouterr().err
@@ -933,8 +904,8 @@ def test_cli_converge_rejects_unsupported_order(tmp_path, capsys):
 
 
 def test_cli_run_rejects_unsupported_order(tmp_path, capsys):
-    cfg_path = tmp_path / "run.cfg"
-    cfg_path.write_text("scenario = Cavity\nx0 = 4\ny0 = 4\ndelta = 2\nh = 1\nt_final = 4\norder = 5\n")
+    cfg_path = tmp_path / "run.toml"
+    cfg_path.write_text(f"{TINY_TOML}order = 5\n")
     rc = cli_entry(["run", "--config", str(cfg_path), "--out", str(tmp_path / "out")])
     assert rc == 1
     assert "unsupported order 5; expected one of (2, 4, 6)" in capsys.readouterr().err
@@ -942,8 +913,8 @@ def test_cli_run_rejects_unsupported_order(tmp_path, capsys):
 
 
 def test_cli_rejects_zero_dt_factor(tmp_path, capsys):
-    cfg_path = tmp_path / "run.cfg"
-    cfg_path.write_text("scenario = Cavity\nx0 = 4\ny0 = 4\ndelta = 2\nh = 1\nt_final = 4\ndt_factor = 0\n")
+    cfg_path = tmp_path / "run.toml"
+    cfg_path.write_text(f"{TINY_TOML}dt_factor = 0\n")
     rc = cli_entry(["run", "--config", str(cfg_path), "--out", str(tmp_path / "out")])
     assert rc == 1
     assert "dt_factor must be finite and positive, got 0" in capsys.readouterr().err
@@ -959,14 +930,22 @@ def test_cli_modal_rejects_single_point_axis(tmp_path, capsys):
 
 
 def test_cli_modal_inconclusive_count_exits_1(tmp_path, monkeypatch, capsys):
-    """A scan whose count is inconclusive (here F1 is NaN everywhere) exits
-    1 through the CLI's error path, naming the rectangle, and never reports
-    a clean "0 root(s) counted"."""
-    monkeypatch.setattr(scenarios_cli, "dispersion_F1", lambda s, *args: np.full(np.shape(s), np.nan, dtype=complex))
+    """A scan whose count is inconclusive (here F2 is NaN everywhere, after
+    the F1 scans at the same k and gamma have passed) exits 1 through the
+    CLI's error path, naming the scan and the rectangle, chained to the
+    scan's own error.  It never reports a clean "0 root(s) counted", and
+    writes no report, whose F1 rows would look clean."""
+    monkeypatch.setattr(scenarios_cli, "dispersion_F2", lambda s, *args: np.full(np.shape(s), np.nan, dtype=complex))
     assert cli_entry(["modal", "--nk", "1", "--out", str(tmp_path / "out")]) == 1
     out, err = capsys.readouterr()
+    assert "the F2 scan at k = -10.0, gamma = 0.25, sigma = 0 failed" in err
     assert "inconclusive zero count on Re s in [1e-09, 3.0], Im s in [-20.0, 20.0]" in err
     assert "root(s) counted" not in out
+    assert not (tmp_path / "out").exists()
+    args = argparse.Namespace(nk=1, gammas="4", sigmas="0", n_re=100, n_im=200, out=str(tmp_path / "out"))
+    with pytest.raises(ValueError, match="the F2 scan at k = -10.0, gamma = 4.0, sigma = 0 failed") as info:
+        scenarios_cli._cmd_modal(args)
+    assert isinstance(info.value.__cause__, InconclusiveCount)
 
 
 @pytest.mark.parametrize("count", ["0", "-3"])
@@ -991,8 +970,8 @@ def test_cli_rejects_unknown_preset(capsys):
 
 
 def test_cli_error_reported_not_raised(tmp_path, capsys):
-    bad = tmp_path / "bad.cfg"
-    bad.write_text("scenario = Cavity\nwidth = 3\n")
+    bad = tmp_path / "bad.toml"
+    bad.write_text('scenario = "Cavity"\nwidth = 3\n')
     rc = cli_entry(["run", "--config", str(bad)])
     captured = capsys.readouterr()
     assert rc == 1
