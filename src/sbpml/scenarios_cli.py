@@ -130,6 +130,8 @@ class ScenarioConfig:
             # The config echo is UTF-8 text, which cannot carry a surrogate code point.
             if any("\ud800" <= c <= "\udfff" for c in str(v)):
                 raise ValueError(f"{name} must encode as UTF-8, got {v!r}")
+            if "\x00" in str(v):
+                raise ValueError(f"{name} must hold no NUL character, got {v!r}")
         # The label is part of each output's file name, which must stay in output_dir.
         if any(sep in self.label for sep in (os.sep, os.altsep) if sep):
             raise ValueError(f"label must hold no path separator, got {self.label!r}")
@@ -491,13 +493,6 @@ def waveguide_error_study(h_list, order_list, output_dir: str = "out"):
     return rows
 
 
-def write_error_table(path: str, rows):
-    with open(path, "w") as f:
-        f.write("order,h,error,rate\n")
-        for order, h, err, rate in rows:
-            f.write(f"{order},{h:.17g},{err:.17g},{rate:.17g}\n")
-
-
 # ---------------------------------------------------------------------------
 # CLI
 
@@ -575,7 +570,7 @@ def _cmd_converge(args) -> int:
     print(f"error study: {len(rows)} cells on {n_proc} process{'es' if n_proc > 1 else ''}, {wall:.1f} s")
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, "error_table.csv")
-    write_error_table(path, rows)
+    np.savetxt(path, rows, fmt="%d,%.17g,%.17g,%.17g", header="order,h,error,rate", comments="")
     for order, h, err, rate in rows:
         print(f"order {order}, h {h:g}: error {err:.3e}, rate {rate:.2f}")
     print(f"error table: {path}")

@@ -5,7 +5,8 @@ the production code's matrix-free evaluations can be checked term by term
 on small grids.  The SBP operators' oracle is their old dense builder,
 which made U, Q and D as n x n arrays, and their verification report's
 oracle is the old report on those dense matrices.  The dense assembly's
-oracle is its old column loop, one unit state per RHS.
+oracle is its old column loop, one unit state per RHS, and the growth
+check's is its old loop over sample pairs.
 """
 
 import cmath
@@ -375,6 +376,23 @@ def assemble_by_columns(system):
         evaluate_rhs(system, state, 0.0, FieldState(system.model, columns[col]))
         flat[col] = 0.0
     return at.T
+
+
+def growth_ratio_loop(times, energies, sigma_inf):
+    """``growth_bound_check``'s (max_ratio, worst_index) of finite energies
+    as its old loop: one pair of samples at a time, in numpy scalars."""
+    times = np.asarray(times, dtype=float)
+    e = np.sqrt(np.clip(np.asarray(energies, dtype=float), 0.0, None))
+    worst, worst_idx = 0.0, None
+    for k in range(len(times) - 1):
+        bound = np.exp(sigma_inf * (times[k + 1] - times[k])) * e[k]
+        if bound == 0.0:
+            ratio = np.inf if e[k + 1] > 0 else 0.0
+        else:
+            ratio = e[k + 1] / bound
+        if ratio > worst:
+            worst, worst_idx = ratio, k + 1
+    return float(worst), worst_idx
 
 
 def scalar_principal_sqrt(z):

@@ -6,6 +6,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sbpml import diagnostics, pml_models, sbp_core
 from sbpml.boundary_sat import BoundaryConfig, PenaltyParams
@@ -34,7 +36,7 @@ from sbpml.pml_models import (
 )
 from sbpml.scenarios_cli import build_scenario, cavity_config, march, waveguide_forcing
 
-from _oracles import assemble_by_columns, random_state, selectors, zero_damping
+from _oracles import assemble_by_columns, growth_ratio_loop, random_state, selectors, zero_damping
 
 
 def small_problem(order=4, nx=10, ny=9, d0=2.0):
@@ -85,6 +87,23 @@ def test_energy_history_append_and_csv(tmp_path):
     assert lines[0] == CSV_HEADER
     assert len(lines) == 3
     assert [float(v) for v in lines[1].split(",")] == [0.0, 1.0, 2.0, 3.0, 0.0, 14.0]
+
+
+def test_energy_history_csv_text(tmp_path):
+    """The history CSV's exact text: the header alone for an empty history,
+    and each value as %.17g, NaN, infinities and -0 included."""
+    path = tmp_path / "hist.csv"
+    h = EnergyHistory()
+    h.to_csv(path)
+    assert path.read_text() == CSV_HEADER + "\n"
+    h.append(0.0, dict(ez_norm=math.nan, hy_norm=math.inf, hx_norm=-0.0, aux_norm=1e-300, energy=0.04))
+    h.append(0.5, dict(ez_norm=1.0, hy_norm=-math.inf, hx_norm=0.1, aux_norm=0.0, energy=1e300))
+    h.to_csv(path)
+    assert path.read_text() == (
+        CSV_HEADER + "\n"
+        "0,nan,inf,-0,1e-300,0.040000000000000001\n"
+        "0.5,1,-inf,0.10000000000000001,0,1.0000000000000001e+300\n"
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -247,6 +266,45 @@ def test_growth_bound_check_zero_start():
     assert not chk.ok
 
 
+@pytest.mark.parametrize(
+    "energies,sigma,max_ratio,worst_index",
+    [
+        ([0.0, 1.0, 1.0], 0.5, math.inf, 1),  # out of zero: inf at the first such sample
+        ([0.0, 0.0, 0.0], 0.5, 0.0, None),  # zero stays zero: no positive ratio
+        ([1.0, 4.0, 1.0, 4.0], 0.0, 2.0, 1),  # a tie: the first of the two
+        ([4.0], 0.5, 0.0, None),  # one sample: no pair
+        ([4.0, -1.0, 4.0], 0.0, math.inf, 2),  # a negative energy counts as 0
+        ([1.0, math.nan, 1.0, math.nan], 0.0, math.inf, 1),  # the first bad sample
+        ([1.0, 0.0, 4.0], 1e300, 0.0, None),  # exp overflows: inf * 0 is skipped
+    ],
+)
+def test_growth_bound_check_edge_values(energies, sigma, max_ratio, worst_index):
+    """The ratio, index and verdict on edge histories at unit time steps."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        chk = growth_bound_check(np.arange(float(len(energies))), energies, sigma)
+    assert (chk.max_ratio, chk.worst_index) == (max_ratio, worst_index)
+    assert chk.ok is (max_ratio <= 1.0)
+
+
+@settings(deadline=None)
+@given(
+    samples=st.lists(
+        st.tuples(st.floats(-1e3, 1e3), st.one_of(st.just(0.0), st.floats(-1.0, 1e300))), min_size=1, max_size=8
+    ),
+    sigma=st.one_of(st.just(0.0), st.floats(-1e3, 1e300)),
+)
+def test_growth_bound_check_matches_its_loop(samples, sigma):
+    """The check's ratio and index equal its old loop's, bit for bit, on any
+    finite history, and its verdict is that ratio against 1 + 1e-10 (1 +
+    max sqrt(E))."""
+    times, energies = zip(*samples)
+    with np.errstate(over="ignore", invalid="ignore"):
+        chk = growth_bound_check(times, energies, sigma)
+        worst, worst_index = growth_ratio_loop(times, energies, sigma)
+    assert (chk.max_ratio, chk.worst_index) == (worst, worst_index)
+    assert chk.ok is (worst <= 1.0 + 1e-10 * (1.0 + math.sqrt(max(0.0, *energies))))
+
+
 def test_growth_bound_holds_along_stabilized_run():
     """sqrt(E) grows at most like exp(sigma_max t) along an RK4 trajectory of
     the stabilized modal layer (checked per sample)."""
@@ -260,8 +318,8 @@ def test_growth_bound_holds_along_stabilized_run():
     for k, ds, bt in march(system, s, dt, 79):
         times.append(k * dt)
         energies.append(modal_energy(s, ds.ez, system, bt))
-    chk = growth_bound_check(times, energies, prof.sigma_max, tol=1e-8)
-    assert chk.ok, (chk.max_ratio, chk.worst_index)
+    chk = growth_bound_check(times, energies, prof.sigma_max)
+    assert chk.max_ratio <= 1.0 + 1e-8, (chk.max_ratio, chk.worst_index)
 
 
 def test_phys_energy_bound_universal_penalties():
@@ -276,8 +334,8 @@ def test_phys_energy_bound_universal_penalties():
     for k, _, bt in march(system, s, dt, 79):
         times.append(k * dt)
         energies.append(phys_energy(field_squares(s, ops), bt))
-    chk = growth_bound_check(times, energies, prof.sigma_max, tol=1e-8)
-    assert chk.ok, (chk.max_ratio, chk.worst_index)
+    chk = growth_bound_check(times, energies, prof.sigma_max)
+    assert chk.max_ratio <= 1.0 + 1e-8, (chk.max_ratio, chk.worst_index)
 
 
 # ---------------------------------------------------------------------------

@@ -45,7 +45,6 @@ from sbpml.scenarios_cli import (
     waveguide_config,
     waveguide_error_study,
     waveguide_forcing,
-    write_error_table,
     write_snapshot,
 )
 from sbpml.grid_state import FieldState, Grid2D
@@ -385,15 +384,14 @@ def test_config_echo_quotes_what_reading_would_cut(tmp_path, capsys, label, out)
 
 
 @settings(deadline=None)
-@given(label=st.text().filter(lambda text: not any(sep in text for sep in (os.sep, os.altsep) if sep)))
+@given(label=st.text().filter(lambda text: not any(c in text for c in (os.sep, os.altsep, "\x00") if c)))
 @example("\x7f")
-@example("\x00")
 @example('a"b')
 @example("#")
 @example("\n")
 @example("none")
 def test_any_label_reads_back_from_its_echo(tmp_path_factory, label):
-    """Any text without a path separator is a label, and the config echo
+    """Any text without a path separator or NUL is a label, and the config echo
     writes it as a TOML string that reads back as the same label."""
     cfg = tiny_cavity(label=label)
     path = tmp_path_factory.getbasetemp() / "label_config.txt"
@@ -423,6 +421,22 @@ def test_config_refuses_what_its_echo_reads_back_otherwise(name, value):
     another value, or not at all, since TOML has no null."""
     with pytest.raises(ValueError, match=re.escape(f"{name} must be a string")):
         preset_config("cavity-desk-theta1", **{name: value})
+
+
+@pytest.mark.parametrize("name", ["label", "output_dir"])
+def test_config_refuses_a_nul_character(tmp_path, capsys, name):
+    """No file name can hold a NUL, so a label or output_dir with one is
+    refused when the config is built, naming the field, not at the run's
+    first write: ``sbpml run --config`` with such a label exits 1 and
+    writes nothing."""
+    with pytest.raises(ValueError, match=f"{name} must hold no NUL character"):
+        preset_config("cavity-desk-theta1", **{name: "run\x00"})
+    if name == "label":
+        cfg_path = tmp_path / "run.toml"
+        cfg_path.write_text(f'{TINY_TOML}dt_factor = 0.2\ntol = 1e-2\nlabel = "a\\u0000b"\n')
+        assert cli_entry(["run", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 1
+        assert "label must hold no NUL character" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == ["run.toml"]
 
 
 def test_config_refuses_a_label_with_a_path_separator(tmp_path, capsys):
@@ -627,11 +641,19 @@ def test_error_study_structure(tmp_path):
     assert [r[1] for r in rows] == [0.2, 0.1]
     assert math.isnan(rows[0][3]) and math.isfinite(rows[1][3])
     assert rows[0][2] > 0 and rows[1][2] > 0
-    path = tmp_path / "table.csv"
-    write_error_table(path, rows)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "order,h,error,rate"
-    assert len(lines) == 3
+
+
+def test_cli_converge_table_text(tmp_path, monkeypatch):
+    """The error table's exact text: the order as an integer, each other
+    value as %.17g, and the first h of an order with a NaN rate."""
+    rows = [(4, 0.04, 1.5e-3, math.nan), (4, 0.02, 1e-4, math.log2(15.0))]
+    monkeypatch.setattr(scenarios_cli, "waveguide_error_study", lambda hs, orders, output_dir: rows)
+    assert cli_entry(["converge", "--orders", "4", "--h", "0.04,0.02", "--out", str(tmp_path)]) == 0
+    assert (tmp_path / "error_table.csv").read_text() == (
+        "order,h,error,rate\n"
+        "4,0.040000000000000001,0.0015,nan\n"
+        "4,0.02,0.0001,3.9068905956085187\n"
+    )
 
 
 def usable_cpus(monkeypatch, n):
